@@ -29,7 +29,7 @@ from .hecke import commute_check, eigensystems, hecke_on_manin, hecke_oracle
 from .heilbronn import heilbronn_classes, heilbronn_family, telescoping_ok
 from .linalg import full_space, rational_eigensystem
 from .quadints import Field, QuadInt, gcd, parse_element
-from .symbols import Mat2, cusp_count, symbol_space
+from .symbols import cusp_count, symbol_space
 
 _LEVEL_SPEC = re.compile(r"^d=(\d+),n=(.+)$")
 
@@ -79,14 +79,6 @@ def _vec_json(v: dict | None):
     if v is None:
         return None
     return [[i, str(c)] for i, c in sorted(v.items())]
-
-
-def _mat_json(mat) -> dict:
-    entries = []
-    for i, row in enumerate(mat.rows):
-        for j, c in sorted(row.items()):
-            entries.append([i, j, str(c)])
-    return {"rows": mat.nrows, "cols": mat.ncols, "entries": entries}
 
 
 def _emit(payload: dict, out: Path | None, indent: int) -> None:
@@ -158,49 +150,28 @@ def space(d, level, weight, full, out, json_indent):
 @click.option("--eta", "eta_text", required=True, help="determinant, an element string")
 @click.option("--tie", type=click.Choice(["low", "high"]), default="low", show_default=True)
 @click.option("--verify", "check_it", is_flag=True, help="certify the telescoping condition")
-@click.option("--cache-dir", type=click.Path(file_okay=False, path_type=Path),
-              envvar="BIANCHI_CACHE_DIR", default=None,
-              help="directory for family caching (also BIANCHI_CACHE_DIR)")
 @io_options
 @click.pass_context
-def heilbronn(ctx, d, eta_text, tie, check_it, cache_dir, out, json_indent):
-    """Generate the determinant-eta family, optionally certified and cached."""
+def heilbronn(ctx, d, eta_text, tie, check_it, out, json_indent):
+    """Generate the determinant-eta family, optionally certified."""
     fld = _get_field(d)
     eta = _element(fld, eta_text, "--eta")
     if eta.is_zero():
         raise click.UsageError("--eta must be nonzero")
-    cache_state = "off"
-    cache_file = None
-    if cache_dir is not None:
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        cache_file = cache_dir / f"heilbronn-d{fld.d}-{eta}-{tie}.json"
-    if cache_file is not None and cache_file.exists():
-        doc = json.loads(cache_file.read_text())
-        fam = tuple(
-            Mat2(*(parse_element(fld, e) for e in entry)) for entry in doc["matrices"]
-        )
-        cache_state = "hit"
-        click.echo(f"loaded {len(fam)} matrices from {cache_file}", err=True)
-    else:
-        fam = heilbronn_family(eta, tie)
-        if cache_file is not None:
-            cache_file.write_text(json.dumps(
-                {"d": fld.d, "eta": str(eta), "tie": tie,
-                 "matrices": [[str(e) for e in m.entries()] for m in fam]},
-                indent=2, sort_keys=True) + "\n")
-            cache_state = "miss"
-            click.echo(f"cached {len(fam)} matrices to {cache_file}", err=True)
+    fam = heilbronn_family(eta, tie)
     payload = {
         "d": fld.d,
         "eta": str(eta),
         "tie": tie,
         "count": len(fam),
         "classes": len(heilbronn_classes(eta, tie)),
-        "cache": cache_state,
+        # always "off" (families are regenerated, never read from disk); the
+        # field stays because perfbench pins the sha256 of these bytes
+        "cache": "off",
         "matrices": [[str(e) for e in m.entries()] for m in fam],
     }
     if check_it:
-        ok = telescoping_ok(eta, tie) and fam == heilbronn_family(eta, tie)
+        ok = telescoping_ok(eta, tie)
         payload["telescoping"] = ok
         if not ok:
             _emit(payload, out, json_indent)
@@ -238,8 +209,8 @@ def hecke(ctx, d, level, eta_text, weight, tie, oracle, others, out, json_indent
         "weight": weight,
         "dim": sp.dim,
         "cuspidal_dim": cusp.dim,
-        "matrix": _mat_json(op.matrix),
-        "cuspidal_matrix": _mat_json(op.cuspidal_matrix),
+        "matrix": op.matrix.to_json(),
+        "cuspidal_matrix": op.cuspidal_matrix.to_json(),
         "cuspidal_eigenvalues": [[str(val), sub.dim] for val, sub in eigs],
         "irrational_residual": [int(c) for c in residual],
     }
@@ -370,12 +341,11 @@ def eval_cmd(d, level, z_text, t, table_path, norm_bound, eta_texts, eta_count,
     """Evaluate the truncated series at one point of the upper half space."""
     if table_path is not None:
         doc = json.loads(table_path.read_text())
-        fld = Field.get(doc["d"])
-        nu = parse_element(fld, doc["level"])
+        fld, nu = _field_and_level(doc["d"], doc["level"])
         sp = symbol_space(fld, nu, 2)
         entries = {}
         for item in doc["a"]:
-            alpha = parse_element(fld, item["alpha"])
+            alpha = _element(fld, item["alpha"], "--table alpha")
             entries[alpha] = Fraction(item["re"])
         table = FourierTable(sp, doc["norm_bound"], entries,
                              entries.get(fld.one, Fraction(0)))

@@ -32,7 +32,7 @@ from fractions import Fraction
 from scipy.special import k0 as _k0, k1 as _k1
 
 from .boundary import boundary_of_gen
-from .hecke import _substitution_rows, heilbronn_action
+from .hecke import heilbronn_action
 from .linalg import vec_axpy, vec_dot
 from .quadints import QuadInt, canonical_elements_of_norm, divides
 from .symbols import Mat2, SymbolSpace
@@ -86,26 +86,20 @@ def seed_from_vector(space: SymbolSpace, quotient_vec: dict) -> SeedElement:
 
 
 def _gen_image(space: SymbolSpace, gen: int, m: Mat2) -> dict:
-    # quotient image of one generator under one integral matrix, image
-    # dropped when the moved point is not unimodular at the level
-    npts = len(space.points)
+    # quotient image of one weight-2 generator under one integral matrix,
+    # dropped when the moved point is not unimodular at the level; kept apart
+    # from heilbronn_action so the slash-sum checks compare two loops
     out: dict = {}
-    if space.weight == 2:
-        pt = space.act_point(gen, m)
-        if pt is not None:
-            vec_axpy(out, Fraction(1), space.gen_map[pt])
-    else:
-        comp, p = divmod(gen, npts)
-        rows = _substitution_rows(space, m)
-        pt = space.act_point(p, m)
-        if pt is not None:
-            for cj, cv in rows[comp].items():
-                vec_axpy(out, Fraction(cv), space.gen_map[cj * npts + pt])
+    pt = space.act_point(gen, m)
+    if pt is not None:
+        vec_axpy(out, Fraction(1), space.gen_map[pt])
     return out
 
 
 def functional_slash(phi: DualFunctional, m: Mat2, x: SeedElement) -> Fraction:
     """phi twisted by one matrix, evaluated termwise on the seed."""
+    if phi.space.weight != 2:
+        raise ValueError("expansion is defined for weight 2 only")
     total = Fraction(0)
     for g, c in x.coefficients.items():
         total += c * phi(_gen_image(phi.space, g, m))

@@ -23,8 +23,8 @@ from .heilbronn import heilbronn_family
 from .linalg import (
     SparseMat,
     Subspace,
+    eigenspace,
     full_space,
-    kernel,
     rational_eigensystem,
     vec_axpy,
     vec_dot,
@@ -49,24 +49,6 @@ from .symbols import (
 )
 
 
-def _substitution_rows(space: SymbolSpace, m: Mat2) -> list[dict[int, int]]:
-    # flattened matrix of P -> P(aX+bY, cX+dY) on the component basis
-    fld = space.field
-    out = []
-    for i in range(space.weight - 1):
-        for part in (0, 1):
-            coeff = fld.one if part == 0 else fld.omega
-            poly = slash_poly({i: coeff}, m.adj(), space.weight)
-            row: dict[int, int] = {}
-            for j, c in poly.items():
-                if c.a:
-                    row[2 * j] = c.a
-                if c.b:
-                    row[2 * j + 1] = c.b
-            out.append(row)
-    return out
-
-
 @lru_cache(maxsize=None)
 def heilbronn_action(space: SymbolSpace, alpha: QuadInt, tie: str = "low") -> SparseMat:
     """Quotient matrix of the family sum of determinant alpha.
@@ -76,7 +58,8 @@ def heilbronn_action(space: SymbolSpace, alpha: QuadInt, tie: str = "low") -> Sp
     """
     fam = heilbronn_family(alpha, tie)
     npts = len(space.points)
-    sub_rows = None if space.weight == 2 else [_substitution_rows(space, m) for m in fam]
+    # P -> P(aX+bY, cX+dY) is the slash by the adjugate
+    sub_rows = None if space.weight == 2 else [space.slash_rows(m.adj()) for m in fam]
     out = SparseMat(space.dim, space.dim)
     for j, g in enumerate(space.free_gens):
         col: dict = {}
@@ -278,14 +261,7 @@ def _left_functional(space: SymbolSpace, etas, vals, vector) -> dict | None:
     F = full_space(space.dim)
     for eta in etas:
         at = hecke_matrix(space, eta).transpose()
-        shifted = F.restrict(at) - SparseMat.identity(F.dim).scale(vals[eta])
-        vecs = []
-        for kv in kernel(shifted):
-            lifted: dict = {}
-            for i, c in kv.items():
-                vec_axpy(lifted, c, F.basis[i])
-            vecs.append(lifted)
-        F = Subspace(space.dim, vecs)
+        F = eigenspace(F.restrict(at), F, vals[eta])
         if F.dim == 0:
             return None
     for phi in F.basis:
@@ -330,9 +306,7 @@ def eigensystems(space: SymbolSpace, etas: list[QuadInt]) -> EigenTable:
     for idx, (vals, sub) in enumerate(pieces):
         vector = functional = None
         if sub.dim == 1:
-            vector = {}
-            for i, c in sub.basis[0].items():
-                vec_axpy(vector, c, cusp.basis[i])
+            vector = cusp.lift(sub.basis[0])
             functional = _left_functional(space, order, vals, vector)
         table.systems.append(EigenSystem(_label(idx), vals, sub.dim, vector, functional))
     return table

@@ -94,12 +94,15 @@ def heilbronn_classes(eta: QuadInt, tie: str = "low") -> tuple[tuple[int, ...], 
     return tuple(classes)
 
 
-def class_path_sums(eta: QuadInt, tie: str = "low") -> list[dict]:
+def class_path_sums(eta: QuadInt, tie: str = "low", family=None) -> list[dict]:
     """Formal cusp sums sum([M oo] - [M 0]) for each class.
 
-    A correct family telescopes each class to [oo] - [0].
+    A correct family telescopes each class to [oo] - [0].  The partition
+    into classes is always that of heilbronn_family(eta, tie); family, when
+    given, supplies the matrices summed in its place, so that a corrupted
+    copy can be put through the same certificate.
     """
-    fam = heilbronn_family(eta, tie)
+    fam = heilbronn_family(eta, tie) if family is None else family
     sums = []
     for cls in heilbronn_classes(eta, tie):
         total: dict = {}

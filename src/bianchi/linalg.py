@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as _igcd, lcm as _ilcm
 
+from .quadints import rational_prime_factors
+
 
 def vec_clean(v: dict) -> dict:
     return {k: c for k, c in v.items() if c}
@@ -55,22 +57,6 @@ def vec_dot(u: dict, v: dict):
     return sum((c * v[k] for k, c in u.items() if k in v), Fraction(0))
 
 
-def vec_primitive(v: dict) -> dict:
-    """Scale a rational vector to coprime integers with positive first entry."""
-    if not v:
-        return {}
-    den = 1
-    for c in v.values():
-        den = _ilcm(den, Fraction(c).denominator)
-    ints = {k: int(c * den) for k, c in v.items()}
-    g = 0
-    for c in ints.values():
-        g = _igcd(g, c)
-    if ints[min(ints)] < 0:
-        g = -g
-    return {k: c // g for k, c in ints.items()}
-
-
 class SparseMat:
     """Row-major sparse matrix over Q."""
 
@@ -100,9 +86,6 @@ class SparseMat:
 
     def entry(self, i: int, j: int) -> Fraction:
         return Fraction(self.rows[i].get(j, 0))
-
-    def copy(self) -> SparseMat:
-        return SparseMat(self.nrows, self.ncols, [dict(r) for r in self.rows])
 
     def transpose(self) -> SparseMat:
         rows = [{} for _ in range(self.ncols)]
@@ -245,6 +228,13 @@ class Subspace:
     def contains(self, v: dict) -> bool:
         return not self.reduce(v)
 
+    def lift(self, coords: dict) -> dict:
+        """Ambient vector with the given coordinates in the echelon basis."""
+        out: dict = {}
+        for i, c in coords.items():
+            vec_axpy(out, c, self.basis[i])
+        return out
+
     def coords(self, v: dict) -> dict | None:
         """Coordinates of v in the echelon basis, or None when v lies outside."""
         r = vec_clean(dict(v))
@@ -302,21 +292,21 @@ def _deflate(coeffs: list, r) -> list:
     return q
 
 
-def _int_divisors(n: int) -> list[int]:
-    n = abs(n)
-    fac: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            fac[p] = fac.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        fac[n] = fac.get(n, 0) + 1
+def _positive_divisors(n: int) -> list[int]:
     divs = [1]
-    for p, e in fac.items():
+    for p, e in rational_prime_factors(abs(n)).items():
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return sorted(divs)
+
+
+def _primitive(coeffs: list) -> list[int]:
+    # coprime integers proportional to the rational coeffs, last one positive
+    den = _ilcm(*(Fraction(c).denominator for c in coeffs))
+    ints = [int(Fraction(c) * den) for c in coeffs]
+    g = _igcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    return [c // g for c in ints]
 
 
 def rational_roots(coeffs: list) -> tuple[list[tuple[Fraction, int]], list[int]]:
@@ -338,17 +328,10 @@ def rational_roots(coeffs: list) -> tuple[list[tuple[Fraction, int]], list[int]]
     if mult0:
         roots.append((Fraction(0), mult0))
     if len(work) > 1:
-        den = 1
-        for c in work:
-            den = _ilcm(den, c.denominator)
-        ints = [int(c * den) for c in work]
-        g = 0
-        for c in ints:
-            g = _igcd(g, c)
-        ints = [c // g for c in ints]
+        ints = _primitive(work)
         # candidates from the original cofactor stay valid after deflation
-        for p in _int_divisors(ints[0]):
-            for q in _int_divisors(ints[-1]):
+        for p in _positive_divisors(ints[0]):
+            for q in _positive_divisors(ints[-1]):
                 for sgn in (1, -1):
                     r = Fraction(sgn * p, q)
                     mult = 0
@@ -357,21 +340,19 @@ def rational_roots(coeffs: list) -> tuple[list[tuple[Fraction, int]], list[int]]
                         mult += 1
                     if mult:
                         roots.append((r, mult))
-    den = 1
-    for c in work:
-        den = _ilcm(den, Fraction(c).denominator)
-    ints = [int(Fraction(c) * den) for c in work]
-    g = 0
-    for c in ints:
-        g = _igcd(g, c)
-    if ints[-1] < 0:
-        g = -g
     roots.sort()
-    return roots, [c // g for c in ints]
+    return roots, _primitive(work)
 
 
 def full_space(n: int) -> Subspace:
     return Subspace(n, [{i: Fraction(1)} for i in range(n)])
+
+
+def eigenspace(restricted: SparseMat, sub: Subspace, val) -> Subspace:
+    """Eigenspace of val in ambient coordinates, given the operator already
+    restricted to the invariant subspace sub."""
+    shifted = restricted - SparseMat.identity(sub.dim).scale(val)
+    return Subspace(sub.ambient, [sub.lift(kv) for kv in kernel(shifted)])
 
 
 def rational_eigensystem(
@@ -387,14 +368,4 @@ def rational_eigensystem(
         sub = full_space(mat.ncols)
     r = sub.restrict(mat)
     roots, residual = rational_roots(charpoly(r))
-    out = []
-    for val, _ in roots:
-        shifted = r - SparseMat.identity(sub.dim).scale(val)
-        vecs = []
-        for kv in kernel(shifted):
-            lifted: dict = {}
-            for i, c in kv.items():
-                vec_axpy(lifted, c, sub.basis[i])
-            vecs.append(lifted)
-        out.append((val, Subspace(sub.ambient, vecs)))
-    return out, residual
+    return [(val, eigenspace(r, sub, val)) for val, _ in roots], residual

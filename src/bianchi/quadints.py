@@ -32,7 +32,6 @@ __all__ = [
     "is_rational_prime",
     "parse_element",
     "primes_above",
-    "quot",
     "rational_prime_factors",
     "reduce_mod",
     "residues_below",
@@ -83,9 +82,6 @@ class Field:
 
     def from_int(self, n: int) -> QuadInt:
         return QuadInt(self, n, 0)
-
-    def parse(self, text: str) -> QuadInt:
-        return parse_element(self, text)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Field) and other.d == self.d
@@ -235,10 +231,6 @@ def euclidean_division(a: QuadInt, b: QuadInt, tie: str = "low") -> tuple[QuadIn
     ratio = a.field.euclid_ratio
     assert r.norm() * ratio.denominator <= ratio.numerator * den
     return q, r
-
-
-def quot(a: QuadInt, b: QuadInt, tie: str = "low") -> QuadInt:
-    return euclidean_division(a, b, tie)[0]
 
 
 def divides(d0: QuadInt, x: QuadInt) -> bool:

@@ -324,15 +324,19 @@ class SymbolSpace:
                 gm.append({qidx[r]: Fraction(s)})
         self.gen_map = gm
 
-    def _comp_matrix(self, w: Mat2) -> list[dict[int, int]]:
-        # action of w on flattened (monomial, part) components via P|_(w^-1)
+    def slash_rows(self, g: Mat2) -> list[dict[int, int]]:
+        """Integer matrix of P -> P|_g on the flattened components.
+
+        Row 2*i + part is the image of X^i Y^(k-2-i) times 1 (part 0) or
+        omega (part 1), keyed by the same flattening.  Relation words slash
+        by w^-1, Heilbronn matrices by their adjugate.
+        """
         fld = self.field
-        wi = w.inv_unit()
         out = []
         for i in range(self.weight - 1):
             for part in (0, 1):
                 coeff = fld.one if part == 0 else fld.omega
-                poly = slash_poly({i: coeff}, wi, self.weight)
+                poly = slash_poly({i: coeff}, g, self.weight)
                 row: dict[int, int] = {}
                 for j, c in poly.items():
                     if c.a:
@@ -351,7 +355,7 @@ class SymbolSpace:
         rels.append([(Mat2.identity(fld), 1), (self.J, -1)])
         rows = []
         for rel in rels:
-            mats = [self._comp_matrix(w) for w, _ in rel]
+            mats = [self.slash_rows(w.inv_unit()) for w, _ in rel]
             acts = [[self.act_point(i, w) for i in range(npts)] for w, _ in rel]
             for p in range(npts):
                 for ci in range(ncomp):

@@ -42,7 +42,7 @@ from .hecke import (
     hecke_oracle,
     heilbronn_action,
 )
-from .heilbronn import heilbronn_classes, heilbronn_family, telescoping_ok
+from .heilbronn import class_path_sums, heilbronn_classes, heilbronn_family, telescoping_ok
 from .linalg import vec_axpy, vec_dot
 from .quadints import (
     Field,
@@ -237,17 +237,8 @@ def _telescoping_negative_control(t0: float, tie: str) -> CheckResult:
     fam[0] = Mat2(fam[0].a, fam[0].b + fld.one, fam[0].c, fam[0].d)
     inf = normalize_cusp(fld.one, fld.zero)
     zero = normalize_cusp(fld.zero, fld.one)
-    broken = []
-    for k, cls in enumerate(heilbronn_classes(eta, tie)):
-        total: dict = {}
-        for i in cls:
-            m = fam[i]
-            top = normalize_cusp(m.a, m.c)
-            bot = normalize_cusp(m.b, m.d)
-            total[top] = total.get(top, 0) + 1
-            total[bot] = total.get(bot, 0) - 1
-        if {c: v for c, v in total.items() if v} != {inf: 1, zero: -1}:
-            broken.append(k)
+    broken = [k for k, s in enumerate(class_path_sums(eta, tie, fam))
+              if s != {inf: 1, zero: -1}]
     ok = bool(broken)
     return CheckResult(
         "telescoping",

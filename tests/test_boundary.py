@@ -57,7 +57,7 @@ def test_boundary_kills_relations_weight4():
     rels = [[(w, 1) for w in word] for word in space.sum_words]
     rels.append([(Mat2.identity(fld), 1), (space.J, -1)])
     for rel in rels:
-        mats = [space._comp_matrix(w) for w, _ in rel]
+        mats = [space.slash_rows(w.inv_unit()) for w, _ in rel]
         for p in range(npts):
             for ci in range(ncomp):
                 total = {}

@@ -70,22 +70,14 @@ def test_heilbronn_report(runner):
     assert ["1", "0", "0", "1+w"] in doc["matrices"]
 
 
-def test_heilbronn_cache_round_trip(runner, tmp_path):
-    args = ("heilbronn", "--d", "2", "--eta", "1+1w", "--cache-dir", str(tmp_path))
-    first = payload(runner, *args)
-    assert first["cache"] == "miss"
-    assert list(tmp_path.glob("heilbronn-*.json"))
-    second = payload(runner, *args, "--verify")
-    assert second["cache"] == "hit"
-    assert second["telescoping"] is True
-    assert second["matrices"] == first["matrices"]
-
-
-def test_heilbronn_cache_env_var(runner, tmp_path, monkeypatch):
+def test_heilbronn_has_no_disk_cache(runner, tmp_path, monkeypatch):
+    args = ("heilbronn", "--d", "2", "--eta", "1+1w", "--verify")
+    plain = invoke(runner, *args).stdout
     monkeypatch.setenv("BIANCHI_CACHE_DIR", str(tmp_path))
-    doc = payload(runner, "heilbronn", "--d", "1", "--eta", "2")
-    assert doc["cache"] == "miss"
-    assert (tmp_path / "heilbronn-d1-2-low.json").exists()
+    assert invoke(runner, *args).stdout == plain
+    assert json.loads(plain)["cache"] == "off"
+    assert not list(tmp_path.iterdir())
+    invoke(runner, *args, "--cache-dir", str(tmp_path), code=2)
 
 
 def test_hecke_with_oracle_and_commutation(runner):
@@ -166,6 +158,15 @@ def test_eval_bad_point(runner, tmp_path):
     table_file.write_text('{"d": 11, "level": "1-2w", "norm_bound": 0, "a": []}')
     invoke(runner, "eval", "--table", str(table_file), "--z", "oops", "--t", "1.0", code=2)
     invoke(runner, "eval", "--table", str(table_file), "--z", "0.1i", "--t", "-1.0", code=2)
+
+
+def test_eval_bad_table(runner, tmp_path):
+    table_file = tmp_path / "bad.json"
+    for doc in ('{"d": 5, "level": "1", "norm_bound": 0, "a": []}',
+                '{"d": 11, "level": "zz", "norm_bound": 0, "a": []}',
+                '{"d": 11, "level": "1-2w", "norm_bound": 1, "a": [{"alpha": "1q", "re": 1.0}]}'):
+        table_file.write_text(doc)
+        invoke(runner, "eval", "--table", str(table_file), "--z", "0.3i", "--t", "1.5", code=2)
 
 
 def test_out_writes_file(runner, tmp_path):

@@ -242,6 +242,8 @@ def test_weight_restriction():
     x = SeedElement(sp4, {})
     with pytest.raises(ValueError):
         fourier_coefficients(phi, x, 3)
+    with pytest.raises(ValueError):
+        functional_slash(phi, Mat2.identity(fld), x)
 
 
 def test_seed_space_mismatch():

@@ -110,6 +110,18 @@ def test_path_sums_shape():
         assert s == {inf: 1, zero: -1}
 
 
+def test_path_sums_of_a_perturbed_family():
+    for d, text in [(2, "1+1w"), (7, "1w"), (11, "3")]:
+        fld = Field.get(d)
+        eta = parse_element(fld, text)
+        good = {normalize_cusp(fld.one, fld.zero): 1, normalize_cusp(fld.zero, fld.one): -1}
+        fam = list(heilbronn_family(eta))
+        assert all(s == good for s in class_path_sums(eta, family=fam))
+        m = fam[-1]
+        fam[-1] = Mat2(m.a, m.b, m.c + fld.one, m.d)
+        assert any(s != good for s in class_path_sums(eta, family=fam))
+
+
 def test_high_tie_break_also_certifies():
     some_difference = False
     for d in EUCLIDEAN_D:
