@@ -9,6 +9,7 @@ as an element string together with --d, or combined as "d=1,n=2+1w".
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -324,6 +325,31 @@ def fourier(d, level, norm_bound, eta_texts, eta_count, label, tie, out, json_in
     _emit(table.to_json(), out, json_indent)
 
 
+def _read_table(path: Path) -> FourierTable:
+    # the file comes from outside: every malformed shape is a usage error
+    try:
+        doc = json.loads(path.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise click.UsageError(f"--table {path}: not a JSON document ({exc})")
+    if not (isinstance(doc, dict) and isinstance(doc.get("d"), int)
+            and isinstance(doc.get("level"), str)
+            and isinstance(doc.get("norm_bound"), int)
+            and isinstance(doc.get("a"), list)):
+        raise click.UsageError(f"--table {path}: expected an object with integer d and "
+                               "norm_bound, a string level and a list a")
+    fld, nu = _field_and_level(doc["d"], doc["level"])
+    entries = {}
+    for item in doc["a"]:
+        if not (isinstance(item, dict) and isinstance(item.get("alpha"), str)
+                and isinstance(item.get("re"), (int, float))
+                and math.isfinite(item["re"])):
+            raise click.UsageError(f"--table entry {item!r}: expected a string alpha "
+                                   "and a finite number re")
+        entries[_element(fld, item["alpha"], "--table alpha")] = Fraction(item["re"])
+    return FourierTable(symbol_space(fld, nu, 2), doc["norm_bound"], entries,
+                        entries.get(fld.one, Fraction(0)))
+
+
 @main.command(name="eval")
 @level_options
 @click.option("--z", "z_text", required=True, help='complex coordinate, e.g. "0.1+0.2i"')
@@ -340,15 +366,7 @@ def eval_cmd(d, level, z_text, t, table_path, norm_bound, eta_texts, eta_count,
              label, tie, out, json_indent):
     """Evaluate the truncated series at one point of the upper half space."""
     if table_path is not None:
-        doc = json.loads(table_path.read_text())
-        fld, nu = _field_and_level(doc["d"], doc["level"])
-        sp = symbol_space(fld, nu, 2)
-        entries = {}
-        for item in doc["a"]:
-            alpha = _element(fld, item["alpha"], "--table alpha")
-            entries[alpha] = Fraction(item["re"])
-        table = FourierTable(sp, doc["norm_bound"], entries,
-                             entries.get(fld.one, Fraction(0)))
+        table = _read_table(table_path)
     else:
         fld, nu = _field_and_level(d, level)
         sp, _, phi, x = _rational_form(fld, nu, eta_texts, eta_count, label)

@@ -26,13 +26,15 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from scipy.special import k0 as _k0, k1 as _k1
 
 from .boundary import boundary_of_gen
-from .hecke import heilbronn_action
+from .heilbronn import heilbronn_family
 from .linalg import vec_axpy, vec_dot
 from .quadints import QuadInt, canonical_elements_of_norm, divides
 from .symbols import Mat2, SymbolSpace
@@ -113,6 +115,24 @@ class FourierTable:
     entries: dict            # QuadInt -> Fraction, every nonzero alpha
     a1: Fraction
 
+    @cached_property
+    def series_terms(self) -> list[tuple[complex, float, complex, float]]:
+        """(alpha, |alpha|, alpha/|alpha|, float(a_alpha)) per nonzero entry, in sort order."""
+        out = []
+        for alpha in sorted(self.entries, key=lambda a: a.sort_key()):
+            a = self.entries[alpha]
+            if a:
+                ac = alpha.to_complex()
+                mod = abs(ac)
+                out.append((ac, mod, ac / mod, float(a)))
+        return out
+
+    @cached_property
+    def growth(self) -> Fraction | float:
+        """Largest |a_alpha| / N(alpha) over the table, the tail's calibration."""
+        return max((abs(a) / al.norm() for al, a in self.entries.items() if a),
+                   default=1.0)
+
     def to_json(self) -> dict:
         fld = self.space.field
         alphas = sorted(self.entries, key=lambda a: a.sort_key())
@@ -130,7 +150,9 @@ def fourier_coefficients(phi: DualFunctional, x: SeedElement,
     """Coefficient table a_alpha = sum over the family of determinant alpha.
 
     Associates are listed separately; nothing requires alpha coprime to the
-    level, the non-unimodular images just drop out.
+    level, the non-unimodular images just drop out.  Only the seed's support
+    is moved: a_alpha = sum_g c_g sum_M phi(gen_map[g*M]), with the hits on
+    each point counted as ints before phi's value there is read.
     """
     space = phi.space
     if space.weight != 2:
@@ -138,15 +160,21 @@ def fourier_coefficients(phi: DualFunctional, x: SeedElement,
     if x.space is not space:
         raise ValueError("functional and seed live on different spaces")
     fld = space.field
-    v = x.quotient_vector()
+    weights = [phi(image) for image in space.gen_map]
+    act = space.act_point
     entries = {}
     for n in range(1, norm_bound + 1):
         for base in canonical_elements_of_norm(fld, n):
             for u in fld.units:
                 alpha = u * base
-                entries[alpha] = vec_dot(
-                    phi.coefficients, heilbronn_action(space, alpha, tie).matvec(v))
-    return FourierTable(space, norm_bound, entries, vec_dot(phi.coefficients, v))
+                fam = heilbronn_family(alpha, tie)
+                total = Fraction(0)
+                for g, c in x.coefficients.items():
+                    hits = Counter(act(g, m) for m in fam)
+                    hits.pop(None, None)
+                    total += c * sum(weights[pt] * k for pt, k in hits.items() if weights[pt])
+                entries[alpha] = total
+    return FourierTable(space, norm_bound, entries, phi(x.quotient_vector()))
 
 
 @dataclass(frozen=True)
@@ -172,8 +200,7 @@ def tail_estimate(table: FourierTable, w: H3Point) -> float:
     """
     fld = table.space.field
     s = fld.sqrt_abs_disc
-    growth = max((abs(a) / al.norm() for al, a in table.entries.items() if a),
-                 default=1.0)
+    growth = table.growth
     density = 2 * math.pi / s
     total = 0.0
     n = table.norm_bound + 1
@@ -191,19 +218,13 @@ def eval_series(table: FourierTable, w: H3Point) -> tuple[tuple[complex, complex
     fld = table.space.field
     s = fld.sqrt_abs_disc
     f0 = f1 = f2 = 0.0 + 0.0j
-    for alpha in sorted(table.entries, key=lambda a: a.sort_key()):
-        a = table.entries[alpha]
-        if not a:
-            continue
-        ac = alpha.to_complex()
-        mod = abs(ac)
+    for ac, mod, phase, a in table.series_terms:
         arg = 4 * math.pi * mod * w.t / s
         psi = cmath.exp(4j * math.pi * (ac * w.z).imag / s)
-        common = float(a) * w.t**2 * psi
+        common = a * w.t**2 * psi
         # the outer components carry the phase of alpha: the unique decaying
         # harmonic combination per character is (-(u/2)K1, K0, (ubar/2)K1)
         # with u = alpha/|alpha|, in the coframe (dz/t, dt/t, dzbar/t)
-        phase = ac / mod
         k1v = _k1(arg)
         f0 += common * (-0.5 * phase * k1v)
         f1 += common * _k0(arg)

@@ -53,8 +53,9 @@ from .symbols import (
 def heilbronn_action(space: SymbolSpace, alpha: QuadInt, tie: str = "low") -> SparseMat:
     """Quotient matrix of the family sum of determinant alpha.
 
-    For alpha coprime to the level this is the Hecke operator; the same sum
-    with no coprimality restriction defines the Fourier coefficient at alpha.
+    For alpha coprime to the level this is the Hecke operator.  With no
+    coprimality restriction, phi(M v) is the operator side of the
+    coefficient identity that fourier_coefficients is checked against.
     """
     fam = heilbronn_family(alpha, tie)
     npts = len(space.points)

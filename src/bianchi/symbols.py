@@ -23,6 +23,7 @@ from .quadints import (
     exact_div,
     factorize,
     gcd,
+    hnf_module,
     reduce_mod,
     residues_mod,
     xgcd,
@@ -266,6 +267,7 @@ class SymbolSpace:
         self.weight = weight
         self.points = enumerate_points(fld, self.level)
         self.point_index = {pt: i for i, pt in enumerate(self.points)}
+        self._build_point_codes()
         self.sum_words, self.J = relation_words(fld)
         if weight == 2:
             self._build_weight2()
@@ -282,10 +284,39 @@ class SymbolSpace:
         pair = (reduce_mod(u, self.level), reduce_mod(v, self.level))
         return self.point_index.get(pair)
 
+    def _build_point_codes(self) -> None:
+        # a Hermite-box residue r = a + b*omega has code a*e22 + b in [0, N),
+        # a pair (u, v) has code(u) * N + code(v); -1 marks non-unimodular pairs
+        e11, e12, e22 = self._hnf = hnf_module(self.level)
+        n = e11 * e22
+        codes = [-1] * (n * n)
+        for i, (u, v) in enumerate(self.points):
+            codes[(u.a * e22 + u.b) * n + v.a * e22 + v.b] = i
+        self._point_codes = codes
+
     def act_point(self, idx: int, mat: Mat2) -> int | None:
-        """Index of (u, v) * mat, or None when the product is not unimodular."""
+        """Index of (u, v) * mat, or None when the product is not unimodular.
+
+        Plain-int form of point_of(u*a + v*c, u*b + v*d): the products use
+        omega^2 = t*omega - m and each coordinate is reduced into the Hermite
+        box the way reduce_mod does.
+        """
         u, v = self.points[idx]
-        return self.point_of(u * mat.a + v * mat.c, u * mat.b + v * mat.d)
+        fld = self.field
+        e11, e12, e22 = self._hnf
+        ua, ub, va, vb = u.a, u.b, v.a, v.b
+        # (p + q*omega)(r + s*omega) = p*r - m*q*s + ((p + t*q)*s + q*r)*omega
+        ut, vt = ua + fld.t * ub, va + fld.t * vb
+        a, b, c, d = mat.a, mat.b, mat.c, mat.d
+        xa = ua * a.a + va * c.a - fld.m * (ub * a.b + vb * c.b)
+        xb = ut * a.b + ub * a.a + vt * c.b + vb * c.a
+        ya = ua * b.a + va * d.a - fld.m * (ub * b.b + vb * d.b)
+        yb = ut * b.b + ub * b.a + vt * d.b + vb * d.a
+        kx, ky = xa // e11, ya // e11
+        code = (((xa - kx * e11) * e22 + (xb - kx * e12) % e22) * e11 * e22
+                + (ya - ky * e11) * e22 + (yb - ky * e12) % e22)
+        pt = self._point_codes[code]
+        return None if pt < 0 else pt
 
     def _build_weight2(self) -> None:
         npts = len(self.points)

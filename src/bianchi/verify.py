@@ -427,7 +427,8 @@ def reference_form(d: int = REFERENCE_FORM[0], level: str = REFERENCE_FORM[1],
 def check_coefficient_identity(d: int = REFERENCE_FORM[0], level: str = REFERENCE_FORM[1],
                                norm_bound: int = 30, tie: str = "low") -> CheckResult:
     """Slash sums over whole families equal the assembled operator applied to
-    the seed, for every rational eigenfunctional and every determinant."""
+    the seed, for every rational eigenfunctional and every determinant; the
+    coefficient table agrees with the operator at every unit multiple."""
     t0 = time.perf_counter()
     space, systems = reference_form(d, level)
     fld = space.field
@@ -437,6 +438,7 @@ def check_coefficient_identity(d: int = REFERENCE_FORM[0], level: str = REFERENC
         phi = DualFunctional(space, system.functional)
         x = seed_from_vector(space, system.vector)
         v = x.quotient_vector()
+        table = fourier_coefficients(phi, x, norm_bound, tie)
         for n in range(1, norm_bound + 1):
             for eta in canonical_elements_of_norm(fld, n):
                 lhs = sum(
@@ -447,6 +449,16 @@ def check_coefficient_identity(d: int = REFERENCE_FORM[0], level: str = REFERENC
                 if lhs != rhs:
                     fail = {"d": d, "level": level, "eta": str(eta),
                             "slash_sum": str(lhs), "operator": str(rhs)}
+                    break
+                for u in fld.units:
+                    alpha = u * eta
+                    op = vec_dot(phi.coefficients,
+                                 heilbronn_action(space, alpha, tie).matvec(v))
+                    if table.entries[alpha] != op:
+                        fail = {"d": d, "level": level, "eta": str(alpha),
+                                "table": str(table.entries[alpha]), "operator": str(op)}
+                        break
+                if fail:
                     break
                 checked += 1
             if fail:

@@ -164,7 +164,12 @@ def test_eval_bad_table(runner, tmp_path):
     table_file = tmp_path / "bad.json"
     for doc in ('{"d": 5, "level": "1", "norm_bound": 0, "a": []}',
                 '{"d": 11, "level": "zz", "norm_bound": 0, "a": []}',
-                '{"d": 11, "level": "1-2w", "norm_bound": 1, "a": [{"alpha": "1q", "re": 1.0}]}'):
+                '{"d": 11, "level": "1-2w", "norm_bound": 1, "a": [{"alpha": "1q", "re": 1.0}]}',
+                '{"d": 11, "level": "1-2w"}',
+                '[1, 2]',
+                'not json {',
+                '{"d": 11, "level": 3, "norm_bound": 1, "a": []}',
+                '{"d": 11, "level": "1-2w", "norm_bound": 1, "a": [{"alpha": "1"}]}'):
         table_file.write_text(doc)
         invoke(runner, "eval", "--table", str(table_file), "--z", "0.3i", "--t", "1.5", code=2)
 

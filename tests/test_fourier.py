@@ -19,7 +19,8 @@ from bianchi.fourier import (
     seed_from_vector,
     tail_estimate,
 )
-from bianchi.hecke import eigensystems, hecke_matrix
+from bianchi.boundary import cuspidal_subspace
+from bianchi.hecke import eigensystems, hecke_matrix, heilbronn_action
 from bianchi.heilbronn import heilbronn_family
 from bianchi.linalg import vec_dot
 from bianchi.quadints import Field, canonical_elements_of_norm, gcd, parse_element
@@ -114,6 +115,27 @@ def test_family_slash_sum_matches_matrix_product():
     for alpha in (fld.from_int(2), fld.omega, space.level, fld.from_int(2) * space.level):
         total = sum(functional_slash(phi, m, x) for m in heilbronn_family(alpha))
         assert total == vec_dot(phi.coefficients, heilbronn_action(space, alpha).matvec(v))
+
+
+@pytest.mark.parametrize("d, level, bound", [(2, "5", 15), (7, "5", 15), (11, "4", 15),
+                                              (1, "7", 15)])
+def test_table_matches_operator_off_eigenforms(d, level, bound):
+    # a functional that is no eigenfunctional and a seed spread over the whole
+    # cuspidal basis: the seed-support loop against phi * M * v, entry by entry
+    fld = Field.get(d)
+    space = symbol_space(fld, parse_element(fld, level))
+    cusp = cuspidal_subspace(space)
+    assert cusp.dim > 0
+    phi = DualFunctional(space, {j: Fraction(j * j + 1) for j in range(space.dim)})
+    x = seed_from_vector(space, cusp.lift({i: Fraction(i + 1) for i in range(cusp.dim)}))
+    assert len(x.coefficients) > 3
+    v = x.quotient_vector()
+    table = fourier_coefficients(phi, x, bound)
+    assert len(table.entries) == sum(len(canonical_elements_of_norm(fld, n))
+                                     for n in range(1, bound + 1)) * len(fld.units)
+    for alpha, a in table.entries.items():
+        assert a == vec_dot(phi.coefficients, heilbronn_action(space, alpha).matvec(v))
+    assert any(table.entries.values())
 
 
 def test_table_matches_eigenvalues():

@@ -2,9 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+from bianchi.heilbronn import heilbronn_family
 from bianchi.linalg import vec_add, vec_axpy, vec_sub
-from bianchi.quadints import EUCLIDEAN_D, Field, gcd, parse_element, reduce_mod
+from bianchi.quadints import (
+    EUCLIDEAN_D,
+    Field,
+    canonical_elements_of_norm,
+    gcd,
+    parse_element,
+    reduce_mod,
+)
 from bianchi.symbols import (
     Mat2,
     SymbolSpace,
@@ -278,3 +287,56 @@ def test_normalize_cusp():
     assert (p, q) == (w, fld.one)
     p, q = normalize_cusp(fld.from_int(5), fld.zero)
     assert (p, q) == (fld.one, fld.zero)
+
+
+# levels for the point action: Hermite forms with e11 > 1 and e12 != 0
+# (2+2w at d = 1 is (2, 2, 4), 2+w at d = 2 is (2, 1, 3)), prime powers and
+# composite levels in every field
+ACTION_LEVELS = {
+    1: ["2+2w", "3+3w", "3-w"],
+    2: ["2+w", "2w", "1-2w"],
+    3: ["4-2w", "4"],
+    7: ["2+w", "4-w", "3+w"],
+    11: ["3-w", "3+w", "1-2w"],
+}
+
+
+def action_spaces(d):
+    fld = Field.get(d)
+    return [symbol_space(fld, parse_element(fld, s)) for s in ACTION_LEVELS[d]]
+
+
+def act_point_reference(space, idx, m):
+    # the QuadInt formula the integer point action replaced
+    u, v = space.points[idx]
+    return space.point_of(u * m.a + v * m.c, u * m.b + v * m.d)
+
+
+def test_act_point_matches_quadint_formula():
+    for d in EUCLIDEAN_D:
+        fld = Field.get(d)
+        words, J = relation_words(fld)
+        mats = [w for word in words for w in word] + [J]
+        for n in range(2, 6):
+            for eta in canonical_elements_of_norm(fld, n):
+                mats.extend(heilbronn_family(eta))
+        images = []
+        for space in action_spaces(d):
+            got = [space.act_point(i, m) for i in range(len(space.points)) for m in mats]
+            want = [act_point_reference(space, i, m)
+                    for i in range(len(space.points)) for m in mats]
+            assert got == want
+            images.extend(got)
+        # families whose determinant shares a prime with the level lose points
+        assert None in images and any(pt is not None for pt in images)
+
+
+@given(st.sampled_from(EUCLIDEAN_D), st.lists(st.integers(-50, 50), min_size=8, max_size=8))
+@example(1, [0] * 8)
+@example(2, [2, 1, 0, 0, 0, 0, 1, 0])
+def test_act_point_on_drawn_matrices(d, coords):
+    fld = Field.get(d)
+    m = Mat2(*(fld.elt(a, b) for a, b in zip(coords[::2], coords[1::2])))
+    for space in action_spaces(d):
+        for i in range(len(space.points)):
+            assert space.act_point(i, m) == act_point_reference(space, i, m)
