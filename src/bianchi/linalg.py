@@ -1,9 +1,11 @@
 """Sparse exact linear algebra over the rationals.
 
 Vectors are dicts {index: Fraction} holding only the nonzero entries, and
-matrices keep a list of such row dicts.  All pivoting is deterministic
-(position and sparsity, never hash order), so every reduced object here is
-a canonical function of its input.
+matrices keep a list of such row dicts.  rref returns the unique reduced
+row echelon form of the row span with monic pivots, built incrementally on
+primitive integer rows, so it does not depend on the order or scaling of
+the input rows; kernels, subspaces and eigenspaces built on it are
+canonical functions of their input.
 """
 
 from __future__ import annotations
@@ -163,31 +165,74 @@ class SparseMat:
         return m
 
 
+def _primitive_row(row: dict) -> dict[int, int]:
+    # a new dict of coprime integers proportional to the rational row
+    row = {k: c for k, c in row.items() if c}
+    return dict(zip(row, _primitive(list(row.values())))) if row else {}
+
+
+def _eliminate(row: dict[int, int], col: int, prow: dict[int, int]) -> dict[int, int]:
+    # clear row's col entry with prow and divide out the content; row is a
+    # private integer row, updated in place unless it has to be rescaled
+    a, b = row[col], prow[col]
+    g = _igcd(a, b)
+    a, b = a // g, b // g
+    if b != 1:
+        row = {k: b * c for k, c in row.items()}
+    for k, c in prow.items():
+        s = row.get(k, 0) - a * c
+        if s:
+            row[k] = s
+        else:
+            del row[k]
+    g = _igcd(*row.values())
+    return row if g == 1 else {k: c // g for k, c in row.items()}
+
+
 def rref(rows: list[dict]) -> tuple[list[dict], dict[int, int]]:
     """Reduced row echelon form of a list of row dicts.
 
-    Returns (out_rows, pivots) with monic pivot entries, out_rows ordered by
-    pivot column and pivots mapping pivot column -> row index.  Pivot choice:
-    leftmost column, then fewest nonzeros, then lowest current position.
+    Returns (out_rows, pivots): the unique reduced echelon basis of the row
+    span, with monic pivots and Fraction entries, each row's keys ascending,
+    out_rows ordered by pivot column and pivots mapping pivot column -> row
+    index.  The result depends only on the span, not on the order or scale
+    of the input rows, which may hold ints or Fractions and are not modified.
+
+    The form is kept incrementally on primitive integer rows.  An incoming
+    row is cleared at the existing pivot columns; one pass suffices because
+    the stored rows are reduced against each other.  A nonzero remainder
+    becomes a new pivot at its leading column, which is then cleared from
+    the stored rows found through a column -> pivot columns index.
     """
-    work = [vec_clean(dict(r)) for r in rows]
-    work = [r for r in work if r]
-    done: list[dict] = []
-    while work:
-        col = min(min(r) for r in work)
-        cand = [i for i, r in enumerate(work) if col in r]
-        cand.sort(key=lambda i: (len(work[i]), i))
-        prow = work.pop(cand[0])
-        pc = prow[col]
-        prow = {k: c / pc for k, c in prow.items()}
-        for r in work + done:
-            c = r.get(col)
-            if c:
-                vec_axpy(r, -c, prow)
-        work = [r for r in work if r]
-        done.append(prow)
-    done.sort(key=min)
-    return done, {min(r): i for i, r in enumerate(done)}
+    piv: dict[int, dict[int, int]] = {}
+    # column -> pivot columns whose stored row held it (entries may be stale)
+    users: dict[int, set[int]] = {}
+    for r in rows:
+        row = _primitive_row(r)
+        for col in [c for c in row if c in piv]:
+            row = _eliminate(row, col, piv[col])
+        if not row:
+            continue
+        lead = min(row)
+        if row[lead] < 0:
+            # positive pivot entries let most eliminations skip the rescale
+            row = {k: -c for k, c in row.items()}
+        for pc in users.pop(lead, ()):
+            prow = piv[pc]
+            if lead in prow:
+                for k in row.keys() - prow.keys():
+                    users.setdefault(k, set()).add(pc)
+                piv[pc] = _eliminate(prow, lead, row)
+        piv[lead] = row
+        for k in row:
+            if k != lead:
+                users.setdefault(k, set()).add(lead)
+    out = []
+    for col in sorted(piv):
+        prow = piv[col]
+        d = prow[col]
+        out.append({k: Fraction(prow[k], d) for k in sorted(prow)})
+    return out, {min(r): i for i, r in enumerate(out)}
 
 
 def kernel(mat: SparseMat) -> list[dict]:
@@ -300,9 +345,13 @@ def _positive_divisors(n: int) -> list[int]:
 
 
 def _primitive(coeffs: list) -> list[int]:
-    # coprime integers proportional to the rational coeffs, last one positive
-    den = _ilcm(*(Fraction(c).denominator for c in coeffs))
-    ints = [int(Fraction(c) * den) for c in coeffs]
+    # coprime integers proportional to the rational (int or Fraction)
+    # coeffs, last one positive
+    den = _ilcm(*[c.denominator for c in coeffs])
+    if den == 1:
+        ints = [c.numerator for c in coeffs]
+    else:
+        ints = [c.numerator * (den // c.denominator) for c in coeffs]
     g = _igcd(*ints)
     if ints[-1] < 0:
         g = -g

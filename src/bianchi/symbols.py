@@ -1,11 +1,13 @@
 """Weight-k modular symbol spaces for the Euclidean Bianchi groups.
 
-Generators are unimodular pairs (u, v) mod the level.  The space is cut out
-by the edge relations of the tessellation of hyperbolic 3-space: the
-two-term S and J identifications, the universal triangle relation, and one
-extra polygon relation per field (none for d = 3, a triangle for d = 1,
-squares for d = 2 and 7, a hexagon for d = 11).  Two-term relations are
-folded with a signed union-find; the rest go through sparse row reduction.
+Generators are unimodular pairs (u, v) mod the level, found by a sieve over
+the primes of the level.  The space is cut out by the edge relations of the
+tessellation of hyperbolic 3-space: the two-term S and J identifications,
+the universal triangle relation, and one extra polygon relation per field
+(none for d = 3, a triangle for d = 1, squares for d = 2 and 7, a hexagon
+for d = 11).  Points are moved by matrices as plain-int Hermite-box codes.
+Two-term relations are folded with a signed union-find; the rest become
+integer rows for the sparse row reduction in linalg.rref.
 """
 
 from __future__ import annotations
@@ -162,9 +164,17 @@ def slash_poly(poly: dict[int, QuadInt], g: Mat2, weight: int) -> dict[int, Quad
 
 
 def enumerate_points(fld: Field, nu: QuadInt) -> list[tuple[QuadInt, QuadInt]]:
-    """Unimodular pairs mod nu, in transversal order."""
+    """Unimodular pairs mod nu, in transversal order.
+
+    A pair is unimodular when no prime dividing nu divides both entries, so
+    each residue gets a bitmask of the primes of nu dividing it (bit k for
+    the k-th prime) and the pairs with disjoint masks are kept.
+    """
     reps = residues_mod(nu)
-    return [(u, v) for u in reps for v in reps if gcd(gcd(u, v), nu).is_unit()]
+    primes = [pi for pi, _ in factorize(nu)[1]]
+    masks = [sum(1 << k for k, pi in enumerate(primes) if divides(pi, r)) for r in reps]
+    return [(u, v) for u, mu in zip(reps, masks) for v, mv in zip(reps, masks)
+            if not mu & mv]
 
 
 def point_count_formula(fld: Field, nu: QuadInt) -> int:
@@ -336,7 +346,7 @@ class SymbolSpace:
                         row[r] = row.get(r, 0) + s
                 row = {c: v for c, v in row.items() if v}
                 if row:
-                    rows.append({c: Fraction(v) for c, v in row.items()})
+                    rows.append(row)
         rrows, pivots = rref(rows)
         roots = [i for i in range(npts) if uf.parent[i] == i and not uf.dead[i]]
         free = [r for r in roots if r not in pivots]
@@ -400,7 +410,7 @@ class SymbolSpace:
                             else:
                                 row.pop(key, None)
                     if row:
-                        rows.append({c: Fraction(v) for c, v in row.items()})
+                        rows.append(row)
         rrows, pivots = rref(rows)
         free = [g for g in range(ngens) if g not in pivots]
         self.dim = len(free)
@@ -491,13 +501,13 @@ def point_cusp_orbits(space: SymbolSpace) -> list[int]:
     symbol quotient.
     """
     fld = space.field
-    nu = space.level
+    one, zero = fld.one, fld.zero
     moves = []
     for lam in fld.units:
-        moves.append(lambda u, v, lam=lam: (lam * u, lam.conj() * v))
-        moves.append(lambda u, v, lam=lam: (lam * u, v))
-    for mu in (fld.one, -fld.one, fld.omega, -fld.omega):
-        moves.append(lambda u, v, mu=mu: (u, v + mu * u))
+        moves.append(Mat2(lam, zero, zero, lam.conj()))  # (u, v) -> (lam*u, conj(lam)*v)
+        moves.append(Mat2(lam, zero, zero, one))  # (u, v) -> (lam*u, v)
+    for mu in (one, -one, fld.omega, -fld.omega):
+        moves.append(Mat2(one, mu, zero, one))  # (u, v) -> (u, v + mu*u)
     ids = [-1] * len(space.points)
     nxt = 0
     for i in range(len(space.points)):
@@ -506,10 +516,9 @@ def point_cusp_orbits(space: SymbolSpace) -> list[int]:
         ids[i] = nxt
         stack = [i]
         while stack:
-            u, v = space.points[stack.pop()]
+            j = stack.pop()
             for mv in moves:
-                uu, vv = mv(u, v)
-                t = space.point_index[(reduce_mod(uu, nu), reduce_mod(vv, nu))]
+                t = space.act_point(j, mv)
                 if ids[t] < 0:
                     ids[t] = nxt
                     stack.append(t)

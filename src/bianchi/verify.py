@@ -170,7 +170,11 @@ def check_division(samples: int = 10000, exhaustive: int = 500, seed: int = 0) -
 
 
 def check_point_counts(norm_bound: int = 50) -> CheckResult:
-    """Unimodular pair counts: enumeration vs brute force vs the norm formula."""
+    """Unimodular pairs: the prime sieve vs a gcd scan vs the norm formula.
+
+    The sieve's list must equal the scan's pair for pair, in order, and its
+    length must equal the formula.
+    """
     t0 = time.perf_counter()
     fail = None
     tested = 0
@@ -179,17 +183,22 @@ def check_point_counts(norm_bound: int = 50) -> CheckResult:
             pts = enumerate_points(fld, nu)
             formula = point_count_formula(fld, nu)
             reps = residues_mod(nu)
-            brute = sum(
-                1 for u in reps for v in reps if gcd(gcd(u, v), nu).is_unit()
-            )
+            brute = [(u, v) for u in reps for v in reps if gcd(gcd(u, v), nu).is_unit()]
             tested += 1
-            if not (len(pts) == formula == brute):
+            if pts != brute or len(pts) != formula:
+                i = next((i for i, (p, b) in enumerate(zip(pts, brute)) if p != b),
+                         min(len(pts), len(brute)))
                 fail = {
                     "d": fld.d,
                     "n": str(nu),
                     "enumerated": len(pts),
                     "formula": formula,
-                    "brute": brute,
+                    "brute": len(brute),
+                    "first_difference": {
+                        "index": i,
+                        "enumerated": _pair_json(pts, i),
+                        "brute": _pair_json(brute, i),
+                    },
                 }
                 break
         if fail:
@@ -201,6 +210,10 @@ def check_point_counts(norm_bound: int = 50) -> CheckResult:
         {"fail": fail} if fail else {"levels": tested},
         time.perf_counter() - t0,
     )
+
+
+def _pair_json(pairs: list, i: int) -> list[str] | None:
+    return [str(x) for x in pairs[i]] if i < len(pairs) else None
 
 
 def check_telescoping(norm_bound: int = 20, tie: str = "low", inject: bool = False) -> CheckResult:

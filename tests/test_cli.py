@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import bianchi
 from bianchi import verify as checks
 from bianchi.cli import main
 from bianchi.verify import CheckResult
@@ -213,3 +217,61 @@ def test_verify_negative_control(runner):
     doc = payload(runner, "verify", "--inject-corruption")
     assert doc["ok"] is True
     assert doc["checks"][0]["data"]["broken_classes"]
+
+
+@pytest.mark.parametrize("damage", ["swap", "drop"])
+def test_point_counts_names_the_first_differing_pair(monkeypatch, damage):
+    real = checks.enumerate_points
+
+    def damaged(fld, nu):
+        pts = real(fld, nu)
+        if len(pts) > 2:
+            if damage == "swap":
+                pts[1], pts[2] = pts[2], pts[1]
+            else:
+                pts.pop()
+        return pts
+
+    monkeypatch.setattr(checks, "enumerate_points", damaged)
+    result = checks.check_point_counts(norm_bound=3)
+    assert result.ok is False
+    fail = result.data["fail"]
+    diff = fail["first_difference"]
+    if damage == "swap":
+        # the count alone cannot see a reordered list
+        assert fail["enumerated"] == fail["formula"] == fail["brute"]
+        assert diff["index"] == 1 and diff["enumerated"] != diff["brute"]
+    else:
+        assert diff["index"] == fail["enumerated"] == fail["brute"] - 1
+        assert diff["enumerated"] is None and len(diff["brute"]) == 2
+
+
+# one d = 7 and one d = 11 level, each with a cusp form
+OPTIMIZED_RUNS = [
+    ["space", "--d", "7", "--level", "2+4w", "--full"],
+    ["hecke", "--d", "7", "--level", "2+4w", "--eta", "1-2w", "--commute-with", "3"],
+    ["space", "--d", "11", "--level", "1-2w", "--full"],
+    ["hecke", "--d", "11", "--level", "1-2w", "--eta", "2", "--commute-with", "w"],
+]
+
+
+def test_same_output_under_python_O():
+    # the build must not lean on asserts, which python -O strips
+    script = (
+        "import sys\n"
+        "from bianchi.cli import main\n"
+        f"for args in {OPTIMIZED_RUNS!r}:\n"
+        "    main(args, standalone_mode=False)\n"
+        "sys.stderr.write(f'optimize={sys.flags.optimize}')\n"
+    )
+    env = {"PYTHONPATH": str(Path(bianchi.__file__).parents[1]), "PYTHONHASHSEED": "0"}
+    runs = {}
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", script], env=env,
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        runs[tuple(flags)] = proc
+    plain, optimized = runs[()], runs[("-O",)]
+    assert plain.stderr == b"optimize=0" and optimized.stderr == b"optimize=1"
+    assert plain.stdout == optimized.stdout
+    assert plain.stdout.count(b'"level"') == len(OPTIMIZED_RUNS)

@@ -8,7 +8,9 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import example, given, strategies as st
 
+import bianchi.symbols
 from bianchi.linalg import (
     SparseMat,
     Subspace,
@@ -21,9 +23,11 @@ from bianchi.linalg import (
     rref,
     vec_add,
     vec_axpy,
+    vec_clean,
     vec_dot,
     vec_scale,
 )
+from bianchi.quadints import Field, parse_element
 
 
 def random_mat(rng, nrows, ncols, density=0.5, lim=6):
@@ -92,6 +96,97 @@ def test_rref_matches_sympy():
         expect = [[Fraction(int(ref[i, j].p), int(ref[i, j].q)) for j in range(m.ncols)]
                   for i in range(len(rows))]
         assert got == expect
+
+
+def rref_reference(rows):
+    # the Fraction elimination the incremental integer rref replaced: pivot on
+    # the leftmost column, then the fewest nonzeros, then the lowest position
+    work = [vec_clean({k: Fraction(c) for k, c in r.items()}) for r in rows]
+    work = [r for r in work if r]
+    done = []
+    while work:
+        col = min(min(r) for r in work)
+        cand = [i for i, r in enumerate(work) if col in r]
+        cand.sort(key=lambda i: (len(work[i]), i))
+        prow = work.pop(cand[0])
+        pc = prow[col]
+        prow = {k: c / pc for k, c in prow.items()}
+        for r in work + done:
+            c = r.get(col)
+            if c:
+                vec_axpy(r, -c, prow)
+        work = [r for r in work if r]
+        done.append(prow)
+    done.sort(key=min)
+    return done, {min(r): i for i, r in enumerate(done)}
+
+
+def snapshot(rows):
+    return [[(k, type(c), c) for k, c in r.items()] for r in rows]
+
+
+def assert_rref_matches_reference(rows):
+    before = snapshot(rows)
+    got, pivots = rref(rows)
+    assert snapshot(rows) == before
+    want, want_pivots = rref_reference(rows)
+    assert got == want and pivots == want_pivots
+    for r in got:
+        assert list(r) == sorted(r)
+        assert all(type(c) is Fraction for c in r.values())
+        assert r[min(r)] == 1
+
+
+coefficients = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=5),
+)
+sparse_rows = st.dictionaries(st.integers(0, 11), coefficients, max_size=6)
+
+
+@st.composite
+def sparse_systems(draw):
+    rows = draw(st.lists(sparse_rows, max_size=12))
+    # duplicates, scalar multiples (int or Fraction) and zero rows
+    if rows:
+        for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=4)):
+            scale = draw(st.sampled_from([1, -1, 3, Fraction(-2, 7), Fraction(5, 3)]))
+            rows.append({k: scale * c for k, c in rows[i].items()})
+    rows.extend([{}] * draw(st.integers(0, 2)))
+    return draw(st.permutations(rows))
+
+
+@given(sparse_systems())
+@example([])
+@example([{}, {3: 0}])
+@example([{0: 2, 1: 4}, {0: Fraction(1, 2), 1: 1}, {1: 3}])
+def test_rref_matches_reference(rows):
+    assert_rref_matches_reference(rows)
+
+
+def test_rref_leaves_the_input_alone():
+    rows = [{2: 1, 0: 2}, {0: Fraction(1, 2), 5: Fraction(3)}, {2: 0, 1: -1}]
+    mat = SparseMat(3, 6, rows)
+    before = snapshot(mat.rows)
+    kernel(mat)
+    Subspace(6, mat.rows)
+    assert snapshot(mat.rows) == before and mat.rows is rows
+
+
+@pytest.mark.parametrize("d, level, weight", [(7, "3+3w", 2), (11, "3-w", 4)])
+def test_rref_on_relation_rows(monkeypatch, d, level, weight):
+    captured = []
+
+    def capture(rows):
+        captured.append(rows)
+        return rref(rows)
+
+    monkeypatch.setattr(bianchi.symbols, "rref", capture)
+    fld = Field.get(d)
+    bianchi.symbols.SymbolSpace(fld, parse_element(fld, level), weight)
+    (rows,) = captured
+    assert len(rows) > 1000 and all(type(c) is int for r in rows for c in r.values())
+    assert_rref_matches_reference(rows)
 
 
 def test_kernel_matches_sympy():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -10,9 +11,11 @@ from bianchi.quadints import (
     EUCLIDEAN_D,
     Field,
     canonical_elements_of_norm,
+    factorize,
     gcd,
     parse_element,
     reduce_mod,
+    residues_mod,
 )
 from bianchi.symbols import (
     Mat2,
@@ -24,6 +27,7 @@ from bianchi.symbols import (
     modular_symbol_vec,
     normalize_cusp,
     point_count_formula,
+    point_cusp_orbits,
     relation_words,
     slash_poly,
     symbol_space,
@@ -340,3 +344,97 @@ def test_act_point_on_drawn_matrices(d, coords):
     for space in action_spaces(d):
         for i in range(len(space.points)):
             assert space.act_point(i, m) == act_point_reference(space, i, m)
+
+
+# levels for the prime sieve: the action levels plus prime powers and levels
+# with two or three distinct prime factors
+SIEVE_LEVELS = {
+    1: ACTION_LEVELS[1] + ["2", "4-2w", "5+5w"],
+    2: ACTION_LEVELS[2] + ["2", "2-2w", "3w", "6"],
+    3: ACTION_LEVELS[3] + ["3", "4-2w", "10-8w"],
+    7: ACTION_LEVELS[7] + ["1+w", "2w", "2-4w"],
+    11: ACTION_LEVELS[11] + ["2+w", "3w", "6"],
+}
+
+
+def sieve_levels():
+    for d, texts in SIEVE_LEVELS.items():
+        fld = Field.get(d)
+        for s in texts:
+            yield fld, parse_element(fld, s)
+
+
+def enumerate_points_reference(fld, nu):
+    # the gcd scan the prime sieve replaced
+    reps = residues_mod(nu)
+    return [(u, v) for u in reps for v in reps if gcd(gcd(u, v), nu).is_unit()]
+
+
+def test_point_sieve_matches_gcd_scan():
+    distinct = set()
+    for fld, nu in sieve_levels():
+        assert enumerate_points(fld, nu) == enumerate_points_reference(fld, nu), (fld.d, str(nu))
+        distinct.add(len(factorize(nu)[1]))
+    assert distinct == {1, 2, 3}
+
+
+def point_cusp_orbits_reference(space):
+    # the QuadInt version the matrix moves replaced
+    fld = space.field
+    nu = space.level
+    moves = []
+    for lam in fld.units:
+        moves.append(lambda u, v, lam=lam: (lam * u, lam.conj() * v))
+        moves.append(lambda u, v, lam=lam: (lam * u, v))
+    for mu in (fld.one, -fld.one, fld.omega, -fld.omega):
+        moves.append(lambda u, v, mu=mu: (u, v + mu * u))
+    ids = [-1] * len(space.points)
+    nxt = 0
+    for i in range(len(space.points)):
+        if ids[i] >= 0:
+            continue
+        ids[i] = nxt
+        stack = [i]
+        while stack:
+            u, v = space.points[stack.pop()]
+            for mv in moves:
+                uu, vv = mv(u, v)
+                t = space.point_index[(reduce_mod(uu, nu), reduce_mod(vv, nu))]
+                if ids[t] < 0:
+                    ids[t] = nxt
+                    stack.append(t)
+        nxt += 1
+    return ids
+
+
+def test_cusp_orbits_match_quadint_moves():
+    counts = set()
+    for fld, nu in sieve_levels():
+        space = symbol_space(fld, nu)
+        ids = point_cusp_orbits(space)
+        assert ids == point_cusp_orbits_reference(space), (fld.d, str(nu))
+        counts.add(max(ids) + 1)
+    assert len(counts) > 3
+
+
+# sha256 of repr([sorted(g.items()) for g in gen_map]) as the Fraction
+# elimination kept in test_linalg.rref_reference gives it, at levels with
+# larger relation systems and other fill patterns than norm <= 25 reaches
+GEN_MAP_PINS = [
+    (11, "5+2w", 2, "c7b8040da6ff8ae266aa85d22d302acb77c80d4bcf894f93980ba3f53bc14ee5"),
+    (7, "5+2w", 2, "89cb91072f8c42a365f1e98aa292a147d48523dbd59f4dc7ed0ace80b34fbf0a"),
+    (3, "5+2w", 2, "7fc09eed75c53b2ff28f0e9ee6a3cc921e7858351bdd3d863a88b1072e9b37e6"),
+    (1, "9+4w", 2, "ec039ba7d9d03500a0477ab7ec04dd313139cdacb34cce31d8eb477acb329a5c"),
+    (1, "3+2w", 4, "b7e758509f10fab2c0ab5cdfd54f2dc58d1165ab15c809133878e8f52a0f442a"),
+    (11, "3+w", 4, "ec29ce7202649c3a76ac9ee480320d0fa0dfd9a11077f67690d28786ee56b836"),
+    (7, "3+w", 6, "951f91e6fe79ccde4414fd7592ec1a913aec3fae823cabc85f53013a4769d027"),
+]
+
+
+@pytest.mark.parametrize("d, level, weight, digest", GEN_MAP_PINS,
+                         ids=[f"d{d}-{lv}-k{k}" for d, lv, k, _ in GEN_MAP_PINS])
+def test_gen_map_pins_beyond_survey(d, level, weight, digest):
+    fld = Field.get(d)
+    space = SymbolSpace(fld, parse_element(fld, level), weight)
+    blob = repr([sorted(g.items()) for g in space.gen_map]).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
