@@ -26,7 +26,13 @@ from .fourier import (
     fourier_coefficients,
     seed_from_vector,
 )
-from .hecke import commute_check, eigensystems, hecke_on_manin, hecke_oracle
+from .hecke import (
+    CosetSearchExhausted,
+    commute_check,
+    eigensystems,
+    hecke_on_manin,
+    hecke_oracle,
+)
 from .heilbronn import heilbronn_classes, heilbronn_family, telescoping_ok
 from .linalg import full_space, rational_eigensystem
 from .quadints import Field, QuadInt, gcd, parse_element
@@ -217,7 +223,10 @@ def hecke(ctx, d, level, eta_text, weight, tie, oracle, others, out, json_indent
     }
     failed = False
     if oracle:
-        ref = hecke_oracle(sp, eta)
+        try:
+            ref = hecke_oracle(sp, eta)
+        except CosetSearchExhausted as exc:
+            raise click.UsageError(f"--oracle: {exc}")
         agrees = ref.matrix == op.matrix and ref.cuspidal_matrix == op.cuspidal_matrix
         payload["oracle_agrees"] = agrees
         failed = failed or not agrees

@@ -2,7 +2,11 @@
 
 The production action pushes a Heilbronn family of determinant eta through
 the generators: [P, (u, v)] goes to the sum of [P(aX+bY, cX+dY), (u, v)M]
-over family members M with unimodular image pair.  An independent oracle
+over family members M with unimodular image pair.  It runs on plain ints:
+moving a generator through the family only counts the hits on each image
+generator (weighted by the integer slash coefficients at weight k), and
+each distinct image's gen_map row is then folded in once, on numerators
+over a common denominator.  An independent oracle
 recomputes the operator from scratch as a sum over coset representatives of
 the determinant-eta congruence matrices, acting on cusp paths; agreement of
 the two matrices is the correctness certificate for this layer.
@@ -14,9 +18,11 @@ factors instead of splitting them.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd as _igcd
 
 from .boundary import cuspidal_subspace
 from .heilbronn import heilbronn_family
@@ -25,6 +31,7 @@ from .linalg import (
     Subspace,
     eigenspace,
     full_space,
+    int_multiple,
     rational_eigensystem,
     vec_axpy,
     vec_dot,
@@ -49,6 +56,25 @@ from .symbols import (
 )
 
 
+def _fold(hits: dict[int, int], gen_map: list[dict]) -> dict[int, Fraction]:
+    # sum of c * gen_map[key] over the hits, on int numerators over a common
+    # denominator that grows only when a row's denominator does not divide it
+    acc: dict[int, int] = {}
+    den = 1
+    for key, c in hits.items():
+        if not c:
+            continue
+        for i, x in gen_map[key].items():
+            xd = x.denominator
+            if den % xd:
+                f = xd // _igcd(den, xd)
+                den *= f
+                for k in acc:
+                    acc[k] *= f
+            acc[i] = acc.get(i, 0) + c * x.numerator * (den // xd)
+    return {i: Fraction(v, den) for i, v in acc.items() if v}
+
+
 @lru_cache(maxsize=None)
 def heilbronn_action(space: SymbolSpace, alpha: QuadInt, tie: str = "low") -> SparseMat:
     """Quotient matrix of the family sum of determinant alpha.
@@ -56,29 +82,36 @@ def heilbronn_action(space: SymbolSpace, alpha: QuadInt, tie: str = "low") -> Sp
     For alpha coprime to the level this is the Hecke operator.  With no
     coprimality restriction, phi(M v) is the operator side of the
     coefficient identity that fourier_coefficients is checked against.
+
+    Column j is the image of free generator j.  Its pass over the family
+    only counts hits as ints: at weight 2 the hits per image point, at
+    weight k the integer slash coefficients per (component, point) index.
+    Each distinct index's gen_map row is then folded in once, with integer
+    numerators over a common denominator, so the entries are the same
+    Fractions a per-member sum of gen_map rows gives.
     """
     fam = heilbronn_family(alpha, tie)
     npts = len(space.points)
+    act = space.act_point
     # P -> P(aX+bY, cX+dY) is the slash by the adjugate
     sub_rows = None if space.weight == 2 else [space.slash_rows(m.adj()) for m in fam]
     out = SparseMat(space.dim, space.dim)
     for j, g in enumerate(space.free_gens):
-        col: dict = {}
         if space.weight == 2:
-            for m in fam:
-                pt = space.act_point(g, m)
-                if pt is not None:
-                    vec_axpy(col, Fraction(1), space.gen_map[pt])
+            hits = Counter(act(g, m) for m in fam)
+            hits.pop(None, None)
         else:
+            hits = {}
             comp, p = divmod(g, npts)
             for m, rows in zip(fam, sub_rows):
-                pt = space.act_point(p, m)
+                pt = act(p, m)
                 if pt is None:
                     continue
                 for cj, cv in rows[comp].items():
-                    vec_axpy(col, Fraction(cv), space.gen_map[cj * npts + pt])
-        for i, c in col.items():
-            out.add_to(i, j, c)
+                    key = cj * npts + pt
+                    hits[key] = hits.get(key, 0) + cv
+        for i, c in _fold(hits, space.gen_map).items():
+            out.rows[i][j] = c
     return out
 
 
@@ -113,9 +146,12 @@ def commute_check(a: HeckeOperator, b: HeckeOperator) -> bool:
     """Exact commutation of two operators on the quotient and its cuspidal part."""
     if a.space is not b.space:
         raise ValueError("operators live on different spaces")
-    if (a.matrix * b.matrix) != (b.matrix * a.matrix):
-        return False
-    return (a.cuspidal_matrix * b.cuspidal_matrix) == (b.cuspidal_matrix * a.cuspidal_matrix)
+    # integer multiples commute exactly when the operators do
+    for x, y in ((a.matrix, b.matrix), (a.cuspidal_matrix, b.cuspidal_matrix)):
+        x, y = int_multiple(x), int_multiple(y)
+        if x * y != y * x:
+            return False
+    return True
 
 
 def coset_count(eta: QuadInt) -> int:
@@ -160,22 +196,28 @@ def coset_representatives(fld: Field, nu: QuadInt, eta: QuadInt) -> list[Mat2]:
     return reps
 
 
+class CosetSearchExhausted(RuntimeError):
+    """The brute-force coset search ran out of its coordinate box budget."""
+
+
 def coset_reps_bruteforce(fld: Field, nu: QuadInt, eta: QuadInt, budget: int = 5) -> list[Mat2]:
     """Desk-scale search for coset representatives of determinant eta.
 
     Scans integral matrices satisfying det = eta, a = 1 and c = 0 mod nu in
     growing coordinate boxes, keeping one per coset, until the predicted
-    count is reached; raises if the budget box is exhausted first.
+    count is reached; raises CosetSearchExhausted if the budget box is
+    exhausted first.
     """
     if not gcd(eta, nu).is_unit():
         raise ValueError("eta must be coprime to the level")
     target = coset_count(eta)
+    reps: list[Mat2] = []
     for lim in range(1, budget + 1):
         box = [fld.elt(x, y) for x in range(-lim, lim + 1) for y in range(-lim, lim + 1)]
         box.sort(key=lambda z: z.sort_key())
         avals = [a for a in box if divides(nu, a - fld.one)]
         cvals = [c for c in box if divides(nu, c)]
-        reps: list[Mat2] = []
+        reps = []
         for a in avals:
             for c in cvals:
                 if a.is_zero() and c.is_zero():
@@ -192,7 +234,9 @@ def coset_reps_bruteforce(fld: Field, nu: QuadInt, eta: QuadInt, budget: int = 5
                         reps.append(m)
                         if len(reps) == target:
                             return reps
-    raise RuntimeError("coset representative search budget exhausted")
+    raise CosetSearchExhausted(
+        f"coset representative search budget exhausted: d={fld.d}, level {nu}, "
+        f"eta {eta}, budget {budget} ({len(reps)} of {target} cosets found)")
 
 
 def hecke_oracle(space: SymbolSpace, eta: QuadInt, budget: int = 5,

@@ -165,6 +165,18 @@ class SparseMat:
         return m
 
 
+def int_multiple(mat: SparseMat) -> SparseMat:
+    """A nonzero rational multiple of mat with coprime int entries.
+
+    For multiples A' = a*A and B' = b*B, A'B' and B'A' are ab*AB and ab*BA,
+    so whether two operators commute can be checked on int arithmetic.
+    """
+    vals = [c for row in mat.rows for c in row.values() if c]
+    ints = iter(_primitive(vals) if vals else ())
+    rows = [{k: next(ints) for k, c in row.items() if c} for row in mat.rows]
+    return SparseMat(mat.nrows, mat.ncols, rows)
+
+
 def _primitive_row(row: dict) -> dict[int, int]:
     # a new dict of coprime integers proportional to the rational row
     row = {k: c for k, c in row.items() if c}

@@ -137,6 +137,21 @@ def _pmul(u: list[QuadInt], v: list[QuadInt], fld: Field) -> list[QuadInt]:
     return out
 
 
+def _pmul_ints(u: list[tuple[int, int]], v: list[tuple[int, int]],
+               t: int, m: int) -> list[tuple[int, int]]:
+    # _pmul on (a, b) pairs standing for a + b*omega, omega^2 = t*omega - m
+    out_a = [0] * (len(u) + len(v) - 1)
+    out_b = out_a[:]
+    for i, (p, q) in enumerate(u):
+        if not (p or q):
+            continue
+        for j, (r, s) in enumerate(v):
+            qs = q * s
+            out_a[i + j] += p * r - m * qs
+            out_b[i + j] += p * s + q * r + t * qs
+    return list(zip(out_a, out_b))
+
+
 def slash_poly(poly: dict[int, QuadInt], g: Mat2, weight: int) -> dict[int, QuadInt]:
     """P|_g = P(d*X - b*Y, -c*X + a*Y) on homogeneous degree weight-2 dicts.
 
@@ -370,20 +385,30 @@ class SymbolSpace:
 
         Row 2*i + part is the image of X^i Y^(k-2-i) times 1 (part 0) or
         omega (part 1), keyed by the same flattening.  Relation words slash
-        by w^-1, Heilbronn matrices by their adjugate.
+        by w^-1, Heilbronn matrices by their adjugate.  The powers of the
+        two linear forms slash_poly substitutes are built once per matrix,
+        on (a, b) int pairs standing for a + b*omega.
         """
-        fld = self.field
+        t, m = self.field.t, self.field.m
+        deg = self.weight - 2
+        # images of X and Y, as [Y-part, X-part]
+        l1 = [(-g.b.a, -g.b.b), (g.d.a, g.d.b)]
+        l2 = [(g.a.a, g.a.b), (-g.c.a, -g.c.b)]
+        pows1, pows2 = [[(1, 0)]], [[(1, 0)]]
+        for _ in range(deg):
+            pows1.append(_pmul_ints(pows1[-1], l1, t, m))
+            pows2.append(_pmul_ints(pows2[-1], l2, t, m))
         out = []
-        for i in range(self.weight - 1):
-            for part in (0, 1):
-                coeff = fld.one if part == 0 else fld.omega
-                poly = slash_poly({i: coeff}, g, self.weight)
+        for i in range(deg + 1):
+            prod = _pmul_ints(pows1[i], pows2[deg - i], t, m)
+            # (a + b*omega) * omega = -m*b + (a + t*b)*omega
+            for coeffs in (prod, [(-m * b, a + t * b) for a, b in prod]):
                 row: dict[int, int] = {}
-                for j, c in poly.items():
-                    if c.a:
-                        row[2 * j] = c.a
-                    if c.b:
-                        row[2 * j + 1] = c.b
+                for j, (a, b) in enumerate(coeffs):
+                    if a:
+                        row[2 * j] = a
+                    if b:
+                        row[2 * j + 1] = b
                 out.append(row)
         return out
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -97,6 +98,49 @@ def test_hecke_with_oracle_and_commutation(runner):
 def test_hecke_rejects_bad_eta(runner):
     invoke(runner, "hecke", "--d", "1", "--level", "2+1w", "--eta", "2+1w", code=2)
     invoke(runner, "hecke", "--d", "1", "--level", "2+1w", "--eta", "0", code=2)
+
+
+def test_hecke_oracle_budget_exhausted_exits_2(runner):
+    # the default coset search box finds 7 of the 8 cosets of eta = 1-2w
+    result = invoke(runner, "hecke", "--d", "7", "--level", "2+4w", "--eta", "1-2w",
+                    "--oracle", code=2)
+    assert result.stdout == ""
+    assert "d=7, level 2+4w, eta 1-2w, budget 5" in result.stderr
+
+
+# sha256 of the hecke JSON for the first three coprime etas (the operator and
+# two commutation checks) at levels survey does not reach: weight 2 at the
+# level-6 spaces whose gen_map has denominator 2, weight 4 at norm 9-10 and
+# weight 6
+HECKE_PINS = [
+    (2, "6", 2, "3-w", "3+w", "3-2w",
+     "a5fe309ada0e665f36a486d0ee5e70b0061bf3e6114bc0c0984078aa1c1c3bcc"),
+    (7, "6", 2, "1-2w", "1+2w", "3-2w",
+     "b418d0f7b7cc1852e32639a3a411922d96729d0c18b698a6894ba3c82d6fcb51"),
+    (11, "6", 2, "1+w", "2-w", "1-2w",
+     "21209af1116b7754357e740a6fe6a329bece8c223beea28a0aa2ac0515573ea5"),
+    (1, "3+w", 4, "2+w", "3", "3-2w",
+     "d52cf68d4092d04becf2a10552a418f500ca9d84fd8526cd48b89e4b70d9da88"),
+    (2, "1+2w", 4, "w", "1+w", "2",
+     "c34ec3656a2246bfad3843a94ae6bf92eb1a031f7036e5b9339f8275d31f3f91"),
+    (3, "3", 4, "2", "3-2w", "3-w",
+     "837c13cb17a4ba13ecb4b8d09e38a4d6b9285112e191ed596f13837bd4205c24"),
+    (7, "3", 4, "w", "1-w", "1+w",
+     "fb61dc57b8e454c81df415d8d67046ee12cee18342d440b9eba9b109e8266a0c"),
+    (11, "2+w", 4, "w", "2", "1+w",
+     "76cb311d5c8bbf7656d1e7bec5ebddc8a43202d42312d04a488678d7cea02464"),
+    (7, "3+w", 6, "w", "2-w", "2+w",
+     "89f816f0fee288d0a2de2845d6c18a3d8087ea80bc78801c0882ef6997e199d8"),
+]
+
+
+@pytest.mark.parametrize("d, level, weight, e1, e2, e3, digest", HECKE_PINS,
+                         ids=[f"d{p[0]}-{p[1]}-k{p[2]}" for p in HECKE_PINS])
+def test_hecke_pins_beyond_survey(runner, d, level, weight, e1, e2, e3, digest):
+    result = invoke(runner, "hecke", "--d", str(d), "--level", level, "--weight", str(weight),
+                    "--eta", e1, "--commute-with", e2, "--commute-with", e3)
+    assert json.loads(result.stdout)["commutes"] == {e2: True, e3: True}
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
 
 
 def test_eigen_reference_level(runner):
@@ -252,6 +296,8 @@ OPTIMIZED_RUNS = [
     ["hecke", "--d", "7", "--level", "2+4w", "--eta", "1-2w", "--commute-with", "3"],
     ["space", "--d", "11", "--level", "1-2w", "--full"],
     ["hecke", "--d", "11", "--level", "1-2w", "--eta", "2", "--commute-with", "w"],
+    ["hecke", "--d", "11", "--level", "6", "--eta", "1+w", "--commute-with", "2-w",
+     "--commute-with", "1-2w"],
 ]
 
 

@@ -4,7 +4,10 @@ from fractions import Fraction
 import pytest
 
 from bianchi.boundary import cuspidal_subspace
+from bianchi.heilbronn import heilbronn_family
 from bianchi.hecke import (
+    CosetSearchExhausted,
+    HeckeOperator,
     commute_check,
     coset_count,
     coset_representatives,
@@ -16,7 +19,7 @@ from bianchi.hecke import (
     heilbronn_action,
     same_coset,
 )
-from bianchi.linalg import SparseMat, vec_dot, vec_scale
+from bianchi.linalg import SparseMat, vec_axpy, vec_dot, vec_scale
 from bianchi.quadints import (
     Field,
     canonical_elements_of_norm,
@@ -26,7 +29,7 @@ from bianchi.quadints import (
     reduce_mod,
 )
 from bianchi.symbols import Mat2, lift_to_sl2, symbol_space
-from test_symbols import spaces
+from test_symbols import slash_rows_reference, spaces
 
 ORACLE_CASES = [
     (1, "3", "1+1w"),
@@ -104,7 +107,7 @@ def test_coset_representatives_match_bruteforce():
 
 def test_bruteforce_budget_error():
     fld = Field.get(1)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(CosetSearchExhausted, match="d=1, level 3, eta 1\\+w, budget 0"):
         coset_reps_bruteforce(fld, parse_element(fld, "3"), parse_element(fld, "1+1w"), budget=0)
 
 
@@ -264,3 +267,104 @@ def test_irrational_residuals_reported():
     tab = eigensystems(sp, [parse_element(fld, "w")])
     assert tab.systems == []
     assert [(str(e), r) for e, r in tab.residual_factors] == [("w", [2, 2, 1])]
+
+
+def heilbronn_action_reference(space, alpha, tie="low"):
+    # the per-member Fraction loop the hit-counting heilbronn_action replaced
+    fam = heilbronn_family(alpha, tie)
+    npts = len(space.points)
+    sub_rows = (None if space.weight == 2
+                else [slash_rows_reference(space, m.adj()) for m in fam])
+    out = SparseMat(space.dim, space.dim)
+    for j, g in enumerate(space.free_gens):
+        col: dict = {}
+        if space.weight == 2:
+            for m in fam:
+                pt = space.act_point(g, m)
+                if pt is not None:
+                    vec_axpy(col, Fraction(1), space.gen_map[pt])
+        else:
+            comp, p = divmod(g, npts)
+            for m, rows in zip(fam, sub_rows):
+                pt = space.act_point(p, m)
+                if pt is None:
+                    continue
+                for cj, cv in rows[comp].items():
+                    vec_axpy(col, Fraction(cv), space.gen_map[cj * npts + pt])
+        for i, c in col.items():
+            out.add_to(i, j, c)
+    return out
+
+
+# level 6 is the only level up to norm 40 whose gen_map has non-integral
+# entries (denominator 2); survey reaches none of them
+ACTION_CASES = [
+    (2, "6", 2, ["3-w", "3+2w", "2", "w", "3", "1+w"]),
+    (7, "6", 2, ["1-2w", "3+2w", "2", "w", "3", "1+w"]),
+    (11, "6", 2, ["1+w", "4+w", "2", "w", "3", "1-w"]),
+    (1, "2+1w", 4, ["1+1w", "3", "2+1w", "1+2w"]),
+    (3, "2", 4, ["1+1w", "2", "3"]),
+    (11, "w", 4, ["2", "w", "1-w"]),
+    (7, "w", 6, ["1-2w", "w", "2"]),
+    (2, "1+1w", 6, ["w", "1+1w", "3"]),
+]
+
+
+@pytest.mark.parametrize("d, level, weight, etas", ACTION_CASES,
+                         ids=[f"d{d}-{lv}-k{k}" for d, lv, k, _ in ACTION_CASES])
+def test_heilbronn_action_matches_fraction_loop(d, level, weight, etas):
+    fld = Field.get(d)
+    sp = symbol_space(fld, parse_element(fld, level), weight)
+    assert sp.dim > 0
+    coprime = 0
+    for text in etas:
+        alpha = parse_element(fld, text)
+        coprime += gcd(alpha, sp.level).is_unit()
+        for tie in ("low", "high"):
+            got = heilbronn_action(sp, alpha, tie)
+            want = heilbronn_action_reference(sp, alpha, tie)
+            assert got == want, (d, level, weight, text, tie)
+            assert all(type(c) is Fraction for row in got.rows for c in row.values())
+    # both the Hecke operators and the bare family sums are covered
+    assert 0 < coprime < len(etas)
+
+
+def commute_check_reference(a, b):
+    # the Fraction product comparison commute_check replaced
+    return (a.matrix * b.matrix == b.matrix * a.matrix
+            and a.cuspidal_matrix * b.cuspidal_matrix == b.cuspidal_matrix * a.cuspidal_matrix)
+
+
+def test_commute_check_agrees_with_fraction_products():
+    for d, level in [(1, "2+1w"), (2, "6"), (7, "6"), (11, "6"), (11, "6-w")]:
+        fld = Field.get(d)
+        sp = symbol_space(fld, parse_element(fld, level))
+        ops = [hecke_on_manin(sp, e) for e in first_etas(fld, sp.level, 4)]
+        for a in ops:
+            for b in ops:
+                assert commute_check(a, b) == commute_check_reference(a, b), (d, level)
+
+
+def perturbed(op, i, j, c, cuspidal=False):
+    # the operator with c added to one entry of its full or cuspidal matrix
+    mats = [op.matrix, op.cuspidal_matrix]
+    m = mats[cuspidal]
+    mats[cuspidal] = SparseMat(m.nrows, m.ncols, [dict(row) for row in m.rows])
+    mats[cuspidal].add_to(i, j, c)
+    return HeckeOperator(op.space, op.eta, *mats)
+
+
+def test_commute_check_negative_control():
+    # d = 11, level 6: the operators have entries with denominator 2
+    fld = Field.get(11)
+    sp = symbol_space(fld, parse_element(fld, "6"))
+    a, b = (hecke_on_manin(sp, e) for e in first_etas(fld, sp.level, 2))
+    assert any(c.denominator == 2 for row in a.matrix.rows for c in row.values())
+    # a third of an operator against halves still commutes
+    third = HeckeOperator(sp, a.eta, a.matrix.scale(Fraction(1, 3)),
+                          a.cuspidal_matrix.scale(Fraction(1, 3)))
+    assert commute_check(third, b) and commute_check(b, third)
+    for bad in (perturbed(a, 0, 1, Fraction(1, 3)), perturbed(third, 0, 1, 1),
+                perturbed(a, 0, 1, 1, cuspidal=True)):
+        assert not commute_check_reference(bad, b)
+        assert not commute_check(bad, b) and not commute_check(b, bad)

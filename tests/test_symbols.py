@@ -246,6 +246,54 @@ def test_slash_composition():
                 assert lhs == rhs
 
 
+def slash_rows_reference(space, g):
+    # the per-monomial slash_poly route the int slash_rows replaced
+    fld = space.field
+    out = []
+    for i in range(space.weight - 1):
+        for part in (0, 1):
+            coeff = fld.one if part == 0 else fld.omega
+            row = {}
+            for j, c in slash_poly({i: coeff}, g, space.weight).items():
+                if c.a:
+                    row[2 * j] = c.a
+                if c.b:
+                    row[2 * j + 1] = c.b
+            out.append(row)
+    return out
+
+
+def unit_level_space(d, weight):
+    # slash_rows depends on the field and the weight only
+    fld = Field.get(d)
+    return SymbolSpace(fld, fld.one, weight)
+
+
+@given(st.sampled_from(EUCLIDEAN_D), st.sampled_from([4, 6, 8]),
+       st.lists(st.integers(-50, 50), min_size=8, max_size=8))
+@example(1, 4, [0] * 8)
+@example(11, 8, [1, 0, 0, 1, 0, 1, 1, 1])
+def test_slash_rows_on_drawn_matrices(d, weight, coords):
+    space = unit_level_space(d, weight)
+    fld = space.field
+    g = Mat2(*(fld.elt(a, b) for a, b in zip(coords[::2], coords[1::2])))
+    assert space.slash_rows(g) == slash_rows_reference(space, g)
+
+
+def test_slash_rows_on_family_adjugates_and_word_inverses():
+    for d in EUCLIDEAN_D:
+        fld = Field.get(d)
+        words, J = relation_words(fld)
+        inverses = [w.inv_unit() for word in words for w in word] + [J.inv_unit()]
+        adjugates = [m.adj() for n in range(2, 8)
+                     for eta in canonical_elements_of_norm(fld, n)
+                     for m in heilbronn_family(eta)]
+        for weight in (4, 6, 8):
+            space = unit_level_space(d, weight)
+            for g in inverses + adjugates:
+                assert space.slash_rows(g) == slash_rows_reference(space, g), (d, weight, g)
+
+
 def test_odd_weight_rejection():
     fld = Field.get(1)
     with pytest.raises(ValueError):
