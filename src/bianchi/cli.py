@@ -26,13 +26,7 @@ from .fourier import (
     fourier_coefficients,
     seed_from_vector,
 )
-from .hecke import (
-    CosetSearchExhausted,
-    commute_check,
-    eigensystems,
-    hecke_on_manin,
-    hecke_oracle,
-)
+from .hecke import commute_check, eigensystems, hecke_on_manin, hecke_oracle
 from .heilbronn import heilbronn_classes, heilbronn_family, telescoping_ok
 from .linalg import full_space, rational_eigensystem
 from .quadints import Field, QuadInt, gcd, parse_element
@@ -76,6 +70,11 @@ def _parse_point(z_text: str, t: float) -> H3Point:
         z = complex(z_text.strip().replace("i", "j"))
     except ValueError:
         raise click.UsageError(f"--z {z_text!r}: expected something like 0.1+0.2i")
+    # finite coordinates only: the output would carry NaN/Infinity, not JSON
+    if not math.isfinite(z.real) or not math.isfinite(z.imag):
+        raise click.UsageError(f"--z {z_text!r}: coordinates must be finite")
+    if not math.isfinite(t):
+        raise click.UsageError(f"--t {t}: must be finite")
     try:
         return H3Point(z, t)
     except ValueError as exc:
@@ -223,10 +222,7 @@ def hecke(ctx, d, level, eta_text, weight, tie, oracle, others, out, json_indent
     }
     failed = False
     if oracle:
-        try:
-            ref = hecke_oracle(sp, eta)
-        except CosetSearchExhausted as exc:
-            raise click.UsageError(f"--oracle: {exc}")
+        ref = hecke_oracle(sp, eta)
         agrees = ref.matrix == op.matrix and ref.cuspidal_matrix == op.cuspidal_matrix
         payload["oracle_agrees"] = agrees
         failed = failed or not agrees
@@ -340,9 +336,10 @@ def _read_table(path: Path) -> FourierTable:
         doc = json.loads(path.read_text())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise click.UsageError(f"--table {path}: not a JSON document ({exc})")
-    if not (isinstance(doc, dict) and isinstance(doc.get("d"), int)
+    # type() rather than isinstance(): JSON true/false load as bool, an int subclass
+    if not (isinstance(doc, dict) and type(doc.get("d")) is int
             and isinstance(doc.get("level"), str)
-            and isinstance(doc.get("norm_bound"), int)
+            and type(doc.get("norm_bound")) is int
             and isinstance(doc.get("a"), list)):
         raise click.UsageError(f"--table {path}: expected an object with integer d and "
                                "norm_bound, a string level and a list a")
@@ -350,7 +347,7 @@ def _read_table(path: Path) -> FourierTable:
     entries = {}
     for item in doc["a"]:
         if not (isinstance(item, dict) and isinstance(item.get("alpha"), str)
-                and isinstance(item.get("re"), (int, float))
+                and type(item.get("re")) in (int, float)
                 and math.isfinite(item["re"])):
             raise click.UsageError(f"--table entry {item!r}: expected a string alpha "
                                    "and a finite number re")

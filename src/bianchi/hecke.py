@@ -6,10 +6,11 @@ over family members M with unimodular image pair.  It runs on plain ints:
 moving a generator through the family only counts the hits on each image
 generator (weighted by the integer slash coefficients at weight k), and
 each distinct image's gen_map row is then folded in once, on numerators
-over a common denominator.  An independent oracle
-recomputes the operator from scratch as a sum over coset representatives of
-the determinant-eta congruence matrices, acting on cusp paths; agreement of
-the two matrices is the correctness certificate for this layer.
+over a common denominator.  An oracle recomputes the operator as a sum over
+Hermite-form coset representatives of the determinant-eta congruence
+matrices, acting on cusp paths; the tests check those cosets against a
+brute-force search.  Agreement of the two matrices is the correctness
+certificate for this layer.
 
 Rational eigensystem extraction refines the cuspidal subspace through the
 operators in order of increasing norm, reporting irrational characteristic
@@ -154,22 +155,6 @@ def commute_check(a: HeckeOperator, b: HeckeOperator) -> bool:
     return True
 
 
-def coset_count(eta: QuadInt) -> int:
-    """Number of left cosets of determinant-eta matrices, sum of divisor norms."""
-    return sum(d.norm() for d in divisors_up_to_units(eta))
-
-
-def same_coset(m1: Mat2, m2: Mat2, nu: QuadInt, eta: QuadInt) -> bool:
-    """Whether m2 = gamma * m1 for gamma with det 1, c = 0 and d = 1 mod nu."""
-    fld = nu.field
-    a = m2 * m1.adj()
-    for e in a.entries():
-        if not divides(eta, e):
-            return False
-    q = Mat2(*(exact_div(e, eta) for e in a.entries()))
-    return q.det() == fld.one and divides(nu, q.c) and divides(nu, q.d - fld.one)
-
-
 def coset_representatives(fld: Field, nu: QuadInt, eta: QuadInt) -> list[Mat2]:
     """Coset representatives assembled from column Hermite forms.
 
@@ -196,61 +181,20 @@ def coset_representatives(fld: Field, nu: QuadInt, eta: QuadInt) -> list[Mat2]:
     return reps
 
 
-class CosetSearchExhausted(RuntimeError):
-    """The brute-force coset search ran out of its coordinate box budget."""
-
-
-def coset_reps_bruteforce(fld: Field, nu: QuadInt, eta: QuadInt, budget: int = 5) -> list[Mat2]:
-    """Desk-scale search for coset representatives of determinant eta.
-
-    Scans integral matrices satisfying det = eta, a = 1 and c = 0 mod nu in
-    growing coordinate boxes, keeping one per coset, until the predicted
-    count is reached; raises CosetSearchExhausted if the budget box is
-    exhausted first.
-    """
-    if not gcd(eta, nu).is_unit():
-        raise ValueError("eta must be coprime to the level")
-    target = coset_count(eta)
-    reps: list[Mat2] = []
-    for lim in range(1, budget + 1):
-        box = [fld.elt(x, y) for x in range(-lim, lim + 1) for y in range(-lim, lim + 1)]
-        box.sort(key=lambda z: z.sort_key())
-        avals = [a for a in box if divides(nu, a - fld.one)]
-        cvals = [c for c in box if divides(nu, c)]
-        reps = []
-        for a in avals:
-            for c in cvals:
-                if a.is_zero() and c.is_zero():
-                    continue
-                g, s, t = xgcd(a, c)
-                if not divides(g, eta):
-                    continue
-                w = exact_div(eta, g)
-                b0, d0 = -(t * w), s * w
-                ag, cg = exact_div(a, g), exact_div(c, g)
-                for k in box:
-                    m = Mat2(a, b0 + k * ag, c, d0 + k * cg)
-                    if not any(same_coset(r, m, nu, eta) for r in reps):
-                        reps.append(m)
-                        if len(reps) == target:
-                            return reps
-    raise CosetSearchExhausted(
-        f"coset representative search budget exhausted: d={fld.d}, level {nu}, "
-        f"eta {eta}, budget {budget} ({len(reps)} of {target} cosets found)")
-
-
-def hecke_oracle(space: SymbolSpace, eta: QuadInt, budget: int = 5,
-                 reps: list[Mat2] | None = None) -> HeckeOperator:
+def hecke_oracle(space: SymbolSpace, eta: QuadInt) -> HeckeOperator:
     """Recompute the Hecke operator from its coset definition.
 
-    Every generator is lifted to a matrix g, read as a modular symbol from
-    g*0 to g*oo, pushed through each representative, and converted back via
-    continued fractions.  Shares nothing with the Heilbronn path beyond the
-    symbol space itself.
+    The cosets come from coset_representatives: Hermite forms moved into
+    the congruence set by one SL2 matrix, not the division chains of the
+    Heilbronn family.  Every generator is lifted to a matrix g, read as a
+    modular symbol from g*0 to g*oo, pushed through each representative, and
+    converted back via continued fractions and point_of (slash_poly on
+    QuadInts at weight k), not act_point or slash_rows.  Beyond the symbol
+    space, the two paths share only divisors_up_to_units, which both use to
+    list the divisors of eta, and gen_map.
     """
     fld = space.field
-    if reps is None:
-        reps = coset_reps_bruteforce(fld, space.level, eta, budget)
+    reps = coset_representatives(fld, space.level, eta)
     npts = len(space.points)
     out = SparseMat(space.dim, space.dim)
     for j, gidx in enumerate(space.free_gens):

@@ -299,12 +299,6 @@ class SymbolSpace:
         else:
             self._build_general()
 
-    @property
-    def n_gens(self) -> int:
-        if self.weight == 2:
-            return len(self.points)
-        return 2 * (self.weight - 1) * len(self.points)
-
     def point_of(self, u: QuadInt, v: QuadInt) -> int | None:
         pair = (reduce_mod(u, self.level), reduce_mod(v, self.level))
         return self.point_index.get(pair)
@@ -461,16 +455,6 @@ class SymbolSpace:
             if c.b:
                 vec_axpy(out, Fraction(c.b), self.gen_map[(2 * mono + 1) * npts + pt])
         return out
-
-    def summary(self) -> dict:
-        return {
-            "d": self.field.d,
-            "level": str(self.level),
-            "level_norm": self.level.norm(),
-            "weight": self.weight,
-            "num_points": len(self.points),
-            "dim": self.dim,
-        }
 
 
 @lru_cache(maxsize=None)

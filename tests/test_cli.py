@@ -100,12 +100,12 @@ def test_hecke_rejects_bad_eta(runner):
     invoke(runner, "hecke", "--d", "1", "--level", "2+1w", "--eta", "0", code=2)
 
 
-def test_hecke_oracle_budget_exhausted_exits_2(runner):
-    # the default coset search box finds 7 of the 8 cosets of eta = 1-2w
-    result = invoke(runner, "hecke", "--d", "7", "--level", "2+4w", "--eta", "1-2w",
-                    "--oracle", code=2)
-    assert result.stdout == ""
-    assert "d=7, level 2+4w, eta 1-2w, budget 5" in result.stderr
+@pytest.mark.parametrize("d, level, eta", [(7, "2+4w", "1-2w"), (11, "1-2w", "3")],
+                         ids=["d7-2+4w-eta1-2w", "d11-1-2w-eta3"])
+def test_hecke_oracle_beyond_search_box(runner, d, level, eta):
+    # test_hecke.coset_reps_bruteforce misses a coset at both at budget 5
+    doc = payload(runner, "hecke", "--d", str(d), "--level", level, "--eta", eta, "--oracle")
+    assert doc["oracle_agrees"] is True
 
 
 # sha256 of the hecke JSON for the first three coprime etas (the operator and
@@ -206,6 +206,10 @@ def test_eval_bad_point(runner, tmp_path):
     table_file.write_text('{"d": 11, "level": "1-2w", "norm_bound": 0, "a": []}')
     invoke(runner, "eval", "--table", str(table_file), "--z", "oops", "--t", "1.0", code=2)
     invoke(runner, "eval", "--table", str(table_file), "--z", "0.1i", "--t", "-1.0", code=2)
+    # non-finite coordinates would print NaN/Infinity, which is not JSON
+    invoke(runner, "eval", "--table", str(table_file), "--z", "nan", "--t", "1.0", code=2)
+    invoke(runner, "eval", "--table", str(table_file), "--z", "1e400", "--t", "1.0", code=2)
+    invoke(runner, "eval", "--table", str(table_file), "--z", "0.1i", "--t", "inf", code=2)
 
 
 def test_eval_bad_table(runner, tmp_path):
@@ -217,7 +221,11 @@ def test_eval_bad_table(runner, tmp_path):
                 '[1, 2]',
                 'not json {',
                 '{"d": 11, "level": 3, "norm_bound": 1, "a": []}',
-                '{"d": 11, "level": "1-2w", "norm_bound": 1, "a": [{"alpha": "1"}]}'):
+                '{"d": 11, "level": "1-2w", "norm_bound": 1, "a": [{"alpha": "1"}]}',
+                # JSON booleans are not integers, even though Python's bool is an int
+                '{"d": true, "level": "1+w", "norm_bound": 0, "a": []}',
+                '{"d": 11, "level": "1-2w", "norm_bound": true, "a": []}',
+                '{"d": 11, "level": "1-2w", "norm_bound": 1, "a": [{"alpha": "1", "re": true}]}'):
         table_file.write_text(doc)
         invoke(runner, "eval", "--table", str(table_file), "--z", "0.3i", "--t", "1.5", code=2)
 
@@ -298,6 +306,7 @@ OPTIMIZED_RUNS = [
     ["hecke", "--d", "11", "--level", "1-2w", "--eta", "2", "--commute-with", "w"],
     ["hecke", "--d", "11", "--level", "6", "--eta", "1+w", "--commute-with", "2-w",
      "--commute-with", "1-2w"],
+    ["hecke", "--d", "7", "--level", "2+4w", "--eta", "1-2w", "--oracle"],
 ]
 
 
@@ -310,7 +319,9 @@ def test_same_output_under_python_O():
         "    main(args, standalone_mode=False)\n"
         "sys.stderr.write(f'optimize={sys.flags.optimize}')\n"
     )
-    env = {"PYTHONPATH": str(Path(bianchi.__file__).parents[1]), "PYTHONHASHSEED": "0"}
+    # no bytecode: a checkout that ran the tests would otherwise import faster
+    env = {"PYTHONPATH": str(Path(bianchi.__file__).parents[1]), "PYTHONHASHSEED": "0",
+           "PYTHONDONTWRITEBYTECODE": "1"}
     runs = {}
     for flags in ([], ["-O"]):
         proc = subprocess.run([sys.executable, *flags, "-c", script], env=env,

@@ -6,27 +6,26 @@ import pytest
 from bianchi.boundary import cuspidal_subspace
 from bianchi.heilbronn import heilbronn_family
 from bianchi.hecke import (
-    CosetSearchExhausted,
     HeckeOperator,
     commute_check,
-    coset_count,
     coset_representatives,
-    coset_reps_bruteforce,
     eigensystems,
     hecke_matrix,
     hecke_on_manin,
     hecke_oracle,
     heilbronn_action,
-    same_coset,
 )
 from bianchi.linalg import SparseMat, vec_axpy, vec_dot, vec_scale
 from bianchi.quadints import (
     Field,
     canonical_elements_of_norm,
     divides,
+    divisors_up_to_units,
+    exact_div,
     gcd,
     parse_element,
     reduce_mod,
+    xgcd,
 )
 from bianchi.symbols import Mat2, lift_to_sl2, symbol_space
 from test_symbols import slash_rows_reference, spaces
@@ -90,13 +89,61 @@ def test_production_equals_oracle_weight4():
     assert hecke_on_manin(sp, eta).matrix == hecke_oracle(sp, eta).matrix
 
 
+def coset_count(eta):
+    # number of left cosets of determinant-eta matrices, sum of divisor norms
+    return sum(d.norm() for d in divisors_up_to_units(eta))
+
+
+def same_coset(m1, m2, nu, eta):
+    # whether m2 = gamma * m1 for gamma with det 1, c = 0 and d = 1 mod nu
+    fld = nu.field
+    a = m2 * m1.adj()
+    for e in a.entries():
+        if not divides(eta, e):
+            return False
+    q = Mat2(*(exact_div(e, eta) for e in a.entries()))
+    return q.det() == fld.one and divides(nu, q.c) and divides(nu, q.d - fld.one)
+
+
+def coset_reps_bruteforce(fld, nu, eta, budget=5):
+    # reference for coset_representatives: scan matrices with det = eta,
+    # a = 1 and c = 0 mod nu in growing coordinate boxes, one per coset,
+    # until coset_count is reached or the budget box is spent; returns what
+    # the last box found
+    target = coset_count(eta)
+    reps = []
+    for lim in range(1, budget + 1):
+        box = [fld.elt(x, y) for x in range(-lim, lim + 1) for y in range(-lim, lim + 1)]
+        box.sort(key=lambda z: z.sort_key())
+        avals = [a for a in box if divides(nu, a - fld.one)]
+        cvals = [c for c in box if divides(nu, c)]
+        reps = []
+        for a in avals:
+            for c in cvals:
+                if a.is_zero() and c.is_zero():
+                    continue
+                g, s, t = xgcd(a, c)
+                if not divides(g, eta):
+                    continue
+                w = exact_div(eta, g)
+                b0, d0 = -(t * w), s * w
+                ag, cg = exact_div(a, g), exact_div(c, g)
+                for k in box:
+                    m = Mat2(a, b0 + k * ag, c, d0 + k * cg)
+                    if not any(same_coset(r, m, nu, eta) for r in reps):
+                        reps.append(m)
+                        if len(reps) == target:
+                            return reps
+    return reps
+
+
 def test_coset_representatives_match_bruteforce():
-    for d, nt, et in ORACLE_CASES[:4]:
+    for d, nt, et in ORACLE_CASES:
         fld = Field.get(d)
         nu, eta = parse_element(fld, nt), parse_element(fld, et)
         built = coset_representatives(fld, nu, eta)
         found = coset_reps_bruteforce(fld, nu, eta)
-        assert len(built) == len(found) == coset_count(eta)
+        assert len(built) == len(found) == coset_count(eta), (d, nt, et)
         for r in built:
             assert sum(1 for s in found if same_coset(s, r, nu, eta)) == 1
         # pairwise inequivalent (injectivity half of the coset matching)
@@ -105,10 +152,62 @@ def test_coset_representatives_match_bruteforce():
                 assert not same_coset(r, s, nu, eta)
 
 
-def test_bruteforce_budget_error():
-    fld = Field.get(1)
-    with pytest.raises(CosetSearchExhausted, match="d=1, level 3, eta 1\\+w, budget 0"):
-        coset_reps_bruteforce(fld, parse_element(fld, "3"), parse_element(fld, "1+1w"), budget=0)
+def test_bruteforce_misses_a_coset_the_hermite_forms_reach():
+    # the default search box finds 7 of the 8 cosets of eta = 1-2w at this
+    # level, each of them one of the Hermite representatives
+    fld = Field.get(7)
+    nu, eta = parse_element(fld, "2+4w"), parse_element(fld, "1-2w")
+    built = coset_representatives(fld, nu, eta)
+    found = coset_reps_bruteforce(fld, nu, eta, budget=5)
+    assert len(built) == coset_count(eta) == 8
+    assert len(found) == 7
+    for s in found:
+        assert sum(1 for r in built if same_coset(r, s, nu, eta)) == 1
+
+
+# every level up to these norms, per weight, in all five fields
+SWEEP_NORMS = {2: 10, 4: 4, 6: 4}
+
+
+def sweep_cases():
+    # first the two levels where coset_reps_bruteforce at budget 5 falls short
+    for d, nt, et in [(7, "2+4w", "1-2w"), (11, "1-2w", "3")]:
+        fld = Field.get(d)
+        yield symbol_space(fld, parse_element(fld, nt)), parse_element(fld, et)
+    for d in (1, 2, 3, 7, 11):
+        fld = Field.get(d)
+        for weight, bound in SWEEP_NORMS.items():
+            for n in range(2, bound + 1):
+                for nu in canonical_elements_of_norm(fld, n):
+                    sp = symbol_space(fld, nu, weight)
+                    if sp.dim:
+                        yield sp, first_etas(fld, nu, 1)[0]
+
+
+def test_production_equals_oracle_sweep():
+    covered = set()
+    for sp, eta in sweep_cases():
+        prod, orac = hecke_on_manin(sp, eta), hecke_oracle(sp, eta)
+        case = (sp.field.d, str(sp.level), sp.weight, str(eta))
+        assert prod.matrix == orac.matrix, case
+        assert prod.cuspidal_matrix == orac.cuspidal_matrix, case
+        covered.add((sp.field.d, sp.weight))
+    assert covered == {(d, k) for d in (1, 2, 3, 7, 11) for k in SWEEP_NORMS}
+
+
+@pytest.mark.parametrize("damage", ["drop", "duplicate"])
+def test_oracle_sees_a_wrong_coset_list(monkeypatch, damage):
+    fld = Field.get(7)
+    sp = symbol_space(fld, parse_element(fld, "2+4w"))
+    eta = parse_element(fld, "1-2w")
+    real = coset_representatives
+
+    def damaged(*args):
+        reps = real(*args)
+        return reps[:-1] if damage == "drop" else reps + reps[:1]
+
+    monkeypatch.setattr("bianchi.hecke.coset_representatives", damaged)
+    assert hecke_oracle(sp, eta).matrix != hecke_on_manin(sp, eta).matrix
 
 
 def random_sl2(fld, rng, length=5):
