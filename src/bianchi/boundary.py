@@ -98,7 +98,6 @@ def cusp_label(space: SymbolSpace, p: QuadInt, q: QuadInt):
     key, _ = cusp_class(space, p, q)
     return key
 
-@lru_cache(maxsize=None)
 def boundary_matrix(space: SymbolSpace) -> tuple[tuple, SparseMat]:
     """Label list and the boundary matrix on the quotient basis."""
     cols = [boundary_of_gen(space, g) for g in space.free_gens]
@@ -129,7 +128,6 @@ def orbit_of_cusp(space: SymbolSpace, orbit_ids, p: QuadInt, q: QuadInt) -> int:
     assert pt is not None
     return orbit_ids[pt]
 
-@lru_cache(maxsize=None)
 def true_boundary_matrix(space: SymbolSpace) -> SparseMat:
     """Boundary straight to cusp orbits (no labels); weight 2 only."""
     assert space.weight == 2

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -53,9 +54,12 @@ def _field_and_level(d: int | None, level: str) -> tuple[Field, QuadInt]:
         raise click.UsageError("--d is required when the level is a bare element")
     fld = _get_field(d)
     try:
-        return fld, parse_element(fld, level)
+        nu = parse_element(fld, level)
     except ValueError as exc:
         raise click.UsageError(f"--level {level!r}: {exc}")
+    if nu.is_zero():
+        raise click.UsageError(f"--level {level!r}: must be nonzero")
+    return fld, nu
 
 
 def _element(fld: Field, text: str, flag: str) -> QuadInt:
@@ -190,20 +194,19 @@ def heilbronn(ctx, d, eta_text, tie, check_it, out, json_indent):
 @level_options
 @click.option("--eta", "eta_text", required=True)
 @click.option("--weight", type=int, default=2, show_default=True)
-@click.option("--tie", type=click.Choice(["low", "high"]), default="low", show_default=True)
 @click.option("--oracle", is_flag=True, help="recompute from coset representatives and compare")
 @click.option("--commute-with", "others", multiple=True,
               help="check commutation against these determinants")
 @io_options
 @click.pass_context
-def hecke(ctx, d, level, eta_text, weight, tie, oracle, others, out, json_indent):
+def hecke(ctx, d, level, eta_text, weight, oracle, others, out, json_indent):
     """One Hecke operator on the quotient, with optional oracle and
     commutation reports."""
     fld, nu = _field_and_level(d, level)
     eta = _element(fld, eta_text, "--eta")
     try:
         sp = symbol_space(fld, nu, weight)
-        op = hecke_on_manin(sp, eta, tie)
+        op = hecke_on_manin(sp, eta)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     cusp = cuspidal_subspace(sp)
@@ -231,7 +234,7 @@ def hecke(ctx, d, level, eta_text, weight, tie, oracle, others, out, json_indent
         for text in others:
             other = _element(fld, text, "--commute-with")
             try:
-                op2 = hecke_on_manin(sp, other, tie)
+                op2 = hecke_on_manin(sp, other)
             except ValueError as exc:
                 raise click.UsageError(f"--commute-with {text!r}: {exc}")
             report[str(other)] = commute_check(op, op2)
@@ -315,18 +318,17 @@ def _rational_form(fld: Field, nu: QuadInt, eta_texts, eta_count, label):
 
 @main.command()
 @level_options
-@click.option("--norm-bound", type=int, default=40, show_default=True)
+@click.option("--norm-bound", type=click.IntRange(min=0), default=40, show_default=True)
 @click.option("--eta", "eta_texts", multiple=True)
 @click.option("--eta-count", type=int, default=8, show_default=True)
 @click.option("--system", "label", default=None, help="eigensystem label, defaults to the first")
-@click.option("--tie", type=click.Choice(["low", "high"]), default="low", show_default=True)
 @io_options
-def fourier(d, level, norm_bound, eta_texts, eta_count, label, tie, out, json_indent):
+def fourier(d, level, norm_bound, eta_texts, eta_count, label, out, json_indent):
     """Fourier coefficient table of a rational eigenform, as slash sums."""
     fld, nu = _field_and_level(d, level)
     sp, system, phi, x = _rational_form(fld, nu, eta_texts, eta_count, label)
     click.echo(f"system {system.label}, table up to norm {norm_bound}", err=True)
-    table = fourier_coefficients(phi, x, norm_bound, tie)
+    table = fourier_coefficients(phi, x, norm_bound)
     _emit(table.to_json(), out, json_indent)
 
 
@@ -339,16 +341,18 @@ def _read_table(path: Path) -> FourierTable:
     # type() rather than isinstance(): JSON true/false load as bool, an int subclass
     if not (isinstance(doc, dict) and type(doc.get("d")) is int
             and isinstance(doc.get("level"), str)
-            and type(doc.get("norm_bound")) is int
+            and type(doc.get("norm_bound")) is int and doc["norm_bound"] >= 0
             and isinstance(doc.get("a"), list)):
-        raise click.UsageError(f"--table {path}: expected an object with integer d and "
-                               "norm_bound, a string level and a list a")
+        raise click.UsageError(f"--table {path}: expected an object with integer d, "
+                               "nonnegative integer norm_bound, a string level and a list a")
     fld, nu = _field_and_level(doc["d"], doc["level"])
     entries = {}
     for item in doc["a"]:
         if not (isinstance(item, dict) and isinstance(item.get("alpha"), str)
                 and type(item.get("re")) in (int, float)
-                and math.isfinite(item["re"])):
+                # false for NaN, the infinities and ints past the float range,
+                # where math.isfinite would raise instead
+                and abs(item["re"]) <= sys.float_info.max):
             raise click.UsageError(f"--table entry {item!r}: expected a string alpha "
                                    "and a finite number re")
         entries[_element(fld, item["alpha"], "--table alpha")] = Fraction(item["re"])
@@ -362,21 +366,20 @@ def _read_table(path: Path) -> FourierTable:
 @click.option("--t", type=float, required=True, help="height coordinate, positive")
 @click.option("--table", "table_path", type=click.Path(exists=True, dir_okay=False, path_type=Path),
               default=None, help="reuse a coefficient table written by the fourier command")
-@click.option("--norm-bound", type=int, default=40, show_default=True)
+@click.option("--norm-bound", type=click.IntRange(min=0), default=40, show_default=True)
 @click.option("--eta", "eta_texts", multiple=True)
 @click.option("--eta-count", type=int, default=8, show_default=True)
 @click.option("--system", "label", default=None)
-@click.option("--tie", type=click.Choice(["low", "high"]), default="low", show_default=True)
 @io_options
 def eval_cmd(d, level, z_text, t, table_path, norm_bound, eta_texts, eta_count,
-             label, tie, out, json_indent):
+             label, out, json_indent):
     """Evaluate the truncated series at one point of the upper half space."""
     if table_path is not None:
         table = _read_table(table_path)
     else:
         fld, nu = _field_and_level(d, level)
         sp, _, phi, x = _rational_form(fld, nu, eta_texts, eta_count, label)
-        table = fourier_coefficients(phi, x, norm_bound, tie)
+        table = fourier_coefficients(phi, x, norm_bound)
     w = _parse_point(z_text, t)
     (f0, f1, f2), tail = eval_series(table, w)
     payload = {

@@ -34,7 +34,7 @@ from functools import cached_property
 from scipy.special import k0 as _k0, k1 as _k1
 
 from .boundary import boundary_of_gen
-from .heilbronn import heilbronn_family
+from .heilbronn import DEFAULT_TIE, heilbronn_family
 from .linalg import vec_axpy, vec_dot
 from .quadints import QuadInt, canonical_elements_of_norm, divides
 from .symbols import Mat2, SymbolSpace
@@ -145,14 +145,17 @@ class FourierTable:
         }
 
 
-def fourier_coefficients(phi: DualFunctional, x: SeedElement,
-                         norm_bound: int, tie: str = "low") -> FourierTable:
+def fourier_coefficients(phi: DualFunctional, x: SeedElement, norm_bound: int) -> FourierTable:
     """Coefficient table a_alpha = sum over the family of determinant alpha.
 
     Associates are listed separately; nothing requires alpha coprime to the
     level, the non-unimodular images just drop out.  Only the seed's support
     is moved: a_alpha = sum_g c_g sum_M phi(gen_map[g*M]), with the hits on
     each point counted as ints before phi's value there is read.
+
+    The table takes no tie rule: a_alpha = phi(T_alpha x) is the same for
+    every family satisfying Merel's condition, which the telescoping
+    certificate checks, so the family of heilbronn.DEFAULT_TIE is used.
     """
     space = phi.space
     if space.weight != 2:
@@ -167,7 +170,7 @@ def fourier_coefficients(phi: DualFunctional, x: SeedElement,
         for base in canonical_elements_of_norm(fld, n):
             for u in fld.units:
                 alpha = u * base
-                fam = heilbronn_family(alpha, tie)
+                fam = heilbronn_family(alpha, DEFAULT_TIE)
                 total = Fraction(0)
                 for g, c in x.coefficients.items():
                     hits = Counter(act(g, m) for m in fam)

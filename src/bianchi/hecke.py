@@ -12,6 +12,13 @@ matrices, acting on cusp paths; the tests check those cosets against a
 brute-force search.  Agreement of the two matrices is the correctness
 certificate for this layer.
 
+The operators are functions of the space and the determinant only.  Every
+Heilbronn family that satisfies Merel's condition gives the same matrix on
+the symbol quotient, and the telescoping certificate checks that condition
+for every family, so the Euclidean tie rule that picks one family belongs
+to the heilbronn module and is no parameter here.  Nothing is memoised: a
+caller that needs an operator twice keeps the matrix it built.
+
 Rational eigensystem extraction refines the cuspidal subspace through the
 operators in order of increasing norm, reporting irrational characteristic
 factors instead of splitting them.
@@ -22,11 +29,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd as _igcd
 
 from .boundary import cuspidal_subspace
-from .heilbronn import heilbronn_family
+from .heilbronn import DEFAULT_TIE, heilbronn_family
 from .linalg import (
     SparseMat,
     Subspace,
@@ -76,13 +82,16 @@ def _fold(hits: dict[int, int], gen_map: list[dict]) -> dict[int, Fraction]:
     return {i: Fraction(v, den) for i, v in acc.items() if v}
 
 
-@lru_cache(maxsize=None)
-def heilbronn_action(space: SymbolSpace, alpha: QuadInt, tie: str = "low") -> SparseMat:
+def heilbronn_action(space: SymbolSpace, alpha: QuadInt) -> SparseMat:
     """Quotient matrix of the family sum of determinant alpha.
 
     For alpha coprime to the level this is the Hecke operator.  With no
     coprimality restriction, phi(M v) is the operator side of the
     coefficient identity that fourier_coefficients is checked against.
+
+    There is no tie parameter: any family satisfying Merel's condition,
+    which the telescoping certificate checks, gives this same matrix, so
+    the family of heilbronn.DEFAULT_TIE is used.
 
     Column j is the image of free generator j.  Its pass over the family
     only counts hits as ints: at weight 2 the hits per image point, at
@@ -91,7 +100,7 @@ def heilbronn_action(space: SymbolSpace, alpha: QuadInt, tie: str = "low") -> Sp
     numerators over a common denominator, so the entries are the same
     Fractions a per-member sum of gen_map rows gives.
     """
-    fam = heilbronn_family(alpha, tie)
+    fam = heilbronn_family(alpha, DEFAULT_TIE)
     npts = len(space.points)
     act = space.act_point
     # P -> P(aX+bY, cX+dY) is the slash by the adjugate
@@ -116,12 +125,12 @@ def heilbronn_action(space: SymbolSpace, alpha: QuadInt, tie: str = "low") -> Sp
     return out
 
 
-def hecke_matrix(space: SymbolSpace, eta: QuadInt, tie: str = "low") -> SparseMat:
+def hecke_matrix(space: SymbolSpace, eta: QuadInt) -> SparseMat:
     if eta.is_zero():
         raise ValueError("eta must be nonzero")
     if not gcd(eta, space.level).is_unit():
         raise ValueError("eta must be coprime to the level")
-    return heilbronn_action(space, eta, tie)
+    return heilbronn_action(space, eta)
 
 
 @dataclass(frozen=True)
@@ -132,13 +141,13 @@ class HeckeOperator:
     cuspidal_matrix: SparseMat
 
 
-def hecke_on_manin(space: SymbolSpace, eta: QuadInt, tie: str = "low") -> HeckeOperator:
+def hecke_on_manin(space: SymbolSpace, eta: QuadInt) -> HeckeOperator:
     """The Hecke operator at eta, with its cuspidal restriction.
 
     The restriction step doubles as an invariance certificate: it raises
     when a column leaves the cuspidal subspace.
     """
-    mat = hecke_matrix(space, eta, tie)
+    mat = hecke_matrix(space, eta)
     cusp = cuspidal_subspace(space)
     return HeckeOperator(space, eta, mat, cusp.restrict(mat))
 
@@ -245,11 +254,12 @@ def _label(idx: int) -> str:
     return s
 
 
-def _left_functional(space: SymbolSpace, etas, vals, vector) -> dict | None:
-    # simultaneous left eigenvector, normalized to pair to 1 with vector
-    F = full_space(space.dim)
-    for eta in etas:
-        at = hecke_matrix(space, eta).transpose()
+def _left_functional(dim: int, mats: dict[QuadInt, SparseMat], vals, vector) -> dict | None:
+    # simultaneous left eigenvector of the full operators, normalized to pair
+    # to 1 with vector
+    F = full_space(dim)
+    for eta, mat in mats.items():
+        at = mat.transpose()
         F = eigenspace(F.restrict(at), F, vals[eta])
         if F.dim == 0:
             return None
@@ -279,8 +289,10 @@ def eigensystems(space: SymbolSpace, etas: list[QuadInt]) -> EigenTable:
     if cusp.dim == 0:
         return table
     pieces: list[tuple[dict, Subspace]] = [({}, full_space(cusp.dim))]
+    mats = {}
     for eta in order:
-        mat = cusp.restrict(hecke_matrix(space, eta))
+        mats[eta] = hecke_matrix(space, eta)
+        mat = cusp.restrict(mats[eta])
         refined = []
         for vals, sub in pieces:
             eigs, residual = rational_eigensystem(mat, sub)
@@ -296,6 +308,6 @@ def eigensystems(space: SymbolSpace, etas: list[QuadInt]) -> EigenTable:
         vector = functional = None
         if sub.dim == 1:
             vector = cusp.lift(sub.basis[0])
-            functional = _left_functional(space, order, vals, vector)
+            functional = _left_functional(space.dim, mats, vals, vector)
         table.systems.append(EigenSystem(_label(idx), vals, sub.dim, vector, functional))
     return table

@@ -27,6 +27,14 @@ from .quadints import (
 from .symbols import Mat2, normalize_cusp
 
 
+# The tie rule of the family that Hecke operators and coefficient tables
+# use.  Every family that passes the telescoping certificate gives the same
+# operator on the symbol quotient (Merel's condition), so this only fixes
+# one.  Callers pass it positionally, as the certificates pass theirs:
+# lru_cache keys heilbronn_family(eta) and heilbronn_family(eta, "low") apart.
+DEFAULT_TIE = "low"
+
+
 def _chain(delta: QuadInt, beta: QuadInt, cof: QuadInt, tie: str) -> list[Mat2]:
     fld = delta.field
     if beta.is_zero():
@@ -51,7 +59,7 @@ def _chain(delta: QuadInt, beta: QuadInt, cof: QuadInt, tie: str) -> list[Mat2]:
 
 
 @lru_cache(maxsize=None)
-def heilbronn_family(eta: QuadInt, tie: str = "low") -> tuple[Mat2, ...]:
+def heilbronn_family(eta: QuadInt, tie: str = DEFAULT_TIE) -> tuple[Mat2, ...]:
     """The full determinant-eta family, in deterministic order."""
     if eta.is_zero():
         raise ValueError("determinant must be nonzero")
@@ -76,7 +84,7 @@ def _same_class(m1: Mat2, m2: Mat2, eta: QuadInt) -> bool:
 
 
 @lru_cache(maxsize=None)
-def heilbronn_classes(eta: QuadInt, tie: str = "low") -> tuple[tuple[int, ...], ...]:
+def heilbronn_classes(eta: QuadInt, tie: str = DEFAULT_TIE) -> tuple[tuple[int, ...], ...]:
     """Partition of the family into unimodular classes (index tuples)."""
     fam = heilbronn_family(eta, tie)
     assigned = [-1] * len(fam)
@@ -94,7 +102,7 @@ def heilbronn_classes(eta: QuadInt, tie: str = "low") -> tuple[tuple[int, ...], 
     return tuple(classes)
 
 
-def class_path_sums(eta: QuadInt, tie: str = "low", family=None) -> list[dict]:
+def class_path_sums(eta: QuadInt, tie: str = DEFAULT_TIE, family=None) -> list[dict]:
     """Formal cusp sums sum([M oo] - [M 0]) for each class.
 
     A correct family telescopes each class to [oo] - [0].  The partition
@@ -116,7 +124,7 @@ def class_path_sums(eta: QuadInt, tie: str = "low", family=None) -> list[dict]:
     return sums
 
 
-def telescoping_ok(eta: QuadInt, tie: str = "low") -> bool:
+def telescoping_ok(eta: QuadInt, tie: str = DEFAULT_TIE) -> bool:
     """Check the certificate: every class path sum equals [oo] - [0]."""
     fld = eta.field
     inf = normalize_cusp(fld.one, fld.zero)

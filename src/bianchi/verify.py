@@ -42,7 +42,13 @@ from .hecke import (
     hecke_oracle,
     heilbronn_action,
 )
-from .heilbronn import class_path_sums, heilbronn_classes, heilbronn_family, telescoping_ok
+from .heilbronn import (
+    DEFAULT_TIE,
+    class_path_sums,
+    heilbronn_classes,
+    heilbronn_family,
+    telescoping_ok,
+)
 from .linalg import vec_axpy, vec_dot
 from .quadints import (
     Field,
@@ -438,7 +444,7 @@ def reference_form(d: int = REFERENCE_FORM[0], level: str = REFERENCE_FORM[1],
 
 
 def check_coefficient_identity(d: int = REFERENCE_FORM[0], level: str = REFERENCE_FORM[1],
-                               norm_bound: int = 30, tie: str = "low") -> CheckResult:
+                               norm_bound: int = 30) -> CheckResult:
     """Slash sums over whole families equal the assembled operator applied to
     the seed, for every rational eigenfunctional and every determinant; the
     coefficient table agrees with the operator at every unit multiple."""
@@ -451,22 +457,23 @@ def check_coefficient_identity(d: int = REFERENCE_FORM[0], level: str = REFERENC
         phi = DualFunctional(space, system.functional)
         x = seed_from_vector(space, system.vector)
         v = x.quotient_vector()
-        table = fourier_coefficients(phi, x, norm_bound, tie)
+        table = fourier_coefficients(phi, x, norm_bound)
         for n in range(1, norm_bound + 1):
             for eta in canonical_elements_of_norm(fld, n):
                 lhs = sum(
-                    (functional_slash(phi, m, x) for m in heilbronn_family(eta, tie)),
+                    (functional_slash(phi, m, x) for m in heilbronn_family(eta, DEFAULT_TIE)),
                     Fraction(0),
                 )
-                rhs = vec_dot(phi.coefficients, heilbronn_action(space, eta, tie).matvec(v))
+                # phi(T_alpha v) at every unit multiple, eta's own one included
+                ops = {u * eta: vec_dot(phi.coefficients,
+                                        heilbronn_action(space, u * eta).matvec(v))
+                       for u in fld.units}
+                rhs = ops[eta]
                 if lhs != rhs:
                     fail = {"d": d, "level": level, "eta": str(eta),
                             "slash_sum": str(lhs), "operator": str(rhs)}
                     break
-                for u in fld.units:
-                    alpha = u * eta
-                    op = vec_dot(phi.coefficients,
-                                 heilbronn_action(space, alpha, tie).matvec(v))
+                for alpha, op in ops.items():
                     if table.entries[alpha] != op:
                         fail = {"d": d, "level": level, "eta": str(alpha),
                                 "table": str(table.entries[alpha]), "operator": str(op)}
@@ -509,8 +516,7 @@ def check_bessel() -> CheckResult:
 
 
 def check_automorphy(d: int = REFERENCE_FORM[0], level: str = REFERENCE_FORM[1],
-                     norm_bound: int = 250, generic: bool = True,
-                     tie: str = "low") -> CheckResult:
+                     norm_bound: int = 250, generic: bool = True) -> CheckResult:
     """Transformation law of the assembled series: translations at five
     heights, then one matrix with a nonzero lower-left entry."""
     t0 = time.perf_counter()
@@ -519,7 +525,7 @@ def check_automorphy(d: int = REFERENCE_FORM[0], level: str = REFERENCE_FORM[1],
     system = systems[0]
     phi = DualFunctional(space, system.functional)
     x = seed_from_vector(space, system.vector)
-    table = fourier_coefficients(phi, x, norm_bound, tie)
+    table = fourier_coefficients(phi, x, norm_bound)
     worst = 0.0
     for t in (0.8, 1.1, 1.4, 1.7, 2.0):
         w = H3Point(0.1 + 0.2j, t)

@@ -1,9 +1,18 @@
+import gc
 import random
+import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from bianchi.boundary import cuspidal_subspace
+from bianchi.fourier import (
+    DualFunctional,
+    fourier_coefficients,
+    functional_slash,
+    seed_from_vector,
+)
 from bianchi.heilbronn import heilbronn_family
 from bianchi.hecke import (
     HeckeOperator,
@@ -28,6 +37,7 @@ from bianchi.quadints import (
     xgcd,
 )
 from bianchi.symbols import Mat2, lift_to_sl2, symbol_space
+from bianchi.verify import reference_form
 from test_symbols import slash_rows_reference, spaces
 
 ORACLE_CASES = [
@@ -268,12 +278,74 @@ def test_commute_check_rejects_space_mismatch():
         commute_check(hecke_on_manin(sp1, eta), hecke_on_manin(sp2, eta))
 
 
+# every determinant here has different "low" and "high" families; each level
+# has coprime and non-coprime ones
+TIE_CASES = [
+    (1, "3", 2, ["1+w", "2", "3", "3+w"]),
+    (2, "1+1w", 4, ["w", "2", "3"]),
+    (3, "2", 6, ["2-w", "2"]),
+    (7, "w", 4, ["1-w", "w", "2", "1+w"]),
+    (7, "1+w", 6, ["w", "1+w"]),
+    (11, "1-2w", 2, ["2", "3", "1-2w"]),
+]
+
+
 def test_tie_break_invariance_on_quotient():
-    for d, nt, et in ORACLE_CASES[:5]:
+    # Merel's condition, certified by telescoping for both tie rules, makes
+    # the operator independent of the family; production takes no tie, so
+    # it is held against the reference sum over the "high" families
+    for d, level, weight, etas in TIE_CASES:
         fld = Field.get(d)
-        nu, eta = parse_element(fld, nt), parse_element(fld, et)
-        sp = symbol_space(fld, nu)
-        assert hecke_matrix(sp, eta, "low") == hecke_matrix(sp, eta, "high")
+        sp = symbol_space(fld, parse_element(fld, level), weight)
+        assert sp.dim > 0
+        coprime = 0
+        for text in etas:
+            alpha = parse_element(fld, text)
+            assert heilbronn_family(alpha, "low") != heilbronn_family(alpha, "high")
+            coprime += gcd(alpha, sp.level).is_unit()
+            want = heilbronn_action_reference(sp, alpha, "high")
+            assert heilbronn_action(sp, alpha) == want, (d, level, weight, text)
+        assert 0 < coprime < len(etas)
+    # the reference-level table, entry by entry, from "high" slash sums
+    space, systems = reference_form()
+    phi = DualFunctional(space, systems[0].functional)
+    x = seed_from_vector(space, systems[0].vector)
+    table = fourier_coefficients(phi, x, 30)
+    high = {alpha: sum((functional_slash(phi, m, x) for m in heilbronn_family(alpha, "high")),
+                       Fraction(0))
+            for alpha in table.entries}
+    assert table.entries == high and any(high.values())
+
+
+def test_dropped_operator_is_freed():
+    # nothing memoises an operator: dropping the result frees its matrix
+    fld = Field.get(11)
+    sp = symbol_space(fld, parse_element(fld, "1-2w"))
+    op = hecke_on_manin(sp, fld.from_int(2))
+    ref = weakref.ref(op.matrix)
+    del op
+    gc.collect()
+    assert ref() is None
+
+
+def test_eigensystems_builds_each_operator_once(monkeypatch):
+    import bianchi.hecke as hecke_mod
+
+    calls = Counter()
+    real = hecke_mod.heilbronn_action
+
+    def counted(*args):
+        calls[args[1]] += 1
+        return real(*args)
+
+    monkeypatch.setattr(hecke_mod, "heilbronn_action", counted)
+    fld = Field.get(11)
+    sp = symbol_space(fld, parse_element(fld, "1-2w"))
+    etas = first_etas(fld, sp.level, 8)
+    tab = eigensystems(sp, etas)
+    # the one-dimensional system also needs every operator for its functional
+    assert tab.systems[0].functional is not None
+    assert calls == Counter(etas)
 
 
 def test_associate_etas_give_equal_operators():
@@ -419,11 +491,11 @@ def test_heilbronn_action_matches_fraction_loop(d, level, weight, etas):
     for text in etas:
         alpha = parse_element(fld, text)
         coprime += gcd(alpha, sp.level).is_unit()
+        got = heilbronn_action(sp, alpha)
+        assert all(type(c) is Fraction for row in got.rows for c in row.values())
         for tie in ("low", "high"):
-            got = heilbronn_action(sp, alpha, tie)
             want = heilbronn_action_reference(sp, alpha, tie)
             assert got == want, (d, level, weight, text, tie)
-            assert all(type(c) is Fraction for row in got.rows for c in row.values())
     # both the Hecke operators and the bare family sums are covered
     assert 0 < coprime < len(etas)
 
