@@ -2,7 +2,8 @@
 
 Every command writes one JSON document to stdout (or --out) and keeps logs
 on stderr.  Exit codes: 0 on success, 2 on bad arguments or precondition
-failures, 3 when a requested verification fails.  Levels are written either
+failures, 3 when a requested verification or a load-bearing invariant
+(quadints.InvariantError) fails.  Levels are written either
 as an element string together with --d, or combined as "d=1,n=2+1w".
 """
 
@@ -30,8 +31,8 @@ from .fourier import (
 from .hecke import commute_check, eigensystems, hecke_on_manin, hecke_oracle
 from .heilbronn import heilbronn_classes, heilbronn_family, telescoping_ok
 from .linalg import full_space, rational_eigensystem
-from .quadints import Field, QuadInt, gcd, parse_element
-from .symbols import cusp_count, symbol_space
+from .quadints import Field, InvariantError, QuadInt, gcd, parse_element
+from .symbols import Mat2, cusp_count, symbol_space
 
 _LEVEL_SPEC = re.compile(r"^d=(\d+),n=(.+)$")
 
@@ -115,7 +116,17 @@ def level_options(f):
     return f
 
 
-@click.group()
+class _Group(click.Group):
+    def invoke(self, ctx):
+        # a failed load-bearing invariant is a failed verification: exit 3
+        try:
+            return super().invoke(ctx)
+        except InvariantError as exc:
+            click.echo(f"invariant failed: {exc}", err=True)
+            ctx.exit(3)
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Modular symbols and Fourier expansions over the Euclidean imaginary
     quadratic fields."""
@@ -178,7 +189,7 @@ def heilbronn(ctx, d, eta_text, tie, check_it, out, json_indent):
         # always "off" (families are regenerated, never read from disk); the
         # field stays because perfbench pins the sha256 of these bytes
         "cache": "off",
-        "matrices": [[str(e) for e in m.entries()] for m in fam],
+        "matrices": [[str(e) for e in Mat2.from_row(fld, row).entries()] for row in fam],
     }
     if check_it:
         ok = telescoping_ok(eta, tie)
@@ -338,13 +349,16 @@ def _read_table(path: Path) -> FourierTable:
         doc = json.loads(path.read_text())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise click.UsageError(f"--table {path}: not a JSON document ({exc})")
-    # type() rather than isinstance(): JSON true/false load as bool, an int subclass
+    # type() rather than isinstance(): JSON true/false load as bool, an int
+    # subclass; the tail estimate takes norm_bound into floats
     if not (isinstance(doc, dict) and type(doc.get("d")) is int
             and isinstance(doc.get("level"), str)
-            and type(doc.get("norm_bound")) is int and doc["norm_bound"] >= 0
+            and type(doc.get("norm_bound")) is int
+            and 0 <= doc["norm_bound"] <= sys.float_info.max
             and isinstance(doc.get("a"), list)):
         raise click.UsageError(f"--table {path}: expected an object with integer d, "
-                               "nonnegative integer norm_bound, a string level and a list a")
+                               "nonnegative integer norm_bound within the float range, "
+                               "a string level and a list a")
     fld, nu = _field_and_level(doc["d"], doc["level"])
     entries = {}
     for item in doc["a"]:

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+import numpy as np
 from scipy.special import k0 as _k0, k1 as _k1
 
 from .boundary import boundary_of_gen
@@ -87,19 +88,21 @@ def seed_from_vector(space: SymbolSpace, quotient_vec: dict) -> SeedElement:
     return SeedElement(space, coeffs)
 
 
-def _gen_image(space: SymbolSpace, gen: int, m: Mat2) -> dict:
-    # quotient image of one weight-2 generator under one integral matrix,
-    # dropped when the moved point is not unimodular at the level; kept apart
-    # from heilbronn_action so the slash-sum checks compare two loops
+def _gen_image(space: SymbolSpace, gen: int, row: tuple[int, ...]) -> dict:
+    # quotient image of one weight-2 generator under one integral matrix (an
+    # 8-int row), dropped when the moved point is not unimodular at the
+    # level; kept apart from heilbronn_action so the slash-sum checks compare
+    # two loops
     out: dict = {}
-    pt = space.act_point(gen, m)
+    pt = space.act_point(gen, row)
     if pt is not None:
         vec_axpy(out, Fraction(1), space.gen_map[pt])
     return out
 
 
-def functional_slash(phi: DualFunctional, m: Mat2, x: SeedElement) -> Fraction:
-    """phi twisted by one matrix, evaluated termwise on the seed."""
+def functional_slash(phi: DualFunctional, m: tuple[int, ...], x: SeedElement) -> Fraction:
+    """phi twisted by one matrix, given as its 8-int row (a Heilbronn family
+    member, or Mat2.row()), evaluated termwise on the seed."""
     if phi.space.weight != 2:
         raise ValueError("expansion is defined for weight 2 only")
     total = Fraction(0)
@@ -126,6 +129,11 @@ class FourierTable:
                 mod = abs(ac)
                 out.append((ac, mod, ac / mod, float(a)))
         return out
+
+    @cached_property
+    def series_mods(self) -> np.ndarray:
+        """|alpha| per series term, the array the Bessel factors are taken over."""
+        return np.array([mod for _, mod, _, _ in self.series_terms], dtype=float)
 
     @cached_property
     def growth(self) -> Fraction | float:
@@ -200,15 +208,21 @@ def tail_estimate(table: FourierTable, w: H3Point) -> float:
 
     Uses linear growth of coefficients calibrated on the table itself, the
     average lattice-point density per norm, and exponential Bessel decay.
+    growth is a float once per call (float * Fraction is already
+    float(a) * float(b)), and only loop-invariant prefixes of each term's
+    left-to-right products are hoisted, so every term rounds as it did.
     """
     fld = table.space.field
     s = fld.sqrt_abs_disc
-    growth = table.growth
-    density = 2 * math.pi / s
+    t = w.t
+    t2 = t**2
+    scale = 2 * math.pi / s * float(table.growth)
+    four_pi = 4 * math.pi
     total = 0.0
     n = table.norm_bound + 1
-    while n < table.norm_bound + 200000:
-        term = density * growth * n * w.t**2 * _k_bound(4 * math.pi * math.sqrt(n) * w.t / s)
+    stop = table.norm_bound + 200000
+    while n < stop:
+        term = scale * n * t2 * _k_bound(four_pi * math.sqrt(n) * t / s)
         total += term
         if term < 1e-6 * total or term < 1e-300:
             break
@@ -217,20 +231,27 @@ def tail_estimate(table: FourierTable, w: H3Point) -> float:
 
 
 def eval_series(table: FourierTable, w: H3Point) -> tuple[tuple[complex, complex, complex], float]:
-    """Truncated series value at (z, t), with a tail estimate."""
+    """Truncated series value at (z, t), with a tail estimate.
+
+    The Bessel factors come from one k0 and one k1 call over the table's
+    |alpha| array; the terms are then summed one by one in table order.
+    """
     fld = table.space.field
     s = fld.sqrt_abs_disc
+    t, z = w.t, w.z
+    t2 = t**2
+    four_pi_i = 4j * math.pi
+    args = 4 * math.pi * table.series_mods * t / s
     f0 = f1 = f2 = 0.0 + 0.0j
-    for ac, mod, phase, a in table.series_terms:
-        arg = 4 * math.pi * mod * w.t / s
-        psi = cmath.exp(4j * math.pi * (ac * w.z).imag / s)
-        common = a * w.t**2 * psi
+    for (ac, _, phase, a), k0v, k1v in zip(table.series_terms, _k0(args).tolist(),
+                                           _k1(args).tolist()):
+        psi = cmath.exp(four_pi_i * (ac * z).imag / s)
+        common = a * t2 * psi
         # the outer components carry the phase of alpha: the unique decaying
         # harmonic combination per character is (-(u/2)K1, K0, (ubar/2)K1)
         # with u = alpha/|alpha|, in the coframe (dz/t, dt/t, dzbar/t)
-        k1v = _k1(arg)
         f0 += common * (-0.5 * phase * k1v)
-        f1 += common * _k0(arg)
+        f1 += common * k0v
         f2 += common * (0.5 * phase.conjugate() * k1v)
     return (f0, f1, f2), tail_estimate(table, w)
 

@@ -93,18 +93,19 @@ def heilbronn_action(space: SymbolSpace, alpha: QuadInt) -> SparseMat:
     which the telescoping certificate checks, gives this same matrix, so
     the family of heilbronn.DEFAULT_TIE is used.
 
-    Column j is the image of free generator j.  Its pass over the family
-    only counts hits as ints: at weight 2 the hits per image point, at
-    weight k the integer slash coefficients per (component, point) index.
-    Each distinct index's gen_map row is then folded in once, with integer
-    numerators over a common denominator, so the entries are the same
-    Fractions a per-member sum of gen_map rows gives.
+    Column j is the image of free generator j.  Its pass over the family's
+    int rows only counts hits as ints: at weight 2 the hits per image
+    point, at weight k the integer slash coefficients per (component, point)
+    index.  Each distinct index's gen_map row is then folded in once, with
+    integer numerators over a common denominator, so the entries are the
+    same Fractions a per-member sum of gen_map rows gives.
     """
     fam = heilbronn_family(alpha, DEFAULT_TIE)
     npts = len(space.points)
     act = space.act_point
     # P -> P(aX+bY, cX+dY) is the slash by the adjugate
-    sub_rows = None if space.weight == 2 else [space.slash_rows(m.adj()) for m in fam]
+    sub_rows = None if space.weight == 2 else [
+        space.slash_rows(Mat2.from_row(space.field, m).adj().row()) for m in fam]
     out = SparseMat(space.dim, space.dim)
     for j, g in enumerate(space.free_gens):
         if space.weight == 2:

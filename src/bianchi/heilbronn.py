@@ -7,6 +7,15 @@ matrix.  Because the beta are global norm minimizers in their classes, the
 chain quotients are never units and the top-right norms strictly decrease,
 so every run terminates in a matrix with top-right entry zero.
 
+The chains run on plain ints: a family is a tuple of 8-int rows
+(a.a, a.b, b.a, b.b, c.a, c.b, d.a, d.b), each step is one call of
+quadints.divide_ints (the single division kernel, which
+euclidean_division wraps for QuadInts), and the determinant of every row
+is checked as ints.  A failed invariant (unit quotient, norms that do not
+decrease, wrong determinant) raises InvariantError, which survives
+python -O.  Mat2.from_row turns a row back into a matrix where the
+certificates need one.
+
 Grouped by unimodular equivalence (M ~ M' when adj(M') M / eta lies in
 SL2(O)), the cusp paths of each class chain from oo to 0; that telescoping
 is the correctness certificate checked by the tests.
@@ -17,10 +26,12 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .quadints import (
+    Field,
+    InvariantError,
     QuadInt,
+    divide_ints,
     divides,
     divisors_up_to_units,
-    euclidean_division,
     exact_div,
     residues_below,
 )
@@ -35,41 +46,55 @@ from .symbols import Mat2, normalize_cusp
 DEFAULT_TIE = "low"
 
 
-def _chain(delta: QuadInt, beta: QuadInt, cof: QuadInt, tie: str) -> list[Mat2]:
-    fld = delta.field
-    if beta.is_zero():
-        return [Mat2(delta, beta, fld.zero, cof)]
+def _chain(fld: Field, delta: tuple[int, int], beta: tuple[int, int],
+           cof: tuple[int, int], tie: str) -> list[tuple[int, ...]]:
+    # rows [[x0, x1], [y0, y1]] from [[delta, beta], [0, cof]]: x2 = x1*q - x0
+    # is minus the remainder of x0 by x1, and y2 = y1*q - y0
+    t, m = fld.t, fld.m
+    x0a, x0b = delta
+    x1a, x1b = beta
+    y0a = y0b = 0
+    y1a, y1b = cof
+    n1 = x1a * x1a + t * x1a * x1b + m * x1b * x1b
     out = []
-    x0, x1 = delta, beta
-    y0, y1 = fld.zero, cof
     while True:
-        out.append(Mat2(x0, x1, y0, y1))
-        if x1.is_zero():
+        out.append((x0a, x0b, x1a, x1b, y0a, y0b, y1a, y1b))
+        if not n1:
             return out
-        q, _ = euclidean_division(x0, x1, tie)
-        assert not q.is_unit(), f"unit chain quotient at ({delta}, {beta})"
-        x2 = x1 * q - x0
-        y2 = y1 * q - y0
-        if not x2.is_zero() and x2.norm() >= x1.norm():
-            raise AssertionError(
-                f"chain norms failed to decrease at ({delta}, {beta}): "
-                f"{x1.norm()} -> {x2.norm()}"
-            )
-        x0, x1, y0, y1 = x1, x2, y1, y2
+        qa, qb, ra, rb = divide_ints(fld, x0a, x0b, x1a, x1b, tie)
+        if qa * qa + t * qa * qb + m * qb * qb == 1:
+            raise InvariantError(f"unit chain quotient at ({delta}, {beta}), d={fld.d}")
+        n2 = ra * ra + t * ra * rb + m * rb * rb
+        if n2 and n2 >= n1:
+            raise InvariantError(f"chain norms failed to decrease at ({delta}, {beta}), "
+                                 f"d={fld.d}: {n1} -> {n2}")
+        qbb = y1b * qb
+        y2a = y1a * qa - m * qbb - y0a
+        y2b = y1a * qb + y1b * qa + t * qbb - y0b
+        x0a, x0b, x1a, x1b, n1 = x1a, x1b, -ra, -rb, n2
+        y0a, y0b, y1a, y1b = y1a, y1b, y2a, y2b
 
 
 @lru_cache(maxsize=None)
-def heilbronn_family(eta: QuadInt, tie: str = DEFAULT_TIE) -> tuple[Mat2, ...]:
-    """The full determinant-eta family, in deterministic order."""
+def heilbronn_family(eta: QuadInt, tie: str = DEFAULT_TIE) -> tuple[tuple[int, ...], ...]:
+    """The full determinant-eta family as 8-int rows, in deterministic order."""
     if eta.is_zero():
         raise ValueError("determinant must be nonzero")
-    out: list[Mat2] = []
+    fld = eta.field
+    t, m = fld.t, fld.m
+    out: list[tuple[int, ...]] = []
     for delta in divisors_up_to_units(eta):
         cof = exact_div(eta, delta)
         for beta in residues_below(delta, tie):
-            for m in _chain(delta, beta, cof, tie):
-                assert m.det() == eta
-                out.append(m)
+            for row in _chain(fld, (delta.a, delta.b), (beta.a, beta.b), (cof.a, cof.b), tie):
+                aa, ab, ba, bb, ca, cb, da, db = row
+                # a*d - b*c, with omega^2 = t*omega - m
+                abd, bbc = ab * db, bb * cb
+                if (aa * da - m * abd - ba * ca + m * bbc != eta.a
+                        or aa * db + ab * da + t * abd - ba * cb - bb * ca - t * bbc != eta.b):
+                    raise InvariantError(f"family row {row} has determinant other than "
+                                         f"{eta} (d={fld.d})")
+                out.append(row)
     return tuple(out)
 
 
@@ -86,7 +111,7 @@ def _same_class(m1: Mat2, m2: Mat2, eta: QuadInt) -> bool:
 @lru_cache(maxsize=None)
 def heilbronn_classes(eta: QuadInt, tie: str = DEFAULT_TIE) -> tuple[tuple[int, ...], ...]:
     """Partition of the family into unimodular classes (index tuples)."""
-    fam = heilbronn_family(eta, tie)
+    fam = [Mat2.from_row(eta.field, row) for row in heilbronn_family(eta, tie)]
     assigned = [-1] * len(fam)
     classes: list[tuple[int, ...]] = []
     for i in range(len(fam)):
@@ -107,15 +132,15 @@ def class_path_sums(eta: QuadInt, tie: str = DEFAULT_TIE, family=None) -> list[d
 
     A correct family telescopes each class to [oo] - [0].  The partition
     into classes is always that of heilbronn_family(eta, tie); family, when
-    given, supplies the matrices summed in its place, so that a corrupted
-    copy can be put through the same certificate.
+    given, supplies the rows summed in its place, so that a corrupted copy
+    can be put through the same certificate.
     """
     fam = heilbronn_family(eta, tie) if family is None else family
     sums = []
     for cls in heilbronn_classes(eta, tie):
         total: dict = {}
         for i in cls:
-            m = fam[i]
+            m = Mat2.from_row(eta.field, fam[i])
             top = normalize_cusp(m.a, m.c)
             bot = normalize_cusp(m.b, m.d)
             total[top] = total.get(top, 0) + 1

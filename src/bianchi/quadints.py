@@ -17,9 +17,11 @@ from functools import lru_cache
 __all__ = [
     "EUCLIDEAN_D",
     "Field",
+    "InvariantError",
     "QuadInt",
     "canonical_associate",
     "canonical_elements_of_norm",
+    "divide_ints",
     "divides",
     "divisors_up_to_units",
     "elements_of_norm",
@@ -58,6 +60,8 @@ class Field:
             self.euclid_ratio = Fraction((1 + d) ** 2, 16 * d)
         else:
             self.euclid_ratio = Fraction(1 + d, 4)
+        # the same ratio as plain ints (numerator, denominator) for divide_ints
+        self.euclid_bound = (self.euclid_ratio.numerator, self.euclid_ratio.denominator)
         self.zero = QuadInt(self, 0, 0)
         self.one = QuadInt(self, 1, 0)
         self.omega = QuadInt(self, 0, 1)
@@ -199,38 +203,64 @@ class QuadInt:
     __repr__ = __str__
 
 
-def euclidean_division(a: QuadInt, b: QuadInt, tie: str = "low") -> tuple[QuadInt, QuadInt]:
-    """Divide with remainder: a = q*b + r and N(r) <= euclid_ratio * N(b).
+class InvariantError(RuntimeError):
+    """A load-bearing invariant of the exact arithmetic failed.
+
+    Raised explicitly rather than asserted, so the check survives python -O;
+    the command line maps it to exit code 3.
+    """
+
+
+def divide_ints(fld: Field, aa: int, ab: int, ba: int, bb: int,
+                tie: str = "low") -> tuple[int, int, int, int]:
+    """Division with remainder on coordinates: (qa, qb, ra, rb) with
+    aa + ab*omega = (qa + qb*omega)(ba + bb*omega) + ra + rb*omega.
 
     q is a lattice point nearest to the exact quotient a/b.  A nearest point
     always sits on a corner of the unit coordinate cell containing a/b, so
     only the four floor/ceil corners are tried.  Ties on N(r) resolve to the
-    lexicographically least (q.a, q.b) for tie="low", greatest for "high".
+    lexicographically least (qa, qb) for tie="low", greatest for "high".
+    Raises InvariantError when N(r) exceeds euclid_ratio * N(b).
     """
-    if b.is_zero():
+    t, m = fld.t, fld.m
+    den = ba * ba + t * ba * bb + m * bb * bb
+    if not den:
         raise ZeroDivisionError("division by zero element")
     if tie not in ("low", "high"):
         raise ValueError(f"unknown tie rule {tie!r}")
-    num = a * b.conj()
-    den = b.norm()
-    fa, ra = divmod(num.a, den)
-    fb, rb = divmod(num.b, den)
-    qas = (fa,) if ra == 0 else (fa, fa + 1)
-    qbs = (fb,) if rb == 0 else (fb, fb + 1)
-    best_key = None
+    high = tie == "high"
+    # a * conj(b), with conj(b) = (ba + t*bb) - bb*omega
+    ct = ba + t * bb
+    fa, xa = divmod(aa * ct + m * ab * bb, den)
+    fb, xb = divmod(ab * ct - aa * bb - t * ab * bb, den)
     best = None
-    for qa in qas:
-        for qb in qbs:
-            q = QuadInt(a.field, qa, qb)
-            r = a - q * b
-            key = (r.norm(), qa, qb) if tie == "low" else (r.norm(), -qa, -qb)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (q, r)
-    q, r = best
-    ratio = a.field.euclid_ratio
-    assert r.norm() * ratio.denominator <= ratio.numerator * den
-    return q, r
+    # the corners come in ascending (qa, qb) order, so on equal norms the
+    # first one is the least and the last one the greatest
+    for qa in (fa,) if xa == 0 else (fa, fa + 1):
+        for qb in (fb,) if xb == 0 else (fb, fb + 1):
+            qbb = qb * bb
+            ra = aa - qa * ba + m * qbb
+            rb = ab - qa * bb - qb * ba - t * qbb
+            rn = ra * ra + t * ra * rb + m * rb * rb
+            if best is None or rn < best[0] or (high and rn == best[0]):
+                best = (rn, qa, qb, ra, rb)
+    rn, qa, qb, ra, rb = best
+    num, dnm = fld.euclid_bound
+    if rn * dnm > num * den:
+        raise InvariantError(f"remainder norm {rn} exceeds the Euclidean bound "
+                             f"for the divisor norm {den} (d={fld.d})")
+    return qa, qb, ra, rb
+
+
+def euclidean_division(a: QuadInt, b: QuadInt, tie: str = "low") -> tuple[QuadInt, QuadInt]:
+    """Divide with remainder: a = q*b + r and N(r) <= euclid_ratio * N(b).
+
+    The QuadInt form of divide_ints, which holds the candidates, the tie
+    rule and the bound check.
+    """
+    fld = a.field
+    qa, qb, ra, rb = divide_ints(fld, a.a, a.b, b.a, b.b, tie)
+    return QuadInt(fld, qa, qb), QuadInt(fld, ra, rb)
 
 
 def divides(d0: QuadInt, x: QuadInt) -> bool:

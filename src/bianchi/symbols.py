@@ -5,8 +5,8 @@ the primes of the level.  The space is cut out by the edge relations of the
 tessellation of hyperbolic 3-space: the two-term S and J identifications,
 the universal triangle relation, and one extra polygon relation per field
 (none for d = 3, a triangle for d = 1, squares for d = 2 and 7, a hexagon
-for d = 11).  Points are moved by matrices as plain-int Hermite-box codes.
-Two-term relations are folded with a signed union-find; the rest become
+for d = 11).  Points are moved by matrices, given as 8-int rows (Mat2.row),
+as plain-int Hermite-box codes.  Two-term relations are folded with a signed union-find; the rest become
 integer rows for the sparse row reduction in linalg.rref.
 """
 
@@ -43,6 +43,18 @@ class Mat2:
     @classmethod
     def identity(cls, fld: Field) -> Mat2:
         return cls(fld.one, fld.zero, fld.zero, fld.one)
+
+    @classmethod
+    def from_row(cls, fld: Field, row: tuple[int, ...]) -> Mat2:
+        """The matrix of an 8-int row (a.a, a.b, b.a, b.b, c.a, c.b, d.a, d.b)."""
+        aa, ab, ba, bb, ca, cb, da, db = row
+        return cls(QuadInt(fld, aa, ab), QuadInt(fld, ba, bb),
+                   QuadInt(fld, ca, cb), QuadInt(fld, da, db))
+
+    def row(self) -> tuple[int, ...]:
+        """The 8-int row that act_point, slash_rows and the Heilbronn families use."""
+        a, b, c, d = self.a, self.b, self.c, self.d
+        return (a.a, a.b, b.a, b.b, c.a, c.b, d.a, d.b)
 
     @property
     def field(self) -> Field:
@@ -313,24 +325,26 @@ class SymbolSpace:
             codes[(u.a * e22 + u.b) * n + v.a * e22 + v.b] = i
         self._point_codes = codes
 
-    def act_point(self, idx: int, mat: Mat2) -> int | None:
-        """Index of (u, v) * mat, or None when the product is not unimodular.
+    def act_point(self, idx: int, row: tuple[int, ...]) -> int | None:
+        """Index of (u, v) * M, or None when the product is not unimodular.
 
-        Plain-int form of point_of(u*a + v*c, u*b + v*d): the products use
-        omega^2 = t*omega - m and each coordinate is reduced into the Hermite
-        box the way reduce_mod does.
+        M is given as its 8-int row (see Mat2.row).  Plain-int form of
+        point_of(u*a + v*c, u*b + v*d): the products use omega^2 = t*omega - m
+        and each coordinate is reduced into the Hermite box the way
+        reduce_mod does.
         """
         u, v = self.points[idx]
         fld = self.field
         e11, e12, e22 = self._hnf
         ua, ub, va, vb = u.a, u.b, v.a, v.b
+        aa, ab, ba, bb, ca, cb, da, db = row
+        m = fld.m
         # (p + q*omega)(r + s*omega) = p*r - m*q*s + ((p + t*q)*s + q*r)*omega
         ut, vt = ua + fld.t * ub, va + fld.t * vb
-        a, b, c, d = mat.a, mat.b, mat.c, mat.d
-        xa = ua * a.a + va * c.a - fld.m * (ub * a.b + vb * c.b)
-        xb = ut * a.b + ub * a.a + vt * c.b + vb * c.a
-        ya = ua * b.a + va * d.a - fld.m * (ub * b.b + vb * d.b)
-        yb = ut * b.b + ub * b.a + vt * d.b + vb * d.a
+        xa = ua * aa + va * ca - m * (ub * ab + vb * cb)
+        xb = ut * ab + ub * aa + vt * cb + vb * ca
+        ya = ua * ba + va * da - m * (ub * bb + vb * db)
+        yb = ut * bb + ub * ba + vt * db + vb * da
         kx, ky = xa // e11, ya // e11
         code = (((xa - kx * e11) * e22 + (xb - kx * e12) % e22) * e11 * e22
                 + (ya - ky * e11) * e22 + (yb - ky * e12) % e22)
@@ -340,13 +354,13 @@ class SymbolSpace:
     def _build_weight2(self) -> None:
         npts = len(self.points)
         uf = _SignedUF(npts)
-        S = self.sum_words[0][1]
+        S, J = self.sum_words[0][1].row(), self.J.row()
         for i in range(npts):
             uf.union(i, self.act_point(i, S), -1)  # x + x*S = 0
-            uf.union(i, self.act_point(i, self.J), 1)  # x*J = x
+            uf.union(i, self.act_point(i, J), 1)  # x*J = x
         rows = []
         for word in self.sum_words[1:]:
-            acts = [[self.act_point(i, w) for i in range(npts)] for w in word]
+            acts = [[self.act_point(i, r) for i in range(npts)] for r in map(Mat2.row, word)]
             for i in range(npts):
                 row: dict[int, int] = {}
                 for act in acts:
@@ -374,20 +388,22 @@ class SymbolSpace:
                 gm.append({qidx[r]: Fraction(s)})
         self.gen_map = gm
 
-    def slash_rows(self, g: Mat2) -> list[dict[int, int]]:
+    def slash_rows(self, row: tuple[int, ...]) -> list[dict[int, int]]:
         """Integer matrix of P -> P|_g on the flattened components.
 
-        Row 2*i + part is the image of X^i Y^(k-2-i) times 1 (part 0) or
-        omega (part 1), keyed by the same flattening.  Relation words slash
-        by w^-1, Heilbronn matrices by their adjugate.  The powers of the
-        two linear forms slash_poly substitutes are built once per matrix,
-        on (a, b) int pairs standing for a + b*omega.
+        g is given as its 8-int row (see Mat2.row).  Row 2*i + part of the
+        result is the image of X^i Y^(k-2-i) times 1 (part 0) or omega
+        (part 1), keyed by the same flattening.  Relation words slash by
+        w^-1, Heilbronn matrices by their adjugate.  The powers of the two
+        linear forms slash_poly substitutes are built once per matrix, on
+        (a, b) int pairs standing for a + b*omega.
         """
         t, m = self.field.t, self.field.m
         deg = self.weight - 2
+        aa, ab, ba, bb, ca, cb, da, db = row
         # images of X and Y, as [Y-part, X-part]
-        l1 = [(-g.b.a, -g.b.b), (g.d.a, g.d.b)]
-        l2 = [(g.a.a, g.a.b), (-g.c.a, -g.c.b)]
+        l1 = [(-ba, -bb), (da, db)]
+        l2 = [(aa, ab), (-ca, -cb)]
         pows1, pows2 = [[(1, 0)]], [[(1, 0)]]
         for _ in range(deg):
             pows1.append(_pmul_ints(pows1[-1], l1, t, m))
@@ -415,8 +431,9 @@ class SymbolSpace:
         rels.append([(Mat2.identity(fld), 1), (self.J, -1)])
         rows = []
         for rel in rels:
-            mats = [self.slash_rows(w.inv_unit()) for w, _ in rel]
-            acts = [[self.act_point(i, w) for i in range(npts)] for w, _ in rel]
+            mats = [self.slash_rows(w.inv_unit().row()) for w, _ in rel]
+            acts = [[self.act_point(i, r) for i in range(npts)]
+                    for r in (w.row() for w, _ in rel)]
             for p in range(npts):
                 for ci in range(ncomp):
                     row: dict[int, int] = {}
@@ -517,6 +534,7 @@ def point_cusp_orbits(space: SymbolSpace) -> list[int]:
         moves.append(Mat2(lam, zero, zero, one))  # (u, v) -> (lam*u, v)
     for mu in (one, -one, fld.omega, -fld.omega):
         moves.append(Mat2(one, mu, zero, one))  # (u, v) -> (u, v + mu*u)
+    moves = [mv.row() for mv in moves]
     ids = [-1] * len(space.points)
     nxt = 0
     for i in range(len(space.points)):

@@ -253,7 +253,8 @@ def _telescoping_negative_control(t0: float, tie: str) -> CheckResult:
     fld = Field.get(1)
     eta = fld.from_int(3)
     fam = list(heilbronn_family(eta, tie))
-    fam[0] = Mat2(fam[0].a, fam[0].b + fld.one, fam[0].c, fam[0].d)
+    m = Mat2.from_row(fld, fam[0])
+    fam[0] = Mat2(m.a, m.b + fld.one, m.c, m.d).row()
     inf = normalize_cusp(fld.one, fld.zero)
     zero = normalize_cusp(fld.zero, fld.one)
     broken = [k for k, s in enumerate(class_path_sums(eta, tie, fam))
@@ -275,7 +276,8 @@ def check_heilbronn_invariants(norm_bound: int = 20, tie: str = "low") -> CheckR
     matrices = primes = 0
     for fld in FIELDS:
         for eta in _canonical_levels(fld, norm_bound):
-            for m in heilbronn_family(eta, tie):
+            for row in heilbronn_family(eta, tie):
+                m = Mat2.from_row(fld, row)
                 good = (
                     m.det() == eta
                     and m.a.norm() > m.b.norm() >= 0

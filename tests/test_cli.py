@@ -85,6 +85,44 @@ def test_heilbronn_has_no_disk_cache(runner, tmp_path, monkeypatch):
     invoke(runner, *args, "--cache-dir", str(tmp_path), code=2)
 
 
+# sha256 of heilbronn --tie high --verify at one eta of norm 26-50 per field
+# (each with different low and high families), pinned before the families
+# moved to int rows
+HEILBRONN_PINS = [
+    (1, "5+w", "5949a1f7d8cd142a032ccfbed8960cde8213b544488026526799abba37103846"),
+    (2, "3+3w", "6db0b42f3a2cf5e2f84628eb6651431c7a4953928416e40d222e858f11e6314c"),
+    (3, "6+w", "9ef9c5b75982f95778051496e39191eb45b4deb13b76c38036c6b0e48b301215"),
+    (7, "5+w", "f085506bc86d0330e2612e808817208b57b52d256de9807f31fd1538d2864cba"),
+    (11, "4+2w", "5ceded7cc18ecc53893474185418d47af63f72a857e9a9c44b77e7b3702608c1"),
+]
+
+
+@pytest.mark.parametrize("d, eta, digest", HEILBRONN_PINS,
+                         ids=[f"d{p[0]}-{p[1]}" for p in HEILBRONN_PINS])
+def test_heilbronn_pins(runner, d, eta, digest):
+    result = invoke(runner, "heilbronn", "--d", str(d), "--eta", eta, "--tie", "high", "--verify")
+    assert json.loads(result.stdout)["telescoping"] is True
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
+def test_invariant_failure_exits_3(runner, monkeypatch):
+    import bianchi.heilbronn as hb
+    from bianchi.quadints import InvariantError
+
+    def broken(fld, delta, beta, cof, tie):
+        raise InvariantError("forced")
+
+    monkeypatch.setattr(hb, "_chain", broken)
+    hb.heilbronn_family.cache_clear()
+    try:
+        result = runner.invoke(main, ["heilbronn", "--d", "7", "--eta", "3"])
+    finally:
+        hb.heilbronn_family.cache_clear()
+    assert result.exit_code == 3
+    assert "invariant failed: forced" in result.stderr
+    assert result.stdout == ""
+
+
 def test_tie_rule_only_on_heilbronn(runner):
     # the family is the output of heilbronn; operators and tables do not
     # depend on it (Merel's condition, checked by the telescoping certificate)
@@ -225,6 +263,34 @@ def test_eval_matches_saved_table(runner, tmp_path):
     assert direct["tail_estimate"] > 0
 
 
+# sha256 of eval at the reference level (default norm bound 40), t = 0.5
+# and 2.0 among the heights, and of one eval --table on a norm-30 table;
+# pinned before the Bessel factors were vectorised.  perfbench compares
+# evaluations only to 1e-9, so these hold the floats to bit-identity
+EVAL_PINS = [
+    ("0.1+0.2i", "0.5", "7540d47524383a0e7817dd73caafb68a8c105d837cc49d13508ec556c633af91"),
+    ("-0.3+0.45i", "2.0", "16582565998c14325dd0e1d1e9b5c29fb2164be461f049f18a37f3300a795f29"),
+    ("0.25-0.1i", "1.0", "f3b858893a2de843432ee2cdc9b0c7a87a2148d01ac7cf24386e68189f6704be"),
+    ("0.4i", "0.75", "81c34012c0803be6027b3d2904ba20318ba77d07d3a0c00e31778d9bbc74542e"),
+    ("-0.05-0.37i", "1.6", "b0c0ee0eec42f27d68409cd3bf9102bff52b811dcbd6114ac38c8058aa652cd2"),
+]
+
+
+@pytest.mark.parametrize("z, t, digest", EVAL_PINS, ids=[f"z{p[0]}-t{p[1]}" for p in EVAL_PINS])
+def test_eval_pins(runner, z, t, digest):
+    result = invoke(runner, "eval", "--d", "11", "--level", "1-2w", "--z", z, "--t", t)
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
+def test_eval_table_pin(runner, tmp_path):
+    table_file = tmp_path / "table.json"
+    invoke(runner, "fourier", "--d", "11", "--level", "1-2w", "--norm-bound", "30",
+           "--out", str(table_file))
+    result = invoke(runner, "eval", "--table", str(table_file), "--z", "0.15-0.35i", "--t", "0.6")
+    assert (hashlib.sha256(result.stdout.encode()).hexdigest()
+            == "d772b4d057f03999ebe8353957e49b6210fd4350dbe017c460f0ea05c4f13132")
+
+
 def test_eval_empty_table(runner, tmp_path):
     table_file = tmp_path / "empty.json"
     table_file.write_text('{"d": 11, "level": "1-2w", "norm_bound": 0, "a": []}')
@@ -260,7 +326,10 @@ def test_eval_bad_table(runner, tmp_path):
                 '{"d": 11, "level": "1-2w", "norm_bound": -3, "a": []}',
                 # an int past the float range, where math.isfinite raises
                 '{"d": 11, "level": "1-2w", "norm_bound": 1, "a": [{"alpha": "1", "re": 1%s}]}'
-                % ("0" * 400)):
+                % ("0" * 400),
+                # a norm bound past the float range, which the tail estimate
+                # could not take into floats
+                '{"d": 11, "level": "1-2w", "norm_bound": 1%s, "a": []}' % ("0" * 400)):
         table_file.write_text(doc)
         invoke(runner, "eval", "--table", str(table_file), "--z", "0.3i", "--t", "1.5", code=2)
 
@@ -344,6 +413,9 @@ OPTIMIZED_RUNS = [
     ["hecke", "--d", "7", "--level", "2+4w", "--eta", "1-2w", "--oracle"],
     ["eigen", "--d", "11", "--level", "1-2w"],
     ["fourier", "--d", "11", "--level", "1-2w", "--norm-bound", "20"],
+    ["heilbronn", "--d", "7", "--eta", "3+w", "--tie", "high", "--verify"],
+    ["eval", "--d", "11", "--level", "1-2w", "--norm-bound", "20", "--z", "0.1+0.2i",
+     "--t", "0.7"],
 ]
 
 
@@ -370,4 +442,5 @@ def test_same_output_under_python_O():
     assert plain.stderr.endswith(b"optimize=0") and optimized.stderr.endswith(b"optimize=1")
     assert plain.stderr[:-1] == optimized.stderr[:-1]
     assert plain.stdout == optimized.stdout
-    assert plain.stdout.count(b'"level"') == len(OPTIMIZED_RUNS)
+    # one document per run, each closed by a "}" line (heilbronn has no level)
+    assert plain.stdout.count(b"\n}\n") == len(OPTIMIZED_RUNS)

@@ -1,9 +1,12 @@
+import cmath
 import functools
 import math
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
+from scipy.special import k0, k1
 
 from bianchi.fourier import (
     DualFunctional,
@@ -99,7 +102,7 @@ def form_table(bound):
 
 def test_functional_slash_identity_and_zero():
     space, system, phi, x = level_form()
-    ident = Mat2.identity(space.field)
+    ident = Mat2.identity(space.field).row()
     assert functional_slash(phi, ident, x) == phi(x.quotient_vector()) == 1
     empty = SeedElement(space, {})
     assert functional_slash(phi, ident, empty) == 0
@@ -172,6 +175,61 @@ def test_table_json_shape():
     assert obj["d"] == 11 and obj["level"] == "1-2w" and obj["norm_bound"] == 5
     norms = [parse_element(Field.get(11), e["alpha"]).norm() for e in obj["a"]]
     assert norms == sorted(norms)
+
+
+def tail_estimate_reference(table, w):
+    # the per-step loop tail_estimate replaced: growth stays a Fraction and
+    # meets a float on every step
+    s = table.space.field.sqrt_abs_disc
+    growth = table.growth
+    density = 2 * math.pi / s
+    total = 0.0
+    n = table.norm_bound + 1
+    while n < table.norm_bound + 200000:
+        x = 4 * math.pi * math.sqrt(n) * w.t / s
+        term = density * growth * n * w.t**2 * (
+            2.0 * math.sqrt(math.pi / (2 * x)) * math.exp(-x))
+        total += term
+        if term < 1e-6 * total or term < 1e-300:
+            break
+        n += 1
+    return float(total)
+
+
+def eval_series_reference(table, w):
+    # the scalar Bessel loop eval_series replaced: two scipy calls per term
+    s = table.space.field.sqrt_abs_disc
+    f0 = f1 = f2 = 0.0 + 0.0j
+    for ac, mod, phase, a in table.series_terms:
+        arg = 4 * math.pi * mod * w.t / s
+        psi = cmath.exp(4j * math.pi * (ac * w.z).imag / s)
+        common = a * w.t**2 * psi
+        k1v = k1(arg)
+        f0 += common * (-0.5 * phase * k1v)
+        f1 += common * k0(arg)
+        f2 += common * (0.5 * phase.conjugate() * k1v)
+    return (f0, f1, f2), tail_estimate_reference(table, w)
+
+
+def test_eval_series_bit_identical_to_scalar_reference():
+    # equality, not a tolerance: the vectorised Bessel factors and the
+    # hoisted tail constants must round exactly as the scalar loops did
+    table = form_table(100)
+    assert isinstance(table.growth, Fraction)
+    rng = random.Random(8)
+    points = [(complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)), rng.uniform(0.5, 2.0))
+              for _ in range(498)]
+    points += [(0.1 + 0.2j, 0.5), (-0.3 + 0.45j, 2.0)]
+    for z, t in points:
+        w = H3Point(z, t)
+        got = eval_series(table, w)
+        assert got == eval_series_reference(table, w), (z, t)
+        assert got[1] == tail_estimate(table, w)
+    # the empty table's growth is the float default
+    empty = FourierTable(table.space, 7, {}, Fraction(0))
+    for t in (0.5, 2.0):
+        w = H3Point(0.2j, t)
+        assert eval_series(empty, w) == eval_series_reference(empty, w)
 
 
 def test_eval_zero_table():
@@ -265,7 +323,7 @@ def test_weight_restriction():
     with pytest.raises(ValueError):
         fourier_coefficients(phi, x, 3)
     with pytest.raises(ValueError):
-        functional_slash(phi, Mat2.identity(fld), x)
+        functional_slash(phi, Mat2.identity(fld).row(), x)
 
 
 def test_seed_space_mismatch():

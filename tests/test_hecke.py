@@ -445,7 +445,8 @@ def heilbronn_action_reference(space, alpha, tie="low"):
     fam = heilbronn_family(alpha, tie)
     npts = len(space.points)
     sub_rows = (None if space.weight == 2
-                else [slash_rows_reference(space, m.adj()) for m in fam])
+                else [slash_rows_reference(space, Mat2.from_row(space.field, m).adj())
+                      for m in fam])
     out = SparseMat(space.dim, space.dim)
     for j, g in enumerate(space.free_gens):
         col: dict = {}

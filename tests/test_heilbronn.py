@@ -1,6 +1,14 @@
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
+
+import bianchi
 from bianchi.heilbronn import (
+    DEFAULT_TIE,
+    _chain,
     class_path_sums,
     heilbronn_classes,
     heilbronn_family,
@@ -9,17 +17,142 @@ from bianchi.heilbronn import (
 from bianchi.quadints import (
     EUCLIDEAN_D,
     Field,
+    InvariantError,
     canonical_elements_of_norm,
     divisors_up_to_units,
+    exact_div,
     is_prime_element,
     parse_element,
+    residues_below,
 )
 from bianchi.symbols import Mat2, normalize_cusp
+
+from test_quadints import euclidean_division_reference
 
 
 def small_etas(fld, bound):
     for n in range(2, bound + 1):
         yield from canonical_elements_of_norm(fld, n)
+
+
+def mats(eta, tie=DEFAULT_TIE):
+    return [Mat2.from_row(eta.field, row) for row in heilbronn_family(eta, tie)]
+
+
+def _chain_reference(delta, beta, cof, tie):
+    # the QuadInt chain the int rows replaced
+    fld = delta.field
+    if beta.is_zero():
+        return [Mat2(delta, beta, fld.zero, cof)]
+    out = []
+    x0, x1 = delta, beta
+    y0, y1 = fld.zero, cof
+    while True:
+        out.append(Mat2(x0, x1, y0, y1))
+        if x1.is_zero():
+            return out
+        q, _ = euclidean_division_reference(x0, x1, tie)
+        assert not q.is_unit()
+        x2 = x1 * q - x0
+        y2 = y1 * q - y0
+        assert x2.is_zero() or x2.norm() < x1.norm()
+        x0, x1, y0, y1 = x1, x2, y1, y2
+
+
+def heilbronn_family_reference(eta, tie=DEFAULT_TIE):
+    # the QuadInt heilbronn_family the int rows replaced, as Mat2s
+    out = []
+    for delta in divisors_up_to_units(eta):
+        cof = exact_div(eta, delta)
+        for beta in residues_below(delta, tie):
+            for m in _chain_reference(delta, beta, cof, tie):
+                assert m.det() == eta
+                out.append(m)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("d", EUCLIDEAN_D)
+def test_family_rows_match_quadint_reference(d):
+    fld = Field.get(d)
+    for n in range(1, 41):
+        for eta in canonical_elements_of_norm(fld, n):
+            for tie in ("low", "high"):
+                want = tuple(m.row() for m in heilbronn_family_reference(eta, tie))
+                assert heilbronn_family(eta, tie) == want, (d, str(eta), tie)
+
+
+def test_family_rows_match_reference_on_expansion_table():
+    # every alpha of the norm-100 table at the reference level: all unit
+    # multiples of the canonical elements, with the default tie rule
+    fld = Field.get(11)
+    alphas = [u * e for n in range(1, 101) for e in canonical_elements_of_norm(fld, n)
+              for u in fld.units]
+    assert len(alphas) == 194
+    for alpha in alphas:
+        want = tuple(m.row() for m in heilbronn_family_reference(alpha, DEFAULT_TIE))
+        assert heilbronn_family(alpha, DEFAULT_TIE) == want, str(alpha)
+
+
+def test_chain_invariants_raise():
+    fld = Field.get(1)
+    # beta = delta makes the first quotient the unit 1
+    with pytest.raises(InvariantError, match="unit chain quotient"):
+        _chain(fld, (3, 0), (3, 0), (1, 0), "low")
+    # beta = 2 is not minimal mod 3 (-1 is): the quotient 1 is a unit
+    with pytest.raises(InvariantError):
+        _chain(fld, (3, 0), (2, 0), (1, 0), "low")
+    # a minimal residue runs to the end
+    assert _chain(fld, (3, 0), (1, 1), (1, 0), "low")[-1][2:4] == (0, 0)
+
+
+def test_family_determinant_is_an_invariant_error(monkeypatch):
+    import bianchi.heilbronn as hb
+
+    fld = Field.get(2)
+    eta = parse_element(fld, "3+2w")
+    real = hb._chain
+
+    def corrupted(*args):
+        rows = real(*args)
+        aa, ab, ba, bb, ca, cb, da, db = rows[-1]
+        # the last row of a chain has b = 0, so its determinant is a*d
+        return rows[:-1] + [(aa, ab, ba, bb, ca, cb, da + 1, db)]
+
+    monkeypatch.setattr(hb, "_chain", corrupted)
+    heilbronn_family.cache_clear()
+    try:
+        with pytest.raises(InvariantError, match="determinant"):
+            heilbronn_family(eta)
+    finally:
+        heilbronn_family.cache_clear()
+
+
+def test_invariants_fire_under_python_O():
+    # explicit raises, not asserts: python -O must not strip them
+    script = (
+        "import sys\n"
+        "from bianchi.heilbronn import _chain\n"
+        "from bianchi.quadints import Field, InvariantError\n"
+        "assert sys.flags.optimize == 1\n"
+        "fld = Field.get(1)\n"
+        "try:\n"
+        "    _chain(fld, (3, 0), (3, 0), (1, 0), 'low')\n"
+        "except InvariantError as exc:\n"
+        "    print('chain:', exc)\n"
+        "loose = Field(2)\n"
+        "loose.euclid_bound = (0, 1)\n"
+        "try:\n"
+        "    _chain(loose, (5, 0), (2, 1), (1, 0), 'low')\n"
+        "except InvariantError as exc:\n"
+        "    print('bound:', exc)\n"
+    )
+    env = {"PYTHONPATH": str(Path(bianchi.__file__).parents[1]), "PYTHONHASHSEED": "0",
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+    out = proc.stdout.decode().splitlines()
+    assert [line.split(":")[0] for line in out] == ["chain", "bound"], out
 
 
 def test_pinned_family_norm_two():
@@ -34,14 +167,16 @@ def test_pinned_family_norm_two():
         Mat2(eta, i, F.zero, F.one),
         Mat2(i, F.zero, F.one, F.elt(1, -1)),
     )
-    assert fam == expected
+    assert fam == tuple(m.row() for m in expected)
+    assert fam == ((1, 0, 0, 0, 0, 0, 1, 1), (1, 1, 0, 0, 0, 0, 1, 0),
+                   (1, 1, 0, 1, 0, 0, 1, 0), (0, 1, 0, 0, 1, 0, 1, -1))
 
 
 def test_determinants_and_leading_matrix():
     for d in EUCLIDEAN_D:
         fld = Field.get(d)
         for eta in small_etas(fld, 10):
-            fam = heilbronn_family(eta)
+            fam = mats(eta)
             assert all(m.det() == eta for m in fam)
             # the divisor delta = 1 contributes exactly diag(1, eta) first
             assert fam[0] == Mat2(fld.one, fld.zero, fld.zero, eta)
@@ -117,8 +252,8 @@ def test_path_sums_of_a_perturbed_family():
         good = {normalize_cusp(fld.one, fld.zero): 1, normalize_cusp(fld.zero, fld.one): -1}
         fam = list(heilbronn_family(eta))
         assert all(s == good for s in class_path_sums(eta, family=fam))
-        m = fam[-1]
-        fam[-1] = Mat2(m.a, m.b, m.c + fld.one, m.d)
+        m = Mat2.from_row(fld, fam[-1])
+        fam[-1] = Mat2(m.a, m.b, m.c + fld.one, m.d).row()
         assert any(s != good for s in class_path_sums(eta, family=fam))
 
 
@@ -129,7 +264,7 @@ def test_high_tie_break_also_certifies():
         for eta in small_etas(fld, 8):
             low = heilbronn_family(eta, "low")
             high = heilbronn_family(eta, "high")
-            assert all(m.det() == eta for m in high)
+            assert all(m.det() == eta for m in mats(eta, "high"))
             assert telescoping_ok(eta, "high")
             if low != high:
                 some_difference = True
@@ -141,7 +276,7 @@ def test_norm_inequalities_per_entry():
     for d in EUCLIDEAN_D:
         fld = Field.get(d)
         for eta in small_etas(fld, 10):
-            for m in heilbronn_family(eta):
+            for m in mats(eta):
                 assert m.a.norm() > m.b.norm() >= 0
                 assert m.d.norm() > m.c.norm() >= 0
 
@@ -154,7 +289,7 @@ def test_remainder_contraction_is_sharp():
     for d, eps in shrink.items():
         fld = Field.get(d)
         for eta in small_etas(fld, 10):
-            for m in heilbronn_family(eta):
+            for m in mats(eta):
                 if not m.b.is_zero():
                     assert Fraction(m.b.norm()) <= eps * m.a.norm()
 

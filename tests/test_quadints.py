@@ -13,8 +13,10 @@ from hypothesis import given, strategies as st
 from bianchi.quadints import (
     EUCLIDEAN_D,
     Field,
+    InvariantError,
     QuadInt,
     canonical_associate,
+    divide_ints,
     divides,
     divisors_up_to_units,
     elements_of_norm,
@@ -147,6 +149,63 @@ def test_division_pins_gaussian():
     assert euclidean_division(g.one, g.elt(1, 1), tie="high") == (g.elt(1, 0), g.elt(0, -1))
     with pytest.raises(ValueError):
         euclidean_division(g.one, g.one, tie="nearest")
+
+
+def euclidean_division_reference(a, b, tie="low"):
+    # the QuadInt division divide_ints replaced: the four floor/ceil corners
+    # of a/b, least (N(r), qa, qb) for "low", least (N(r), -qa, -qb) for "high"
+    fld = a.field
+    num = a * b.conj()
+    den = b.norm()
+    fa, ra = divmod(num.a, den)
+    fb, rb = divmod(num.b, den)
+    best_key = best = None
+    for qa in (fa,) if ra == 0 else (fa, fa + 1):
+        for qb in (fb,) if rb == 0 else (fb, fb + 1):
+            q = fld.elt(qa, qb)
+            r = a - q * b
+            key = (r.norm(), qa, qb) if tie == "low" else (r.norm(), -qa, -qb)
+            if best_key is None or key < best_key:
+                best_key, best = key, (q, r)
+    return best
+
+
+@given(elt_pairs(), st.sampled_from(["low", "high"]))
+def test_divide_ints_matches_wrapper_and_reference(pair, tie):
+    a, b = pair
+    if b.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            divide_ints(a.field, a.a, a.b, 0, 0, tie)
+        return
+    qa, qb, ra, rb = divide_ints(a.field, a.a, a.b, b.a, b.b, tie)
+    q, r = euclidean_division(a, b, tie)
+    assert (qa, qb, ra, rb) == (q.a, q.b, r.a, r.b)
+    assert (q, r) == euclidean_division_reference(a, b, tie)
+
+
+def test_divide_ints_ties_match_reference():
+    # small quotients tie on several corners; both rules must match the
+    # reference on every pair of a box in every field
+    for fld in FIELDS:
+        box = [fld.elt(x, y) for x in range(-4, 5) for y in range(-4, 5)]
+        for a in box:
+            for b in box[:40]:
+                if b.is_zero():
+                    continue
+                for tie in ("low", "high"):
+                    q, r = euclidean_division_reference(a, b, tie)
+                    assert divide_ints(fld, a.a, a.b, b.a, b.b, tie) == (q.a, q.b, r.a, r.b)
+    with pytest.raises(ValueError):
+        divide_ints(FIELDS[0], 1, 0, 1, 0, "nearest")
+
+
+def test_division_bound_is_an_invariant_error():
+    # a field whose stated Euclidean bound is too tight must fail loudly
+    fld = Field(1)
+    fld.euclid_bound = (1, 4)
+    with pytest.raises(InvariantError):
+        divide_ints(fld, 1, 0, 1, 1)
+    assert issubclass(InvariantError, RuntimeError) and not issubclass(InvariantError, AssertionError)
 
 
 def test_exact_div():
