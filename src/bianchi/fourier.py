@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import Counter
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -37,7 +37,7 @@ from scipy.special import k0 as _k0, k1 as _k1
 from .boundary import boundary_of_gen
 from .heilbronn import DEFAULT_TIE, heilbronn_family
 from .linalg import vec_axpy, vec_dot
-from .quadints import QuadInt, canonical_elements_of_norm, divides
+from .quadints import InvariantError, QuadInt, canonical_elements_of_norm, divides
 from .symbols import Mat2, SymbolSpace
 
 
@@ -153,13 +153,34 @@ class FourierTable:
         }
 
 
+def _unit_twist(rows: np.ndarray, u: QuadInt) -> np.ndarray:
+    # rows with the bottom-row entries c and d multiplied by the unit u: the
+    # family of u*eta when rows is the family of eta (see heilbronn_family)
+    a, b = u.a, u.b
+    if (a, b) == (1, 0):
+        return rows
+    fld = u.field
+    out = rows.copy()
+    p, q = rows[:, 4::2], rows[:, 5::2]
+    out[:, 4::2] = p * a - fld.m * q * b
+    out[:, 5::2] = p * b + q * (a + fld.t * b)
+    return out
+
+
 def fourier_coefficients(phi: DualFunctional, x: SeedElement, norm_bound: int) -> FourierTable:
     """Coefficient table a_alpha = sum over the family of determinant alpha.
 
     Associates are listed separately; nothing requires alpha coprime to the
     level, the non-unimodular images just drop out.  Only the seed's support
-    is moved: a_alpha = sum_g c_g sum_M phi(gen_map[g*M]), with the hits on
-    each point counted as ints before phi's value there is read.
+    is moved: a_alpha = sum_g c_g sum_M phi(gen_map[g*M]).
+
+    Each canonical alpha's family is built once and turned into an (n, 8)
+    int64 array; the family of each unit multiple u*alpha is that array with
+    c and d multiplied by u.  One SymbolSpace.act_points pass per unit
+    multiple moves the whole support, and phi's values, written as int
+    numerators over one common denominator, are gathered and summed in
+    int64 before the exact Fraction is formed.  The int64 ranges are checked
+    and raise InvariantError.
 
     The table takes no tie rule: a_alpha = phi(T_alpha x) is the same for
     every family satisfying Merel's condition, which the telescoping
@@ -171,20 +192,34 @@ def fourier_coefficients(phi: DualFunctional, x: SeedElement, norm_bound: int) -
     if x.space is not space:
         raise ValueError("functional and seed live on different spaces")
     fld = space.field
+    int64_max = np.iinfo(np.int64).max
     weights = [phi(image) for image in space.gen_map]
-    act = space.act_point
+    w_den = math.lcm(*(w.denominator for w in weights))
+    w_nums = [w.numerator * (w_den // w.denominator) for w in weights]
+    w_reach = max(map(abs, w_nums), default=0)
+    # index -1, a non-unimodular image, reads the trailing 0; a weight past
+    # int64 is never read, the first family's range check refuses it
+    w_table = np.array([n if abs(n) <= int64_max else 0 for n in w_nums] + [0], dtype=np.int64)
+    gens = list(x.coefficients)
+    coeffs = x.coefficients.values()
+    c_den = math.lcm(*(c.denominator for c in coeffs))
+    c_nums = [c.numerator * (c_den // c.denominator) for c in coeffs]
+    den = w_den * c_den
     entries = {}
     for n in range(1, norm_bound + 1):
         for base in canonical_elements_of_norm(fld, n):
+            fam = heilbronn_family(base, DEFAULT_TIE)
+            if w_reach * len(fam) > int64_max:
+                raise InvariantError(f"weights up to {w_reach} over {len(fam)} family rows "
+                                     f"overflow int64 (d={fld.d}, eta={base})")
+            rows = np.array(fam, dtype=np.int64)
+            if max(int(rows.max()), -int(rows.min())) * (1 + fld.m + fld.t) > int64_max:
+                raise InvariantError(f"family rows of {base} overflow int64 under a unit "
+                                     f"twist (d={fld.d})")
             for u in fld.units:
-                alpha = u * base
-                fam = heilbronn_family(alpha, DEFAULT_TIE)
-                total = Fraction(0)
-                for g, c in x.coefficients.items():
-                    hits = Counter(act(g, m) for m in fam)
-                    hits.pop(None, None)
-                    total += c * sum(weights[pt] * k for pt, k in hits.items() if weights[pt])
-                entries[alpha] = total
+                sums = w_table[space.act_points(gens, _unit_twist(rows, u))].sum(axis=1)
+                total = sum(map(operator.mul, c_nums, sums.tolist()))
+                entries[u * base] = Fraction(total, den)
     return FourierTable(space, norm_bound, entries, phi(x.quotient_vector()))
 
 
@@ -222,7 +257,12 @@ def tail_estimate(table: FourierTable, w: H3Point) -> float:
     n = table.norm_bound + 1
     stop = table.norm_bound + 200000
     while n < stop:
-        term = scale * n * t2 * _k_bound(four_pi * math.sqrt(n) * t / s)
+        k = _k_bound(four_pi * math.sqrt(n) * t / s)
+        if not k:
+            # the Bessel bound underflowed: the rest adds nothing, and
+            # scale * n * t2 may already be inf, which times 0.0 is nan
+            break
+        term = scale * n * t2 * k
         total += term
         if term < 1e-6 * total or term < 1e-300:
             break

@@ -77,7 +77,14 @@ def _chain(fld: Field, delta: tuple[int, int], beta: tuple[int, int],
 
 @lru_cache(maxsize=None)
 def heilbronn_family(eta: QuadInt, tie: str = DEFAULT_TIE) -> tuple[tuple[int, ...], ...]:
-    """The full determinant-eta family as 8-int rows, in deterministic order."""
+    """The full determinant-eta family as 8-int rows, in deterministic order.
+
+    For a unit u, heilbronn_family(u*eta) is heilbronn_family(eta) row for
+    row with the bottom-row entries c and d multiplied by u: u*eta has the
+    same divisors and residues, a chain's top rows depend only on delta and
+    beta, and its bottom rows are linear in the cofactor, which becomes
+    u*cof.  fourier_coefficients builds only the canonical families.
+    """
     if eta.is_zero():
         raise ValueError("determinant must be nonzero")
     fld = eta.field

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as _igcd, lcm as _ilcm
 
-from .quadints import rational_prime_factors
+from .quadints import InvariantError, rational_prime_factors
 
 
 def vec_clean(v: dict) -> dict:
@@ -345,7 +345,8 @@ def _deflate(coeffs: list, r) -> list:
     q[n - 1] = Fraction(coeffs[n])
     for i in range(n - 1, 0, -1):
         q[i - 1] = coeffs[i] + r * q[i]
-    assert coeffs[0] + r * q[0] == 0
+    if coeffs[0] + r * q[0] != 0:
+        raise InvariantError(f"{r} is not a root of the polynomial {coeffs}")
     return q
 
 

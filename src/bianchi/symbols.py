@@ -13,11 +13,14 @@ integer rows for the sparse row reduction in linalg.rref.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 from .linalg import rref, vec_axpy, vec_sub
 from .quadints import (
     Field,
+    InvariantError,
     QuadInt,
     canonical_associate,
     divides,
@@ -226,12 +229,15 @@ def lift_to_sl2(fld: Field, nu: QuadInt, u: QuadInt, v: QuadInt) -> Mat2:
                 uu, vv = u, v + t * nu
                 break
         else:
-            raise AssertionError(f"no coprime shift for ({u}, {v}) mod {nu}")
+            raise InvariantError(f"no coprime shift for ({u}, {v}) mod {nu} (d={fld.d})")
     g0, x, y = xgcd(vv, uu)
-    assert g0.is_unit()
+    if not g0.is_unit():
+        raise InvariantError(f"({uu}, {vv}) is not unimodular mod {nu} (d={fld.d})")
     gi = g0.conj()
     m = Mat2(x * gi, -(y * gi), uu, vv)
-    assert m.det() == fld.one
+    if m.det() != fld.one:
+        raise InvariantError(f"lift of ({u}, {v}) mod {nu} has determinant {m.det()} "
+                             f"(d={fld.d})")
     return m
 
 
@@ -350,6 +356,48 @@ class SymbolSpace:
                 + (ya - ky * e11) * e22 + (yb - ky * e12) % e22)
         pt = self._point_codes[code]
         return None if pt < 0 else pt
+
+    @cached_property
+    def _point_arrays(self) -> tuple[np.ndarray, np.ndarray, int]:
+        # int64 copies for act_points, built on first use: the code table,
+        # the point coordinates (u.a, u.b, v.a, v.b, u.a + t*u.b, v.a + t*v.b)
+        # as columns, and the largest of those coordinates
+        t = self.field.t
+        coords = np.array([(u.a, u.b, v.a, v.b, u.a + t * u.b, v.a + t * v.b)
+                           for u, v in self.points], dtype=np.int64).reshape(-1, 6)
+        reach = int(coords.max(initial=0))
+        return np.array(self._point_codes, dtype=np.int64), coords, reach
+
+    def act_points(self, gens: list[int], rows: np.ndarray) -> np.ndarray:
+        """act_point of every generator in gens against every row of rows.
+
+        rows is an (n, 8) int64 array of 8-int rows; the result is the
+        (len(gens), n) int64 array of point indices, -1 where the product is
+        not unimodular.  The arithmetic is act_point's, broadcast, with
+        numpy's // and % flooring as Python's do.  InvariantError is raised
+        when a row entry times a point coordinate, or anything the
+        reduction builds from it, could leave int64.
+        """
+        codes, coords, reach = self._point_arrays
+        e11, e12, e22 = self._hnf
+        m = self.field.m
+        # |xa|, |xb|, |ya|, |yb| <= (2 + 2m) * entry * coordinate, and the
+        # Hermite reduction grows that by at most a factor 1 + e12
+        entry = max(int(rows.max(initial=0)), -int(rows.min(initial=0)))
+        if ((2 + 2 * m) * entry * reach + 1) * (1 + e12) > np.iinfo(np.int64).max:
+            raise InvariantError(f"row entries up to {entry} overflow int64 at level "
+                                 f"{self.level} (d={self.field.d})")
+        p = coords[gens]
+        ua, ub, va, vb, ut, vt = (p[:, k, None] for k in range(6))
+        aa, ab, ba, bb, ca, cb, da, db = rows.T
+        xa = ua * aa + va * ca - m * (ub * ab + vb * cb)
+        xb = ut * ab + ub * aa + vt * cb + vb * ca
+        ya = ua * ba + va * da - m * (ub * bb + vb * db)
+        yb = ut * bb + ub * ba + vt * db + vb * da
+        kx, ky = xa // e11, ya // e11
+        code = (((xa - kx * e11) * e22 + (xb - kx * e12) % e22) * (e11 * e22)
+                + (ya - ky * e11) * e22 + (yb - ky * e12) % e22)
+        return codes[code]
 
     def _build_weight2(self) -> None:
         npts = len(self.points)

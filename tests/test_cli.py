@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -296,6 +297,23 @@ def test_eval_empty_table(runner, tmp_path):
     table_file.write_text('{"d": 11, "level": "1-2w", "norm_bound": 0, "a": []}')
     doc = payload(runner, "eval", "--table", str(table_file), "--z", "0.3i", "--t", "1.5")
     assert doc["components"] == [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+
+
+def test_eval_table_at_the_float_limit(runner, tmp_path):
+    # a norm bound just below the float maximum: the Bessel bound underflows
+    # at once, and the tail must stop there instead of turning into NaN
+    table_file = tmp_path / "far.json"
+    table_file.write_text(json.dumps({"d": 11, "level": "1-2w",
+                                      "norm_bound": int(sys.float_info.max) - 1,
+                                      "a": [{"alpha": "1", "re": 1.0}]}))
+    result = invoke(runner, "eval", "--table", str(table_file), "--z", "0.3i", "--t", "1.5")
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    doc = json.loads(result.stdout, parse_constant=refuse)
+    assert math.isfinite(doc["tail_estimate"])
+    assert all(math.isfinite(x) for pair in doc["components"] for x in pair)
 
 
 def test_eval_bad_point(runner, tmp_path):

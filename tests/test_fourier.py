@@ -2,6 +2,7 @@ import cmath
 import functools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -24,7 +25,7 @@ from bianchi.fourier import (
 )
 from bianchi.boundary import cuspidal_subspace
 from bianchi.hecke import eigensystems, hecke_matrix, heilbronn_action
-from bianchi.heilbronn import heilbronn_family
+from bianchi.heilbronn import DEFAULT_TIE, heilbronn_family
 from bianchi.linalg import vec_dot
 from bianchi.quadints import Field, canonical_elements_of_norm, gcd, parse_element
 from bianchi.symbols import Mat2, symbol_space
@@ -120,11 +121,31 @@ def test_family_slash_sum_matches_matrix_product():
         assert total == vec_dot(phi.coefficients, heilbronn_action(space, alpha).matvec(v))
 
 
-@pytest.mark.parametrize("d, level, bound", [(2, "5", 15), (7, "5", 15), (11, "4", 15),
-                                              (1, "7", 15)])
-def test_table_matches_operator_off_eigenforms(d, level, bound):
-    # a functional that is no eigenfunctional and a seed spread over the whole
-    # cuspidal basis: the seed-support loop against phi * M * v, entry by entry
+def fourier_coefficients_reference(phi, x, norm_bound):
+    # the scalar loop fourier_coefficients replaced: a family built by the
+    # chain for every unit multiple, each seed generator moved through it by
+    # act_point one row at a time, the hits counted per point
+    space = phi.space
+    weights = [phi(image) for image in space.gen_map]
+    entries = {}
+    for n in range(1, norm_bound + 1):
+        for base in canonical_elements_of_norm(space.field, n):
+            for u in space.field.units:
+                alpha = u * base
+                fam = heilbronn_family(alpha, DEFAULT_TIE)
+                total = Fraction(0)
+                for g, c in x.coefficients.items():
+                    hits = Counter(space.act_point(g, m) for m in fam)
+                    hits.pop(None, None)
+                    total += c * sum(weights[pt] * k for pt, k in hits.items() if weights[pt])
+                entries[alpha] = total
+    return FourierTable(space, norm_bound, entries, phi(x.quotient_vector()))
+
+
+@functools.cache
+def off_eigen_form(d, level):
+    # a functional that is no eigenfunctional and a seed spread over the
+    # whole cuspidal basis
     fld = Field.get(d)
     space = symbol_space(fld, parse_element(fld, level))
     cusp = cuspidal_subspace(space)
@@ -132,13 +153,66 @@ def test_table_matches_operator_off_eigenforms(d, level, bound):
     phi = DualFunctional(space, {j: Fraction(j * j + 1) for j in range(space.dim)})
     x = seed_from_vector(space, cusp.lift({i: Fraction(i + 1) for i in range(cusp.dim)}))
     assert len(x.coefficients) > 3
+    return phi, x
+
+
+# d = 3 has six units, so its table takes five twists of each base family;
+# heilbronn_action(u*eta) below builds the untwisted family of u*eta itself
+OFF_EIGEN_LEVELS = [(2, "5", 15), (7, "5", 15), (11, "4", 15), (1, "7", 15), (3, "11-w", 15)]
+
+
+@pytest.mark.parametrize("d, level, bound", OFF_EIGEN_LEVELS)
+def test_table_matches_operator_off_eigenforms(d, level, bound):
+    # the seed-support table against phi * M * v, entry by entry
+    phi, x = off_eigen_form(d, level)
+    fld = phi.space.field
     v = x.quotient_vector()
     table = fourier_coefficients(phi, x, bound)
     assert len(table.entries) == sum(len(canonical_elements_of_norm(fld, n))
                                      for n in range(1, bound + 1)) * len(fld.units)
     for alpha, a in table.entries.items():
-        assert a == vec_dot(phi.coefficients, heilbronn_action(space, alpha).matvec(v))
+        assert a == vec_dot(phi.coefficients, heilbronn_action(phi.space, alpha).matvec(v))
     assert any(table.entries.values())
+
+
+@pytest.mark.parametrize("d, level, bound", [*OFF_EIGEN_LEVELS, (11, "1-2w", 60)])
+def test_table_matches_scalar_reference(d, level, bound):
+    # entry for entry and in the same (norm, base, unit) order, with the
+    # exact Fractions; the last case is the eigenform of level_form
+    if (d, level) == (11, "1-2w"):
+        _, _, phi, x = level_form()
+    else:
+        phi, x = off_eigen_form(d, level)
+    table = fourier_coefficients(phi, x, bound)
+    ref = fourier_coefficients_reference(phi, x, bound)
+    assert list(table.entries.items()) == list(ref.entries.items())
+    assert all(type(a) is Fraction for a in table.entries.values())
+    assert (table.norm_bound, table.a1) == (ref.norm_bound, ref.a1)
+
+
+def test_table_range_checks_fire_under_python_O(run_optimized):
+    # int64 overflow is refused, not wrapped: rows too large for the point
+    # action, and weights too large to sum over a family
+    out = run_optimized(
+        "from fractions import Fraction\n"
+        "import numpy as np\n"
+        "from bianchi.fourier import DualFunctional, SeedElement, fourier_coefficients\n"
+        "from bianchi.quadints import Field, InvariantError, parse_element\n"
+        "from bianchi.symbols import symbol_space\n"
+        "fld = Field.get(11)\n"
+        "space = symbol_space(fld, parse_element(fld, '3-w'))\n"
+        "row = np.array([[2**60, 0, 0, 0, 0, 0, 2**60, 0]], dtype=np.int64)\n"
+        "try:\n"
+        "    space.act_points([0, 1], row)\n"
+        "except InvariantError as exc:\n"
+        "    print('rows:', exc)\n"
+        "phi = DualFunctional(space, {j: Fraction(2**62) for j in range(space.dim)})\n"
+        "try:\n"
+        "    fourier_coefficients(phi, SeedElement(space, {}), 4)\n"
+        "except InvariantError as exc:\n"
+        "    print('weights:', exc)\n"
+    )
+    assert [line.split(":")[0] for line in out] == ["rows", "weights"], out
 
 
 def test_table_matches_eigenvalues():

@@ -1,11 +1,7 @@
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import bianchi
 from bianchi.heilbronn import (
     DEFAULT_TIE,
     _chain,
@@ -127,13 +123,11 @@ def test_family_determinant_is_an_invariant_error(monkeypatch):
         heilbronn_family.cache_clear()
 
 
-def test_invariants_fire_under_python_O():
+def test_invariants_fire_under_python_O(run_optimized):
     # explicit raises, not asserts: python -O must not strip them
-    script = (
-        "import sys\n"
+    out = run_optimized(
         "from bianchi.heilbronn import _chain\n"
         "from bianchi.quadints import Field, InvariantError\n"
-        "assert sys.flags.optimize == 1\n"
         "fld = Field.get(1)\n"
         "try:\n"
         "    _chain(fld, (3, 0), (3, 0), (1, 0), 'low')\n"
@@ -146,13 +140,26 @@ def test_invariants_fire_under_python_O():
         "except InvariantError as exc:\n"
         "    print('bound:', exc)\n"
     )
-    env = {"PYTHONPATH": str(Path(bianchi.__file__).parents[1]), "PYTHONHASHSEED": "0",
-           "PYTHONDONTWRITEBYTECODE": "1"}
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr.decode()
-    out = proc.stdout.decode().splitlines()
     assert [line.split(":")[0] for line in out] == ["chain", "bound"], out
+
+
+def test_unit_multiple_family_is_twisted_base():
+    # heilbronn_family(u*eta) is heilbronn_family(eta) with c and d times u,
+    # row for row, which lets the coefficient table build only canonical
+    # families; the twist here is QuadInt multiplication
+    pairs = 0
+    for d in EUCLIDEAN_D:
+        fld = Field.get(d)
+        for n in range(1, 61):
+            for base in canonical_elements_of_norm(fld, n):
+                for tie in ("low", "high"):
+                    fam = [Mat2.from_row(fld, row) for row in heilbronn_family(base, tie)]
+                    for u in fld.units:
+                        twisted = tuple(Mat2(m.a, m.b, u * m.c, u * m.d).row() for m in fam)
+                        assert heilbronn_family.__wrapped__(u * base, tie) == twisted, \
+                            (d, str(base), str(u), tie)
+                        pairs += tie == "low"
+    assert pairs == 790
 
 
 def test_pinned_family_norm_two():

@@ -251,6 +251,21 @@ def test_rational_roots_pin():
         rational_roots([Fraction(0)])
 
 
+def test_deflate_refuses_a_non_root_under_python_O(run_optimized):
+    # x^2 + 1 has no root at 1
+    out = run_optimized(
+        "from fractions import Fraction\n"
+        "from bianchi.linalg import _deflate\n"
+        "from bianchi.quadints import InvariantError\n"
+        "assert _deflate([Fraction(-1), 0, Fraction(1)], 1) == [1, 1]\n"
+        "try:\n"
+        "    _deflate([Fraction(1), 0, Fraction(1)], 1)\n"
+        "except InvariantError as exc:\n"
+        "    print('deflate:', exc)\n"
+    )
+    assert [line.split(":")[0] for line in out] == ["deflate"], out
+
+
 def test_rational_roots_match_charpoly_eigenvalues():
     rng = random.Random(15)
     for _ in range(10):

@@ -2,9 +2,11 @@ import hashlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from bianchi.fourier import _unit_twist
 from bianchi.heilbronn import heilbronn_family
 from bianchi.linalg import vec_add, vec_axpy, vec_sub
 from bianchi.quadints import (
@@ -13,6 +15,7 @@ from bianchi.quadints import (
     canonical_elements_of_norm,
     factorize,
     gcd,
+    hnf_module,
     parse_element,
     reduce_mod,
     residues_mod,
@@ -390,8 +393,56 @@ def test_act_point_on_drawn_matrices(d, coords):
     fld = Field.get(d)
     m = Mat2(*(fld.elt(a, b) for a, b in zip(coords[::2], coords[1::2])))
     for space in action_spaces(d):
-        for i in range(len(space.points)):
-            assert space.act_point(i, tuple(coords)) == act_point_reference(space, i, m)
+        want = [act_point_reference(space, i, m) for i in range(len(space.points))]
+        assert [space.act_point(i, tuple(coords)) for i in range(len(space.points))] == want
+        batched = space.act_points(list(range(len(space.points))), np.array([coords]))
+        assert batched[:, 0].tolist() == [-1 if pt is None else pt for pt in want]
+
+
+@pytest.mark.parametrize("d", EUCLIDEAN_D)
+def test_act_points_matches_act_point_on_families(d):
+    # every point against every row of every family up to norm 30, for each
+    # unit multiple u*eta: the rows twisted from eta's array (as the table
+    # does) equal u*eta's own chain rows, and the batched action on them
+    # equals act_point row by row; the level's Hermite form has e12 != 0
+    fld = Field.get(d)
+    space = action_spaces(d)[0]
+    assert hnf_module(space.level)[1] != 0
+    gens = list(range(len(space.points)))
+    images = set()
+    for n in range(1, 31):
+        for base in canonical_elements_of_norm(fld, n):
+            rows = np.array(heilbronn_family(base), dtype=np.int64)
+            for u in fld.units:
+                fam = heilbronn_family(u * base)
+                twisted = _unit_twist(rows, u)
+                assert twisted.tolist() == [list(r) for r in fam]
+                got = space.act_points(gens, twisted)
+                want = [[space.act_point(g, r) for r in fam] for g in gens]
+                assert got.tolist() == [[-1 if pt is None else pt for pt in line]
+                                        for line in want]
+                images.update(got.ravel().tolist())
+    assert -1 in images and len(images) == len(space.points) + 1
+
+
+def test_lift_invariants_fire_under_python_O(run_optimized):
+    # a non-unimodular pair, and a corrupted xgcd whose lift has determinant 0
+    out = run_optimized(
+        "from bianchi import symbols\n"
+        "from bianchi.quadints import Field, InvariantError\n"
+        "fld = Field.get(1)\n"
+        "two = fld.from_int(2)\n"
+        "try:\n"
+        "    symbols.lift_to_sl2(fld, two, fld.zero, two)\n"
+        "except InvariantError as exc:\n"
+        "    print('unit:', exc)\n"
+        "symbols.xgcd = lambda a, b: (fld.one, fld.zero, fld.zero)\n"
+        "try:\n"
+        "    symbols.lift_to_sl2(fld, two, fld.one, fld.one)\n"
+        "except InvariantError as exc:\n"
+        "    print('det:', exc)\n"
+    )
+    assert [line.split(":")[0] for line in out] == ["unit", "det"], out
 
 
 # levels for the prime sieve: the action levels plus prime powers and levels
