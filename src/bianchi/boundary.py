@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import SparseMat, Subspace, kernel, vec_axpy
-from .quadints import QuadInt, gcd, inverse_mod, reduce_mod, xgcd
+from .quadints import InvariantError, QuadInt, gcd, inverse_mod, reduce_mod, xgcd
 from .symbols import SymbolSpace, lift_to_sl2, normalize_cusp, point_cusp_orbits
 
 def cusp_class(space: SymbolSpace, a: QuadInt, c: QuadInt):
@@ -49,8 +49,11 @@ def cusp_class(space: SymbolSpace, a: QuadInt, c: QuadInt):
     # [v] = (lam0 * dlt0)^(k-2) [v0] under the scaling identification
     return (c0, r0), (lam0 * dlt0) ** (k - 2)
 
-def boundary_of_gen(space: SymbolSpace, gen: int) -> dict:
-    """Boundary of one generator, as a vector over (class key, part)."""
+def boundary_of_gen(space: SymbolSpace, gen: int, classes: dict | None = None) -> dict:
+    """Boundary of one generator, as a vector over (class key, part).
+
+    classes, when given, is the caller's memo of cusp_class on (a, c).
+    """
     fld = space.field
     nu = space.level
     npts = len(space.points)
@@ -65,6 +68,8 @@ def boundary_of_gen(space: SymbolSpace, gen: int) -> dict:
         deg = space.weight - 2
         c_inf = c if mono == deg else fld.zero
         c_zero = c if mono == 0 else fld.zero
+    if classes is None:
+        classes = {}
     out: dict = {}
     for coeff, sign, a_raw, c_raw in (
         (c_inf, 1, None, u),
@@ -77,7 +82,9 @@ def boundary_of_gen(space: SymbolSpace, gen: int) -> dict:
             a_raw = inverse_mod(v, m)
         else:
             a_raw = reduce_mod(-inverse_mod(u, m), m)
-        key, tw = cusp_class(space, a_raw, c_raw)
+        if (a_raw, c_raw) not in classes:
+            classes[a_raw, c_raw] = cusp_class(space, a_raw, c_raw)
+        key, tw = classes[a_raw, c_raw]
         if key is None:
             continue
         total = coeff * tw
@@ -100,7 +107,8 @@ def cusp_label(space: SymbolSpace, p: QuadInt, q: QuadInt):
 
 def boundary_matrix(space: SymbolSpace) -> tuple[tuple, SparseMat]:
     """Label list and the boundary matrix on the quotient basis."""
-    cols = [boundary_of_gen(space, g) for g in space.free_gens]
+    classes: dict = {}
+    cols = [boundary_of_gen(space, g, classes) for g in space.free_gens]
     keys = sorted(
         {k for col in cols for k in col},
         key=lambda k: (k[0][0].sort_key(), k[0][1].sort_key(), k[1]),
@@ -123,9 +131,12 @@ def orbit_of_cusp(space: SymbolSpace, orbit_ids, p: QuadInt, q: QuadInt) -> int:
     first column."""
     p, q = normalize_cusp(p, q)
     g, s, _ = xgcd(p, q)
-    assert g.is_unit()
+    if not g.is_unit():
+        raise InvariantError(f"cusp ({p} : {q}) is not coprime: gcd {g}")
     pt = space.point_of(q, s * g.conj())
-    assert pt is not None
+    if pt is None:
+        raise InvariantError(f"cusp ({p} : {q}) has no point at level {space.level} "
+                             f"(d={space.field.d})")
     return orbit_ids[pt]
 
 def true_boundary_matrix(space: SymbolSpace) -> SparseMat:

@@ -6,8 +6,11 @@ tessellation of hyperbolic 3-space: the two-term S and J identifications,
 the universal triangle relation, and one extra polygon relation per field
 (none for d = 3, a triangle for d = 1, squares for d = 2 and 7, a hexagon
 for d = 11).  Points are moved by matrices, given as 8-int rows (Mat2.row),
-as plain-int Hermite-box codes.  Two-term relations are folded with a signed union-find; the rest become
-integer rows for the sparse row reduction in linalg.rref.
+as plain-int Hermite-box codes; the builds and the cusp-orbit search move
+every point at once through SymbolSpace.act_points and work on the int
+arrays it returns.  Two-term relations are folded with a signed union-find;
+the rest become integer rows, repeats up to sign dropped, for the sparse row
+reduction in linalg.rref.
 """
 
 from __future__ import annotations
@@ -80,7 +83,8 @@ class Mat2:
     def inv_unit(self) -> Mat2:
         """Inverse; the determinant must be a unit."""
         dt = self.det()
-        assert dt.is_unit()
+        if not dt.is_unit():
+            raise InvariantError(f"{self!r} has determinant {dt}, not a unit")
         di = dt.conj()
         return Mat2(self.d * di, -self.b * di, -self.c * di, self.a * di)
 
@@ -212,7 +216,9 @@ def point_count_formula(fld: Field, nu: QuadInt) -> int:
     total = Fraction(nu.norm() ** 2)
     for pi, _ in factorize(nu)[1]:
         total *= 1 - Fraction(1, pi.norm() ** 2)
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise InvariantError(f"point count {total} at level {nu} is not an integer "
+                             f"(d={fld.d})")
     return int(total)
 
 
@@ -252,6 +258,34 @@ def normalize_cusp(p: QuadInt, q: QuadInt) -> tuple[QuadInt, QuadInt]:
         return p.field.one, q
     q0, u = canonical_associate(q)
     return p * u.conj(), q0
+
+
+def _distinct_rows(cols: np.ndarray, vals: np.ndarray, blank: int) -> list[dict[int, int]]:
+    """Row i is the sum of vals[i, k] * e_cols[i, k]; the distinct nonzero rows.
+
+    Equal columns of a row are merged, zero entries and zero rows dropped, and
+    each row is signed so its lowest-column entry is positive; rows that are
+    then equal are kept once.  blank is a column above every real one, used
+    with value 0 for padding.  The rows come out in descending order of
+    their columns: rref's result does not depend on the order, and on the
+    weight-2 systems measured this one gives it the least fill-in.
+    """
+    order = np.argsort(cols, axis=1, kind="stable")
+    cols = np.take_along_axis(cols, order, axis=1)
+    vals = np.take_along_axis(vals, order, axis=1)
+    for k in range(1, cols.shape[1]):
+        same = cols[:, k] == cols[:, k - 1]
+        vals[same, k] += vals[same, k - 1]
+        vals[same, k - 1] = 0
+    # nonzero entries first, ascending by column, then blanks
+    cols = np.where(vals != 0, cols, blank)
+    order = np.argsort(cols, axis=1, kind="stable")
+    cols = np.take_along_axis(cols, order, axis=1)
+    vals = np.take_along_axis(vals, order, axis=1)
+    vals *= np.where(vals[:, :1] < 0, -1, 1)
+    keys = np.unique(np.hstack([cols, vals])[vals[:, 0] != 0], axis=0)[::-1]
+    width = cols.shape[1]
+    return [{c: a for c, a in zip(key[:width], key[width:]) if a} for key in keys.tolist()]
 
 
 class _SignedUF:
@@ -359,16 +393,17 @@ class SymbolSpace:
 
     @cached_property
     def _point_arrays(self) -> tuple[np.ndarray, np.ndarray, int]:
-        # int64 copies for act_points, built on first use: the code table,
-        # the point coordinates (u.a, u.b, v.a, v.b, u.a + t*u.b, v.a + t*v.b)
-        # as columns, and the largest of those coordinates
-        t = self.field.t
-        coords = np.array([(u.a, u.b, v.a, v.b, u.a + t * u.b, v.a + t * v.b)
-                           for u, v in self.points], dtype=np.int64).reshape(-1, 6)
-        reach = int(coords.max(initial=0))
+        # copies for act_points, built on first use and kept with the space
+        # (the symbol_space cache holds many): the code table in int64, the
+        # point coordinates (u.a, u.b, v.a, v.b) as int32 columns (Hermite-box
+        # residues, in [0, N)), and a bound on them and on u.a + t*u.b,
+        # v.a + t*v.b
+        coords = np.array([(u.a, u.b, v.a, v.b) for u, v in self.points],
+                          dtype=np.int32).reshape(-1, 4)
+        reach = (1 + self.field.t) * int(coords.max(initial=0))
         return np.array(self._point_codes, dtype=np.int64), coords, reach
 
-    def act_points(self, gens: list[int], rows: np.ndarray) -> np.ndarray:
+    def act_points(self, gens: list[int] | np.ndarray, rows: np.ndarray) -> np.ndarray:
         """act_point of every generator in gens against every row of rows.
 
         rows is an (n, 8) int64 array of 8-int rows; the result is the
@@ -380,15 +415,16 @@ class SymbolSpace:
         """
         codes, coords, reach = self._point_arrays
         e11, e12, e22 = self._hnf
-        m = self.field.m
+        t, m = self.field.t, self.field.m
         # |xa|, |xb|, |ya|, |yb| <= (2 + 2m) * entry * coordinate, and the
         # Hermite reduction grows that by at most a factor 1 + e12
         entry = max(int(rows.max(initial=0)), -int(rows.min(initial=0)))
         if ((2 + 2 * m) * entry * reach + 1) * (1 + e12) > np.iinfo(np.int64).max:
             raise InvariantError(f"row entries up to {entry} overflow int64 at level "
                                  f"{self.level} (d={self.field.d})")
-        p = coords[gens]
-        ua, ub, va, vb, ut, vt = (p[:, k, None] for k in range(6))
+        p = coords[gens].astype(np.int64)
+        ua, ub, va, vb = (p[:, k, None] for k in range(4))
+        ut, vt = ua + t * ub, va + t * vb
         aa, ab, ba, bb, ca, cb, da, db = rows.T
         xa = ua * aa + va * ca - m * (ub * ab + vb * cb)
         xb = ut * ab + ub * aa + vt * cb + vb * ca
@@ -401,40 +437,39 @@ class SymbolSpace:
 
     def _build_weight2(self) -> None:
         npts = len(self.points)
+        everyone = np.arange(npts)
         uf = _SignedUF(npts)
-        S, J = self.sum_words[0][1].row(), self.J.row()
-        for i in range(npts):
-            uf.union(i, self.act_point(i, S), -1)  # x + x*S = 0
-            uf.union(i, self.act_point(i, J), 1)  # x*J = x
-        rows = []
+        two_term = np.array([self.sum_words[0][1].row(), self.J.row()], dtype=np.int64)
+        for i, (s_img, j_img) in enumerate(self.act_points(everyone, two_term).tolist()):
+            uf.union(i, s_img, -1)  # x + x*S = 0
+            uf.union(i, j_img, 1)  # x*J = x
+        found = [uf.find(i) for i in range(npts)]
+        dead = uf.dead  # read at roots only
+        root = np.array([r for r, _ in found], dtype=np.int64)
+        # e_i = sign[i] * e_root[i], and sign 0 on the classes forced to zero
+        sign = np.array([0 if dead[r] else s for r, s in found], dtype=np.int64)
+        width = max(len(word) for word in self.sum_words[1:])
+        cols, vals = [], []
         for word in self.sum_words[1:]:
-            acts = [[self.act_point(i, r) for i in range(npts)] for r in map(Mat2.row, word)]
-            for i in range(npts):
-                row: dict[int, int] = {}
-                for act in acts:
-                    r, s = uf.find(act[i])
-                    if not uf.dead[r]:
-                        row[r] = row.get(r, 0) + s
-                row = {c: v for c, v in row.items() if v}
-                if row:
-                    rows.append(row)
-        rrows, pivots = rref(rows)
-        roots = [i for i in range(npts) if uf.parent[i] == i and not uf.dead[i]]
+            img = self.act_points(everyone, np.array([m.row() for m in word], dtype=np.int64))
+            pad = ((0, 0), (0, width - len(word)))
+            cols.append(np.pad(root[img], pad, constant_values=npts))
+            vals.append(np.pad(sign[img], pad))
+        rrows, pivots = rref(_distinct_rows(np.vstack(cols), np.vstack(vals), npts))
+        roots = [i for i, (r, _) in enumerate(found) if r == i and not dead[i]]
         free = [r for r in roots if r not in pivots]
         self.dim = len(free)
         self.free_gens = free
         qidx = {r: t for t, r in enumerate(free)}
-        gm: list[dict] = []
-        for i in range(npts):
-            r, s = uf.find(i)
-            if uf.dead[r]:
-                gm.append({})
-            elif r in pivots:
-                row = rrows[pivots[r]]
-                gm.append({qidx[c]: -s * a for c, a in row.items() if c != r})
+        # each live root's image, and its negative, copied to the points of its class
+        images = {}
+        for r in roots:
+            if r in pivots:
+                plus = {qidx[c]: -a for c, a in rrows[pivots[r]].items() if c != r}
             else:
-                gm.append({qidx[r]: Fraction(s)})
-        self.gen_map = gm
+                plus = {qidx[r]: Fraction(1)}
+            images[r] = (plus, {k: -a for k, a in plus.items()})
+        self.gen_map = [{} if dead[r] else dict(images[r][s < 0]) for r, s in found]
 
     def slash_rows(self, row: tuple[int, ...]) -> list[dict[int, int]]:
         """Integer matrix of P -> P|_g on the flattened components.
@@ -477,11 +512,13 @@ class SymbolSpace:
         ngens = ncomp * npts
         rels = [[(w, 1) for w in word] for word in self.sum_words]
         rels.append([(Mat2.identity(fld), 1), (self.J, -1)])
+        everyone = np.arange(npts)
         rows = []
+        seen = set()
         for rel in rels:
             mats = [self.slash_rows(w.inv_unit().row()) for w, _ in rel]
-            acts = [[self.act_point(i, r) for i in range(npts)]
-                    for r in (w.row() for w, _ in rel)]
+            word = np.array([w.row() for w, _ in rel], dtype=np.int64)
+            acts = self.act_points(everyone, word).T.tolist()
             for p in range(npts):
                 for ci in range(ncomp):
                     row: dict[int, int] = {}
@@ -493,7 +530,14 @@ class SymbolSpace:
                                 row[key] = val
                             else:
                                 row.pop(key, None)
-                    if row:
+                    if not row:
+                        continue
+                    # drop a repeat up to sign: rref would reduce it to zero
+                    key = tuple(sorted(row.items()))
+                    if key[0][1] < 0:
+                        key = tuple((c, -a) for c, a in key)
+                    if key not in seen:
+                        seen.add(key)
                         rows.append(row)
         rrows, pivots = rref(rows)
         free = [g for g in range(ngens) if g not in pivots]
@@ -538,7 +582,9 @@ def continued_fraction_path(fld: Field, p: QuadInt, q: QuadInt) -> list[Mat2]:
         b = b * Mat2(qj, fld.one, fld.one, fld.zero)
         mats.append(b)
         x0, x1 = x1, r
-    assert x0.is_unit()
+    if not x0.is_unit():
+        raise InvariantError(f"cusp ({p} : {q}) ends its continued fraction at {x0}, "
+                             f"not a unit (d={fld.d})")
     return mats
 
 
@@ -554,7 +600,9 @@ def path_vector(space: SymbolSpace, cusp: tuple[QuadInt, QuadInt], poly=None) ->
             # [P, B] = [P|_(D^-1), B*D] for D = diag(unit, 1) fixes the cusps
             bn = b * Mat2(dt.conj(), fld.zero, fld.zero, fld.one)
         pt = space.point_of(bn.c, bn.d)
-        assert pt is not None
+        if pt is None:
+            raise InvariantError(f"path step {bn} to cusp ({cusp[0]} : {cusp[1]}) has no "
+                                 f"point at level {space.level} (d={fld.d})")
         if space.weight == 2:
             vec_axpy(out, Fraction(1), space.gen_map[pt])
         else:
@@ -582,18 +630,18 @@ def point_cusp_orbits(space: SymbolSpace) -> list[int]:
         moves.append(Mat2(lam, zero, zero, one))  # (u, v) -> (lam*u, v)
     for mu in (one, -one, fld.omega, -fld.omega):
         moves.append(Mat2(one, mu, zero, one))  # (u, v) -> (u, v + mu*u)
-    moves = [mv.row() for mv in moves]
-    ids = [-1] * len(space.points)
+    npts = len(space.points)
+    rows = np.array([mv.row() for mv in moves], dtype=np.int64)
+    neighbours = space.act_points(np.arange(npts), rows).tolist()
+    ids = [-1] * npts
     nxt = 0
-    for i in range(len(space.points)):
+    for i in range(npts):
         if ids[i] >= 0:
             continue
         ids[i] = nxt
         stack = [i]
         while stack:
-            j = stack.pop()
-            for mv in moves:
-                t = space.act_point(j, mv)
+            for t in neighbours[stack.pop()]:
                 if ids[t] < 0:
                     ids[t] = nxt
                     stack.append(t)

@@ -134,3 +134,40 @@ def test_weight4_cuspidal_builds():
     space = symbol_space(fld, fld.from_int(2), 4)
     sub = cuspidal_subspace(space)
     assert 0 <= sub.dim <= space.dim
+
+
+def test_boundary_matrix_memo_changes_nothing():
+    # boundary_matrix shares one cusp_class memo across its columns; each
+    # column must equal the column computed without it, at weights 2 and 4
+    fld = Field.get(1)
+    for space in list(spaces()) + [symbol_space(fld, fld.from_int(2), 4)]:
+        keys, mat = boundary_matrix(space)
+        kidx = {k: i for i, k in enumerate(keys)}
+        for j, g in enumerate(space.free_gens):
+            col = {kidx[k]: c for k, c in boundary_of_gen(space, g).items()}
+            assert {i: row[j] for i, row in enumerate(mat.rows) if j in row} == col
+
+
+def test_orbit_invariants_fire_under_python_O(run_optimized):
+    # a cusp left with a common factor, and a space whose point lookups miss
+    out = run_optimized(
+        "from bianchi import boundary, symbols\n"
+        "from bianchi.quadints import Field, InvariantError\n"
+        "fld = Field.get(1)\n"
+        "two = fld.from_int(2)\n"
+        "space = symbols.symbol_space(fld, fld.from_int(3))\n"
+        "ids = symbols.point_cusp_orbits(space)\n"
+        "normalize_cusp = boundary.normalize_cusp\n"
+        "boundary.normalize_cusp = lambda p, q: (p, q)\n"
+        "try:\n"
+        "    boundary.orbit_of_cusp(space, ids, two, two)\n"
+        "except InvariantError as exc:\n"
+        "    print('gcd:', exc)\n"
+        "boundary.normalize_cusp = normalize_cusp\n"
+        "space.point_index.clear()\n"
+        "try:\n"
+        "    boundary.orbit_of_cusp(space, ids, fld.one, two)\n"
+        "except InvariantError as exc:\n"
+        "    print('point:', exc)\n"
+    )
+    assert [line.split(":")[0] for line in out] == ["gcd", "point"], out

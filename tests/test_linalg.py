@@ -175,18 +175,49 @@ def test_rref_leaves_the_input_alone():
 
 @pytest.mark.parametrize("d, level, weight", [(7, "3+3w", 2), (11, "3-w", 4)])
 def test_rref_on_relation_rows(monkeypatch, d, level, weight):
+    # the weight-2 build keeps one row per class up to sign, so its whole
+    # relation system is read off what it hands _distinct_rows, merged here
+    # column by column; both systems must reduce to the same form
     captured = []
+    system = []
+    distinct_rows = bianchi.symbols._distinct_rows
 
     def capture(rows):
         captured.append(rows)
         return rref(rows)
 
+    def capture_system(cols, vals, blank):
+        for cs, vs in zip(cols.tolist(), vals.tolist()):
+            row = {}
+            for c, a in zip(cs, vs):
+                if a:
+                    row[c] = row.get(c, 0) + a
+            system.append(row)
+        return distinct_rows(cols, vals, blank)
+
     monkeypatch.setattr(bianchi.symbols, "rref", capture)
+    monkeypatch.setattr(bianchi.symbols, "_distinct_rows", capture_system)
     fld = Field.get(d)
     bianchi.symbols.SymbolSpace(fld, parse_element(fld, level), weight)
     (rows,) = captured
+    assert bool(system) == (weight == 2)
+    if system:
+        assert len(rows) < len(system) and rref(rows) == rref(system)
+        rows = system
     assert len(rows) > 1000 and all(type(c) is int for r in rows for c in r.values())
     assert_rref_matches_reference(rows)
+
+
+@given(st.lists(sparse_rows, max_size=12), st.data())
+def test_rref_ignores_order_repeats_signs_and_scale(rows, data):
+    # what the weight-2 build relies on when it drops repeated rows and
+    # reorders the rest: rref is a function of the row span alone
+    scales = st.sampled_from([1, -1, 2, -3, Fraction(5, 3), Fraction(-1, 4)])
+    changed = [vec_scale(r, data.draw(scales)) for r in rows]
+    if rows:
+        repeats = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=6))
+        changed += [changed[i] for i in repeats]
+    assert rref(data.draw(st.permutations(changed))) == rref(rows)
 
 
 def test_kernel_matches_sympy():

@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from bianchi.fourier import _unit_twist
 from bianchi.heilbronn import heilbronn_family
-from bianchi.linalg import vec_add, vec_axpy, vec_sub
+from bianchi.linalg import rref, vec_add, vec_axpy, vec_sub
 from bianchi.quadints import (
     EUCLIDEAN_D,
     Field,
@@ -34,6 +34,8 @@ from bianchi.symbols import (
     relation_words,
     slash_poly,
     symbol_space,
+    _distinct_rows,
+    _SignedUF,
 )
 
 FIELDS = [Field.get(d) for d in EUCLIDEAN_D]
@@ -477,7 +479,7 @@ def test_point_sieve_matches_gcd_scan():
     assert distinct == {1, 2, 3}
 
 
-def point_cusp_orbits_reference(space):
+def point_cusp_orbits_quadint(space):
     # the QuadInt version the matrix moves replaced
     fld = space.field
     nu = space.level
@@ -511,9 +513,140 @@ def test_cusp_orbits_match_quadint_moves():
     for fld, nu in sieve_levels():
         space = symbol_space(fld, nu)
         ids = point_cusp_orbits(space)
-        assert ids == point_cusp_orbits_reference(space), (fld.d, str(nu))
+        assert ids == point_cusp_orbits_quadint(space), (fld.d, str(nu))
         counts.add(max(ids) + 1)
     assert len(counts) > 3
+
+
+def point_cusp_orbits_reference(space):
+    # the scalar search the batched moves replaced: act_point per point and move
+    fld = space.field
+    one, zero = fld.one, fld.zero
+    moves = []
+    for lam in fld.units:
+        moves.append(Mat2(lam, zero, zero, lam.conj()))
+        moves.append(Mat2(lam, zero, zero, one))
+    for mu in (one, -one, fld.omega, -fld.omega):
+        moves.append(Mat2(one, mu, zero, one))
+    moves = [mv.row() for mv in moves]
+    ids = [-1] * len(space.points)
+    nxt = 0
+    for i in range(len(space.points)):
+        if ids[i] >= 0:
+            continue
+        ids[i] = nxt
+        stack = [i]
+        while stack:
+            j = stack.pop()
+            for mv in moves:
+                t = space.act_point(j, mv)
+                if ids[t] < 0:
+                    ids[t] = nxt
+                    stack.append(t)
+        nxt += 1
+    return ids
+
+
+def build_weight2_reference(space):
+    # the scalar build the batched one replaced: act_point and a union-find
+    # lookup per point and move, every relation row (repeats too) to rref;
+    # returns (dim, free_gens, gen_map)
+    npts = len(space.points)
+    uf = _SignedUF(npts)
+    S, J = space.sum_words[0][1].row(), space.J.row()
+    for i in range(npts):
+        uf.union(i, space.act_point(i, S), -1)
+        uf.union(i, space.act_point(i, J), 1)
+    rows = []
+    for word in space.sum_words[1:]:
+        acts = [[space.act_point(i, r) for i in range(npts)] for r in map(Mat2.row, word)]
+        for i in range(npts):
+            row = {}
+            for act in acts:
+                r, s = uf.find(act[i])
+                if not uf.dead[r]:
+                    row[r] = row.get(r, 0) + s
+            row = {c: v for c, v in row.items() if v}
+            if row:
+                rows.append(row)
+    rrows, pivots = rref(rows)
+    roots = [i for i in range(npts) if uf.parent[i] == i and not uf.dead[i]]
+    free = [r for r in roots if r not in pivots]
+    qidx = {r: t for t, r in enumerate(free)}
+    gm = []
+    for i in range(npts):
+        r, s = uf.find(i)
+        if uf.dead[r]:
+            gm.append({})
+        elif r in pivots:
+            row = rrows[pivots[r]]
+            gm.append({qidx[c]: -s * a for c, a in row.items() if c != r})
+        else:
+            gm.append({qidx[r]: Fraction(s)})
+    return len(free), free, gm
+
+
+# a level of about 1,000 points per field, beyond norm 25
+THOUSAND_POINT_LEVELS = {1: "6", 2: "5+2w", 3: "6-w", 7: "3+3w", 11: "1+3w"}
+
+
+@pytest.mark.parametrize("d", EUCLIDEAN_D)
+def test_weight2_build_matches_scalar_reference(d):
+    # dim, free_gens, gen_map (values, their types and key order) and the cusp
+    # orbits agree with the scalar build and search on every level of norm
+    # <= 25 and on one larger level
+    fld = Field.get(d)
+    spaces = [symbol_space(fld, nu) for n in range(1, 26)
+              for nu in canonical_elements_of_norm(fld, n)]
+    big = SymbolSpace(fld, parse_element(fld, THOUSAND_POINT_LEVELS[d]))
+    assert 900 < len(big.points) < 1100
+    for space in spaces + [big]:
+        dim, free, gen_map = build_weight2_reference(space)
+        where = (d, str(space.level))
+        assert (space.dim, space.free_gens) == (dim, free), where
+        assert repr([list(g.items()) for g in space.gen_map]) == \
+            repr([list(g.items()) for g in gen_map]), where
+        assert point_cusp_orbits(space) == point_cusp_orbits_reference(space), where
+    assert big.dim > 0
+
+
+def test_distinct_rows_merges_signs_and_drops_repeats():
+    cols = np.array([[1, 1, 2], [2, 0, 0], [3, 1, 1], [1, 1, 9], [0, 2, 0]])
+    vals = np.array([[1, -1, 0], [-1, 1, 1], [-1, 1, -1], [2, 0, 0], [-1, 1, -1]])
+    # a zero row, {0: 2, 2: -1}, {3: -1} made positive, {1: 2} (9 is the
+    # blank column), and the negative of the second row; highest columns first
+    assert _distinct_rows(cols, vals, 9) == [{3: 1}, {1: 2}, {0: 2, 2: -1}]
+    empty = np.zeros((0, 3), dtype=np.int64)
+    assert _distinct_rows(empty, empty, 9) == []
+
+
+def test_symbol_invariants_fire_under_python_O(run_optimized):
+    # a non-unit determinant, a wrong factorization, a cusp left with a
+    # common factor, and a space whose point lookups all miss
+    out = run_optimized(
+        "from bianchi import symbols\n"
+        "from bianchi.quadints import Field, InvariantError\n"
+        "fld = Field.get(1)\n"
+        "two, three = fld.from_int(2), fld.from_int(3)\n"
+        "space = symbols.symbol_space(fld, three)\n"
+        "def attempt(name, fn, *args):\n"
+        "    try:\n"
+        "        fn(*args)\n"
+        "    except InvariantError as exc:\n"
+        "        print(name + ':', exc)\n"
+        "attempt('inv_unit', symbols.Mat2(two, fld.zero, fld.zero, fld.one).inv_unit)\n"
+        "factorize = symbols.factorize\n"
+        "symbols.factorize = lambda nu: (fld.one, [(two, 1)])\n"
+        "attempt('count', symbols.point_count_formula, fld, three)\n"
+        "symbols.factorize = factorize\n"
+        "normalize_cusp = symbols.normalize_cusp\n"
+        "symbols.normalize_cusp = lambda p, q: (p, q)\n"
+        "attempt('path', symbols.continued_fraction_path, fld, two, two)\n"
+        "symbols.normalize_cusp = normalize_cusp\n"
+        "space.point_index.clear()\n"
+        "attempt('point', symbols.path_vector, space, (fld.one, two))\n"
+    )
+    assert [line.split(":")[0] for line in out] == ["inv_unit", "count", "path", "point"], out
 
 
 # sha256 of repr([sorted(g.items()) for g in gen_map]) as the Fraction
