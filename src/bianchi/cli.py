@@ -294,7 +294,7 @@ def _systems_payload(table) -> dict:
 @level_options
 @click.option("--eta", "eta_texts", multiple=True,
               help="operators to refine through; default picks small coprime ones")
-@click.option("--eta-count", type=int, default=8, show_default=True)
+@click.option("--eta-count", type=click.IntRange(min=1), default=8, show_default=True)
 @io_options
 def eigen(d, level, eta_texts, eta_count, out, json_indent):
     """Simultaneous rational eigensystems of the cuspidal Hecke action."""
@@ -331,7 +331,7 @@ def _rational_form(fld: Field, nu: QuadInt, eta_texts, eta_count, label):
 @level_options
 @click.option("--norm-bound", type=click.IntRange(min=0), default=40, show_default=True)
 @click.option("--eta", "eta_texts", multiple=True)
-@click.option("--eta-count", type=int, default=8, show_default=True)
+@click.option("--eta-count", type=click.IntRange(min=1), default=8, show_default=True)
 @click.option("--system", "label", default=None, help="eigensystem label, defaults to the first")
 @io_options
 def fourier(d, level, norm_bound, eta_texts, eta_count, label, out, json_indent):
@@ -382,7 +382,7 @@ def _read_table(path: Path) -> FourierTable:
               default=None, help="reuse a coefficient table written by the fourier command")
 @click.option("--norm-bound", type=click.IntRange(min=0), default=40, show_default=True)
 @click.option("--eta", "eta_texts", multiple=True)
-@click.option("--eta-count", type=int, default=8, show_default=True)
+@click.option("--eta-count", type=click.IntRange(min=1), default=8, show_default=True)
 @click.option("--system", "label", default=None)
 @io_options
 def eval_cmd(d, level, z_text, t, table_path, norm_bound, eta_texts, eta_count,

@@ -27,6 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -88,26 +89,26 @@ def seed_from_vector(space: SymbolSpace, quotient_vec: dict) -> SeedElement:
     return SeedElement(space, coeffs)
 
 
-def _gen_image(space: SymbolSpace, gen: int, row: tuple[int, ...]) -> dict:
-    # quotient image of one weight-2 generator under one integral matrix (an
-    # 8-int row), dropped when the moved point is not unimodular at the
-    # level; kept apart from heilbronn_action so the slash-sum checks compare
-    # two loops
-    out: dict = {}
-    pt = space.act_point(gen, row)
-    if pt is not None:
-        vec_axpy(out, Fraction(1), space.gen_map[pt])
-    return out
+def functional_slash(phi: DualFunctional, rows: Sequence[tuple[int, ...]],
+                     x: SeedElement) -> Fraction:
+    """phi twisted by a sum of matrices, evaluated termwise on the seed.
 
-
-def functional_slash(phi: DualFunctional, m: tuple[int, ...], x: SeedElement) -> Fraction:
-    """phi twisted by one matrix, given as its 8-int row (a Heilbronn family
-    member, or Mat2.row()), evaluated termwise on the seed."""
-    if phi.space.weight != 2:
+    rows is a sequence of 8-int rows: a whole Heilbronn family, or
+    [Mat2.row()] for one matrix.  One SymbolSpace.act_points call moves the
+    seed's support through every row, and phi(gen_map[pt]) is summed as
+    Fractions over the unimodular images, a loop kept apart from the
+    table's int64 sums and from heilbronn_action so the coefficient
+    identity compares separate computations.
+    """
+    space = phi.space
+    if space.weight != 2:
         raise ValueError("expansion is defined for weight 2 only")
+    images = space.act_points(list(x.coefficients), rows)
     total = Fraction(0)
-    for g, c in x.coefficients.items():
-        total += c * phi(_gen_image(phi.space, g, m))
+    for c, line in zip(x.coefficients.values(), images.tolist()):
+        for pt in line:
+            if pt >= 0:
+                total += c * phi(space.gen_map[pt])
     return total
 
 

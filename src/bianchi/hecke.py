@@ -3,7 +3,8 @@
 The production action pushes a Heilbronn family of determinant eta through
 the generators: [P, (u, v)] goes to the sum of [P(aX+bY, cX+dY), (u, v)M]
 over family members M with unimodular image pair.  It runs on plain ints:
-moving a generator through the family only counts the hits on each image
+one SymbolSpace.act_points call moves every generator's point through the
+whole family, the pass over those images only counts the hits on each image
 generator (weighted by the integer slash coefficients at weight k), and
 each distinct image's gen_map row is then folded in once, on numerators
 over a common denominator.  An oracle recomputes the operator as a sum over
@@ -45,6 +46,7 @@ from .linalg import (
 )
 from .quadints import (
     Field,
+    InvariantError,
     QuadInt,
     divides,
     divisors_up_to_units,
@@ -93,30 +95,34 @@ def heilbronn_action(space: SymbolSpace, alpha: QuadInt) -> SparseMat:
     which the telescoping certificate checks, gives this same matrix, so
     the family of heilbronn.DEFAULT_TIE is used.
 
-    Column j is the image of free generator j.  Its pass over the family's
-    int rows only counts hits as ints: at weight 2 the hits per image
-    point, at weight k the integer slash coefficients per (component, point)
-    index.  Each distinct index's gen_map row is then folded in once, with
-    integer numerators over a common denominator, so the entries are the
-    same Fractions a per-member sum of gen_map rows gives.
+    One SymbolSpace.act_points call moves every free generator's point
+    through the family's int rows.  Column j is the image of free generator
+    j; its pass over those images only counts hits as ints: at weight 2 the
+    hits per image point, at weight k the integer slash coefficients per
+    (component, point) index.  Each distinct index's gen_map row is then
+    folded in once, with integer numerators over a common denominator, so
+    the entries are the same Fractions a per-member sum of gen_map rows
+    gives.
     """
     fam = heilbronn_family(alpha, DEFAULT_TIE)
     npts = len(space.points)
-    act = space.act_point
-    # P -> P(aX+bY, cX+dY) is the slash by the adjugate
-    sub_rows = None if space.weight == 2 else [
-        space.slash_rows(Mat2.from_row(space.field, m).adj().row()) for m in fam]
+    wt2 = space.weight == 2
+    pts = space.free_gens if wt2 else [g % npts for g in space.free_gens]
+    images = space.act_points(pts, fam).tolist()
+    # P -> P(aX+bY, cX+dY) is the slash by the adjugate (d, -b, -c, a)
+    sub_rows = None if wt2 else [
+        space.slash_rows((da, db, -ba, -bb, -ca, -cb, aa, ab))
+        for aa, ab, ba, bb, ca, cb, da, db in fam]
     out = SparseMat(space.dim, space.dim)
-    for j, g in enumerate(space.free_gens):
-        if space.weight == 2:
-            hits = Counter(act(g, m) for m in fam)
-            hits.pop(None, None)
+    for j, (g, line) in enumerate(zip(space.free_gens, images)):
+        if wt2:
+            hits = Counter(line)
+            hits.pop(-1, None)
         else:
             hits = {}
-            comp, p = divmod(g, npts)
-            for m, rows in zip(fam, sub_rows):
-                pt = act(p, m)
-                if pt is None:
+            comp = g // npts
+            for pt, rows in zip(line, sub_rows):
+                if pt < 0:
                     continue
                 for cj, cv in rows[comp].items():
                     key = cj * npts + pt
@@ -178,15 +184,19 @@ def coset_representatives(fld: Field, nu: QuadInt, eta: QuadInt) -> list[Mat2]:
     for delta in divisors_up_to_units(eta):
         a0 = fld.one if nu.is_unit() else inverse_mod(delta, nu)
         g, s, t = xgcd(a0, nu)
-        assert g == fld.one
+        if g != fld.one:
+            raise InvariantError(f"{a0} is not invertible mod {nu}: gcd {g} (d={fld.d})")
         gamma = Mat2(a0, -t, nu, s)
-        assert gamma.det() == fld.one
+        if gamma.det() != fld.one:
+            raise InvariantError(f"{gamma!r} has determinant {gamma.det()}, not 1 (d={fld.d})")
         cof = exact_div(eta, delta)
         # two Hermite forms with the same diagonal share a coset exactly when
         # the beta entries agree mod cof, so the box below cof enumerates once
         for beta in residues_mod(cof):
             r = gamma * Mat2(delta, beta, fld.zero, cof)
-            assert divides(nu, r.a - fld.one) and divides(nu, r.c)
+            if not (divides(nu, r.a - fld.one) and divides(nu, r.c)):
+                raise InvariantError(f"coset {r!r} of determinant {eta} misses the "
+                                     f"congruences mod {nu} (d={fld.d})")
             reps.append(r)
     return reps
 
@@ -199,7 +209,7 @@ def hecke_oracle(space: SymbolSpace, eta: QuadInt) -> HeckeOperator:
     Heilbronn family.  Every generator is lifted to a matrix g, read as a
     modular symbol from g*0 to g*oo, pushed through each representative, and
     converted back via continued fractions and point_of (slash_poly on
-    QuadInts at weight k), not act_point or slash_rows.  Beyond the symbol
+    QuadInts at weight k), not act_points or slash_rows.  Beyond the symbol
     space, the two paths share only divisors_up_to_units, which both use to
     list the divisors of eta, and gen_map.
     """

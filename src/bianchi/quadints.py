@@ -363,7 +363,8 @@ def primes_above(fld: Field, p: int) -> tuple[QuadInt, ...]:
     out = []
     for s in roots:
         pi = gcd(fld.from_int(p), fld.omega - s)
-        assert pi.norm() == p
+        if pi.norm() != p:
+            raise InvariantError(f"prime {pi} above {p} has norm {pi.norm()} (d={fld.d})")
         out.append(pi)
     out.sort(key=QuadInt.sort_key)
     return tuple(out)
@@ -403,7 +404,8 @@ def factorize(x: QuadInt) -> tuple[QuadInt, list[tuple[QuadInt, int]]]:
                 q, r = euclidean_division(y, pi)
             if e:
                 pairs.append((pi, e))
-    assert y.is_unit()
+    if not y.is_unit():
+        raise InvariantError(f"factorization of {x} leaves the non-unit {y} (d={fld.d})")
     pairs.sort(key=lambda pe: pe[0].sort_key())
     return y, pairs
 
@@ -462,7 +464,9 @@ def hnf_module(delta: QuadInt) -> tuple[int, int, int]:
     e11, e12 = (-r1[0], -r1[1]) if r1[0] < 0 else r1
     e22 = abs(r2[1])
     e12 %= e22
-    assert e11 * e22 == delta.norm()
+    if e11 * e22 != delta.norm():
+        raise InvariantError(f"Hermite form ({e11}, {e12}, {e22}) of {delta} does not have "
+                             f"index {delta.norm()} (d={fld.d})")
     return e11, e12, e22
 
 
@@ -489,7 +493,9 @@ def residues_below(delta: QuadInt, tie: str = "low") -> tuple[QuadInt, ...]:
     the minimal norm over its whole residue class.
     """
     out = [euclidean_division(r, delta, tie)[1] for r in residues_mod(delta)]
-    assert len(set(out)) == delta.norm()
+    if len(set(out)) != delta.norm():
+        raise InvariantError(f"{len(set(out))} distinct remainders mod {delta}, not "
+                             f"{delta.norm()} (d={delta.field.d})")
     return tuple(sorted(out, key=QuadInt.sort_key))
 
 

@@ -6,17 +6,19 @@ tessellation of hyperbolic 3-space: the two-term S and J identifications,
 the universal triangle relation, and one extra polygon relation per field
 (none for d = 3, a triangle for d = 1, squares for d = 2 and 7, a hexagon
 for d = 11).  Points are moved by matrices, given as 8-int rows (Mat2.row),
-as plain-int Hermite-box codes; the builds and the cusp-orbit search move
-every point at once through SymbolSpace.act_points and work on the int
-arrays it returns.  Two-term relations are folded with a signed union-find;
+as plain-int Hermite-box codes in one kernel, SymbolSpace.act_points: the
+builds, the cusp-orbit search, the Hecke operators and the Fourier layer
+move many points through many rows in one call and work on the int arrays
+it returns.  Two-term relations are folded with a signed union-find;
 the rest become integer rows, repeats up to sign dropped, for the sparse row
 reduction in linalg.rref.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,7 +60,7 @@ class Mat2:
                    QuadInt(fld, ca, cb), QuadInt(fld, da, db))
 
     def row(self) -> tuple[int, ...]:
-        """The 8-int row that act_point, slash_rows and the Heilbronn families use."""
+        """The 8-int row that act_points, slash_rows and the Heilbronn families use."""
         a, b, c, d = self.a, self.b, self.c, self.d
         return (a.a, a.b, b.a, b.b, c.a, c.b, d.a, d.b)
 
@@ -357,63 +359,35 @@ class SymbolSpace:
 
     def _build_point_codes(self) -> None:
         # a Hermite-box residue r = a + b*omega has code a*e22 + b in [0, N),
-        # a pair (u, v) has code(u) * N + code(v); -1 marks non-unimodular pairs
+        # a pair (u, v) has code(u) * N + code(v); the int64 table maps a code
+        # to its point index, -1 for non-unimodular pairs.  The point
+        # coordinates (u.a, u.b, v.a, v.b) are kept as int32 columns, and
+        # reach bounds them and u.a + t*u.b, v.a + t*v.b
         e11, e12, e22 = self._hnf = hnf_module(self.level)
         n = e11 * e22
-        codes = [-1] * (n * n)
-        for i, (u, v) in enumerate(self.points):
-            codes[(u.a * e22 + u.b) * n + v.a * e22 + v.b] = i
-        self._point_codes = codes
-
-    def act_point(self, idx: int, row: tuple[int, ...]) -> int | None:
-        """Index of (u, v) * M, or None when the product is not unimodular.
-
-        M is given as its 8-int row (see Mat2.row).  Plain-int form of
-        point_of(u*a + v*c, u*b + v*d): the products use omega^2 = t*omega - m
-        and each coordinate is reduced into the Hermite box the way
-        reduce_mod does.
-        """
-        u, v = self.points[idx]
-        fld = self.field
-        e11, e12, e22 = self._hnf
-        ua, ub, va, vb = u.a, u.b, v.a, v.b
-        aa, ab, ba, bb, ca, cb, da, db = row
-        m = fld.m
-        # (p + q*omega)(r + s*omega) = p*r - m*q*s + ((p + t*q)*s + q*r)*omega
-        ut, vt = ua + fld.t * ub, va + fld.t * vb
-        xa = ua * aa + va * ca - m * (ub * ab + vb * cb)
-        xb = ut * ab + ub * aa + vt * cb + vb * ca
-        ya = ua * ba + va * da - m * (ub * bb + vb * db)
-        yb = ut * bb + ub * ba + vt * db + vb * da
-        kx, ky = xa // e11, ya // e11
-        code = (((xa - kx * e11) * e22 + (xb - kx * e12) % e22) * e11 * e22
-                + (ya - ky * e11) * e22 + (yb - ky * e12) % e22)
-        pt = self._point_codes[code]
-        return None if pt < 0 else pt
-
-    @cached_property
-    def _point_arrays(self) -> tuple[np.ndarray, np.ndarray, int]:
-        # copies for act_points, built on first use and kept with the space
-        # (the symbol_space cache holds many): the code table in int64, the
-        # point coordinates (u.a, u.b, v.a, v.b) as int32 columns (Hermite-box
-        # residues, in [0, N)), and a bound on them and on u.a + t*u.b,
-        # v.a + t*v.b
         coords = np.array([(u.a, u.b, v.a, v.b) for u, v in self.points],
                           dtype=np.int32).reshape(-1, 4)
-        reach = (1 + self.field.t) * int(coords.max(initial=0))
-        return np.array(self._point_codes, dtype=np.int64), coords, reach
+        ua, ub, va, vb = coords.astype(np.int64).T
+        codes = np.full(n * n, -1, dtype=np.int64)
+        codes[(ua * e22 + ub) * n + va * e22 + vb] = np.arange(len(self.points))
+        self._codes, self._coords = codes, coords
+        self._reach = (1 + self.field.t) * int(coords.max(initial=0))
 
-    def act_points(self, gens: list[int] | np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """act_point of every generator in gens against every row of rows.
+    def act_points(self, gens: list[int] | np.ndarray,
+                   rows: Sequence[tuple[int, ...]] | np.ndarray) -> np.ndarray:
+        """Index of (u, v) * M for every point (u, v) in gens and every M in rows.
 
-        rows is an (n, 8) int64 array of 8-int rows; the result is the
-        (len(gens), n) int64 array of point indices, -1 where the product is
-        not unimodular.  The arithmetic is act_point's, broadcast, with
-        numpy's // and % flooring as Python's do.  InvariantError is raised
-        when a row entry times a point coordinate, or anything the
+        rows holds n 8-int rows (see Mat2.row), as a sequence or an (n, 8)
+        int64 array; the result is the (len(gens), n) int64 array of the indices of
+        point_of(u*a + v*c, u*b + v*d), -1 where that pair is not
+        unimodular.  The products use omega^2 = t*omega - m, and each
+        coordinate is reduced into the Hermite box the way reduce_mod does,
+        with numpy's // and % flooring as Python's do.  InvariantError is
+        raised when a row entry times a point coordinate, or anything the
         reduction builds from it, could leave int64.
         """
-        codes, coords, reach = self._point_arrays
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1, 8)
+        codes, coords, reach = self._codes, self._coords, self._reach
         e11, e12, e22 = self._hnf
         t, m = self.field.t, self.field.m
         # |xa|, |xb|, |ya|, |yb| <= (2 + 2m) * entry * coordinate, and the
@@ -424,6 +398,7 @@ class SymbolSpace:
                                  f"{self.level} (d={self.field.d})")
         p = coords[gens].astype(np.int64)
         ua, ub, va, vb = (p[:, k, None] for k in range(4))
+        # (p + q*omega)(r + s*omega) = p*r - m*q*s + ((p + t*q)*s + q*r)*omega
         ut, vt = ua + t * ub, va + t * vb
         aa, ab, ba, bb, ca, cb, da, db = rows.T
         xa = ua * aa + va * ca - m * (ub * ab + vb * cb)
@@ -439,7 +414,7 @@ class SymbolSpace:
         npts = len(self.points)
         everyone = np.arange(npts)
         uf = _SignedUF(npts)
-        two_term = np.array([self.sum_words[0][1].row(), self.J.row()], dtype=np.int64)
+        two_term = [self.sum_words[0][1].row(), self.J.row()]
         for i, (s_img, j_img) in enumerate(self.act_points(everyone, two_term).tolist()):
             uf.union(i, s_img, -1)  # x + x*S = 0
             uf.union(i, j_img, 1)  # x*J = x
@@ -451,7 +426,7 @@ class SymbolSpace:
         width = max(len(word) for word in self.sum_words[1:])
         cols, vals = [], []
         for word in self.sum_words[1:]:
-            img = self.act_points(everyone, np.array([m.row() for m in word], dtype=np.int64))
+            img = self.act_points(everyone, [m.row() for m in word])
             pad = ((0, 0), (0, width - len(word)))
             cols.append(np.pad(root[img], pad, constant_values=npts))
             vals.append(np.pad(sign[img], pad))
@@ -517,8 +492,7 @@ class SymbolSpace:
         seen = set()
         for rel in rels:
             mats = [self.slash_rows(w.inv_unit().row()) for w, _ in rel]
-            word = np.array([w.row() for w, _ in rel], dtype=np.int64)
-            acts = self.act_points(everyone, word).T.tolist()
+            acts = self.act_points(everyone, [w.row() for w, _ in rel]).T.tolist()
             for p in range(npts):
                 for ci in range(ncomp):
                     row: dict[int, int] = {}
@@ -631,8 +605,7 @@ def point_cusp_orbits(space: SymbolSpace) -> list[int]:
     for mu in (one, -one, fld.omega, -fld.omega):
         moves.append(Mat2(one, mu, zero, one))  # (u, v) -> (u, v + mu*u)
     npts = len(space.points)
-    rows = np.array([mv.row() for mv in moves], dtype=np.int64)
-    neighbours = space.act_points(np.arange(npts), rows).tolist()
+    neighbours = space.act_points(np.arange(npts), [mv.row() for mv in moves]).tolist()
     ids = [-1] * npts
     nxt = 0
     for i in range(npts):

@@ -462,10 +462,7 @@ def check_coefficient_identity(d: int = REFERENCE_FORM[0], level: str = REFERENC
         table = fourier_coefficients(phi, x, norm_bound)
         for n in range(1, norm_bound + 1):
             for eta in canonical_elements_of_norm(fld, n):
-                lhs = sum(
-                    (functional_slash(phi, m, x) for m in heilbronn_family(eta, DEFAULT_TIE)),
-                    Fraction(0),
-                )
+                lhs = functional_slash(phi, heilbronn_family(eta, DEFAULT_TIE), x)
                 # phi(T_alpha v) at every unit multiple, eta's own one included
                 ops = {u * eta: vec_dot(phi.coefficients,
                                         heilbronn_action(space, u * eta).matvec(v))

@@ -17,7 +17,7 @@ from bianchi.symbols import (
     point_cusp_orbits,
     symbol_space,
 )
-from test_symbols import spaces
+from test_symbols import moved, spaces
 
 
 def test_boundary_matches_lifted_cusps():
@@ -37,15 +37,17 @@ def test_boundary_matches_lifted_cusps():
 
 def test_boundary_kills_relations_weight2():
     for space in spaces():
-        npts = len(space.points)
-        for i in range(npts):
+        everyone = list(range(len(space.points)))
+        j_img = moved(space, everyone, [space.J])
+        w_imgs = [moved(space, everyone, word) for word in space.sum_words]
+        for i in everyone:
             bi = boundary_of_gen(space, i)
-            bj = boundary_of_gen(space, space.act_point(i, space.J.row()))
+            bj = boundary_of_gen(space, j_img[i][0])
             assert bi == bj
-            for word in space.sum_words:
+            for imgs in w_imgs:
                 total = {}
-                for w in word:
-                    vec_axpy(total, Fraction(1), boundary_of_gen(space, space.act_point(i, w.row())))
+                for pt in imgs[i]:
+                    vec_axpy(total, Fraction(1), boundary_of_gen(space, pt))
                 assert total == {}
 
 
@@ -58,11 +60,11 @@ def test_boundary_kills_relations_weight4():
     rels.append([(Mat2.identity(fld), 1), (space.J, -1)])
     for rel in rels:
         mats = [space.slash_rows(w.inv_unit().row()) for w, _ in rel]
+        imgs = moved(space, list(range(npts)), [w for w, _ in rel])
         for p in range(npts):
             for ci in range(ncomp):
                 total = {}
-                for (w, sgn), cm in zip(rel, mats):
-                    tp = space.act_point(p, w.row())
+                for (w, sgn), cm, tp in zip(rel, mats, imgs[p]):
                     for cj, coeff in cm[ci].items():
                         vec_axpy(
                             total,

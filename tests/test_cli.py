@@ -155,6 +155,18 @@ def test_negative_norm_bound_refused(runner):
            "--z", "0.1i", "--t", "1.0", code=2)
 
 
+def test_eta_count_below_one_refused(runner):
+    # refused by the option itself, before any eta is scanned
+    point = ("--z", "0.1i", "--t", "1.0")
+    for cmd in (("eigen",), ("fourier", "--norm-bound", "2"), ("eval", *point)):
+        for count in ("0", "-3"):
+            result = invoke(runner, *cmd, "--d", "11", "--level", "1-2w",
+                            "--eta-count", count, code=2)
+            assert f"Invalid value for '--eta-count': {count} is not in the range x>=1" \
+                in result.output, (cmd, count)
+            assert "not enough coprime etas" not in result.output
+
+
 def test_hecke_with_oracle_and_commutation(runner):
     doc = payload(runner, "hecke", "--d", "1", "--level", "2+1w",
                   "--eta", "1+1w", "--weight", "2", "--oracle",

@@ -29,6 +29,7 @@ from bianchi.heilbronn import DEFAULT_TIE, heilbronn_family
 from bianchi.linalg import vec_dot
 from bianchi.quadints import Field, canonical_elements_of_norm, gcd, parse_element
 from bianchi.symbols import Mat2, symbol_space
+from test_symbols import act_point
 
 
 def bessel_quadrature(j, t):
@@ -103,28 +104,51 @@ def form_table(bound):
 
 def test_functional_slash_identity_and_zero():
     space, system, phi, x = level_form()
-    ident = Mat2.identity(space.field).row()
+    ident = [Mat2.identity(space.field).row()]
     assert functional_slash(phi, ident, x) == phi(x.quotient_vector()) == 1
     empty = SeedElement(space, {})
     assert functional_slash(phi, ident, empty) == 0
+    assert functional_slash(phi, [], x) == 0
+
+
+def test_family_slash_is_the_sum_of_its_rows():
+    # one call over a whole family equals the single-row calls summed, for
+    # every determinant up to norm 15 at the reference level
+    space, system, phi, x = level_form()
+    fld = space.field
+    nonzero = 0
+    for n in range(1, 16):
+        for base in canonical_elements_of_norm(fld, n):
+            for u in fld.units:
+                fam = heilbronn_family(u * base)
+                whole = functional_slash(phi, fam, x)
+                assert type(whole) is Fraction
+                assert whole == sum((functional_slash(phi, [m], x) for m in fam), Fraction(0))
+                nonzero += whole != 0
+    assert nonzero > 10
 
 
 def test_family_slash_sum_matches_matrix_product():
     # termwise slash summed over a family equals the functional applied to
-    # the assembled operator, for coprime and non-coprime determinants alike
-    space, system, phi, x = level_form()
-    fld = space.field
-    v = x.quotient_vector()
-    from bianchi.hecke import heilbronn_action
-    for alpha in (fld.from_int(2), fld.omega, space.level, fld.from_int(2) * space.level):
-        total = sum(functional_slash(phi, m, x) for m in heilbronn_family(alpha))
-        assert total == vec_dot(phi.coefficients, heilbronn_action(space, alpha).matvec(v))
+    # the assembled operator, for coprime and non-coprime determinants alike,
+    # on the eigenform and on functionals that see every generator; at d = 11
+    # level 5 the last point has a nonzero gen_map row, so a -1 image read
+    # as a point index would show
+    levels = [(d, level) for d, level, _ in OFF_EIGEN_LEVELS] + [(11, "5")]
+    forms = [level_form()[2:]] + [off_eigen_form(d, level) for d, level in levels]
+    for phi, x in forms:
+        space = phi.space
+        fld = space.field
+        v = x.quotient_vector()
+        for alpha in (fld.from_int(2), fld.omega, space.level, fld.from_int(2) * space.level):
+            total = functional_slash(phi, heilbronn_family(alpha), x)
+            assert total == vec_dot(phi.coefficients, heilbronn_action(space, alpha).matvec(v))
 
 
 def fourier_coefficients_reference(phi, x, norm_bound):
     # the scalar loop fourier_coefficients replaced: a family built by the
     # chain for every unit multiple, each seed generator moved through it by
-    # act_point one row at a time, the hits counted per point
+    # the scalar act_point one row at a time, the hits counted per point
     space = phi.space
     weights = [phi(image) for image in space.gen_map]
     entries = {}
@@ -135,7 +159,7 @@ def fourier_coefficients_reference(phi, x, norm_bound):
                 fam = heilbronn_family(alpha, DEFAULT_TIE)
                 total = Fraction(0)
                 for g, c in x.coefficients.items():
-                    hits = Counter(space.act_point(g, m) for m in fam)
+                    hits = Counter(act_point(space, g, m) for m in fam)
                     hits.pop(None, None)
                     total += c * sum(weights[pt] * k for pt, k in hits.items() if weights[pt])
                 entries[alpha] = total
@@ -397,7 +421,7 @@ def test_weight_restriction():
     with pytest.raises(ValueError):
         fourier_coefficients(phi, x, 3)
     with pytest.raises(ValueError):
-        functional_slash(phi, Mat2.identity(fld).row(), x)
+        functional_slash(phi, [Mat2.identity(fld).row()], x)
 
 
 def test_seed_space_mismatch():

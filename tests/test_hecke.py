@@ -38,7 +38,7 @@ from bianchi.quadints import (
 )
 from bianchi.symbols import Mat2, lift_to_sl2, symbol_space
 from bianchi.verify import reference_form
-from test_symbols import slash_rows_reference, spaces
+from test_symbols import act_point, slash_rows_reference, spaces
 
 ORACLE_CASES = [
     (1, "3", "1+1w"),
@@ -220,6 +220,32 @@ def test_oracle_sees_a_wrong_coset_list(monkeypatch, damage):
     assert hecke_oracle(sp, eta).matrix != hecke_on_manin(sp, eta).matrix
 
 
+def test_coset_invariants_fire_under_python_O(run_optimized):
+    # a level inverse that is not invertible, an SL2 move of determinant 0,
+    # and a representative that misses the congruences
+    out = run_optimized(
+        "from bianchi import hecke\n"
+        "from bianchi.quadints import Field, InvariantError\n"
+        "fld = Field.get(1)\n"
+        "three, two = fld.from_int(3), fld.from_int(2)\n"
+        "def attempt(name):\n"
+        "    try:\n"
+        "        hecke.coset_representatives(fld, three, two)\n"
+        "    except InvariantError as exc:\n"
+        "        print(name + ':', exc)\n"
+        "inverse_mod, xgcd = hecke.inverse_mod, hecke.xgcd\n"
+        "hecke.inverse_mod = lambda delta, nu: nu\n"
+        "attempt('gcd')\n"
+        "hecke.inverse_mod = inverse_mod\n"
+        "hecke.xgcd = lambda a, b: (fld.one, fld.zero, fld.zero)\n"
+        "attempt('det')\n"
+        "hecke.xgcd = xgcd\n"
+        "hecke.inverse_mod = lambda delta, nu: fld.one\n"
+        "attempt('congruence')\n"
+    )
+    assert [line.split(":")[0] for line in out] == ["gcd", "det", "congruence"], out
+
+
 def random_sl2(fld, rng, length=5):
     s = Mat2(fld.zero, -fld.one, fld.one, fld.zero)
     gens = [s,
@@ -311,8 +337,7 @@ def test_tie_break_invariance_on_quotient():
     phi = DualFunctional(space, systems[0].functional)
     x = seed_from_vector(space, systems[0].vector)
     table = fourier_coefficients(phi, x, 30)
-    high = {alpha: sum((functional_slash(phi, m, x) for m in heilbronn_family(alpha, "high")),
-                       Fraction(0))
+    high = {alpha: functional_slash(phi, heilbronn_family(alpha, "high"), x)
             for alpha in table.entries}
     assert table.entries == high and any(high.values())
 
@@ -452,13 +477,13 @@ def heilbronn_action_reference(space, alpha, tie="low"):
         col: dict = {}
         if space.weight == 2:
             for m in fam:
-                pt = space.act_point(g, m)
+                pt = act_point(space, g, m)
                 if pt is not None:
                     vec_axpy(col, Fraction(1), space.gen_map[pt])
         else:
             comp, p = divmod(g, npts)
             for m, rows in zip(fam, sub_rows):
-                pt = space.act_point(p, m)
+                pt = act_point(space, p, m)
                 if pt is None:
                     continue
                 for cj, cv in rows[comp].items():
@@ -499,6 +524,19 @@ def test_heilbronn_action_matches_fraction_loop(d, level, weight, etas):
             assert got == want, (d, level, weight, text, tie)
     # both the Hecke operators and the bare family sums are covered
     assert 0 < coprime < len(etas)
+
+
+@pytest.mark.parametrize("d, level, weight", [(1, "1", 2), (7, "1", 2), (1, "1+w", 4),
+                                              (3, "2-w", 4)])
+def test_heilbronn_action_on_a_zero_space(d, level, weight):
+    # no free generators: every family gives the 0 x 0 matrix
+    fld = Field.get(d)
+    sp = symbol_space(fld, parse_element(fld, level), weight)
+    assert sp.dim == 0
+    for text in ("1", "2", "1+w"):
+        got = heilbronn_action(sp, parse_element(fld, text))
+        assert (got.nrows, got.ncols, got.rows) == (0, 0, [])
+        assert got == heilbronn_action_reference(sp, parse_element(fld, text))
 
 
 def commute_check_reference(a, b):

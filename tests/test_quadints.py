@@ -423,3 +423,34 @@ def test_format_parse_roundtrip(x):
 @given(elements())
 def test_json_roundtrip(x):
     assert QuadInt.from_json(json.loads(json.dumps(x.to_json()))) == x
+
+
+def test_ring_invariants_fire_under_python_O(run_optimized):
+    # a prime above p from a corrupted gcd, a factorization whose primes are
+    # hidden, a modulus that lies about its norm, and remainders that collide
+    out = run_optimized(
+        "from bianchi import quadints\n"
+        "from bianchi.quadints import Field, InvariantError, QuadInt\n"
+        "fld = Field.get(1)\n"
+        "def attempt(name, fn, *args):\n"
+        "    try:\n"
+        "        fn(*args)\n"
+        "    except InvariantError as exc:\n"
+        "        print(name + ':', exc)\n"
+        "gcd = quadints.gcd\n"
+        "quadints.gcd = lambda a, b: a\n"
+        "attempt('prime', quadints.primes_above, fld, 5)\n"
+        "quadints.gcd = gcd\n"
+        "primes_above = quadints.primes_above\n"
+        "quadints.primes_above = lambda fld, p: ()\n"
+        "attempt('unit', quadints.factorize, fld.from_int(6))\n"
+        "quadints.primes_above = primes_above\n"
+        "class Off(QuadInt):\n"
+        "    def norm(self):\n"
+        "        return super().norm() + 1\n"
+        "attempt('hnf', quadints.hnf_module, Off(fld, 3, 0))\n"
+        "euclidean_division = quadints.euclidean_division\n"
+        "quadints.euclidean_division = lambda a, b, tie='low': (a, fld.zero)\n"
+        "attempt('residues', quadints.residues_below, fld.from_int(3))\n"
+    )
+    assert [line.split(":")[0] for line in out] == ["prime", "unit", "hnf", "residues"], out

@@ -50,6 +50,38 @@ LEVELS = {
 }
 
 
+def moved(space, gens, mats):
+    """act_points of gens against the Mat2s mats, as lists; every image must
+    be unimodular (the relation words and J are invertible)."""
+    imgs = space.act_points(gens, [m.row() for m in mats]).tolist()
+    assert all(pt >= 0 for line in imgs for pt in line)
+    return imgs
+
+
+def act_point(space, idx, row):
+    """The scalar integer point move that act_points batches: the index of
+    (u, v) * M for the point idx and the 8-int row of M, None when the
+    product is not unimodular.  The products use omega^2 = t*omega - m and
+    each coordinate is reduced into the Hermite box the way reduce_mod does;
+    the scalar references below move points through it one at a time."""
+    u, v = space.points[idx]
+    fld = space.field
+    e11, e12, e22 = hnf_module(space.level)
+    ua, ub, va, vb = u.a, u.b, v.a, v.b
+    aa, ab, ba, bb, ca, cb, da, db = row
+    m = fld.m
+    ut, vt = ua + fld.t * ub, va + fld.t * vb
+    xa = ua * aa + va * ca - m * (ub * ab + vb * cb)
+    xb = ut * ab + ub * aa + vt * cb + vb * ca
+    ya = ua * ba + va * da - m * (ub * bb + vb * db)
+    yb = ut * bb + ub * ba + vt * db + vb * da
+    kx, ky = xa // e11, ya // e11
+    code = (((xa - kx * e11) * e22 + (xb - kx * e12) % e22) * e11 * e22
+            + (ya - ky * e11) * e22 + (yb - ky * e12) % e22)
+    pt = int(space._codes[code])
+    return None if pt < 0 else pt
+
+
 def spaces(weight=2):
     for d, texts in LEVELS.items():
         fld = Field.get(d)
@@ -144,31 +176,31 @@ def test_level_one_spaces_vanish():
 def test_relation_rows_vanish_in_quotient():
     for space in list(spaces()) + [symbol_space(Field.get(1), Field.get(1).from_int(2), 4)]:
         npts = len(space.points)
+        everyone = list(range(npts))
         if space.weight == 2:
             words, J = space.sum_words, space.J
+            j_img = moved(space, everyone, [J])
+            w_imgs = [moved(space, everyone, word) for word in words]
             for i in range(npts):
-                assert vec_sub(space.gen_map[space.act_point(i, J.row())], space.gen_map[i]) == {}
-                for word in words:
+                assert vec_sub(space.gen_map[j_img[i][0]], space.gen_map[i]) == {}
+                for imgs in w_imgs:
                     total = {}
-                    for w in word:
-                        vec_axpy(total, Fraction(1), space.gen_map[space.act_point(i, w.row())])
+                    for pt in imgs[i]:
+                        vec_axpy(total, Fraction(1), space.gen_map[pt])
                     assert total == {}, (space.field.d, str(space.level), i)
         else:
             fld = space.field
             rels = [[(w, 1) for w in word] for word in space.sum_words]
             rels.append([(Mat2.identity(fld), 1), (space.J, -1)])
             for rel in rels:
+                imgs = moved(space, everyone, [w for w, _ in rel])
                 for i in range(npts):
                     for mono in range(space.weight - 1):
                         for coeff in (fld.one, fld.omega):
                             total = {}
-                            for w, sgn in rel:
+                            for (w, sgn), pt in zip(rel, imgs[i]):
                                 poly = slash_poly({mono: coeff}, w.inv_unit(), space.weight)
-                                vec_axpy(
-                                    total,
-                                    Fraction(sgn),
-                                    space.poly_symbol_vector(poly, space.act_point(i, w.row())),
-                                )
+                                vec_axpy(total, Fraction(sgn), space.poly_symbol_vector(poly, pt))
                             assert total == {}
 
 
@@ -377,12 +409,15 @@ def test_act_point_matches_quadint_formula():
         for n in range(2, 6):
             for eta in canonical_elements_of_norm(fld, n):
                 mats.extend(Mat2.from_row(fld, row) for row in heilbronn_family(eta))
+        rows = np.array([m.row() for m in mats], dtype=np.int64)
         images = []
         for space in action_spaces(d):
-            got = [space.act_point(i, m.row()) for i in range(len(space.points)) for m in mats]
-            want = [act_point_reference(space, i, m)
-                    for i in range(len(space.points)) for m in mats]
+            everyone = list(range(len(space.points)))
+            got = [act_point(space, i, m.row()) for i in everyone for m in mats]
+            want = [act_point_reference(space, i, m) for i in everyone for m in mats]
             assert got == want
+            batched = space.act_points(everyone, rows).ravel().tolist()
+            assert batched == [-1 if pt is None else pt for pt in want]
             images.extend(got)
         # families whose determinant shares a prime with the level lose points
         assert None in images and any(pt is not None for pt in images)
@@ -396,7 +431,7 @@ def test_act_point_on_drawn_matrices(d, coords):
     m = Mat2(*(fld.elt(a, b) for a, b in zip(coords[::2], coords[1::2])))
     for space in action_spaces(d):
         want = [act_point_reference(space, i, m) for i in range(len(space.points))]
-        assert [space.act_point(i, tuple(coords)) for i in range(len(space.points))] == want
+        assert [act_point(space, i, tuple(coords)) for i in range(len(space.points))] == want
         batched = space.act_points(list(range(len(space.points))), np.array([coords]))
         assert batched[:, 0].tolist() == [-1 if pt is None else pt for pt in want]
 
@@ -420,11 +455,20 @@ def test_act_points_matches_act_point_on_families(d):
                 twisted = _unit_twist(rows, u)
                 assert twisted.tolist() == [list(r) for r in fam]
                 got = space.act_points(gens, twisted)
-                want = [[space.act_point(g, r) for r in fam] for g in gens]
+                want = [[act_point(space, g, r) for r in fam] for g in gens]
                 assert got.tolist() == [[-1 if pt is None else pt for pt in line]
                                         for line in want]
                 images.update(got.ravel().tolist())
     assert -1 in images and len(images) == len(space.points) + 1
+
+
+def test_act_points_on_empty_gens_and_rows():
+    space = action_spaces(11)[0]
+    rows = np.array(heilbronn_family(Field.get(11).from_int(2)), dtype=np.int64)
+    assert space.act_points([], rows).shape == (0, len(rows))
+    assert space.act_points(np.arange(0), rows).shape == (0, len(rows))
+    assert space.act_points([0, 1], []).shape == (2, 0)
+    assert space.act_points([0, 1], np.zeros((0, 8), dtype=np.int64)).shape == (2, 0)
 
 
 def test_lift_invariants_fire_under_python_O(run_optimized):
@@ -539,7 +583,7 @@ def point_cusp_orbits_reference(space):
         while stack:
             j = stack.pop()
             for mv in moves:
-                t = space.act_point(j, mv)
+                t = act_point(space, j, mv)
                 if ids[t] < 0:
                     ids[t] = nxt
                     stack.append(t)
@@ -555,11 +599,11 @@ def build_weight2_reference(space):
     uf = _SignedUF(npts)
     S, J = space.sum_words[0][1].row(), space.J.row()
     for i in range(npts):
-        uf.union(i, space.act_point(i, S), -1)
-        uf.union(i, space.act_point(i, J), 1)
+        uf.union(i, act_point(space, i, S), -1)
+        uf.union(i, act_point(space, i, J), 1)
     rows = []
     for word in space.sum_words[1:]:
-        acts = [[space.act_point(i, r) for i in range(npts)] for r in map(Mat2.row, word)]
+        acts = [[act_point(space, i, r) for i in range(npts)] for r in map(Mat2.row, word)]
         for i in range(npts):
             row = {}
             for act in acts:
