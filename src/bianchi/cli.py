@@ -369,7 +369,13 @@ def _read_table(path: Path) -> FourierTable:
                 and abs(item["re"]) <= sys.float_info.max):
             raise click.UsageError(f"--table entry {item!r}: expected a string alpha "
                                    "and a finite number re")
-        entries[_element(fld, item["alpha"], "--table alpha")] = Fraction(item["re"])
+        alpha = _element(fld, item["alpha"], "--table alpha")
+        if alpha.is_zero() or alpha.norm() > doc["norm_bound"]:
+            raise click.UsageError(f"--table alpha {item['alpha']!r}: expected a nonzero "
+                                   f"element of norm at most {doc['norm_bound']}")
+        if alpha in entries:
+            raise click.UsageError(f"--table alpha {item['alpha']!r}: given twice")
+        entries[alpha] = Fraction(item["re"])
     return FourierTable(symbol_space(fld, nu, 2), doc["norm_bound"], entries,
                         entries.get(fld.one, Fraction(0)))
 

@@ -9,9 +9,11 @@ for d = 11).  Points are moved by matrices, given as 8-int rows (Mat2.row),
 as plain-int Hermite-box codes in one kernel, SymbolSpace.act_points: the
 builds, the cusp-orbit search, the Hecke operators and the Fourier layer
 move many points through many rows in one call and work on the int arrays
-it returns.  Two-term relations are folded with a signed union-find;
-the rest become integer rows, repeats up to sign dropped, for the sparse row
-reduction in linalg.rref.
+it returns.  The two-term relations say e_(i*g) = +-e_i for g in the group
+generated by S and J, so their classes are the orbits of that group, found
+with the cusp orbits by one numpy kernel, _orbit_roots; the rest become
+integer rows, repeats up to sign dropped, for the sparse row reduction in
+linalg.rref.
 """
 
 from __future__ import annotations
@@ -290,47 +292,47 @@ def _distinct_rows(cols: np.ndarray, vals: np.ndarray, blank: int) -> list[dict[
     return [{c: a for c, a in zip(key[:width], key[width:]) if a} for key in keys.tolist()]
 
 
-class _SignedUF:
-    """Union-find tracking e_i = sign * e_root, with dead (forced-zero) roots."""
+def _orbit_roots(images: np.ndarray, signs: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Orbits of the moves on the points, under e_i = signs[j] * e_images[i, j].
 
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.sign = [1] * n
-        self.dead = [False] * n
-
-    def find(self, i: int) -> tuple[int, int]:
-        chain = []
-        while self.parent[i] != i:
-            chain.append(i)
-            i = self.parent[i]
-        s = 1
-        for j in reversed(chain):
-            s *= self.sign[j]
-            self.parent[j] = i
-            self.sign[j] = s
-        return (i, self.sign[chain[0]]) if chain else (i, 1)
-
-    def union(self, i: int, j: int, s: int) -> None:
-        """Impose e_i = s * e_j."""
-        ri, si = self.find(i)
-        rj, sj = self.find(j)
-        t = si * s * sj
-        if ri == rj:
-            if t != 1:
-                self.dead[ri] = True
-            return
-        if ri < rj:
-            ri, rj = rj, ri
-        self.parent[ri] = rj
-        self.sign[ri] = t
-        self.dead[rj] = self.dead[rj] or self.dead[ri]
+    images is the (points, moves) array of act_points, every column a
+    permutation of the points; signs holds +1 or -1 per move.  Returns
+    (root, sign): root[i] is the least point of i's orbit and e_i =
+    sign[i] * e_root[i], with sign 0 on the dead orbits, where the moves force
+    e_i = -e_i.  The signed point (i, s) is node 2*i + (s < 0); each node
+    takes the least label of itself and its images under the moves, then its
+    label's label, until nothing changes.  Labels only fall along a move, and
+    a move is a permutation, so at that point they are constant on each
+    cycle, hence on each component: every node is labelled by the least node
+    of its component, 2*root or 2*root + 1, and an orbit is dead when (i, +)
+    and (i, -) share it.
+    """
+    npts, nmoves = images.shape
+    flip = np.asarray(signs, dtype=np.int64).reshape(1, 1, nmoves) < 0
+    node = np.arange(2 * npts)
+    moved = 2 * images.reshape(npts, 1, nmoves) + (np.arange(2).reshape(1, 2, 1) ^ flip)
+    # row x of reach: the node x and its images under the moves
+    reach = np.hstack([node.reshape(-1, 1), moved.reshape(2 * npts, nmoves)])
+    label = node
+    while True:
+        new = label[reach].min(axis=1)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    plus, minus = label[0::2], label[1::2]
+    sign = np.where(plus == minus, 0, 1 - 2 * (plus & 1))
+    return plus >> 1, sign
 
 
 class SymbolSpace:
     """Weight-k Manin symbols at level nu, reduced to a quotient basis.
 
     gen_map sends each generator index to its coordinate vector on the
-    quotient basis; free_gens lists one generator per basis vector.
+    quotient basis; free_gens lists one generator per basis vector.  At
+    weight 2 the entries are shared: the points of one two-term class that
+    have the same sign hold the same dict object (the class root's image or
+    its negative), so callers must not mutate gen_map entries.
     """
 
     def __init__(self, fld: Field, nu: QuadInt, weight: int = 2) -> None:
@@ -413,16 +415,9 @@ class SymbolSpace:
     def _build_weight2(self) -> None:
         npts = len(self.points)
         everyone = np.arange(npts)
-        uf = _SignedUF(npts)
         two_term = [self.sum_words[0][1].row(), self.J.row()]
-        for i, (s_img, j_img) in enumerate(self.act_points(everyone, two_term).tolist()):
-            uf.union(i, s_img, -1)  # x + x*S = 0
-            uf.union(i, j_img, 1)  # x*J = x
-        found = [uf.find(i) for i in range(npts)]
-        dead = uf.dead  # read at roots only
-        root = np.array([r for r, _ in found], dtype=np.int64)
-        # e_i = sign[i] * e_root[i], and sign 0 on the classes forced to zero
-        sign = np.array([0 if dead[r] else s for r, s in found], dtype=np.int64)
+        # x + x*S = 0 and x*J = x
+        root, sign = _orbit_roots(self.act_points(everyone, two_term), [-1, 1])
         width = max(len(word) for word in self.sum_words[1:])
         cols, vals = [], []
         for word in self.sum_words[1:]:
@@ -430,21 +425,24 @@ class SymbolSpace:
             pad = ((0, 0), (0, width - len(word)))
             cols.append(np.pad(root[img], pad, constant_values=npts))
             vals.append(np.pad(sign[img], pad))
-        rrows, pivots = rref(_distinct_rows(np.vstack(cols), np.vstack(vals), npts))
-        roots = [i for i, (r, _) in enumerate(found) if r == i and not dead[i]]
-        free = [r for r in roots if r not in pivots]
+        rows = _distinct_rows(np.vstack(cols), np.vstack(vals), npts)
+        live = np.flatnonzero((root == everyone) & (sign != 0)).tolist()
+        # the points of a class share its root's image and that image's negative
+        images = {r: (plus, {k: -a for k, a in plus.items()})
+                  for r, plus in zip(live, self._quotient(rows, live))}
+        self.gen_map = [images[r][s < 0] if s else {}
+                        for r, s in zip(root.tolist(), sign.tolist())]
+
+    def _quotient(self, rows: list[dict[int, int]], gens: list[int]) -> list[dict]:
+        """Reduce the relation rows; set free_gens and dim, and return the
+        quotient image of each of gens, the generators the rows are over."""
+        rrows, pivots = rref(rows)
+        free = [g for g in gens if g not in pivots]
         self.dim = len(free)
         self.free_gens = free
-        qidx = {r: t for t, r in enumerate(free)}
-        # each live root's image, and its negative, copied to the points of its class
-        images = {}
-        for r in roots:
-            if r in pivots:
-                plus = {qidx[c]: -a for c, a in rrows[pivots[r]].items() if c != r}
-            else:
-                plus = {qidx[r]: Fraction(1)}
-            images[r] = (plus, {k: -a for k, a in plus.items()})
-        self.gen_map = [{} if dead[r] else dict(images[r][s < 0]) for r, s in found]
+        qidx = {g: t for t, g in enumerate(free)}
+        return [{qidx[c]: -a for c, a in rrows[pivots[g]].items() if c != g}
+                if g in pivots else {qidx[g]: Fraction(1)} for g in gens]
 
     def slash_rows(self, row: tuple[int, ...]) -> list[dict[int, int]]:
         """Integer matrix of P -> P|_g on the flattened components.
@@ -513,19 +511,7 @@ class SymbolSpace:
                     if key not in seen:
                         seen.add(key)
                         rows.append(row)
-        rrows, pivots = rref(rows)
-        free = [g for g in range(ngens) if g not in pivots]
-        self.dim = len(free)
-        self.free_gens = free
-        qidx = {g: t for t, g in enumerate(free)}
-        gm: list[dict] = []
-        for g in range(ngens):
-            if g in pivots:
-                row = rrows[pivots[g]]
-                gm.append({qidx[c]: -a for c, a in row.items() if c != g})
-            else:
-                gm.append({qidx[g]: Fraction(1)})
-        self.gen_map = gm
+        self.gen_map = self._quotient(rows, list(range(ngens)))
 
     def poly_symbol_vector(self, poly: dict[int, QuadInt], pt: int) -> dict:
         """Quotient image of the symbol [poly, point] for weight > 2."""
@@ -594,7 +580,8 @@ def point_cusp_orbits(space: SymbolSpace) -> list[int]:
 
     The stabilizer is generated by unit scalings and the two translations;
     its orbits on the generators are in bijection with the cusps of the
-    symbol quotient.
+    symbol quotient.  The orbits come from _orbit_roots with every sign +1,
+    and are numbered in the order of their least points.
     """
     fld = space.field
     one, zero = fld.one, fld.zero
@@ -604,22 +591,9 @@ def point_cusp_orbits(space: SymbolSpace) -> list[int]:
         moves.append(Mat2(lam, zero, zero, one))  # (u, v) -> (lam*u, v)
     for mu in (one, -one, fld.omega, -fld.omega):
         moves.append(Mat2(one, mu, zero, one))  # (u, v) -> (u, v + mu*u)
-    npts = len(space.points)
-    neighbours = space.act_points(np.arange(npts), [mv.row() for mv in moves]).tolist()
-    ids = [-1] * npts
-    nxt = 0
-    for i in range(npts):
-        if ids[i] >= 0:
-            continue
-        ids[i] = nxt
-        stack = [i]
-        while stack:
-            for t in neighbours[stack.pop()]:
-                if ids[t] < 0:
-                    ids[t] = nxt
-                    stack.append(t)
-        nxt += 1
-    return ids
+    images = space.act_points(np.arange(len(space.points)), [mv.row() for mv in moves])
+    root, _ = _orbit_roots(images, [1] * len(moves))
+    return np.unique(root, return_inverse=True)[1].tolist()
 
 
 def cusp_count(space: SymbolSpace) -> int:

@@ -11,6 +11,8 @@ from click.testing import CliRunner
 import bianchi
 from bianchi import verify as checks
 from bianchi.cli import main
+from bianchi.quadints import Field, parse_element
+from bianchi.symbols import symbol_space
 from bianchi.verify import CheckResult
 
 
@@ -359,9 +361,46 @@ def test_eval_bad_table(runner, tmp_path):
                 % ("0" * 400),
                 # a norm bound past the float range, which the tail estimate
                 # could not take into floats
-                '{"d": 11, "level": "1-2w", "norm_bound": 1%s, "a": []}' % ("0" * 400)):
+                '{"d": 11, "level": "1-2w", "norm_bound": 1%s, "a": []}' % ("0" * 400),
+                # alpha 0, which has no term in the series
+                '{"d": 11, "level": "1-2w", "norm_bound": 1, "a": [{"alpha": "0", "re": 1.0}]}',
+                # one alpha twice, in two spellings
+                '{"d": 11, "level": "1-2w", "norm_bound": 1, "a": [{"alpha": "1", "re": 1.0}, '
+                '{"alpha": "1+0w", "re": 2.0}]}',
+                # an alpha past the norm bound, a term the tail estimate also counts
+                '{"d": 11, "level": "1-2w", "norm_bound": 3, "a": [{"alpha": "9", "re": 1.0}]}'):
         table_file.write_text(doc)
         invoke(runner, "eval", "--table", str(table_file), "--z", "0.3i", "--t", "1.5", code=2)
+
+
+def test_gen_map_readers_leave_the_shared_entries_alone(runner):
+    # at weight 2 the points of a live two-term class share their gen_map
+    # dicts: x*J has x's dict object and x*S its negative; no reader may
+    # write to one
+    d, level = checks.REFERENCE_FORM[:2]
+    fld = Field.get(d)
+    space = symbol_space(fld, parse_element(fld, level))
+    npts = len(space.points)
+    S, J = space.sum_words[0][1].row(), space.J.row()
+    images = space.act_points(range(npts), [S, J]).tolist()
+    gm = space.gen_map
+    shared = 0
+    for i, (s_img, j_img) in enumerate(images):
+        assert gm[s_img] == {k: -a for k, a in gm[i].items()}
+        if gm[i]:
+            assert gm[j_img] is gm[i]
+            shared += j_img != i
+    assert shared > 0
+    snapshot = repr([list(g.items()) for g in gm])
+    at = ("--d", str(d), "--level", level)
+    invoke(runner, "space", *at, "--full")
+    invoke(runner, "hecke", *at, "--eta", "2", "--oracle", "--commute-with", "w")
+    invoke(runner, "eigen", *at, "--eta-count", "4")
+    invoke(runner, "fourier", *at, "--norm-bound", "5")
+    invoke(runner, "eval", *at, "--norm-bound", "5", "--z", "0.1+0.2i", "--t", "1.0")
+    assert checks.check_coefficient_identity(norm_bound=6).ok
+    assert symbol_space(fld, parse_element(fld, level)) is space
+    assert repr([list(g.items()) for g in gm]) == snapshot
 
 
 def test_out_writes_file(runner, tmp_path):

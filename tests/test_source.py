@@ -17,6 +17,20 @@ ASSERT_ALLOWED = {
     "symbols.SymbolSpace.poly_symbol_vector",
 }
 
+# the process-lifetime caches: each holds its keys and results until exit, so
+# a new one must be named here
+UNBOUNDED_CACHES_ALLOWED = {
+    "symbols.symbol_space",
+    "boundary.cuspidal_subspace",
+    "heilbronn.heilbronn_family",
+    "heilbronn.heilbronn_classes",
+    "quadints._omega_roots_mod",
+    "quadints.primes_above",
+    "quadints.hnf_module",
+    "quadints.residues_mod",
+    "quadints.residues_below",
+}
+
 
 def asserts_by_scope(tree, prefix):
     # (qualified name of the innermost enclosing def, line) per assert
@@ -35,10 +49,69 @@ def asserts_by_scope(tree, prefix):
     return out
 
 
+def _named(node, name):
+    # node is the bare name or a module.name attribute
+    return (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def unbounded_caches(tree, prefix):
+    # qualified name per lru_cache(maxsize=None) call (a decorator's is the
+    # function it wraps) and per functools.cache decorator
+    out = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+                out.extend(inner for dec in child.decorator_list if _named(dec, "cache"))
+                walk(child, inner)
+            else:
+                if isinstance(child, ast.Call) and _named(child.func, "lru_cache"):
+                    sizes = child.args[:1] + [k.value for k in child.keywords
+                                              if k.arg == "maxsize"]
+                    if any(isinstance(a, ast.Constant) and a.value is None for a in sizes):
+                        out.append(scope)
+                walk(child, scope)
+
+    walk(tree, prefix)
+    return out
+
+
+def package_trees():
+    for path in sorted(Path(bianchi.__file__).parent.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(), str(path))
+
+
+def test_no_unbounded_cache_outside_the_allowlist():
+    found = [name for stem, tree in package_trees() for name in unbounded_caches(tree, stem)]
+    assert sorted(found) == sorted(UNBOUNDED_CACHES_ALLOWED), \
+        "a new lru_cache(maxsize=None) keeps its entries for the life of the process"
+
+
+def test_unbounded_cache_scan_sees_every_form():
+    tree = ast.parse(
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=None)\n"
+        "def a(x): ...\n"
+        "@functools.lru_cache(None)\n"
+        "def b(x): ...\n"
+        "@cache\n"
+        "def c(x): ...\n"
+        "@lru_cache(maxsize=64)\n"
+        "def bounded(x): ...\n"
+        "class K:\n"
+        "    @functools.cache\n"
+        "    def d(self): ...\n"
+        "e = lru_cache(maxsize=None)(len)\n")
+    assert unbounded_caches(tree, "m") == ["m.a", "m.b", "m.c", "m.K.d", "m"]
+
+
 def test_no_assert_outside_the_allowlist():
     found = []
-    for path in sorted(Path(bianchi.__file__).parent.glob("*.py")):
-        found += asserts_by_scope(ast.parse(path.read_text(), str(path)), path.stem)
+    for stem, tree in package_trees():
+        found += asserts_by_scope(tree, stem)
     stray = [f"{scope} (line {line})" for scope, line in found if scope not in ASSERT_ALLOWED]
     assert stray == [], "use InvariantError or ValueError, python -O strips assert"
     # every allowlisted precondition is still found: the scan sees methods

@@ -35,7 +35,7 @@ from bianchi.symbols import (
     slash_poly,
     symbol_space,
     _distinct_rows,
-    _SignedUF,
+    _orbit_roots,
 )
 
 FIELDS = [Field.get(d) for d in EUCLIDEAN_D]
@@ -589,6 +589,86 @@ def point_cusp_orbits_reference(space):
                     stack.append(t)
         nxt += 1
     return ids
+
+
+class _SignedUF:
+    """Union-find tracking e_i = sign * e_root, with dead (forced-zero) roots."""
+
+    def __init__(self, n: int) -> None:
+        self.parent = list(range(n))
+        self.sign = [1] * n
+        self.dead = [False] * n
+
+    def find(self, i: int) -> tuple[int, int]:
+        chain = []
+        while self.parent[i] != i:
+            chain.append(i)
+            i = self.parent[i]
+        s = 1
+        for j in reversed(chain):
+            s *= self.sign[j]
+            self.parent[j] = i
+            self.sign[j] = s
+        return (i, self.sign[chain[0]]) if chain else (i, 1)
+
+    def union(self, i: int, j: int, s: int) -> None:
+        """Impose e_i = s * e_j."""
+        ri, si = self.find(i)
+        rj, sj = self.find(j)
+        t = si * s * sj
+        if ri == rj:
+            if t != 1:
+                self.dead[ri] = True
+            return
+        if ri < rj:
+            ri, rj = rj, ri
+        self.parent[ri] = rj
+        self.sign[ri] = t
+        self.dead[rj] = self.dead[rj] or self.dead[ri]
+
+
+def orbit_roots_reference(images, signs):
+    # (root, sign, dead) per point from the union-find, one union per point and move
+    npts = len(images)
+    uf = _SignedUF(npts)
+    for i, line in enumerate(images):
+        for t, s in zip(line, signs):
+            uf.union(i, t, s)
+    found = [uf.find(i) for i in range(npts)]
+    return [(r, s, uf.dead[r]) for r, s in found]
+
+
+@st.composite
+def signed_permutations(draw):
+    # n <= 30 points, each move a permutation built from cycles of length 1-6
+    n = draw(st.integers(1, 30))
+    moves = []
+    for _ in range(draw(st.integers(0, 4))):
+        order = draw(st.permutations(range(n)))
+        perm = list(range(n))
+        start = 0
+        while start < n:
+            stop = min(n, start + draw(st.integers(1, 6)))
+            cycle = order[start:stop]
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                perm[a] = b
+            start = stop
+        moves.append(perm)
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=len(moves), max_size=len(moves)))
+    return [list(line) for line in zip(*moves)] if moves else [[] for _ in range(n)], signs
+
+
+@given(signed_permutations())
+@example(([[0]], [-1]))  # a move fixing the one point with sign -1: a dead orbit
+@example(([[]], []))  # one point, no moves
+@example(([[], [], []], []))  # no moves: every point is its own orbit
+@example(([[1], [0], [2]], [-1]))  # the fixed point 2 is dead, 0 and 1 are not
+def test_orbit_roots_match_signed_union_find(case):
+    images, signs = case
+    root, sign = _orbit_roots(np.array(images, dtype=np.int64), signs)
+    got = [(r, s, s == 0) for r, s in zip(root.tolist(), sign.tolist())]
+    want = [(r, 0 if dead else s, dead) for r, s, dead in orbit_roots_reference(images, signs)]
+    assert got == want
 
 
 def build_weight2_reference(space):
