@@ -6,12 +6,21 @@ weighted by P(1, 0), minus the class of (-u^-1 mod gcd(v, nu), v) weighted
 by P(0, 1).  Class data is (c mod nu, a mod gcd(c, nu)) with both entries
 identified under unit scalings, which twist weight-k coefficients by
 lambda^(2-k); a class fixed by a scaling with nontrivial twist vanishes.
+
+At weight 2 every twist is 1, and cuspidal_subspace takes the boundary
+straight from the space's cusp-orbit pass (SymbolSpace.cusp_pass): the
+symbol of g has boundary g*oo - g*0, the orbit of its point minus the orbit
+of its S image, two array lookups.  The labelled boundary_matrix, built
+from cusp_class on ring elements, stays as the weight-2 oracle and is the
+boundary above weight 2.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .linalg import SparseMat, Subspace, kernel, vec_axpy
 from .quadints import InvariantError, QuadInt, gcd, inverse_mod, reduce_mod, xgcd
@@ -120,10 +129,36 @@ def boundary_matrix(space: SymbolSpace) -> tuple[tuple, SparseMat]:
             mat.add_to(kidx[k], j, val)
     return tuple(keys), mat
 
+def orbit_boundary_matrix(space: SymbolSpace) -> SparseMat:
+    """Weight-2 boundary on the quotient basis, one row per cusp orbit.
+
+    Column j is e_orbit(g) - e_orbit(g*S) for the free generator g =
+    free_gens[j], read from the space's cusp pass; the column is zero when
+    both cusps lie in one orbit.
+    """
+    orbit, s_image = space.cusp_pass
+    gens = np.asarray(space.free_gens, dtype=np.int64)
+    mat = SparseMat(int(orbit.max()) + 1, space.dim)
+    for j, (top, bottom) in enumerate(zip(orbit[gens].tolist(),
+                                          orbit[s_image[gens]].tolist())):
+        if top != bottom:
+            mat.rows[top][j] = 1
+            mat.rows[bottom][j] = -1
+    return mat
+
 @lru_cache(maxsize=None)
 def cuspidal_subspace(space: SymbolSpace) -> Subspace:
-    """Kernel of the boundary map, inside the quotient space."""
-    _, mat = boundary_matrix(space)
+    """Kernel of the boundary map, inside the quotient space.
+
+    Weight 2 takes orbit_boundary_matrix; above it the unit twists are not
+    +-1 and the labelled boundary_matrix is used.  Both give the same
+    kernel at weight 2, and Subspace's reduced echelon basis depends only
+    on the kernel.
+    """
+    if space.weight == 2:
+        mat = orbit_boundary_matrix(space)
+    else:
+        _, mat = boundary_matrix(space)
     return Subspace(space.dim, kernel(mat))
 
 def orbit_of_cusp(space: SymbolSpace, orbit_ids, p: QuadInt, q: QuadInt) -> int:

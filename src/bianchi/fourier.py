@@ -20,6 +20,11 @@ automorphy factor; the 3x3 matrix used for that is the coframe pullback
     A(g, w) = D^-1 Sym2(adj j(g, w)) D / det j(g, w),   D = diag(-2, 1, 2)
 
 derived by differentiating the action on (z, t) directly.
+
+scipy.special is imported on the first Bessel value, by _bessel_k01, which
+bessel_K and eval_series call once per call: the exact layers and the
+coefficient tables never load scipy, so the commands that stop there start
+without it.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from scipy.special import k0 as _k0, k1 as _k1
 
 from .boundary import boundary_of_gen
 from .heilbronn import DEFAULT_TIE, heilbronn_family
@@ -42,13 +46,20 @@ from .quadints import InvariantError, QuadInt, canonical_elements_of_norm, divid
 from .symbols import Mat2, SymbolSpace
 
 
+def _bessel_k01():
+    """scipy.special's k0 and k1, imported on first use (see the module docstring)."""
+    from scipy.special import k0, k1
+
+    return k0, k1
+
+
 def bessel_K(j: int, t: float) -> float:
     """Modified Bessel function of the second kind, order 0 or 1."""
     if j not in (0, 1):
         raise ValueError("order must be 0 or 1")
     if t <= 0:
         raise ValueError("argument must be positive")
-    return float(_k0(t) if j == 0 else _k1(t))
+    return float(_bessel_k01()[j](t))
 
 
 @dataclass(frozen=True)
@@ -283,9 +294,10 @@ def eval_series(table: FourierTable, w: H3Point) -> tuple[tuple[complex, complex
     t2 = t**2
     four_pi_i = 4j * math.pi
     args = 4 * math.pi * table.series_mods * t / s
+    k0, k1 = _bessel_k01()
     f0 = f1 = f2 = 0.0 + 0.0j
-    for (ac, _, phase, a), k0v, k1v in zip(table.series_terms, _k0(args).tolist(),
-                                           _k1(args).tolist()):
+    for (ac, _, phase, a), k0v, k1v in zip(table.series_terms, k0(args).tolist(),
+                                           k1(args).tolist()):
         psi = cmath.exp(four_pi_i * (ac * z).imag / s)
         common = a * t2 * psi
         # the outer components carry the phase of alpha: the unique decaying

@@ -7,7 +7,7 @@ the universal triangle relation, and one extra polygon relation per field
 (none for d = 3, a triangle for d = 1, squares for d = 2 and 7, a hexagon
 for d = 11).  Points are moved by matrices, given as 8-int rows (Mat2.row),
 as plain-int Hermite-box codes in one kernel, SymbolSpace.act_points: the
-builds, the cusp-orbit search, the Hecke operators and the Fourier layer
+builds, the cusp-orbit pass, the Hecke operators and the Fourier layer
 move many points through many rows in one call and work on the int arrays
 it returns.  The two-term relations say e_(i*g) = +-e_i for g in the group
 generated by S and J, so their classes are the orbits of that group, found
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -412,6 +412,32 @@ class SymbolSpace:
                 + (ya - ky * e11) * e22 + (yb - ky * e12) % e22)
         return codes[code]
 
+    @cached_property
+    def cusp_pass(self) -> tuple[np.ndarray, np.ndarray]:
+        """(orbit, s_image): each point's cusp orbit and its index times S.
+
+        The orbits are those of the stabilizer of oo, generated by unit
+        scalings and the two translations, acting on the right; they are in
+        bijection with the cusps of the symbol quotient, the point of g
+        standing for the cusp g*oo and its S image for g*0.  One act_points
+        call moves every point through the stabilizer's moves and S; the
+        orbits come from _orbit_roots with every sign +1 and are numbered
+        in the order of their least points.  Both arrays are standalone, so
+        the (points x moves) array is freed when the pass ends.
+        """
+        fld = self.field
+        one, zero = fld.one, fld.zero
+        moves = []
+        for lam in fld.units:
+            moves.append(Mat2(lam, zero, zero, lam.conj()))  # (u, v) -> (lam*u, conj(lam)*v)
+            moves.append(Mat2(lam, zero, zero, one))  # (u, v) -> (lam*u, v)
+        for mu in (one, -one, fld.omega, -fld.omega):
+            moves.append(Mat2(one, mu, zero, one))  # (u, v) -> (u, v + mu*u)
+        moves.append(self.sum_words[0][1])  # S: (u, v) -> (v, -u)
+        images = self.act_points(np.arange(len(self.points)), [mv.row() for mv in moves])
+        root, _ = _orbit_roots(images[:, :-1], [1] * (len(moves) - 1))
+        return np.unique(root, return_inverse=True)[1], images[:, -1].copy()
+
     def _build_weight2(self) -> None:
         npts = len(self.points)
         everyone = np.arange(npts)
@@ -576,27 +602,12 @@ def modular_symbol_vec(space: SymbolSpace, alpha, beta, poly=None) -> dict:
 
 
 def point_cusp_orbits(space: SymbolSpace) -> list[int]:
-    """Orbit id per generator under the right action of the stabilizer of oo.
-
-    The stabilizer is generated by unit scalings and the two translations;
-    its orbits on the generators are in bijection with the cusps of the
-    symbol quotient.  The orbits come from _orbit_roots with every sign +1,
-    and are numbered in the order of their least points.
-    """
-    fld = space.field
-    one, zero = fld.one, fld.zero
-    moves = []
-    for lam in fld.units:
-        moves.append(Mat2(lam, zero, zero, lam.conj()))  # (u, v) -> (lam*u, conj(lam)*v)
-        moves.append(Mat2(lam, zero, zero, one))  # (u, v) -> (lam*u, v)
-    for mu in (one, -one, fld.omega, -fld.omega):
-        moves.append(Mat2(one, mu, zero, one))  # (u, v) -> (u, v + mu*u)
-    images = space.act_points(np.arange(len(space.points)), [mv.row() for mv in moves])
-    root, _ = _orbit_roots(images, [1] * len(moves))
-    return np.unique(root, return_inverse=True)[1].tolist()
+    """Orbit id per generator under the right action of the stabilizer of oo,
+    as a list (see SymbolSpace.cusp_pass)."""
+    return space.cusp_pass[0].tolist()
 
 
 def cusp_count(space: SymbolSpace) -> int:
     """Number of cusps of the symbol quotient."""
-    ids = point_cusp_orbits(space)
-    return max(ids) + 1 if ids else 0
+    orbit = space.cusp_pass[0]
+    return int(orbit.max()) + 1 if orbit.size else 0

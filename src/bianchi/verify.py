@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .boundary import (
+    boundary_matrix,
     boundary_of_gen,
     cusp_label,
     cuspidal_subspace,
@@ -49,7 +50,7 @@ from .heilbronn import (
     heilbronn_family,
     telescoping_ok,
 )
-from .linalg import vec_axpy, vec_dot
+from .linalg import Subspace, kernel, vec_axpy, vec_dot
 from .quadints import (
     Field,
     QuadInt,
@@ -390,8 +391,13 @@ def check_dimension_identity(norm_bound: int = 13) -> CheckResult:
 
 
 def check_boundary_bridge(norm_bound: int = 13) -> CheckResult:
-    """Pair formula equals the lifted-cusp boundary on every generator, and
-    the cuspidal kernel dies under the orbit-level boundary."""
+    """Pair formula equals the lifted-cusp boundary on every generator, the
+    cuspidal subspace equals the kernel of the labelled boundary_matrix, and
+    it dies under the orbit-level boundary.
+
+    The labelled matrix comes from cusp_class on ring elements, not from
+    the cusp-orbit pass that cuspidal_subspace reads at weight 2.
+    """
     t0 = time.perf_counter()
     fail = None
     gens = 0
@@ -414,8 +420,13 @@ def check_boundary_bridge(norm_bound: int = 13) -> CheckResult:
                     break
                 gens += 1
             if fail is None:
+                cusp = cuspidal_subspace(space)
+                labelled = Subspace(space.dim, kernel(boundary_matrix(space)[1]))
+                if (cusp.basis, cusp.pivots) != (labelled.basis, labelled.pivots):
+                    fail = {"d": fld.d, "level": str(nu), "kernel": "differs"}
+            if fail is None:
                 tmat = true_boundary_matrix(space)
-                for bvec in cuspidal_subspace(space).basis:
+                for bvec in cusp.basis:
                     if tmat.matvec(bvec):
                         fail = {"d": fld.d, "level": str(nu), "kernel": "escapes"}
                         break

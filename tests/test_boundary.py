@@ -1,5 +1,8 @@
 from fractions import Fraction
 
+import pytest
+
+from bianchi import verify
 from bianchi.boundary import (
     boundary_matrix,
     boundary_of_gen,
@@ -9,7 +12,7 @@ from bianchi.boundary import (
     true_boundary_matrix,
 )
 from bianchi.linalg import Subspace, kernel, vec_axpy
-from bianchi.quadints import EUCLIDEAN_D, Field, parse_element
+from bianchi.quadints import EUCLIDEAN_D, Field, canonical_elements_of_norm, parse_element
 from bianchi.symbols import (
     Mat2,
     cusp_count,
@@ -17,7 +20,7 @@ from bianchi.symbols import (
     point_cusp_orbits,
     symbol_space,
 )
-from test_symbols import moved, spaces
+from test_symbols import moved, point_cusp_orbits_reference, spaces
 
 
 def test_boundary_matches_lifted_cusps():
@@ -173,3 +176,33 @@ def test_orbit_invariants_fire_under_python_O(run_optimized):
         "    print('point:', exc)\n"
     )
     assert [line.split(":")[0] for line in out] == ["gcd", "point"], out
+
+
+@pytest.mark.parametrize("d", EUCLIDEAN_D)
+def test_weight2_cuspidal_subspace_matches_labelled_kernel(d):
+    # the cusp-orbit boundary gives the subspace of the labelled one (basis,
+    # key order, entry types, pivots) at level one and every level of norm
+    # 2..40, and cusp_count the orbit count of the scalar search
+    fld = Field.get(d)
+    levels = [fld.one] + [nu for n in range(2, 41) for nu in canonical_elements_of_norm(fld, n)]
+    for nu in levels:
+        space = symbol_space(fld, nu)
+        got = cuspidal_subspace(space)
+        want = Subspace(space.dim, kernel(boundary_matrix(space)[1]))
+        where = (d, str(nu))
+        assert repr(got.basis) == repr(want.basis), where
+        assert got.pivots == want.pivots, where
+        assert cusp_count(space) == max(point_cusp_orbits_reference(space)) + 1, where
+
+
+def test_boundary_bridge_catches_a_wrong_cuspidal_kernel(monkeypatch):
+    # the whole quotient in place of the cuspidal subspace: the labelled
+    # boundary's kernel is smaller at the first level with a cusp form or
+    # two cusps
+    def whole(space):
+        return Subspace(space.dim, [{i: Fraction(1)} for i in range(space.dim)])
+
+    monkeypatch.setattr(verify, "cuspidal_subspace", whole)
+    result = verify.check_boundary_bridge(norm_bound=4)
+    assert not result.ok
+    assert result.data["fail"]["kernel"] == "differs"

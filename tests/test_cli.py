@@ -513,3 +513,52 @@ def test_same_output_under_python_O():
     assert plain.stdout == optimized.stdout
     # one document per run, each closed by a "}" line (heilbronn has no level)
     assert plain.stdout.count(b"\n}\n") == len(OPTIMIZED_RUNS)
+
+
+# commands that stop at exact results or coefficient tables, then the two
+# that need Bessel values: scipy loads on the first of those and not before
+SCIPY_FREE_RUNS = [
+    ["space", "--d", "11", "--level", "1-2w"],
+    ["hecke", "--d", "11", "--level", "1-2w", "--eta", "2", "--commute-with", "w"],
+    ["eigen", "--d", "11", "--level", "1-2w"],
+    ["heilbronn", "--d", "11", "--eta", "1+w", "--verify"],
+    ["fourier", "--d", "11", "--level", "1-2w", "--norm-bound", "20"],
+]
+
+# verify --check bessel's data, as printed before scipy was loaded lazily
+BESSEL_DATA = {"derivative_defect": 9.813660994950624e-11, "err_k0": 1.1102230246251565e-16,
+               "err_k1": 0.0}
+
+
+def scipy_after_each(runs):
+    # a fresh interpreter imports bianchi.cli, runs each command through
+    # cli.main and reports whether scipy is loaded: after the import, then
+    # after each command
+    script = (
+        "import json, sys\n"
+        "from bianchi.cli import main\n"
+        "loaded = ['scipy' in sys.modules]\n"
+        f"for args in {runs!r}:\n"
+        "    main(args, standalone_mode=False)\n"
+        "    loaded.append('scipy' in sys.modules)\n"
+        "sys.stderr.write('\\n' + json.dumps(loaded))\n"
+    )
+    env = {"PYTHONPATH": str(Path(bianchi.__file__).parents[1]), "PYTHONHASHSEED": "0",
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return json.loads(proc.stderr.decode().splitlines()[-1])
+
+
+def test_scipy_loads_only_for_bessel_values(tmp_path):
+    z, t, digest = EVAL_PINS[0]
+    eval_out, verify_out = tmp_path / "eval.json", tmp_path / "verify.json"
+    runs = SCIPY_FREE_RUNS + [["eval", "--d", "11", "--level", "1-2w", "--z", z, "--t", t,
+                               "--out", str(eval_out)]]
+    assert scipy_after_each(runs) == [False] * (1 + len(SCIPY_FREE_RUNS)) + [True]
+    assert hashlib.sha256(eval_out.read_bytes()).hexdigest() == digest
+    runs = [["verify", "--check", "bessel", "--out", str(verify_out)]]
+    assert scipy_after_each(runs) == [False, True]
+    (check,) = json.loads(verify_out.read_text())["checks"]
+    assert check["ok"] is True and check["data"] == BESSEL_DATA

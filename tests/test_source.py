@@ -78,6 +78,29 @@ def unbounded_caches(tree, prefix):
     return out
 
 
+def module_scope_imports(tree, package):
+    # line of each import of package or one of its submodules that runs when
+    # the module is imported: anywhere but inside a function body
+    out = []
+
+    def walk(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                names = [child.module]
+            else:
+                names = []
+            if any(n == package or n.startswith(package + ".") for n in names):
+                out.append(child.lineno)
+            walk(child)
+
+    walk(tree)
+    return out
+
+
 def package_trees():
     for path in sorted(Path(bianchi.__file__).parent.glob("*.py")):
         yield path.stem, ast.parse(path.read_text(), str(path))
@@ -118,3 +141,27 @@ def test_no_assert_outside_the_allowlist():
     # and the list carries no stale names
     assert {scope for scope, _ in found} == ASSERT_ALLOWED
 
+
+
+def test_no_module_scope_scipy_import():
+    # scipy.special is most of the import time of bianchi.cli; only the
+    # Bessel factors need it, and they import it on first use
+    found = [f"{stem} (line {line})" for stem, tree in package_trees()
+             for line in module_scope_imports(tree, "scipy")]
+    assert found == [], "import scipy inside the function that needs it"
+
+
+def test_module_scope_import_scan_sees_both_forms():
+    tree = ast.parse(
+        "import scipy.special\n"
+        "from scipy.special import k0\n"
+        "import scipyx, numpy\n"
+        "from . import scipy\n"
+        "class K:\n"
+        "    from scipy import special\n"
+        "def f():\n"
+        "    import scipy\n"
+        "    from scipy.special import k1\n"
+        "if True:\n"
+        "    import numpy, scipy as sp\n")
+    assert module_scope_imports(tree, "scipy") == [1, 2, 6, 11]
