@@ -7,24 +7,23 @@ by P(0, 1).  Class data is (c mod nu, a mod gcd(c, nu)) with both entries
 identified under unit scalings, which twist weight-k coefficients by
 lambda^(2-k); a class fixed by a scaling with nontrivial twist vanishes.
 
-At weight 2 every twist is 1, and cuspidal_subspace takes the boundary
-straight from the space's cusp-orbit pass (SymbolSpace.cusp_pass): the
-symbol of g has boundary g*oo - g*0, the orbit of its point minus the orbit
-of its S image, two array lookups.  The labelled boundary_matrix, built
-from cusp_class on ring elements, stays as the weight-2 oracle and is the
-boundary above weight 2.
+The weight-2 boundary has one construction, orbit_boundary_matrix, read
+from the space's cusp-orbit pass (SymbolSpace.cusp_pass): the symbol of g
+has boundary g*oo - g*0, the orbit of its point minus the orbit of its S
+image, two array lookups.  The labelled boundary_matrix, built from
+cusp_class on ring elements, is its oracle and the boundary above weight 2.
+cuspidal_subspace keeps its result on the space, so it is freed with it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .linalg import SparseMat, Subspace, kernel, vec_axpy
-from .quadints import InvariantError, QuadInt, gcd, inverse_mod, reduce_mod, xgcd
-from .symbols import SymbolSpace, lift_to_sl2, normalize_cusp, point_cusp_orbits
+from .quadints import QuadInt, gcd, inverse_mod, reduce_mod
+from .symbols import SymbolSpace, normalize_cusp
 
 def cusp_class(space: SymbolSpace, a: QuadInt, c: QuadInt):
     """Canonical class key for the cusp vector data (a, c), with the unit
@@ -146,43 +145,19 @@ def orbit_boundary_matrix(space: SymbolSpace) -> SparseMat:
             mat.rows[bottom][j] = -1
     return mat
 
-@lru_cache(maxsize=None)
 def cuspidal_subspace(space: SymbolSpace) -> Subspace:
-    """Kernel of the boundary map, inside the quotient space.
+    """Kernel of the boundary map, inside the quotient space, computed once
+    per space and kept on it.
 
     Weight 2 takes orbit_boundary_matrix; above it the unit twists are not
     +-1 and the labelled boundary_matrix is used.  Both give the same
     kernel at weight 2, and Subspace's reduced echelon basis depends only
     on the kernel.
     """
-    if space.weight == 2:
-        mat = orbit_boundary_matrix(space)
-    else:
-        _, mat = boundary_matrix(space)
-    return Subspace(space.dim, kernel(mat))
-
-def orbit_of_cusp(space: SymbolSpace, orbit_ids, p: QuadInt, q: QuadInt) -> int:
-    """Cusp orbit containing (p : q), located through a matrix with that
-    first column."""
-    p, q = normalize_cusp(p, q)
-    g, s, _ = xgcd(p, q)
-    if not g.is_unit():
-        raise InvariantError(f"cusp ({p} : {q}) is not coprime: gcd {g}")
-    pt = space.point_of(q, s * g.conj())
-    if pt is None:
-        raise InvariantError(f"cusp ({p} : {q}) has no point at level {space.level} "
-                             f"(d={space.field.d})")
-    return orbit_ids[pt]
-
-def true_boundary_matrix(space: SymbolSpace) -> SparseMat:
-    """Boundary straight to cusp orbits (no labels); weight 2 only."""
-    assert space.weight == 2
-    ids = point_cusp_orbits(space)
-    ncusps = max(ids) + 1
-    mat = SparseMat(ncusps, space.dim)
-    for j, gen in enumerate(space.free_gens):
-        u, v = space.points[gen]
-        g = lift_to_sl2(space.field, space.level, u, v)
-        mat.add_to(orbit_of_cusp(space, ids, g.a, g.c), j, Fraction(1))
-        mat.add_to(orbit_of_cusp(space, ids, g.b, g.d), j, Fraction(-1))
-    return mat
+    if space._cuspidal is None:
+        if space.weight == 2:
+            mat = orbit_boundary_matrix(space)
+        else:
+            _, mat = boundary_matrix(space)
+        space._cuspidal = Subspace(space.dim, kernel(mat))
+    return space._cuspidal

@@ -30,7 +30,7 @@ from .fourier import (
 )
 from .hecke import commute_check, eigensystems, hecke_on_manin, hecke_oracle
 from .heilbronn import heilbronn_classes, heilbronn_family, telescoping_ok
-from .linalg import full_space, rational_eigensystem
+from .linalg import rational_eigensystem
 from .quadints import Field, InvariantError, QuadInt, gcd, parse_element
 from .symbols import Mat2, cusp_count, symbol_space
 
@@ -221,7 +221,7 @@ def hecke(ctx, d, level, eta_text, weight, oracle, others, out, json_indent):
     except ValueError as exc:
         raise click.UsageError(str(exc))
     cusp = cuspidal_subspace(sp)
-    eigs, residual = rational_eigensystem(op.cuspidal_matrix, full_space(cusp.dim))
+    eigs, residual = rational_eigensystem(op.cuspidal_matrix)
     payload = {
         "d": fld.d,
         "level": str(nu),

@@ -183,14 +183,6 @@ class QuadInt:
     def to_complex(self) -> complex:
         return self.a + self.b * self.field.omega_complex
 
-    def to_json(self) -> dict:
-        # decimal strings keep arbitrarily large coordinates JSON-safe
-        return {"d": self.field.d, "a": str(self.a), "b": str(self.b)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> QuadInt:
-        return Field.get(int(obj["d"])).elt(int(obj["a"]), int(obj["b"]))
-
     def __str__(self) -> str:
         a, b = self.a, self.b
         if b == 0:

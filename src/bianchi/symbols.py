@@ -12,8 +12,8 @@ move many points through many rows in one call and work on the int arrays
 it returns.  The two-term relations say e_(i*g) = +-e_i for g in the group
 generated by S and J, so their classes are the orbits of that group, found
 with the cusp orbits by one numpy kernel, _orbit_roots; the rest become
-integer rows, repeats up to sign dropped, for the sparse row reduction in
-linalg.rref.
+integer rows (at weight 2 with repeats up to sign dropped) for the sparse
+row reduction in linalg.rref.
 """
 
 from __future__ import annotations
@@ -332,7 +332,8 @@ class SymbolSpace:
     quotient basis; free_gens lists one generator per basis vector.  At
     weight 2 the entries are shared: the points of one two-term class that
     have the same sign hold the same dict object (the class root's image or
-    its negative), so callers must not mutate gen_map entries.
+    its negative), so callers must not mutate gen_map entries.  _cuspidal
+    holds boundary.cuspidal_subspace's result once it has been asked for.
     """
 
     def __init__(self, fld: Field, nu: QuadInt, weight: int = 2) -> None:
@@ -350,6 +351,7 @@ class SymbolSpace:
         self.point_index = {pt: i for i, pt in enumerate(self.points)}
         self._build_point_codes()
         self.sum_words, self.J = relation_words(fld)
+        self._cuspidal = None
         if weight == 2:
             self._build_weight2()
         else:
@@ -513,7 +515,6 @@ class SymbolSpace:
         rels.append([(Mat2.identity(fld), 1), (self.J, -1)])
         everyone = np.arange(npts)
         rows = []
-        seen = set()
         for rel in rels:
             mats = [self.slash_rows(w.inv_unit().row()) for w, _ in rel]
             acts = self.act_points(everyone, [w.row() for w, _ in rel]).T.tolist()
@@ -528,14 +529,7 @@ class SymbolSpace:
                                 row[key] = val
                             else:
                                 row.pop(key, None)
-                    if not row:
-                        continue
-                    # drop a repeat up to sign: rref would reduce it to zero
-                    key = tuple(sorted(row.items()))
-                    if key[0][1] < 0:
-                        key = tuple((c, -a) for c, a in key)
-                    if key not in seen:
-                        seen.add(key)
+                    if row:
                         rows.append(row)
         self.gen_map = self._quotient(rows, list(range(ngens)))
 
@@ -599,12 +593,6 @@ def path_vector(space: SymbolSpace, cusp: tuple[QuadInt, QuadInt], poly=None) ->
 def modular_symbol_vec(space: SymbolSpace, alpha, beta, poly=None) -> dict:
     """Quotient image of the modular symbol from cusp alpha to cusp beta."""
     return vec_sub(path_vector(space, beta, poly), path_vector(space, alpha, poly))
-
-
-def point_cusp_orbits(space: SymbolSpace) -> list[int]:
-    """Orbit id per generator under the right action of the stabilizer of oo,
-    as a list (see SymbolSpace.cusp_pass)."""
-    return space.cusp_pass[0].tolist()
 
 
 def cusp_count(space: SymbolSpace) -> int:

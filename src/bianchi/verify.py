@@ -22,7 +22,6 @@ from .boundary import (
     boundary_of_gen,
     cusp_label,
     cuspidal_subspace,
-    true_boundary_matrix,
 )
 from .fourier import (
     DualFunctional,
@@ -392,11 +391,14 @@ def check_dimension_identity(norm_bound: int = 13) -> CheckResult:
 
 def check_boundary_bridge(norm_bound: int = 13) -> CheckResult:
     """Pair formula equals the lifted-cusp boundary on every generator, the
-    cuspidal subspace equals the kernel of the labelled boundary_matrix, and
-    it dies under the orbit-level boundary.
+    cusp-orbit pass partitions the cusps as their labels do, and the
+    cuspidal subspace equals the kernel of the labelled boundary_matrix.
 
-    The labelled matrix comes from cusp_class on ring elements, not from
-    the cusp-orbit pass that cuspidal_subspace reads at weight 2.
+    The point of g stands for the cusp g*oo and its S image for g*0, so the
+    pairs (orbit, label) read off every point must form a bijection between
+    the cusp_count orbits and the labels.  The labels come from cusp_class
+    on ring elements, not from the cusp-orbit pass that cuspidal_subspace
+    reads at weight 2.
     """
     t0 = time.perf_counter()
     fail = None
@@ -404,6 +406,9 @@ def check_boundary_bridge(norm_bound: int = 13) -> CheckResult:
     for fld in FIELDS:
         for nu in _canonical_levels(fld, norm_bound):
             space = symbol_space(fld, nu, 2)
+            orbit, s_image = (a.tolist() for a in space.cusp_pass)
+            label_of: dict = {}
+            orbit_of: dict = {}
             for idx in range(len(space.points)):
                 u, v = space.points[idx]
                 g = lift_to_sl2(fld, nu, u, v)
@@ -418,18 +423,20 @@ def check_boundary_bridge(norm_bound: int = 13) -> CheckResult:
                 if boundary_of_gen(space, idx) != expected:
                     fail = {"d": fld.d, "level": str(nu), "point": idx}
                     break
+                pairs = ((orbit[idx], lab_inf), (orbit[s_image[idx]], lab_zero))
+                if any(label_of.setdefault(o, lab) != lab or orbit_of.setdefault(lab, o) != o
+                       for o, lab in pairs):
+                    fail = {"d": fld.d, "level": str(nu), "point": idx, "partition": "differs"}
+                    break
                 gens += 1
+            if fail is None and len(orbit_of) != cusp_count(space):
+                fail = {"d": fld.d, "level": str(nu), "partition": "differs",
+                        "labels": len(orbit_of), "cusps": cusp_count(space)}
             if fail is None:
                 cusp = cuspidal_subspace(space)
                 labelled = Subspace(space.dim, kernel(boundary_matrix(space)[1]))
                 if (cusp.basis, cusp.pivots) != (labelled.basis, labelled.pivots):
                     fail = {"d": fld.d, "level": str(nu), "kernel": "differs"}
-            if fail is None:
-                tmat = true_boundary_matrix(space)
-                for bvec in cusp.basis:
-                    if tmat.matvec(bvec):
-                        fail = {"d": fld.d, "level": str(nu), "kernel": "escapes"}
-                        break
             if fail:
                 break
         if fail:

@@ -1,5 +1,8 @@
+import gc
+import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bianchi import verify
@@ -8,16 +11,15 @@ from bianchi.boundary import (
     boundary_of_gen,
     cusp_label,
     cuspidal_subspace,
-    orbit_of_cusp,
-    true_boundary_matrix,
+    orbit_boundary_matrix,
 )
 from bianchi.linalg import Subspace, kernel, vec_axpy
 from bianchi.quadints import EUCLIDEAN_D, Field, canonical_elements_of_norm, parse_element
 from bianchi.symbols import (
     Mat2,
+    SymbolSpace,
     cusp_count,
     lift_to_sl2,
-    point_cusp_orbits,
     symbol_space,
 )
 from test_symbols import moved, point_cusp_orbits_reference, spaces
@@ -80,12 +82,11 @@ def test_boundary_kills_relations_weight4():
 def test_boundary_kernel_equals_cusp_orbit_kernel():
     for space in spaces():
         _, lab_mat = boundary_matrix(space)
-        true_mat = true_boundary_matrix(space)
         klab = Subspace(space.dim, kernel(lab_mat))
-        ktrue = Subspace(space.dim, kernel(true_mat))
-        assert klab.dim == ktrue.dim
-        assert all(klab.contains(v) for v in ktrue.basis)
-        assert all(ktrue.contains(v) for v in klab.basis)
+        korbit = Subspace(space.dim, kernel(orbit_boundary_matrix(space)))
+        assert klab.dim == korbit.dim
+        assert all(klab.contains(v) for v in korbit.basis)
+        assert all(korbit.contains(v) for v in klab.basis)
 
 
 def test_label_count_matches_orbit_count():
@@ -123,17 +124,6 @@ def test_gaussian_prime_level_pin():
     assert cusp_count(space) == 2
 
 
-def test_orbit_of_cusp_well_defined():
-    fld = Field.get(1)
-    space = symbol_space(fld, fld.from_int(3))
-    ids = point_cusp_orbits(space)
-    w = fld.omega
-    # scalings of the same projective cusp land in the same orbit
-    a = orbit_of_cusp(space, tuple(ids), fld.from_int(2), fld.one + w)
-    b = orbit_of_cusp(space, tuple(ids), fld.from_int(2) * w, (fld.one + w) * w)
-    assert a == b
-
-
 def test_weight4_cuspidal_builds():
     fld = Field.get(1)
     space = symbol_space(fld, fld.from_int(2), 4)
@@ -151,31 +141,6 @@ def test_boundary_matrix_memo_changes_nothing():
         for j, g in enumerate(space.free_gens):
             col = {kidx[k]: c for k, c in boundary_of_gen(space, g).items()}
             assert {i: row[j] for i, row in enumerate(mat.rows) if j in row} == col
-
-
-def test_orbit_invariants_fire_under_python_O(run_optimized):
-    # a cusp left with a common factor, and a space whose point lookups miss
-    out = run_optimized(
-        "from bianchi import boundary, symbols\n"
-        "from bianchi.quadints import Field, InvariantError\n"
-        "fld = Field.get(1)\n"
-        "two = fld.from_int(2)\n"
-        "space = symbols.symbol_space(fld, fld.from_int(3))\n"
-        "ids = symbols.point_cusp_orbits(space)\n"
-        "normalize_cusp = boundary.normalize_cusp\n"
-        "boundary.normalize_cusp = lambda p, q: (p, q)\n"
-        "try:\n"
-        "    boundary.orbit_of_cusp(space, ids, two, two)\n"
-        "except InvariantError as exc:\n"
-        "    print('gcd:', exc)\n"
-        "boundary.normalize_cusp = normalize_cusp\n"
-        "space.point_index.clear()\n"
-        "try:\n"
-        "    boundary.orbit_of_cusp(space, ids, fld.one, two)\n"
-        "except InvariantError as exc:\n"
-        "    print('point:', exc)\n"
-    )
-    assert [line.split(":")[0] for line in out] == ["gcd", "point"], out
 
 
 @pytest.mark.parametrize("d", EUCLIDEAN_D)
@@ -206,3 +171,38 @@ def test_boundary_bridge_catches_a_wrong_cuspidal_kernel(monkeypatch):
     result = verify.check_boundary_bridge(norm_bound=4)
     assert not result.ok
     assert result.data["fail"]["kernel"] == "differs"
+
+
+@pytest.mark.parametrize("fault", ["merged", "moved"])
+def test_boundary_bridge_catches_a_wrong_cusp_pass(monkeypatch, fault):
+    # at the first level with two cusps, the two orbits merged into one, or
+    # one S image moved into the other orbit: the orbits no longer match the
+    # labels one to one
+    fld = Field.get(1)
+    # the space the check reads: symbol_space caches on its arguments as given
+    space = symbol_space(fld, parse_element(fld, "1+1w"), 2)
+    orbit, s_image = space.cusp_pass
+    assert orbit.max() == 1
+    if fault == "merged":
+        orbit = np.zeros_like(orbit)
+    else:
+        s_image = s_image.copy()
+        s_image[0] = np.flatnonzero(orbit != orbit[s_image[0]])[0]
+    monkeypatch.setattr(space, "cusp_pass", (orbit, s_image))
+    result = verify.check_boundary_bridge(norm_bound=4)
+    assert not result.ok
+    assert result.data["fail"]["partition"] == "differs"
+    assert result.data["fail"]["level"] == str(space.level)
+
+
+@pytest.mark.parametrize("weight", [2, 4])
+def test_cuspidal_subspace_is_freed_with_its_space(weight):
+    # the subspace is kept on the space, not in a cache keyed on it
+    fld = Field.get(1)
+    space = SymbolSpace(fld, fld.from_int(2), weight)
+    sub = cuspidal_subspace(space)
+    assert cuspidal_subspace(space) is sub
+    ref = weakref.ref(space)
+    del space
+    gc.collect()
+    assert ref() is None

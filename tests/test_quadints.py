@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from fractions import Fraction
@@ -14,7 +13,6 @@ from bianchi.quadints import (
     EUCLIDEAN_D,
     Field,
     InvariantError,
-    QuadInt,
     canonical_associate,
     divide_ints,
     divides,
@@ -418,11 +416,6 @@ def test_parse_pins():
 @given(elements())
 def test_format_parse_roundtrip(x):
     assert parse_element(x.field, str(x)) == x
-
-
-@given(elements())
-def test_json_roundtrip(x):
-    assert QuadInt.from_json(json.loads(json.dumps(x.to_json()))) == x
 
 
 def test_ring_invariants_fire_under_python_O(run_optimized):

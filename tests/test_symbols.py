@@ -30,7 +30,6 @@ from bianchi.symbols import (
     modular_symbol_vec,
     normalize_cusp,
     point_count_formula,
-    point_cusp_orbits,
     relation_words,
     slash_poly,
     symbol_space,
@@ -556,7 +555,7 @@ def test_cusp_orbits_match_quadint_moves():
     counts = set()
     for fld, nu in sieve_levels():
         space = symbol_space(fld, nu)
-        ids = point_cusp_orbits(space)
+        ids = space.cusp_pass[0].tolist()
         assert ids == point_cusp_orbits_quadint(space), (fld.d, str(nu))
         counts.add(max(ids) + 1)
     assert len(counts) > 3
@@ -730,7 +729,7 @@ def test_weight2_build_matches_scalar_reference(d):
         assert (space.dim, space.free_gens) == (dim, free), where
         assert repr([list(g.items()) for g in space.gen_map]) == \
             repr([list(g.items()) for g in gen_map]), where
-        assert point_cusp_orbits(space) == point_cusp_orbits_reference(space), where
+        assert space.cusp_pass[0].tolist() == point_cusp_orbits_reference(space), where
     assert big.dim > 0
 
 
