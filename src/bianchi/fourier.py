@@ -29,13 +29,13 @@ without it.
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,7 +57,7 @@ def bessel_K(j: int, t: float) -> float:
     """Modified Bessel function of the second kind, order 0 or 1."""
     if j not in (0, 1):
         raise ValueError("order must be 0 or 1")
-    if t <= 0:
+    if not t > 0:
         raise ValueError("argument must be positive")
     return float(_bessel_k01()[j](t))
 
@@ -123,6 +123,16 @@ def functional_slash(phi: DualFunctional, rows: Sequence[tuple[int, ...]],
     return total
 
 
+class SeriesArrays(NamedTuple):
+    """A table's series terms as float arrays (FourierTable.series_arrays)."""
+
+    alpha: np.ndarray         # (2, n): Re alpha, Im alpha
+    coef: np.ndarray          # a_alpha
+    bessel_scale: np.ndarray  # the distinct values of 4 pi |alpha|, ascending
+    bessel_index: np.ndarray  # each term's position in bessel_scale
+    outer: np.ndarray         # (2, 2, n): Re and Im of -phase/2 and of conj(phase)/2
+
+
 @dataclass(frozen=True)
 class FourierTable:
     space: SymbolSpace
@@ -143,9 +153,20 @@ class FourierTable:
         return out
 
     @cached_property
-    def series_mods(self) -> np.ndarray:
-        """|alpha| per series term, the array the Bessel factors are taken over."""
-        return np.array([mod for _, mod, _, _ in self.series_terms], dtype=float)
+    def series_arrays(self) -> SeriesArrays:
+        """The float arrays eval_series runs on, in series_terms order.
+
+        Each entry is formed by Python's own float and complex arithmetic,
+        so it is the factor the scalar loop over series_terms formed.
+        """
+        rows = []
+        for ac, mod, phase, a in self.series_terms:
+            neg, half = -0.5 * phase, 0.5 * phase.conjugate()
+            rows.append((ac.real, ac.imag, a, 4 * math.pi * mod,
+                         neg.real, half.real, neg.imag, half.imag))
+        cols = np.array(rows, dtype=float).reshape(-1, 8).T.copy()
+        scale, index = np.unique(cols[3], return_inverse=True)
+        return SeriesArrays(cols[0:2], cols[2], scale, index, cols[4:].reshape(2, 2, -1))
 
     @cached_property
     def growth(self) -> Fraction | float:
@@ -245,31 +266,32 @@ class H3Point:
             raise ValueError("height must be positive")
 
 
-def _k_bound(x: float) -> float:
-    # convenient overestimate of max(K_0, K_1), adequate from x ~ 0.5 on
-    return 2.0 * math.sqrt(math.pi / (2 * x)) * math.exp(-x)
-
-
 def tail_estimate(table: FourierTable, w: H3Point) -> float:
     """Heuristic bound on the dropped terms beyond the table's norm bound.
 
     Uses linear growth of coefficients calibrated on the table itself, the
-    average lattice-point density per norm, and exponential Bessel decay.
-    growth is a float once per call (float * Fraction is already
-    float(a) * float(b)), and only loop-invariant prefixes of each term's
-    left-to-right products are hoisted, so every term rounds as it did.
+    average lattice-point density per norm, and exponential Bessel decay,
+    through k = 2 sqrt(pi / 2x) exp(-x), a convenient overestimate of
+    max(K_0, K_1) from x ~ 0.5 on.
+
+    The norms are walked one by one with math.sqrt and math.exp (np.exp
+    rounds differently on some arguments).  Only what does not change a
+    rounding is hoisted: the module lookups and growth as a float once per
+    call (float * Fraction is already float(a) * float(b)); every product
+    keeps its left-to-right order.  n stays an int: as a float it would
+    stop counting past 2**53.
     """
-    fld = table.space.field
-    s = fld.sqrt_abs_disc
+    s = table.space.field.sqrt_abs_disc
     t = w.t
     t2 = t**2
     scale = 2 * math.pi / s * float(table.growth)
-    four_pi = 4 * math.pi
+    four_pi, pi, sqrt, exp = 4 * math.pi, math.pi, math.sqrt, math.exp
     total = 0.0
     n = table.norm_bound + 1
     stop = table.norm_bound + 200000
     while n < stop:
-        k = _k_bound(four_pi * math.sqrt(n) * t / s)
+        x = four_pi * sqrt(n) * t / s
+        k = 2.0 * sqrt(pi / (2.0 * x)) * exp(-x)
         if not k:
             # the Bessel bound underflowed: the rest adds nothing, and
             # scale * n * t2 may already be inf, which times 0.0 is nan
@@ -279,34 +301,62 @@ def tail_estimate(table: FourierTable, w: H3Point) -> float:
         if term < 1e-6 * total or term < 1e-300:
             break
         n += 1
-    return float(total)
+    return total
 
 
 def eval_series(table: FourierTable, w: H3Point) -> tuple[tuple[complex, complex, complex], float]:
     """Truncated series value at (z, t), with a tail estimate.
 
-    The Bessel factors come from one k0 and one k1 call over the table's
-    |alpha| array; the terms are then summed one by one in table order.
+    One numpy pass over table.series_arrays that rounds exactly as the
+    scalar loop over series_terms did, f_j += (a t^2 psi) * factor_j per
+    term in complex arithmetic:
+
+    - k0 and k1 are taken once per distinct |alpha| and gathered per term.
+    - psi = exp(i y) is (cos y, sin y) with y = 4 pi Im(alpha z) / s, as
+      cmath.exp returned it for the argument 4j pi Im(alpha z) / s.  That
+      np.cos and np.sin round as math.cos and math.sin do is measured, not
+      promised by numpy, whose float64 loops depend on the build and the
+      CPU: they agreed on 1M arguments in [-2000, 2000] and on every test
+      point under numpy 2.4.6 on an x86-64 CPU with AVX-512.
+    - Every complex product is spelled out in the order CPython 3.11
+      evaluates it, re = ar*br - ai*bi and im = ar*bi + ai*br.  A float
+      operand enters as a complex with imaginary part 0.0.  Of its 0.0 * x
+      products only ci * 0.0 in (a t^2 psi) * k0 is kept: where ci is inf
+      it makes the term NaN, as it did.  The others multiply 0.0 by a
+      finite phase or psi part, or by a NaN psi whose term is NaN anyway,
+      so they can only pick the sign of a zero.
+    - The six real component rows are summed left to right from 0.0 by
+      np.add.accumulate; np.sum's pairwise order would round differently.
+      A sum that starts from 0.0 never ends at -0.0, so a zero's sign,
+      like sin(-0.0) where cmath saw +0.0, never reaches the result.
     """
-    fld = table.space.field
-    s = fld.sqrt_abs_disc
-    t, z = w.t, w.z
-    t2 = t**2
-    four_pi_i = 4j * math.pi
-    args = 4 * math.pi * table.series_mods * t / s
+    s = table.space.field.sqrt_abs_disc
+    t = w.t
+    z = complex(w.z)
+    arr = table.series_arrays
+    n = len(arr.coef)
     k0, k1 = _bessel_k01()
-    f0 = f1 = f2 = 0.0 + 0.0j
-    for (ac, _, phase, a), k0v, k1v in zip(table.series_terms, k0(args).tolist(),
-                                           k1(args).tolist()):
-        psi = cmath.exp(four_pi_i * (ac * z).imag / s)
-        common = a * t2 * psi
-        # the outer components carry the phase of alpha: the unique decaying
-        # harmonic combination per character is (-(u/2)K1, K0, (ubar/2)K1)
-        # with u = alpha/|alpha|, in the coframe (dz/t, dt/t, dzbar/t)
-        f0 += common * (-0.5 * phase * k1v)
-        f1 += common * k0v
-        f2 += common * (0.5 * phase.conjugate() * k1v)
-    return (f0, f1, f2), tail_estimate(table, w)
+    # the factor per component as (re, im) rows: the outer components carry
+    # the phase of alpha, since the unique decaying harmonic combination per
+    # character is (-(u/2)K1, K0, (ubar/2)K1) with u = alpha/|alpha|, in
+    # the coframe (dz/t, dt/t, dzbar/t)
+    factors = np.empty((2, 3, n))
+    factors[1, 1] = 0.0
+    psi = np.empty((2, n))
+    terms = np.zeros((2, 3, n + 1))
+    with np.errstate(all="ignore"):
+        args = arr.bessel_scale * t / s
+        np.take(k0(args), arr.bessel_index, out=factors[0, 1])
+        np.multiply(arr.outer, k1(args)[arr.bessel_index], out=factors[:, ::2])
+        y = 4 * math.pi * (arr.alpha[0] * z.imag + arr.alpha[1] * z.real) / s
+        np.cos(y, out=psi[0])
+        np.sin(y, out=psi[1])
+        c_re, c_im = (arr.coef * t**2) * psi
+        by_re, by_im = c_re * factors, c_im * factors
+        np.subtract(by_re[0], by_im[1], out=terms[0, :, 1:])
+        np.add(by_re[1], by_im[0], out=terms[1, :, 1:])
+        re, im = np.add.accumulate(terms, axis=2)[:, :, -1].tolist()
+    return tuple(map(complex, re, im)), tail_estimate(table, w)
 
 
 def act_h3(g: Mat2, w: H3Point) -> H3Point:

@@ -30,10 +30,11 @@ from .quadints import (
     InvariantError,
     QuadInt,
     divide_ints,
-    divides,
     divisors_up_to_units,
     exact_div,
+    reduce_mod,
     residues_below,
+    xgcd,
 )
 from .symbols import Mat2, normalize_cusp
 
@@ -105,33 +106,26 @@ def heilbronn_family(eta: QuadInt, tie: str = DEFAULT_TIE) -> tuple[tuple[int, .
     return tuple(out)
 
 
-def _same_class(m1: Mat2, m2: Mat2, eta: QuadInt) -> bool:
-    a = m1.adj() * m2
-    for e in a.entries():
-        if not divides(eta, e):
-            return False
-    fld = eta.field
-    q = Mat2(*(exact_div(e, eta) for e in a.entries()))
-    return q.det() == fld.one
-
-
 @lru_cache(maxsize=None)
 def heilbronn_classes(eta: QuadInt, tie: str = DEFAULT_TIE) -> tuple[tuple[int, ...], ...]:
-    """Partition of the family into unimodular classes (index tuples)."""
-    fam = [Mat2.from_row(eta.field, row) for row in heilbronn_family(eta, tie)]
-    assigned = [-1] * len(fam)
-    classes: list[tuple[int, ...]] = []
-    for i in range(len(fam)):
-        if assigned[i] >= 0:
-            continue
-        cls = [i]
-        assigned[i] = len(classes)
-        for j in range(i + 1, len(fam)):
-            if assigned[j] < 0 and _same_class(fam[i], fam[j], eta):
-                cls.append(j)
-                assigned[j] = len(classes)
-        classes.append(tuple(cls))
-    return tuple(classes)
+    """Partition of the family into unimodular classes (index tuples).
+
+    M ~ M' when adj(M) M' / eta is integral; both determinants are eta, so
+    that quotient lies in SL2(O) and the classes are the orbits M SL2(O),
+    told apart by the column lattice M O^2.  With a x + b y = g, g the
+    canonical gcd of the top row, the column operation
+    [[x, -b/g], [y, a/g]] in SL2(O) takes M to [[g, 0], [e, eta/g]] with
+    e = c x + d y, and e is fixed mod eta/g.  So (g, e reduced mod eta/g)
+    is one key per class.  Classes come in order of their first row, and
+    each lists its rows in family order.
+    """
+    fld = eta.field
+    classes: dict = {}
+    for i, (aa, ab, ba, bb, ca, cb, da, db) in enumerate(heilbronn_family(eta, tie)):
+        g, x, y = xgcd(QuadInt(fld, aa, ab), QuadInt(fld, ba, bb))
+        e = QuadInt(fld, ca, cb) * x + QuadInt(fld, da, db) * y
+        classes.setdefault((g, reduce_mod(e, exact_div(eta, g))), []).append(i)
+    return tuple(map(tuple, classes.values()))
 
 
 def class_path_sums(eta: QuadInt, tie: str = DEFAULT_TIE, family=None) -> list[dict]:

@@ -546,9 +546,22 @@ class SymbolSpace:
         return out
 
 
-@lru_cache(maxsize=None)
 def symbol_space(fld: Field, nu: QuadInt, weight: int = 2) -> SymbolSpace:
-    return SymbolSpace(fld, canonical_associate(nu)[0], weight)
+    """The space of level nu, built once per (field, canonical level, weight).
+
+    Associate levels and an omitted or explicit weight 2 share one cache
+    entry; cache_info and cache_clear are those of that cache.
+    """
+    return _symbol_space(fld, canonical_associate(nu)[0], weight)
+
+
+@lru_cache(maxsize=None)
+def _symbol_space(fld: Field, nu: QuadInt, weight: int) -> SymbolSpace:
+    return SymbolSpace(fld, nu, weight)
+
+
+symbol_space.cache_info = _symbol_space.cache_info
+symbol_space.cache_clear = _symbol_space.cache_clear
 
 
 def continued_fraction_path(fld: Field, p: QuadInt, q: QuadInt) -> list[Mat2]:

@@ -179,8 +179,9 @@ def test_boundary_bridge_catches_a_wrong_cusp_pass(monkeypatch, fault):
     # one S image moved into the other orbit: the orbits no longer match the
     # labels one to one
     fld = Field.get(1)
-    # the space the check reads: symbol_space caches on its arguments as given
-    space = symbol_space(fld, parse_element(fld, "1+1w"), 2)
+    # the space the check reads: symbol_space keys its cache on the canonical
+    # level and the weight, so this is the same object
+    space = symbol_space(fld, parse_element(fld, "1+1w"))
     orbit, s_image = space.cusp_pass
     assert orbit.max() == 1
     if fault == "merged":

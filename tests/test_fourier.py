@@ -9,6 +9,7 @@ import mpmath
 import pytest
 from scipy.special import k0, k1
 
+from bianchi import fourier
 from bianchi.fourier import (
     DualFunctional,
     FourierTable,
@@ -68,6 +69,11 @@ def test_bessel_rejects_bad_arguments():
         bessel_K(0, -1.0)
     with pytest.raises(ValueError):
         bessel_K(2, 1.0)
+    # NaN fails every comparison, so it must not slip past a t <= 0 test
+    for t in (float("nan"), -0.0):
+        for j in (0, 1):
+            with pytest.raises(ValueError):
+                bessel_K(j, t)
 
 
 def test_bessel_decay_monotone_in_norm():
@@ -309,9 +315,62 @@ def eval_series_reference(table, w):
     return (f0, f1, f2), tail_estimate_reference(table, w)
 
 
+def _k_bound_reference(x):
+    return 2.0 * math.sqrt(math.pi / (2 * x)) * math.exp(-x)
+
+
+def tail_loop_reference(table, w):
+    # the loop with a separate bound function that tail_estimate inlined:
+    # growth a float once per call, and a stop where the bound underflows
+    # (tail_estimate_reference above would go on to inf * 0.0 = nan there)
+    s = table.space.field.sqrt_abs_disc
+    t = w.t
+    t2 = t**2
+    scale = 2 * math.pi / s * float(table.growth)
+    four_pi = 4 * math.pi
+    total = 0.0
+    n = table.norm_bound + 1
+    while n < table.norm_bound + 200000:
+        k = _k_bound_reference(four_pi * math.sqrt(n) * t / s)
+        if not k:
+            break
+        term = scale * n * t2 * k
+        total += term
+        if term < 1e-6 * total or term < 1e-300:
+            break
+        n += 1
+    return float(total)
+
+
+def assert_eval_reprs_match(table, points):
+    # repr, not ==: NaN, inf and -0.0 must come out as the scalar loops'
+    for z, t in points:
+        w = H3Point(z, t)
+        values, tail = eval_series(table, w)
+        assert repr(values) == repr(eval_series_reference(table, w)[0]), (z, t)
+        assert repr(tail) == repr(tail_loop_reference(table, w)), (z, t)
+
+
+def drawn_table(space, bound, values, seed):
+    # every nonzero alpha up to the bound, coefficients drawn from values
+    fld = space.field
+    rng = random.Random(seed)
+    alphas = [u * e for n in range(1, bound + 1)
+              for e in canonical_elements_of_norm(fld, n) for u in fld.units]
+    entries = {a: Fraction(rng.choice(values)) for a in alphas}
+    return FourierTable(space, bound, entries, Fraction(1))
+
+
+EXTREME_POINTS = [
+    (0.1 + 0.2j, 0.5), (-0.3 + 0.45j, 2.0), (0j, 1.0), (complex(-0.0, -0.0), 0.7),
+    (3e5 - 7e5j, 1.3), (1e300 + 1e300j, 1.0), (complex(float("inf"), 0.0), 1.0),
+    (complex(0.0, float("nan")), 1.0), (0.2j, 1e-300), (0.2j, 5e-324), (0.2j, float("inf")),
+]
+
+
 def test_eval_series_bit_identical_to_scalar_reference():
-    # equality, not a tolerance: the vectorised Bessel factors and the
-    # hoisted tail constants must round exactly as the scalar loops did
+    # equality, not a tolerance: the numpy pass and the hoisted tail
+    # constants must round exactly as the scalar loops did
     table = form_table(100)
     assert isinstance(table.growth, Fraction)
     rng = random.Random(8)
@@ -323,11 +382,66 @@ def test_eval_series_bit_identical_to_scalar_reference():
         got = eval_series(table, w)
         assert got == eval_series_reference(table, w), (z, t)
         assert got[1] == tail_estimate(table, w)
-    # the empty table's growth is the float default
-    empty = FourierTable(table.space, 7, {}, Fraction(0))
+    assert_eval_reprs_match(table, EXTREME_POINTS)
+    # the empty table's growth is the float default: its tail is also
+    # compared with the original per-step loop
+    space = table.space
+    empty = FourierTable(space, 7, {}, Fraction(0))
     for t in (0.5, 2.0):
         w = H3Point(0.2j, t)
         assert eval_series(empty, w) == eval_series_reference(empty, w)
+    assert_eval_reprs_match(empty, EXTREME_POINTS)
+    # one term at the float limits: the norm bound past 2**53 and a
+    # coefficient near the float maximum
+    limit = FourierTable(space, 10**300, {space.field.one: Fraction(1.7e308)}, Fraction(1))
+    assert_eval_reprs_match(limit, EXTREME_POINTS)
+
+
+@pytest.mark.parametrize("d, level", [(2, "5"), (3, "11-w")])
+def test_eval_series_bit_identical_in_other_fields(d, level):
+    phi, x = off_eigen_form(d, level)
+    rng = random.Random(d)
+    points = [(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), rng.uniform(0.3, 2.5))
+              for _ in range(60)]
+    assert_eval_reprs_match(fourier_coefficients(phi, x, 15), points + EXTREME_POINTS)
+
+
+@pytest.mark.parametrize("values", [
+    [1e300, -1e300, 9.7e299, -1.3e300],
+    [5e-324, -5e-324, 1e-310],
+    [0, 0, 1, -1],
+    [1, -2, 3.5, -0.25, 7e-3],
+])
+def test_eval_series_bit_identical_on_drawn_tables(values):
+    space = level_form()[0]
+    table = drawn_table(space, 30, values, seed=len(values))
+    rng = random.Random(17)
+    points = [(complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)), rng.uniform(0.2, 2.0))
+              for _ in range(40)]
+    assert_eval_reprs_match(table, points + EXTREME_POINTS)
+
+
+def test_eval_series_bit_identical_where_terms_overflow():
+    # a t^2 overflows to inf; the tail's scale * n is inf too, so each tail
+    # walks to its 200,000-step cap and only a few points are taken
+    space = level_form()[0]
+    table = drawn_table(space, 30, [1.7e308, -1.7e308, 1.0], seed=3)
+    points = [(0.1 + 0.2j, 0.5), (0j, 1.0), (1e300 + 1e300j, 1.0), (0.2j, 1e-300),
+              (0.2j, float("inf"))]
+    assert_eval_reprs_match(table, points)
+
+
+def test_automorphy_residual_matches_scalar_reference(monkeypatch):
+    # the residual through the numpy pass and through the scalar loop, at
+    # the translation heights perfbench checks
+    table = form_table(100)
+    fld = table.space.field
+    heights = (0.8, 1.1, 1.4, 1.7, 2.0)
+    cases = [(Mat2(fld.one, mu, fld.zero, fld.one), H3Point(0.1 + 0.2j, h))
+             for h in heights for mu in (fld.one, fld.omega)]
+    got = [automorphy_residual(table, g, w) for g, w in cases]
+    monkeypatch.setattr(fourier, "eval_series", eval_series_reference)
+    assert got == [automorphy_residual(table, g, w) for g, w in cases]
 
 
 def test_eval_zero_table():

@@ -15,6 +15,7 @@ from bianchi.quadints import (
     Field,
     InvariantError,
     canonical_elements_of_norm,
+    divides,
     divisors_up_to_units,
     exact_div,
     is_prime_element,
@@ -187,6 +188,46 @@ def test_determinants_and_leading_matrix():
             assert all(m.det() == eta for m in fam)
             # the divisor delta = 1 contributes exactly diag(1, eta) first
             assert fam[0] == Mat2(fld.one, fld.zero, fld.zero, eta)
+
+
+def _same_class_reference(m1, m2, eta):
+    a = m1.adj() * m2
+    for e in a.entries():
+        if not divides(eta, e):
+            return False
+    q = Mat2(*(exact_div(e, eta) for e in a.entries()))
+    return q.det() == eta.field.one
+
+
+def heilbronn_classes_reference(eta, tie=DEFAULT_TIE):
+    # the pairwise search heilbronn_classes replaced: each unassigned row
+    # collects every later row M' with adj(M) M' / eta in SL2(O)
+    fam = mats(eta, tie)
+    assigned = [-1] * len(fam)
+    classes = []
+    for i in range(len(fam)):
+        if assigned[i] >= 0:
+            continue
+        cls = [i]
+        assigned[i] = len(classes)
+        for j in range(i + 1, len(fam)):
+            if assigned[j] < 0 and _same_class_reference(fam[i], fam[j], eta):
+                cls.append(j)
+                assigned[j] = len(classes)
+        classes.append(tuple(cls))
+    return tuple(classes)
+
+
+@pytest.mark.parametrize("d", EUCLIDEAN_D)
+def test_classes_match_pairwise_reference(d):
+    # the one-key-per-row grouping against the pairwise search: the same
+    # classes, in the same order, for every canonical eta of norm <= 40
+    # and both tie rules
+    fld = Field.get(d)
+    for eta in small_etas(fld, 40):
+        for tie in ("low", "high"):
+            assert heilbronn_classes(eta, tie) == heilbronn_classes_reference(eta, tie), \
+                (d, str(eta), tie)
 
 
 def test_prime_class_counts():

@@ -346,6 +346,18 @@ def test_cusp_counts():
     assert cusp_count(symbol_space(fld, parse_element(fld, "1+1w"))) == 2
 
 
+def test_symbol_space_cache_keys_on_canonical_level_and_weight():
+    # an associate level and an explicit weight 2 reach the same entry
+    fld = Field.get(1)
+    nu = fld.from_int(2)
+    misses = symbol_space.cache_info().misses
+    space = symbol_space(fld, nu)
+    assert space is symbol_space(fld, -nu, 2)
+    assert space is symbol_space(fld, fld.omega * nu, weight=2)
+    assert symbol_space.cache_info().misses <= misses + 1
+    assert symbol_space(fld, -nu, 4) is symbol_space(fld, nu, 4) is not space
+
+
 def test_continued_fraction_terminates_and_chains():
     rng = random.Random(11)
     for fld in FIELDS:
