@@ -285,7 +285,7 @@ def tail_estimate(table: FourierTable, w: H3Point) -> float:
     t = w.t
     t2 = t**2
     scale = 2 * math.pi / s * float(table.growth)
-    four_pi, pi, sqrt, exp = 4 * math.pi, math.pi, math.sqrt, math.exp
+    four_pi, pi, sqrt, exp, inf = 4 * math.pi, math.pi, math.sqrt, math.exp, math.inf
     total = 0.0
     n = table.norm_bound + 1
     stop = table.norm_bound + 200000
@@ -298,7 +298,8 @@ def tail_estimate(table: FourierTable, w: H3Point) -> float:
             break
         term = scale * n * t2 * k
         total += term
-        if term < 1e-6 * total or term < 1e-300:
+        # an inf total can no longer change; inf terms would not stop it
+        if term < 1e-6 * total or term < 1e-300 or total == inf:
             break
         n += 1
     return total

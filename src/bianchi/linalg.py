@@ -104,12 +104,6 @@ class SparseMat:
                 out[i] = s
         return out
 
-    def vecmat(self, phi: dict) -> dict:
-        out = {}
-        for i, c in phi.items():
-            vec_axpy(out, c, self.rows[i])
-        return out
-
     def __mul__(self, other: SparseMat) -> SparseMat:
         assert self.ncols == other.nrows
         rows = []
@@ -273,17 +267,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def reduce(self, v: dict) -> dict:
-        r = vec_clean(dict(v))
-        for col, ri in self.pivots.items():
-            c = r.get(col)
-            if c:
-                vec_axpy(r, -c, self.basis[ri])
-        return r
-
-    def contains(self, v: dict) -> bool:
-        return not self.reduce(v)
 
     def lift(self, coords: dict) -> dict:
         """Ambient vector with the given coordinates in the echelon basis."""

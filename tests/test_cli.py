@@ -341,6 +341,15 @@ def test_eval_bad_point(runner, tmp_path):
     invoke(runner, "eval", "--table", str(table_file), "--z", "0.1i", "--t", "inf", code=2)
 
 
+def test_eval_refuses_a_height_whose_square_overflows(runner):
+    # the series is scaled by t**2: past about 1.34e154 that raises OverflowError
+    args = ("eval", "--d", "11", "--level", "1-2w", "--norm-bound", "2", "--z", "0.1+0.1i")
+    result = invoke(runner, *args, "--t", "1e200", code=2)
+    assert "--t" in result.stderr and "overflows" in result.stderr
+    doc = payload(runner, *args, "--t", "1e154")
+    assert doc["t"] == 1e154 and math.isfinite(doc["tail_estimate"])
+
+
 def test_eval_bad_table(runner, tmp_path):
     table_file = tmp_path / "bad.json"
     for doc in ('{"d": 5, "level": "1", "norm_bound": 0, "a": []}',
@@ -420,10 +429,19 @@ def test_verify_single_check(runner):
     invoke(runner, "verify", "--check", "nope", code=2)
 
 
+# sha256 of the quick report with each check's seconds dropped: pins every
+# check's detail and data
+QUICK_REPORT_SHA256 = "20f810c7012e109b367b003946f4b675e23367282bc9a14eb733f7125102ecc2"
+
+
 def test_verify_quick_suite(runner):
     doc = payload(runner, "verify", "--quick")
     assert doc["ok"] is True
     assert [c["name"] for c in doc["checks"]] == list(checks.CHECKS)
+    for check in doc["checks"]:
+        del check["seconds"]
+    text = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == QUICK_REPORT_SHA256
 
 
 def test_verify_reports_failure_with_exit_3(runner, monkeypatch):
@@ -442,6 +460,16 @@ def test_verify_negative_control(runner):
     doc = payload(runner, "verify", "--inject-corruption")
     assert doc["ok"] is True
     assert doc["checks"][0]["data"]["broken_classes"]
+
+
+def test_verify_negative_control_under_python_O(run_optimized):
+    # the corrupted class is found by comparing path sums, not by an assert
+    out = run_optimized(
+        "from bianchi import verify\n"
+        "result = verify.check_telescoping(inject=True)\n"
+        "print('control:', result.ok, result.data['broken_classes'])\n"
+    )
+    assert out == ["control: True [0]"], out
 
 
 @pytest.mark.parametrize("damage", ["swap", "drop"])

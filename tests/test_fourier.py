@@ -431,6 +431,26 @@ def test_eval_series_bit_identical_where_terms_overflow():
     assert_eval_reprs_match(table, points)
 
 
+def test_tail_stops_once_its_total_is_inf(monkeypatch):
+    # a1 = 1e308 overflows the growth scale, so every term is inf; the walk
+    # used to go on until the Bessel bound underflowed, some 150,000 steps on
+    space = level_form()[0]
+    table = FourierTable(space, 1, {space.field.one: Fraction(10**308)}, Fraction(1))
+    w = H3Point(0.1 + 0.2j, 0.5)
+    steps = Counter()
+    real_exp = math.exp
+
+    def counted(x):
+        steps["exp"] += 1
+        return real_exp(x)
+
+    monkeypatch.setattr(math, "exp", counted)
+    assert tail_estimate(table, w) == math.inf
+    assert steps["exp"] == 1
+    monkeypatch.undo()
+    assert tail_estimate(table, w) == tail_loop_reference(table, w) == math.inf
+
+
 def test_automorphy_residual_matches_scalar_reference(monkeypatch):
     # the residual through the numpy pass and through the scalar loop, at
     # the translation heights perfbench checks

@@ -68,10 +68,6 @@ def test_matmul_matvec_against_dense():
         av = a.matvec(v)
         for i in range(4):
             assert av.get(i, 0) == sum(ad[i][k] * v.get(k, 0) for k in range(5))
-        phi = {i: Fraction(rng.randint(-4, 4)) for i in range(4)}
-        pa = a.vecmat(phi)
-        for j in range(5):
-            assert pa.get(j, 0) == sum(phi.get(i, 0) * ad[i][j] for i in range(4))
 
 
 def test_transpose_add_scale_trace():
@@ -233,7 +229,7 @@ def test_kernel_matches_sympy():
         assert space.dim == len(basis)
         for nv in null:
             v = {i: Fraction(int(nv[i].p), int(nv[i].q)) for i in range(m.ncols) if nv[i] != 0}
-            assert space.contains(v)
+            assert space.coords(v) is not None
 
 
 def test_charpoly_matches_sympy():
@@ -350,7 +346,7 @@ def test_rational_eigensystem_respects_subspace():
     assert [(val, es.dim) for val, es in eigs] == [(Fraction(5), 2)]
     _, es = eigs[0]
     for v in es.basis:
-        assert sub.contains(v)
+        assert sub.coords(v) is not None
 
 
 def test_rational_eigensystem_random_against_sympy():
