@@ -1,18 +1,18 @@
 """Boundary map onto cusp classes and the cuspidal subspace.
 
-A symbol [P, (u, v)] has boundary supported on two cusp classes read off
-from the pair itself: the class with data (a, c) = (v^-1 mod gcd(u, nu), u)
-weighted by P(1, 0), minus the class of (-u^-1 mod gcd(v, nu), v) weighted
-by P(0, 1).  Class data is (c mod nu, a mod gcd(c, nu)) with both entries
-identified under unit scalings, which twist weight-k coefficients by
-lambda^(2-k); a class fixed by a scaling with nontrivial twist vanishes.
+A symbol [P, (u, v)] (SymbolSpace.generator, at every weight) has boundary
+supported on two cusp classes read off from the pair itself: the class with
+data (a, c) = (v^-1 mod gcd(u, nu), u) weighted by P(1, 0), minus the class
+of (-u^-1 mod gcd(v, nu), v) weighted by P(0, 1).  Class data is (c mod nu,
+a mod gcd(c, nu)) with both entries identified under unit scalings, which
+twist weight-k coefficients by lambda^(2-k); a class fixed by a scaling
+with nontrivial twist vanishes.
 
-The weight-2 boundary has one construction, orbit_boundary_matrix, read
-from the space's cusp-orbit pass (SymbolSpace.cusp_pass): the symbol of g
-has boundary g*oo - g*0, the orbit of its point minus the orbit of its S
-image, two array lookups.  The labelled boundary_matrix, built from
-cusp_class on ring elements, is its oracle and the boundary above weight 2.
-cuspidal_subspace keeps its result on the space, so it is freed with it.
+boundary_matrix labels the classes with cusp_class on ring elements.  Where
+every twist is 1, orbit_boundary_matrix has the same kernel from the
+space's cusp-orbit pass (SymbolSpace.cusp_pass): the symbol of g has
+boundary g*oo - g*0, two array lookups.  cuspidal_subspace keeps its
+result on the space, so it is freed with it.
 """
 
 from __future__ import annotations
@@ -64,25 +64,14 @@ def boundary_of_gen(space: SymbolSpace, gen: int, classes: dict | None = None) -
     """
     fld = space.field
     nu = space.level
-    npts = len(space.points)
-    if space.weight == 2:
-        u, v = space.points[gen]
-        c_inf = c_zero = fld.one  # P(1,0) and P(0,1) for P = 1
-    else:
-        comp, pt = divmod(gen, npts)
-        mono, part = divmod(comp, 2)
-        u, v = space.points[pt]
-        c = fld.one if part == 0 else fld.omega
-        deg = space.weight - 2
-        c_inf = c if mono == deg else fld.zero
-        c_zero = c if mono == 0 else fld.zero
-    if classes is None:
-        classes = {}
+    poly, pt = space.generator(gen)
+    u, v = space.points[pt]
+    # P(1, 0) and P(0, 1): the coefficients of X^(k-2) and of Y^(k-2)
+    c_inf = poly.get(space.weight - 2, fld.zero)
+    c_zero = poly.get(0, fld.zero)
+    classes = {} if classes is None else classes
     out: dict = {}
-    for coeff, sign, a_raw, c_raw in (
-        (c_inf, 1, None, u),
-        (c_zero, -1, None, v),
-    ):
+    for coeff, sign, c_raw in ((c_inf, 1, u), (c_zero, -1, v)):
         if coeff.is_zero():
             continue
         m = gcd(c_raw, nu)

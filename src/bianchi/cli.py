@@ -398,13 +398,13 @@ def _read_table(path: Path) -> FourierTable:
 def eval_cmd(d, level, z_text, t, table_path, norm_bound, eta_texts, eta_count,
              label, out, json_indent):
     """Evaluate the truncated series at one point of the upper half space."""
+    w = _parse_point(z_text, t)
     if table_path is not None:
         table = _read_table(table_path)
     else:
         fld, nu = _field_and_level(d, level)
         sp, _, phi, x = _rational_form(fld, nu, eta_texts, eta_count, label)
         table = fourier_coefficients(phi, x, norm_bound)
-    w = _parse_point(z_text, t)
     (f0, f1, f2), tail = eval_series(table, w)
     payload = {
         "d": table.space.field.d,
@@ -428,15 +428,15 @@ def eval_cmd(d, level, z_text, t, table_path, norm_bound, eta_texts, eta_count,
 @click.pass_context
 def verify(ctx, quick, names, inject_corruption, out, json_indent):
     """Run the cross-check suite and report machine-readable pass/fail."""
+    try:
+        picked = checks.suite_names(list(names) or None)
+    except KeyError as exc:
+        raise click.UsageError(str(exc.args[0]))
     if inject_corruption:
         results = [checks.check_telescoping(inject=True)]
     else:
-        try:
-            results = checks.run_suite(
-                names=list(names) or None, quick=quick,
-                progress=lambda n: click.echo(f"running {n}", err=True))
-        except KeyError as exc:
-            raise click.UsageError(str(exc.args[0]))
+        results = checks.run_suite(names=picked, quick=quick,
+                                   progress=lambda n: click.echo(f"running {n}", err=True))
     payload = {"checks": [r.to_json() for r in results],
                "ok": all(r.ok for r in results)}
     _emit(payload, out, json_indent)

@@ -328,6 +328,12 @@ def _orbit_roots(images: np.ndarray, signs: Sequence[int]) -> tuple[np.ndarray, 
 class SymbolSpace:
     """Weight-k Manin symbols at level nu, reduced to a quotient basis.
 
+    Generator g = (2*mono + part) * len(points) + point stands for the symbol
+    [X^mono Y^(k-2-mono) * (1 if part is 0, else omega), points[point]];
+    weight 2 keeps only component 0 (P = 1), so there g is the point index.
+    generator(g) decodes g, and symbol_vector(poly, point) is the quotient
+    image of any such symbol.
+
     gen_map sends each generator index to its coordinate vector on the
     quotient basis; free_gens lists one generator per basis vector.  At
     weight 2 the entries are shared: the points of one two-term class that
@@ -510,7 +516,6 @@ class SymbolSpace:
         fld = self.field
         npts = len(self.points)
         ncomp = 2 * (self.weight - 1)
-        ngens = ncomp * npts
         rels = [[(w, 1) for w in word] for word in self.sum_words]
         rels.append([(Mat2.identity(fld), 1), (self.J, -1)])
         everyone = np.arange(npts)
@@ -531,11 +536,16 @@ class SymbolSpace:
                                 row.pop(key, None)
                     if row:
                         rows.append(row)
-        self.gen_map = self._quotient(rows, list(range(ngens)))
+        self.gen_map = self._quotient(rows, list(range(ncomp * npts)))
 
-    def poly_symbol_vector(self, poly: dict[int, QuadInt], pt: int) -> dict:
-        """Quotient image of the symbol [poly, point] for weight > 2."""
-        assert self.weight > 2
+    def generator(self, g: int) -> tuple[dict[int, QuadInt], int]:
+        """The (poly, point) pair generator g stands for, in the class layout."""
+        comp, pt = divmod(g, len(self.points))
+        mono, part = divmod(comp, 2)
+        return {mono: self.field.omega if part else self.field.one}, pt
+
+    def symbol_vector(self, poly: dict[int, QuadInt], pt: int) -> dict:
+        """Quotient image of the symbol [poly, point]."""
         npts = len(self.points)
         out: dict = {}
         for mono, c in poly.items():
@@ -582,8 +592,9 @@ def continued_fraction_path(fld: Field, p: QuadInt, q: QuadInt) -> list[Mat2]:
 
 
 def path_vector(space: SymbolSpace, cusp: tuple[QuadInt, QuadInt], poly=None) -> dict:
-    """Quotient image of {oo, cusp} (times poly for weight > 2)."""
+    """Quotient image of {oo, cusp} times poly, by default {0: 1}, i.e. Y^(k-2)."""
     fld = space.field
+    poly = {0: fld.one} if poly is None else poly
     out: dict = {}
     for b in continued_fraction_path(fld, *cusp):
         dt = b.det()
@@ -596,15 +607,12 @@ def path_vector(space: SymbolSpace, cusp: tuple[QuadInt, QuadInt], poly=None) ->
         if pt is None:
             raise InvariantError(f"path step {bn} to cusp ({cusp[0]} : {cusp[1]}) has no "
                                  f"point at level {space.level} (d={fld.d})")
-        if space.weight == 2:
-            vec_axpy(out, Fraction(1), space.gen_map[pt])
-        else:
-            vec_axpy(out, 1, space.poly_symbol_vector(slash_poly(poly, bn.inv_unit(), space.weight), pt))
+        vec_axpy(out, 1, space.symbol_vector(slash_poly(poly, bn.inv_unit(), space.weight), pt))
     return out
 
 
 def modular_symbol_vec(space: SymbolSpace, alpha, beta, poly=None) -> dict:
-    """Quotient image of the modular symbol from cusp alpha to cusp beta."""
+    """Quotient image of the modular symbol from cusp alpha to cusp beta, times poly."""
     return vec_sub(path_vector(space, beta, poly), path_vector(space, alpha, poly))
 
 

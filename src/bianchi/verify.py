@@ -543,12 +543,18 @@ QUICK = {
 }
 
 
-def run_suite(names=None, quick: bool = False, progress=None) -> list[CheckResult]:
+def suite_names(names=None) -> list[str]:
+    """names, or every check when None; KeyError on the first unknown one."""
     picked = list(CHECKS) if names is None else list(names)
-    results = []
     for name in picked:
         if name not in CHECKS:
             raise KeyError(f"unknown check: {name}")
+    return picked
+
+
+def run_suite(names=None, quick: bool = False, progress=None) -> list[CheckResult]:
+    results = []
+    for name in suite_names(names):
         if progress is not None:
             progress(name)
         kwargs = QUICK.get(name, {}) if quick else {}

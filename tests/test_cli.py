@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import bianchi
-from bianchi import verify as checks
+from bianchi import cli, verify as checks
 from bianchi.cli import main
 from bianchi.quadints import Field, parse_element
 from bianchi.symbols import symbol_space
@@ -341,6 +341,16 @@ def test_eval_bad_point(runner, tmp_path):
     invoke(runner, "eval", "--table", str(table_file), "--z", "0.1i", "--t", "inf", code=2)
 
 
+def test_eval_bad_point_refused_before_the_table_is_built(runner, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the eigensystems were computed for a bad point")
+
+    monkeypatch.setattr(cli, "_rational_form", unreachable)
+    args = ("eval", "--d", "11", "--level", "1-2w", "--norm-bound", "250")
+    assert "--z" in invoke(runner, *args, "--z", "nope", "--t", "1", code=2).stderr
+    assert "--t" in invoke(runner, *args, "--z", "0.1i", "--t", "-1", code=2).stderr
+
+
 def test_eval_refuses_a_height_whose_square_overflows(runner):
     # the series is scaled by t**2: past about 1.34e154 that raises OverflowError
     args = ("eval", "--d", "11", "--level", "1-2w", "--norm-bound", "2", "--z", "0.1+0.1i")
@@ -427,6 +437,12 @@ def test_verify_single_check(runner):
     assert entry["name"] == "bessel"
     assert entry["ok"] is True
     invoke(runner, "verify", "--check", "nope", code=2)
+    # every name is checked before the first check runs
+    result = invoke(runner, "verify", "--check", "dimension-identity", "--check", "nope",
+                    code=2)
+    assert "unknown check: nope" in result.stderr and "running" not in result.stderr
+    result = invoke(runner, "verify", "--inject-corruption", "--check", "nope", code=2)
+    assert "unknown check: nope" in result.stderr and result.stdout == ""
 
 
 # sha256 of the quick report with each check's seconds dropped: pins every

@@ -13,7 +13,23 @@ ASSERT_ALLOWED = {
     "linalg.SparseMat.__add__",
     "linalg.SparseMat.__sub__",
     "linalg.charpoly",
-    "symbols.SymbolSpace.poly_symbol_vector",
+}
+
+# the generator layout is one formula at every weight (SymbolSpace.generator
+# and symbol_vector), so a comparison on the weight is a decision about the
+# space, named here with its reason
+WEIGHT_BRANCH_ALLOWED = {
+    # argument checks and the choice of build
+    "symbols.SymbolSpace.__init__",
+    # a precondition: the projective label is up to a unit twist above weight 2
+    "boundary.cusp_label",
+    # the orbit boundary where the unit twists are 1, else the labelled one
+    "boundary.cuspidal_subspace",
+    # the Counter hit count at weight 2, measured faster than the general loop
+    "hecke.heilbronn_action",
+    # the expansion is weight 2 only
+    "fourier.functional_slash",
+    "fourier.fourier_coefficients",
 }
 
 # the process-lifetime caches: each holds its keys and results until exit, so
@@ -40,6 +56,25 @@ def asserts_by_scope(tree, prefix):
                 walk(child, f"{scope}.{child.name}")
             else:
                 if isinstance(child, ast.Assert):
+                    out.append((scope, child.lineno))
+                walk(child, scope)
+
+    walk(tree, prefix)
+    return out
+
+
+def weight_compares(tree, prefix):
+    # (qualified name of the innermost enclosing def, line) per comparison
+    # that reads a weight name or a .weight attribute
+    out = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, f"{scope}.{child.name}")
+            else:
+                if isinstance(child, ast.Compare) and any(
+                        _named(n, "weight") for n in ast.walk(child)):
                     out.append((scope, child.lineno))
                 walk(child, scope)
 
@@ -139,6 +174,32 @@ def test_no_assert_outside_the_allowlist():
     # and the list carries no stale names
     assert {scope for scope, _ in found} == ASSERT_ALLOWED
 
+
+
+def test_no_weight_branch_outside_the_allowlist():
+    found = []
+    for stem, tree in package_trees():
+        found += weight_compares(tree, stem)
+    stray = [f"{scope} (line {line})" for scope, line in found
+             if scope not in WEIGHT_BRANCH_ALLOWED]
+    assert stray == [], "decode generators with SymbolSpace.generator, at every weight"
+    assert {scope for scope, _ in found} == WEIGHT_BRANCH_ALLOWED
+
+
+def test_weight_branch_scan_sees_every_form():
+    tree = ast.parse(
+        "if weight == 2: pass\n"
+        "def f(space, weight):\n"
+        "    wt2 = space.weight == 2\n"
+        "    assert 2 < self.weight <= 6\n"
+        "    return [g for g in gens if weight != 2]\n"
+        "class K:\n"
+        "    def g(self, weight):\n"
+        "        deg = self.weight - 2\n"
+        "        if deg == 0 or weights == 2 or space.weights < 2: pass\n"
+        "        return weight % 2 and (lambda: 4 > max(weight, 2))()\n")
+    assert weight_compares(tree, "m") == [("m", 1), ("m.f", 3), ("m.f", 4), ("m.f", 5),
+                                          ("m.K.g", 10)]
 
 
 def test_no_module_scope_scipy_import():

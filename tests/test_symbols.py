@@ -1,11 +1,14 @@
 import hashlib
+import json
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, strategies as st
 
+from bianchi.cli import main
 from bianchi.fourier import _unit_twist
 from bianchi.heilbronn import heilbronn_family
 from bianchi.linalg import rref, vec_add, vec_axpy, vec_sub
@@ -199,7 +202,7 @@ def test_relation_rows_vanish_in_quotient():
                             total = {}
                             for (w, sgn), pt in zip(rel, imgs[i]):
                                 poly = slash_poly({mono: coeff}, w.inv_unit(), space.weight)
-                                vec_axpy(total, Fraction(sgn), space.poly_symbol_vector(poly, pt))
+                                vec_axpy(total, Fraction(sgn), space.symbol_vector(poly, pt))
                             assert total == {}
 
 
@@ -226,6 +229,38 @@ def test_weight4_roundtrip():
                 got = modular_symbol_vec(space, (g.b, g.d), (g.a, g.c), poly)
                 gen = (2 * mono + part) * npts + idx
                 assert got == space.gen_map[gen]
+
+
+# one small level per field that does not divide 2, so odd weight lives
+LAYOUT_LEVELS = {1: "2+1w", 2: "1+1w", 3: "1+1w", 7: "1+1w", 11: "w"}
+
+
+@pytest.mark.parametrize("d", EUCLIDEAN_D)
+def test_generator_layout_round_trip(d):
+    # symbol_vector inverts generator on every generator of weights 2, 3, 4
+    # and 6, and g // len(points) is the component bianchi space prints
+    fld = Field.get(d)
+    text = LAYOUT_LEVELS[d]
+    for weight in (2, 3, 4, 6):
+        space = symbol_space(fld, parse_element(fld, text), weight)
+        npts = len(space.points)
+        ncomp = 1 if weight == 2 else 2 * (weight - 1)
+        assert len(space.gen_map) == ncomp * npts
+        for g in range(len(space.gen_map)):
+            poly, pt = space.generator(g)
+            ((mono, coeff),) = poly.items()
+            assert coeff in (fld.one, fld.omega) and 0 <= mono <= weight - 2
+            assert g // npts == 2 * mono + (coeff == fld.omega)
+            assert pt == g % npts
+            assert space.symbol_vector(poly, pt) == space.gen_map[g], (weight, g)
+        result = CliRunner().invoke(main, ["space", "--d", str(d), "--level", text,
+                                           "--weight", str(weight)])
+        assert result.exit_code == 0, result.output
+        printed = json.loads(result.stdout)["free_generators"]
+        assert [(e["index"], e["component"]) for e in printed] == \
+            [(g, g // npts) for g in space.free_gens]
+        assert [e["point"] for e in printed] == \
+            [[str(x) for x in space.points[space.generator(g)[1]]] for g in space.free_gens]
 
 
 def test_three_term_cocycle():
