@@ -29,7 +29,7 @@ from .fourier import (
     seed_from_vector,
 )
 from .hecke import commute_check, eigensystems, hecke_on_manin, hecke_oracle
-from .heilbronn import heilbronn_classes, heilbronn_family, telescoping_ok
+from .heilbronn import NORM_LIMIT, heilbronn_classes, heilbronn_family, telescoping_ok
 from .linalg import rational_eigensystem
 from .quadints import Field, InvariantError, QuadInt, gcd, parse_element
 from .symbols import Mat2, cusp_count, symbol_space
@@ -181,9 +181,10 @@ def heilbronn(ctx, d, eta_text, tie, check_it, out, json_indent):
     """Generate the determinant-eta family, optionally certified."""
     fld = _get_field(d)
     eta = _element(fld, eta_text, "--eta")
-    if eta.is_zero():
-        raise click.UsageError("--eta must be nonzero")
-    fam = heilbronn_family(eta, tie)
+    try:
+        fam = heilbronn_family(eta, tie)
+    except ValueError as exc:
+        raise click.UsageError(f"--eta {eta_text!r}: {exc}")
     payload = {
         "d": fld.d,
         "eta": str(eta),
@@ -267,6 +268,9 @@ def _eta_list(fld: Field, nu: QuadInt, texts: tuple[str, ...], count: int) -> li
         for e in etas:
             if e.is_zero() or not gcd(e, nu).is_unit():
                 raise click.UsageError(f"--eta {e}: must be nonzero and coprime to the level")
+            if e.norm() > NORM_LIMIT:
+                raise click.UsageError(f"--eta {e}: norm {e.norm()} is above the "
+                                       f"{NORM_LIMIT} the family kernel admits")
         return etas
     try:
         return checks._coprime_etas(fld, nu, count)

@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .boundary import boundary_of_gen
-from .heilbronn import DEFAULT_TIE, heilbronn_family
+from .heilbronn import DEFAULT_TIE, heilbronn_families
 from .linalg import vec_axpy, vec_dot
 from .quadints import InvariantError, QuadInt, canonical_elements_of_norm, divides
 from .symbols import Mat2, SymbolSpace
@@ -186,6 +186,12 @@ class FourierTable:
         }
 
 
+# fourier_coefficients asks heilbronn_families for this many canonical
+# families at a time: one lockstep chain pass per batch, with the memory of
+# sixteen families at most
+FAMILY_BATCH = 16
+
+
 def _unit_twist(rows: np.ndarray, u: QuadInt) -> np.ndarray:
     # rows with the bottom-row entries c and d multiplied by the unit u: the
     # family of u*eta when rows is the family of eta (see heilbronn_family)
@@ -207,13 +213,14 @@ def fourier_coefficients(phi: DualFunctional, x: SeedElement, norm_bound: int) -
     level, the non-unimodular images just drop out.  Only the seed's support
     is moved: a_alpha = sum_g c_g sum_M phi(gen_map[g*M]).
 
-    Each canonical alpha's family is built once and turned into an (n, 8)
-    int64 array; the family of each unit multiple u*alpha is that array with
-    c and d multiplied by u.  One SymbolSpace.act_points pass per unit
-    multiple moves the whole support, and phi's values, written as int
-    numerators over one common denominator, are gathered and summed in
-    int64 before the exact Fraction is formed.  The int64 ranges are checked
-    and raise InvariantError.
+    The canonical alphas' families come from heilbronn_families,
+    FAMILY_BATCH determinants per lockstep chain pass, as (n, 8) int64
+    arrays that the table uses once and does not keep; the family of each
+    unit multiple u*alpha is that array with c and d multiplied by u.  One
+    SymbolSpace.act_points pass per unit multiple moves the whole support,
+    and phi's values, written as int numerators over one common
+    denominator, are gathered and summed in int64 before the exact Fraction
+    is formed.  The int64 ranges are checked and raise InvariantError.
 
     The table takes no tie rule: a_alpha = phi(T_alpha x) is the same for
     every family satisfying Merel's condition, which the telescoping
@@ -239,13 +246,13 @@ def fourier_coefficients(phi: DualFunctional, x: SeedElement, norm_bound: int) -
     c_nums = [c.numerator * (c_den // c.denominator) for c in coeffs]
     den = w_den * c_den
     entries = {}
-    for n in range(1, norm_bound + 1):
-        for base in canonical_elements_of_norm(fld, n):
-            fam = heilbronn_family(base, DEFAULT_TIE)
-            if w_reach * len(fam) > int64_max:
-                raise InvariantError(f"weights up to {w_reach} over {len(fam)} family rows "
+    bases = [b for n in range(1, norm_bound + 1) for b in canonical_elements_of_norm(fld, n)]
+    for start in range(0, len(bases), FAMILY_BATCH):
+        batch = bases[start:start + FAMILY_BATCH]
+        for base, rows in zip(batch, heilbronn_families(batch, DEFAULT_TIE)):
+            if w_reach * len(rows) > int64_max:
+                raise InvariantError(f"weights up to {w_reach} over {len(rows)} family rows "
                                      f"overflow int64 (d={fld.d}, eta={base})")
-            rows = np.array(fam, dtype=np.int64)
             if max(int(rows.max()), -int(rows.min())) * (1 + fld.m + fld.t) > int64_max:
                 raise InvariantError(f"family rows of {base} overflow int64 under a unit "
                                      f"twist (d={fld.d})")

@@ -7,13 +7,16 @@ matrix.  Because the beta are global norm minimizers in their classes, the
 chain quotients are never units and the top-right norms strictly decrease,
 so every run terminates in a matrix with top-right entry zero.
 
-The chains run on plain ints: a family is a tuple of 8-int rows
-(a.a, a.b, b.a, b.b, c.a, c.b, d.a, d.b), each step is one call of
-quadints.divide_ints (the single division kernel, which
-euclidean_division wraps for QuadInts), and the determinant of every row
-is checked as ints.  A failed invariant (unit quotient, norms that do not
-decrease, wrong determinant) raises InvariantError, which survives
-python -O.  Mat2.from_row turns a row back into a matrix where the
+A family is an (n, 8) int64 array of rows (a.a, a.b, b.a, b.b, c.a, c.b,
+d.a, d.b).  heilbronn_families builds the families of a batch of etas in
+one pass: _chains runs every (delta, beta, cof) chain of the batch in
+lockstep on int64 arrays, one array division step (_divide_arrays, which
+the tests hold against quadints.divide_ints) per round.  The Euclidean
+bound, the unit quotients, the decreasing norms and the determinant of
+every row are checked on the arrays; a failed invariant raises
+InvariantError naming (delta, beta) and d, which survives python -O.
+heilbronn_family is the lru-cached batch of one, as a tuple of 8-int
+tuples, and Mat2.from_row turns a row back into a matrix where the
 certificates need one.
 
 Grouped by unimodular equivalence (M ~ M' when adj(M') M / eta lies in
@@ -23,13 +26,15 @@ is the correctness certificate checked by the tests.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
+
+import numpy as np
 
 from .quadints import (
     Field,
     InvariantError,
     QuadInt,
-    divide_ints,
     divisors_up_to_units,
     exact_div,
     reduce_mod,
@@ -46,64 +51,165 @@ from .symbols import Mat2, normalize_cusp
 # lru_cache keys heilbronn_family(eta) and heilbronn_family(eta, "low") apart.
 DEFAULT_TIE = "low"
 
+# The largest norm of eta whose family the int64 kernel can build.  For a
+# family of eta, a top-row entry x has |x| <= |delta| <= |eta|, a chain
+# quotient |q| <= |eta| + |1| + |omega| < 4 |eta|, and a bottom-row entry is
+# cof times a continuant s_k of the chain with |s_k| |x_{k-1}| <=
+# |delta| / (1 - sqrt(euclid_ratio)), so |y| <= 11 |eta| in every field
+# (euclid_ratio <= 9/11).  A coordinate of z is at most 2 |z|.  The largest
+# products, a bottom-row coordinate times a quotient coordinate times m in
+# the chain step and a top-row coordinate times a bottom-row one times m in
+# the determinant check, are then below 3 * 22 * 8 N(eta), and no sum the
+# kernel forms reaches 1024 N(eta).
+NORM_LIMIT = np.iinfo(np.int64).max // 1024
 
-def _chain(fld: Field, delta: tuple[int, int], beta: tuple[int, int],
-           cof: tuple[int, int], tie: str) -> list[tuple[int, ...]]:
-    # rows [[x0, x1], [y0, y1]] from [[delta, beta], [0, cof]]: x2 = x1*q - x0
-    # is minus the remainder of x0 by x1, and y2 = y1*q - y0
+# the four floor/ceil corners of a quotient in ascending (qa, qb) order
+_CORNER_A = np.array([[0], [0], [1], [1]], dtype=np.int64)
+_CORNER_B = np.array([[0], [1], [0], [1]], dtype=np.int64)
+
+
+def _divide_arrays(fld: Field, aa, ab, ba, bb, tie: str):
+    """quadints.divide_ints on int64 arrays: (qa, qb, ra, rb, rn), rn = N(r).
+
+    All four floor/ceil corners are tried.  divide_ints skips a corner past
+    a coordinate of the exact quotient that is an integer, but such a corner
+    never wins nor ties: its N(r) exceeds that of the tried corner with the
+    same other coordinate by N(b) times 1 - t*s, 1 + t*(1 - s), m - t*s or
+    m + t*(1 - s), where 0 <= s < 1 is the fractional part of the other
+    coordinate.  "low" keeps the first strict minimum of N(r) in ascending
+    (qa, qb), "high" the last.  The Euclidean bound is left to the caller,
+    which names the chain that breaks it.
+    """
     t, m = fld.t, fld.m
-    x0a, x0b = delta
-    x1a, x1b = beta
-    y0a = y0b = 0
-    y1a, y1b = cof
-    n1 = x1a * x1a + t * x1a * x1b + m * x1b * x1b
-    out = []
+    den = ba * ba + t * ba * bb + m * bb * bb
+    ct = ba + t * bb
+    qa = (aa * ct + m * ab * bb) // den + _CORNER_A
+    qb = (ab * ct - aa * bb - t * ab * bb) // den + _CORNER_B
+    qbb = qb * bb
+    ra = aa - qa * ba + m * qbb
+    rb = ab - qa * bb - qb * ba - t * qbb
+    rn = ra * ra + t * ra * rb + m * rb * rb
+    pick = rn.argmin(axis=0) if tie == "low" else 3 - rn[::-1].argmin(axis=0)
+    return tuple(np.stack([qa, qb, ra, rb, rn])[:, pick, np.arange(len(pick))])
+
+
+def _chain_name(fld: Field, start) -> str:
+    da, db, ba, bb = (int(v) for v in start[:4])
+    return f"(delta, beta) = ({QuadInt(fld, da, db)}, {QuadInt(fld, ba, bb)}), d={fld.d}"
+
+
+def _chains(fld: Field, starts, tie: str) -> tuple[np.ndarray, np.ndarray]:
+    """Run the division chains of starts in lockstep: (rows, lengths).
+
+    starts holds one (delta.a, delta.b, beta.a, beta.b, cof.a, cof.b) row
+    per chain.  A chain's rows [[x0, x1], [y0, y1]] start from
+    [[delta, beta], [0, cof]] and step by x2 = x1*q - x0, which is minus the
+    remainder of x0 by x1, and y2 = y1*q - y0, until x1 = 0.  rows is the
+    (n, 8) int64 array of every chain's rows, chain after chain and step
+    after step; lengths holds the number of rows of each chain.  A quotient
+    past the Euclidean bound, a unit quotient or a remainder norm that does
+    not decrease raises InvariantError for the first such chain.
+    """
+    starts = np.asarray(starts, dtype=np.int64).reshape(-1, 6)
+    t, m = fld.t, fld.m
+    num, dnm = fld.euclid_bound
+    # one column per live chain: its row x0a, x0b, x1a, x1b, y0a, y0b, y1a,
+    # y1b, then N(x1) and the chain's index
+    state = np.zeros((10, len(starts)), dtype=np.int64)
+    state[[0, 1, 2, 3, 6, 7]] = starts.T
+    x1a, x1b = state[2:4]
+    state[8] = x1a * x1a + t * x1a * x1b + m * x1b * x1b
+    state[9] = np.arange(len(starts))
+    steps = []
     while True:
-        out.append((x0a, x0b, x1a, x1b, y0a, y0b, y1a, y1b))
-        if not n1:
-            return out
-        qa, qb, ra, rb = divide_ints(fld, x0a, x0b, x1a, x1b, tie)
-        if qa * qa + t * qa * qb + m * qb * qb == 1:
-            raise InvariantError(f"unit chain quotient at ({delta}, {beta}), d={fld.d}")
-        n2 = ra * ra + t * ra * rb + m * rb * rb
-        if n2 and n2 >= n1:
-            raise InvariantError(f"chain norms failed to decrease at ({delta}, {beta}), "
-                                 f"d={fld.d}: {n1} -> {n2}")
+        steps.append(state)
+        state = state[:, state[8] != 0]
+        if not state.shape[1]:
+            break
+        x0a, x0b, x1a, x1b, y0a, y0b, y1a, y1b, n1, chain = state
+        qa, qb, ra, rb, n2 = _divide_arrays(fld, x0a, x0b, x1a, x1b, tie)
+        over = n2 * dnm > num * n1
+        unit = qa * qa + t * qa * qb + m * qb * qb == 1
+        grows = (n2 != 0) & (n2 >= n1)
+        bad = over | unit | grows
+        if bad.any():
+            i = int(np.argmax(bad))
+            where = _chain_name(fld, starts[chain[i]])
+            if over[i]:
+                raise InvariantError(f"remainder norm {n2[i]} exceeds the Euclidean bound "
+                                     f"for the divisor norm {n1[i]} at {where}")
+            if unit[i]:
+                raise InvariantError(f"unit chain quotient at {where}")
+            raise InvariantError(f"chain norms failed to decrease at {where}: "
+                                 f"{n1[i]} -> {n2[i]}")
         qbb = y1b * qb
-        y2a = y1a * qa - m * qbb - y0a
-        y2b = y1a * qb + y1b * qa + t * qbb - y0b
-        x0a, x0b, x1a, x1b, n1 = x1a, x1b, -ra, -rb, n2
-        y0a, y0b, y1a, y1b = y1a, y1b, y2a, y2b
+        state = np.stack([x1a, x1b, -ra, -rb, y1a, y1b, y1a * qa - m * qbb - y0a,
+                          y1a * qb + y1b * qa + t * qbb - y0b, n2, chain])
+    # steps hold each chain's rows in step order, so a stable sort on the
+    # chain index puts them chain after chain
+    every = np.concatenate(steps, axis=1)
+    order = np.argsort(every[9], kind="stable")
+    return every[:8, order].T, np.bincount(every[9], minlength=len(starts))
 
 
-@lru_cache(maxsize=None)
+def heilbronn_families(etas: Sequence[QuadInt], tie: str = DEFAULT_TIE) -> list[np.ndarray]:
+    """The determinant-eta family of every eta, as one (n, 8) int64 array each.
+
+    The rows of a family come in (divisor, beta, step) order, and every
+    chain of the batch runs in one _chains pass.  Every eta is checked
+    before any work: zero raises ValueError, and so does a norm above
+    NORM_LIMIT, past which the int64 kernel could overflow.
+    """
+    for eta in etas:
+        if eta.is_zero():
+            raise ValueError("determinant must be nonzero")
+        if eta.norm() > NORM_LIMIT:
+            raise ValueError(f"determinant {eta} has norm {eta.norm()}, above the "
+                             f"{NORM_LIMIT} the int64 family kernel admits (d={eta.field.d})")
+    if not etas:
+        return []
+    fld = etas[0].field
+    starts = []
+    per_eta = []
+    for eta in etas:
+        before = len(starts)
+        for delta in divisors_up_to_units(eta):
+            cof = exact_div(eta, delta)
+            starts += [(delta.a, delta.b, beta.a, beta.b, cof.a, cof.b)
+                       for beta in residues_below(delta, tie)]
+        per_eta.append(len(starts) - before)
+    rows, lengths = _chains(fld, starts, tie)
+    t, m = fld.t, fld.m
+    # a*d - b*c, with omega^2 = t*omega - m, against each row's eta
+    aa, ab, ba, bb, ca, cb, da, db = rows.T
+    abd, bbc = ab * db, bb * cb
+    want = np.repeat(np.repeat([(eta.a, eta.b) for eta in etas], per_eta, axis=0),
+                     lengths, axis=0)
+    bad = ((aa * da - m * abd - ba * ca + m * bbc != want[:, 0])
+           | (aa * db + ab * da + t * abd - ba * cb - bb * ca - t * bbc != want[:, 1]))
+    ends = np.cumsum(lengths)
+    if bad.any():
+        i = int(np.argmax(bad))
+        chain = int(np.searchsorted(ends, i, side="right"))
+        eta = QuadInt(fld, *want[i].tolist())
+        raise InvariantError(f"family row {tuple(rows[i].tolist())} has determinant other "
+                             f"than {eta} at {_chain_name(fld, starts[chain])}")
+    return np.split(rows, ends[np.cumsum(per_eta[:-1], dtype=np.int64) - 1])
+
+
+@lru_cache(maxsize=128)
 def heilbronn_family(eta: QuadInt, tie: str = DEFAULT_TIE) -> tuple[tuple[int, ...], ...]:
     """The full determinant-eta family as 8-int rows, in deterministic order.
 
-    For a unit u, heilbronn_family(u*eta) is heilbronn_family(eta) row for
-    row with the bottom-row entries c and d multiplied by u: u*eta has the
-    same divisors and residues, a chain's top rows depend only on delta and
+    heilbronn_families([eta], tie) as a tuple of Python-int tuples.  For a
+    unit u, heilbronn_family(u*eta) is heilbronn_family(eta) row for row
+    with the bottom-row entries c and d multiplied by u: u*eta has the same
+    divisors and residues, a chain's top rows depend only on delta and
     beta, and its bottom rows are linear in the cofactor, which becomes
-    u*cof.  fourier_coefficients builds only the canonical families.
+    u*cof.  fourier_coefficients builds only the canonical families, in
+    batches through heilbronn_families, and keeps none of them here.
     """
-    if eta.is_zero():
-        raise ValueError("determinant must be nonzero")
-    fld = eta.field
-    t, m = fld.t, fld.m
-    out: list[tuple[int, ...]] = []
-    for delta in divisors_up_to_units(eta):
-        cof = exact_div(eta, delta)
-        for beta in residues_below(delta, tie):
-            for row in _chain(fld, (delta.a, delta.b), (beta.a, beta.b), (cof.a, cof.b), tie):
-                aa, ab, ba, bb, ca, cb, da, db = row
-                # a*d - b*c, with omega^2 = t*omega - m
-                abd, bbc = ab * db, bb * cb
-                if (aa * da - m * abd - ba * ca + m * bbc != eta.a
-                        or aa * db + ab * da + t * abd - ba * cb - bb * ca - t * bbc != eta.b):
-                    raise InvariantError(f"family row {row} has determinant other than "
-                                         f"{eta} (d={fld.d})")
-                out.append(row)
-    return tuple(out)
+    return tuple(map(tuple, heilbronn_families([eta], tie)[0].tolist()))
 
 
 @lru_cache(maxsize=None)

@@ -112,10 +112,10 @@ def test_invariant_failure_exits_3(runner, monkeypatch):
     import bianchi.heilbronn as hb
     from bianchi.quadints import InvariantError
 
-    def broken(fld, delta, beta, cof, tie):
+    def broken(fld, starts, tie):
         raise InvariantError("forced")
 
-    monkeypatch.setattr(hb, "_chain", broken)
+    monkeypatch.setattr(hb, "_chains", broken)
     hb.heilbronn_family.cache_clear()
     try:
         result = runner.invoke(main, ["heilbronn", "--d", "7", "--eta", "3"])
@@ -182,6 +182,21 @@ def test_hecke_with_oracle_and_commutation(runner):
 def test_hecke_rejects_bad_eta(runner):
     invoke(runner, "hecke", "--d", "1", "--level", "2+1w", "--eta", "2+1w", code=2)
     invoke(runner, "hecke", "--d", "1", "--level", "2+1w", "--eta", "0", code=2)
+
+
+def test_eta_beyond_the_family_kernel_refused(runner):
+    # a norm past heilbronn.NORM_LIMIT is refused before any work: factorize
+    # alone would spin in trial division on this one
+    big = "123456789+987654321w"
+    for args in (("heilbronn", "--d", "11", "--eta", big),
+                 ("hecke", "--d", "11", "--level", "1-2w", "--eta", big)):
+        result = invoke(runner, *args, code=2)
+        assert f"determinant {big} has norm" in result.output, args
+    for cmd in ("eigen", "fourier"):
+        result = invoke(runner, cmd, "--d", "11", "--level", "1-2w", "--eta", big, code=2)
+        assert f"--eta {big}: norm" in result.output, cmd
+    result = invoke(runner, "heilbronn", "--d", "11", "--eta", "0", code=2)
+    assert "determinant must be nonzero" in result.output
 
 
 @pytest.mark.parametrize("d, level, eta", [(7, "2+4w", "1-2w"), (11, "1-2w", "3")],

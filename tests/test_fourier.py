@@ -205,10 +205,12 @@ def test_table_matches_operator_off_eigenforms(d, level, bound):
     assert any(table.entries.values())
 
 
-@pytest.mark.parametrize("d, level, bound", [*OFF_EIGEN_LEVELS, (11, "1-2w", 60)])
+@pytest.mark.parametrize("d, level, bound", [*OFF_EIGEN_LEVELS, (11, "1-2w", 60),
+                                             (11, "1-2w", 0), (11, "1-2w", 1)])
 def test_table_matches_scalar_reference(d, level, bound):
     # entry for entry and in the same (norm, base, unit) order, with the
-    # exact Fractions; the last case is the eigenform of level_form
+    # exact Fractions; the last cases are the eigenform of level_form, the
+    # norm-0 table with no family batch and the norm-1 table with one
     if (d, level) == (11, "1-2w"):
         _, _, phi, x = level_form()
     else:
@@ -218,6 +220,28 @@ def test_table_matches_scalar_reference(d, level, bound):
     assert list(table.entries.items()) == list(ref.entries.items())
     assert all(type(a) is Fraction for a in table.entries.values())
     assert (table.norm_bound, table.a1) == (ref.norm_bound, ref.a1)
+
+
+def test_table_takes_its_families_in_batches(monkeypatch):
+    # the norm-100 table builds its 97 canonical families in lockstep
+    # batches and leaves heilbronn_family's cache alone
+    import bianchi.heilbronn as hb
+
+    _, _, phi, x = level_form()
+    bases = sum(len(canonical_elements_of_norm(phi.space.field, n)) for n in range(1, 101))
+    assert bases == 97
+    real, passes = hb._chains, []
+
+    def counted(*args):
+        passes.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(hb, "_chains", counted)
+    before = heilbronn_family.cache_info()
+    fourier_coefficients(phi, x, 100)
+    after = heilbronn_family.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    assert 1 <= len(passes) <= -(-bases // fourier.FAMILY_BATCH)
 
 
 def test_table_range_checks_fire_under_python_O(run_optimized):

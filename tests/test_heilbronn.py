@@ -1,12 +1,17 @@
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bianchi.heilbronn import (
     DEFAULT_TIE,
-    _chain,
+    NORM_LIMIT,
+    _chains,
+    _divide_arrays,
     class_path_sums,
     heilbronn_classes,
+    heilbronn_families,
     heilbronn_family,
     telescoping_ok,
 )
@@ -15,6 +20,7 @@ from bianchi.quadints import (
     Field,
     InvariantError,
     canonical_elements_of_norm,
+    divide_ints,
     divides,
     divisors_up_to_units,
     exact_div,
@@ -94,12 +100,22 @@ def test_chain_invariants_raise():
     fld = Field.get(1)
     # beta = delta makes the first quotient the unit 1
     with pytest.raises(InvariantError, match="unit chain quotient"):
-        _chain(fld, (3, 0), (3, 0), (1, 0), "low")
+        _chains(fld, [(3, 0, 3, 0, 1, 0)], "low")
     # beta = 2 is not minimal mod 3 (-1 is): the quotient 1 is a unit
     with pytest.raises(InvariantError):
-        _chain(fld, (3, 0), (2, 0), (1, 0), "low")
+        _chains(fld, [(3, 0, 2, 0, 1, 0)], "low")
     # a minimal residue runs to the end
-    assert _chain(fld, (3, 0), (1, 1), (1, 0), "low")[-1][2:4] == (0, 0)
+    rows, lengths = _chains(fld, [(3, 0, 1, 1, 1, 0)], "low")
+    assert tuple(rows[-1, 2:4]) == (0, 0) and lengths.tolist() == [len(rows)]
+
+
+def test_chain_failure_names_the_first_failing_chain():
+    # in lockstep, the failing chain of lowest index is named, whatever the
+    # others do
+    fld = Field.get(1)
+    starts = [(3, 0, 1, 1, 1, 0), (5, 0, 5, 0, 1, 0), (3, 0, 3, 0, 1, 0)]
+    with pytest.raises(InvariantError, match=r"\(delta, beta\) = \(5, 5\), d=1"):
+        _chains(fld, starts, "low")
 
 
 def test_family_determinant_is_an_invariant_error(monkeypatch):
@@ -107,15 +123,16 @@ def test_family_determinant_is_an_invariant_error(monkeypatch):
 
     fld = Field.get(2)
     eta = parse_element(fld, "3+2w")
-    real = hb._chain
+    real = hb._chains
 
     def corrupted(*args):
-        rows = real(*args)
-        aa, ab, ba, bb, ca, cb, da, db = rows[-1]
+        rows, lengths = real(*args)
+        rows = rows.copy()
         # the last row of a chain has b = 0, so its determinant is a*d
-        return rows[:-1] + [(aa, ab, ba, bb, ca, cb, da + 1, db)]
+        rows[-1, 6] += 1
+        return rows, lengths
 
-    monkeypatch.setattr(hb, "_chain", corrupted)
+    monkeypatch.setattr(hb, "_chains", corrupted)
     heilbronn_family.cache_clear()
     try:
         with pytest.raises(InvariantError, match="determinant"):
@@ -127,21 +144,97 @@ def test_family_determinant_is_an_invariant_error(monkeypatch):
 def test_invariants_fire_under_python_O(run_optimized):
     # explicit raises, not asserts: python -O must not strip them
     out = run_optimized(
-        "from bianchi.heilbronn import _chain\n"
+        "from bianchi.heilbronn import _chains\n"
         "from bianchi.quadints import Field, InvariantError\n"
         "fld = Field.get(1)\n"
         "try:\n"
-        "    _chain(fld, (3, 0), (3, 0), (1, 0), 'low')\n"
+        "    _chains(fld, [(3, 0, 3, 0, 1, 0)], 'low')\n"
         "except InvariantError as exc:\n"
         "    print('chain:', exc)\n"
         "loose = Field(2)\n"
         "loose.euclid_bound = (0, 1)\n"
         "try:\n"
-        "    _chain(loose, (5, 0), (2, 1), (1, 0), 'low')\n"
+        "    _chains(loose, [(5, 0, 2, 1, 1, 0)], 'low')\n"
         "except InvariantError as exc:\n"
         "    print('bound:', exc)\n"
     )
     assert [line.split(":")[0] for line in out] == ["chain", "bound"], out
+
+
+def _division_pairs(fld, rng):
+    # seeded random pairs, plus pairs whose exact quotient has an integral
+    # coordinate (a zero remainder in divmod) and pairs with equal-norm ties
+    pairs = []
+    for _ in range(400):
+        b = (rng.randint(-30, 30), rng.randint(-30, 30))
+        if b == (0, 0):
+            continue
+        pairs.append(((rng.randint(-900, 900), rng.randint(-900, 900)), b))
+        # a = q*b + e with e small: the quotient's coordinates are integral
+        # or sit next to a cell edge
+        q = (rng.randint(-20, 20), rng.randint(-20, 20))
+        e = (rng.randint(-1, 1), rng.randint(-1, 1))
+        qb = q[1] * b[1]
+        pairs.append(((q[0] * b[0] - fld.m * qb + e[0],
+                       q[0] * b[1] + q[1] * b[0] + fld.t * qb + e[1]), b))
+    for k in range(1, 6):
+        # half-integral quotients: several corners tie on N(r)
+        pairs += [((k, 0), (2, 0)), ((k, k), (2, 0)), ((0, k), (2, 0)), ((k, 1), (2, 0)),
+                  ((k, 0), (0, 2)), ((k, k), (2, 2)), ((k, 2 * k), (1, 1))]
+    return pairs
+
+
+@pytest.mark.parametrize("d", EUCLIDEAN_D)
+def test_array_division_matches_divide_ints(d):
+    fld = Field.get(d)
+    pairs = _division_pairs(fld, random.Random(1000 + d))
+    aa, ab, ba, bb = np.array([a + b for a, b in pairs], dtype=np.int64).T
+    for tie in ("low", "high"):
+        got = _divide_arrays(fld, aa, ab, ba, bb, tie)
+        for k, (a, b) in enumerate(pairs):
+            qa, qb, ra, rb = divide_ints(fld, *a, *b, tie)
+            want = (qa, qb, ra, rb, ra * ra + fld.t * ra * rb + fld.m * rb * rb)
+            assert tuple(int(v[k]) for v in got) == want, (d, a, b, tie)
+    one_integral = ties = 0
+    for a, b in pairs:
+        ties += divide_ints(fld, *a, *b, "low") != divide_ints(fld, *a, *b, "high")
+        num = fld.elt(*a) * fld.elt(*b).conj()
+        den = fld.elt(*b).norm()
+        one_integral += (num.a % den == 0) != (num.b % den == 0)
+    # the pairs include ties, where the two rules pick different quotients,
+    # and quotients with exactly one integral coordinate
+    assert ties > 0 and one_integral > 0
+
+
+@pytest.mark.parametrize("d", EUCLIDEAN_D)
+def test_batch_matches_one_at_a_time(d):
+    fld = Field.get(d)
+    bound = 100 if d == 11 else 60
+    etas = [e for n in range(1, bound + 1) for e in canonical_elements_of_norm(fld, n)]
+    for tie in ("low", "high"):
+        fams = heilbronn_families(etas, tie)
+        assert len(fams) == len(etas)
+        for eta, fam in zip(etas, fams):
+            assert fam.dtype == np.int64 and fam.shape[1:] == (8,)
+            assert tuple(map(tuple, fam.tolist())) == heilbronn_family(eta, tie), \
+                (d, str(eta), tie)
+    assert heilbronn_families([]) == []
+
+
+def test_norm_beyond_the_kernel_range_is_refused():
+    fld = Field.get(11)
+    big = parse_element(fld, "123456789+987654321w")
+    assert big.norm() > NORM_LIMIT
+    for call in (lambda: heilbronn_family(big), lambda: heilbronn_families([fld.one, big])):
+        with pytest.raises(ValueError, match="123456789\\+987654321w"):
+            call()
+    # NORM_LIMIT rests on |entry| <= 11 |eta| and |coordinate| <= 2 |entry|
+    for d in EUCLIDEAN_D:
+        fld = Field.get(d)
+        etas = [e for n in range(1, 101) for e in canonical_elements_of_norm(fld, n)]
+        for eta, fam in zip(etas, heilbronn_families(etas)):
+            top = int(np.abs(fam).max())
+            assert top * top <= 4 * 121 * eta.norm(), (d, str(eta))
 
 
 def test_unit_multiple_family_is_twisted_base():

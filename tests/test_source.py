@@ -36,7 +36,6 @@ WEIGHT_BRANCH_ALLOWED = {
 # a new one must be named here
 UNBOUNDED_CACHES_ALLOWED = {
     "symbols._symbol_space",
-    "heilbronn.heilbronn_family",
     "heilbronn.heilbronn_classes",
     "quadints._omega_roots_mod",
     "quadints.primes_above",
