@@ -29,7 +29,13 @@ from .fourier import (
     seed_from_vector,
 )
 from .hecke import commute_check, eigensystems, hecke_on_manin, hecke_oracle
-from .heilbronn import NORM_LIMIT, heilbronn_classes, heilbronn_family, telescoping_ok
+from .heilbronn import (
+    NORM_LIMIT,
+    family_divisors,
+    heilbronn_classes,
+    heilbronn_family,
+    telescoping_ok,
+)
 from .linalg import rational_eigensystem
 from .quadints import Field, InvariantError, QuadInt, gcd, parse_element
 from .symbols import Mat2, cusp_count, symbol_space
@@ -271,6 +277,10 @@ def _eta_list(fld: Field, nu: QuadInt, texts: tuple[str, ...], count: int) -> li
             if e.norm() > NORM_LIMIT:
                 raise click.UsageError(f"--eta {e}: norm {e.norm()} is above the "
                                        f"{NORM_LIMIT} the family kernel admits")
+            try:
+                family_divisors([e])
+            except ValueError as exc:
+                raise click.UsageError(f"--eta {e}: {exc}")
         return etas
     try:
         return checks._coprime_etas(fld, nu, count)

@@ -9,15 +9,21 @@ so every run terminates in a matrix with top-right entry zero.
 
 A family is an (n, 8) int64 array of rows (a.a, a.b, b.a, b.b, c.a, c.b,
 d.a, d.b).  heilbronn_families builds the families of a batch of etas in
-one pass: _chains runs every (delta, beta, cof) chain of the batch in
-lockstep on int64 arrays, one array division step (_divide_arrays, which
-the tests hold against quadints.divide_ints) per round.  The Euclidean
-bound, the unit quotients, the decreasing norms and the determinant of
-every row are checked on the arrays; a failed invariant raises
-InvariantError naming (delta, beta) and d, which survives python -O.
-heilbronn_family is the lru-cached batch of one, as a tuple of 8-int
-tuples, and Mat2.from_row turns a row back into a matrix where the
-certificates need one.
+one pass, on int64 arrays throughout, with _divide_arrays (which the tests
+hold against quadints.divide_ints) as its one division step.
+_residue_boxes divides the Hermite box of every distinct divisor of the
+batch by its divisor at once, and sorts each divisor's remainders into its
+betas; the (delta, beta, cof) start of every chain is gathered from them
+by index.  _chains then runs every chain of the batch in lockstep, one
+division step per round.  The Euclidean bound, N(delta) distinct residues
+per divisor, the unit quotients, the decreasing norms and the determinant
+of every row are checked on the arrays; a failed invariant raises
+InvariantError naming delta (and beta, in a chain) and d, which survives
+python -O.  Before any of it, family_divisors refuses an eta whose family
+starts more than START_LIMIT chains, and a batch that starts more runs in
+several passes.  heilbronn_family is the lru-cached batch of one, as a
+tuple of 8-int tuples, and Mat2.from_row turns a row back into a matrix
+where the certificates need one.
 
 Grouped by unimodular equivalence (M ~ M' when adj(M') M / eta lies in
 SL2(O)), the cusp paths of each class chain from oo to 0; that telescoping
@@ -37,8 +43,8 @@ from .quadints import (
     QuadInt,
     divisors_up_to_units,
     exact_div,
+    hnf_module,
     reduce_mod,
-    residues_below,
     xgcd,
 )
 from .symbols import Mat2, normalize_cusp
@@ -62,6 +68,18 @@ DEFAULT_TIE = "low"
 # the determinant check, are then below 3 * 22 * 8 N(eta), and no sum the
 # kernel forms reaches 1024 N(eta).
 NORM_LIMIT = np.iinfo(np.int64).max // 1024
+
+# The most division chains one pass of heilbronn_families starts: the sum
+# of N(delta) over the divisors delta of its etas.  An eta whose family
+# alone starts more is refused.  Memory grows with the starts.  At d = 1,
+# eta = 400+w (norm 160,001, prime), the 160,002 starts make 1,086,142 rows
+# (6.8 a start) in 0.4 s at a peak RSS of 292 MB, 265 MB above the
+# interpreter's: about 1.7 KB a start.  The heilbronn command, which also
+# writes every matrix out as JSON, took 60 MB above the interpreter's for
+# the 10,212 starts of 100+w: about 6 KB a start (2 cores, Python 3.11.7,
+# numpy 2.4.6).  So a pass at the limit stays near 340 MB, and the
+# heilbronn command near 1.2 GB.
+START_LIMIT = 200_000
 
 # the four floor/ceil corners of a quotient in ascending (qa, qb) order
 _CORNER_A = np.array([[0], [0], [1], [1]], dtype=np.int64)
@@ -152,13 +170,53 @@ def _chains(fld: Field, starts, tie: str) -> tuple[np.ndarray, np.ndarray]:
     return every[:8, order].T, np.bincount(every[9], minlength=len(starts))
 
 
-def heilbronn_families(etas: Sequence[QuadInt], tie: str = DEFAULT_TIE) -> list[np.ndarray]:
-    """The determinant-eta family of every eta, as one (n, 8) int64 array each.
+def _residue_boxes(fld: Field, deltas: Sequence[QuadInt], tie: str):
+    """The minimal residues below each delta: (offsets, ra, rb).
 
-    The rows of a family come in (divisor, beta, step) order, and every
-    chain of the batch runs in one _chains pass.  Every eta is checked
-    before any work: zero raises ValueError, and so does a norm above
-    NORM_LIMIT, past which the int64 kernel could overflow.
+    Every delta's Hermite box (hnf_module's e11 by e22 grid) goes through
+    one _divide_arrays pass, and each remainder is the representative of its
+    class: it attains the minimal norm over the class.  Delta j's residues
+    are ra, rb[offsets[j]:offsets[j + 1]], sorted by (norm, a, b).  A
+    remainder past the Euclidean bound, or a delta without N(delta) distinct
+    remainders, raises InvariantError naming delta and d.
+    """
+    e11, e22 = np.array([hnf_module(delta)[::2] for delta in deltas], dtype=np.int64).T
+    sizes = e11 * e22  # N(delta): hnf_module checks the index
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    owner = np.repeat(np.arange(len(deltas)), sizes)
+    local = np.arange(offsets[-1]) - offsets[owner]
+    span = e22[owner]
+    da, db = np.array([(delta.a, delta.b) for delta in deltas], dtype=np.int64)[owner].T
+    _, _, ra, rb, rn = _divide_arrays(fld, local // span, local % span, da, db, tie)
+    num, dnm = fld.euclid_bound
+    over = rn * dnm > num * sizes[owner]
+    if over.any():
+        i = int(np.argmax(over))
+        delta = deltas[owner[i]]
+        raise InvariantError(f"remainder norm {rn[i]} exceeds the Euclidean bound for the "
+                             f"divisor norm {delta.norm()} at delta = {delta}, d={fld.d}")
+    # owner is the primary key, and it is already ascending
+    order = np.lexsort((rb, ra, rn, owner))
+    ra, rb = ra[order], rb[order]
+    # equal remainders of one delta are now adjacent
+    same = (ra[1:] == ra[:-1]) & (rb[1:] == rb[:-1]) & (owner[1:] == owner[:-1])
+    if same.any():
+        j = owner[int(np.argmax(same))]
+        distinct = sizes[j] - int(same[offsets[j]:offsets[j + 1] - 1].sum())
+        raise InvariantError(f"{distinct} distinct remainders mod {deltas[j]}, not "
+                             f"{sizes[j]} (d={fld.d})")
+    return offsets, ra, rb
+
+
+def family_divisors(etas: Sequence[QuadInt]) -> list[list[QuadInt]]:
+    """The canonical divisors of each eta, once its family is known to fit.
+
+    Every eta is checked before any work: zero raises ValueError, and so
+    does a norm above NORM_LIMIT, past which the int64 kernel could
+    overflow.  The family of eta starts one chain from each residue below
+    each divisor delta, sum N(delta) starts in all; an eta with more than
+    START_LIMIT raises ValueError before any array is allocated (and, when
+    its norm alone shows it, before it is factored).
     """
     for eta in etas:
         if eta.is_zero():
@@ -166,24 +224,70 @@ def heilbronn_families(etas: Sequence[QuadInt], tie: str = DEFAULT_TIE) -> list[
         if eta.norm() > NORM_LIMIT:
             raise ValueError(f"determinant {eta} has norm {eta.norm()}, above the "
                              f"{NORM_LIMIT} the int64 family kernel admits (d={eta.field.d})")
-    if not etas:
-        return []
-    fld = etas[0].field
-    starts = []
-    per_eta = []
+    divisors = []
     for eta in etas:
-        before = len(starts)
-        for delta in divisors_up_to_units(eta):
-            cof = exact_div(eta, delta)
-            starts += [(delta.a, delta.b, beta.a, beta.b, cof.a, cof.b)
-                       for beta in residues_below(delta, tie)]
-        per_eta.append(len(starts) - before)
+        # a non-unit eta has the divisors 1 and eta: N(eta) + 1 starts at least
+        starts = eta.norm() + (not eta.is_unit())
+        least = starts > START_LIMIT
+        if not least:
+            divisors.append(divisors_up_to_units(eta))
+            starts = sum(delta.norm() for delta in divisors[-1])
+        if starts > START_LIMIT:
+            raise ValueError(f"the family of {eta} starts {'at least ' * least}{starts} "
+                             f"division chains, above the {START_LIMIT} one pass admits "
+                             f"(d={eta.field.d})")
+    return divisors
+
+
+def heilbronn_families(etas: Sequence[QuadInt], tie: str = DEFAULT_TIE) -> list[np.ndarray]:
+    """The determinant-eta family of every eta, as one (n, 8) int64 array each.
+
+    The rows of a family come in (divisor, beta, step) order.  The etas are
+    checked by family_divisors first, then built in passes: each pass takes
+    the next etas whose chains start from at most START_LIMIT residues in
+    all, so one pass's arrays stay bounded however many etas a caller asks
+    for.  In a pass, the residues beta below the distinct divisors come from
+    one _residue_boxes call, the (delta, beta, cof) start of every chain is
+    gathered from them by index, and every chain runs in one _chains call.
+    """
+    divisors = family_divisors(etas)
+    sizes = [sum(delta.norm() for delta in divs) for divs in divisors]
+    cuts, starts = [0], 0
+    for k, n in enumerate(sizes):
+        if starts + n > START_LIMIT:
+            cuts.append(k)
+            starts = 0
+        starts += n
+    cuts.append(len(etas))
+    return [fam for lo, hi in zip(cuts, cuts[1:]) if lo < hi
+            for fam in _families_pass(etas[lo:hi], divisors[lo:hi], sizes[lo:hi], tie)]
+
+
+def _families_pass(etas: Sequence[QuadInt], divisors: list[list[QuadInt]],
+                   sizes: list[int], tie: str) -> list[np.ndarray]:
+    """heilbronn_families for one pass: each eta's divisors and its number
+    of chain starts are given."""
+    fld = etas[0].field
+    deltas = list(dict.fromkeys(delta for divs in divisors for delta in divs))
+    offsets, box_a, box_b = _residue_boxes(fld, deltas, tie)
+    # one (eta, delta) pair after another, in family order: the pair's box,
+    # and its delta and cofactor, repeated over the box into the starts
+    pairs = [(delta, exact_div(eta, delta)) for eta, divs in zip(etas, divisors)
+             for delta in divs]
+    where = {delta: j for j, delta in enumerate(deltas)}
+    box = np.array([where[delta] for delta, _ in pairs], dtype=np.int64)
+    outer = np.array([(delta.a, delta.b, cof.a, cof.b) for delta, cof in pairs],
+                     dtype=np.int64)
+    counts = offsets[box + 1] - offsets[box]
+    of_pair = np.repeat(np.arange(len(pairs)), counts)
+    beta = np.arange(counts.sum()) + (offsets[box] - np.cumsum(counts) + counts)[of_pair]
+    starts = np.column_stack([outer[of_pair, :2], box_a[beta], box_b[beta], outer[of_pair, 2:]])
     rows, lengths = _chains(fld, starts, tie)
     t, m = fld.t, fld.m
     # a*d - b*c, with omega^2 = t*omega - m, against each row's eta
     aa, ab, ba, bb, ca, cb, da, db = rows.T
     abd, bbc = ab * db, bb * cb
-    want = np.repeat(np.repeat([(eta.a, eta.b) for eta in etas], per_eta, axis=0),
+    want = np.repeat(np.repeat([(eta.a, eta.b) for eta in etas], sizes, axis=0),
                      lengths, axis=0)
     bad = ((aa * da - m * abd - ba * ca + m * bbc != want[:, 0])
            | (aa * db + ab * da + t * abd - ba * cb - bb * ca - t * bbc != want[:, 1]))
@@ -194,7 +298,7 @@ def heilbronn_families(etas: Sequence[QuadInt], tie: str = DEFAULT_TIE) -> list[
         eta = QuadInt(fld, *want[i].tolist())
         raise InvariantError(f"family row {tuple(rows[i].tolist())} has determinant other "
                              f"than {eta} at {_chain_name(fld, starts[chain])}")
-    return np.split(rows, ends[np.cumsum(per_eta[:-1], dtype=np.int64) - 1])
+    return np.split(rows, ends[np.cumsum(sizes[:-1], dtype=np.int64) - 1])
 
 
 @lru_cache(maxsize=128)

@@ -36,7 +36,6 @@ __all__ = [
     "primes_above",
     "rational_prime_factors",
     "reduce_mod",
-    "residues_below",
     "residues_mod",
     "xgcd",
 ]
@@ -475,20 +474,6 @@ def residues_mod(delta: QuadInt) -> tuple[QuadInt, ...]:
     e11, _, e22 = hnf_module(delta)
     fld = delta.field
     return tuple(QuadInt(fld, i, j) for i in range(e11) for j in range(e22))
-
-
-@lru_cache(maxsize=None)
-def residues_below(delta: QuadInt, tie: str = "low") -> tuple[QuadInt, ...]:
-    """One minimal-norm representative per class mod delta, sorted by (norm, a, b).
-
-    Representatives are remainders under euclidean_division, so each attains
-    the minimal norm over its whole residue class.
-    """
-    out = [euclidean_division(r, delta, tie)[1] for r in residues_mod(delta)]
-    if len(set(out)) != delta.norm():
-        raise InvariantError(f"{len(set(out))} distinct remainders mod {delta}, not "
-                             f"{delta.norm()} (d={delta.field.d})")
-    return tuple(sorted(out, key=QuadInt.sort_key))
 
 
 def parse_element(fld: Field, text: str) -> QuadInt:

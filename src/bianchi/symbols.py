@@ -287,7 +287,13 @@ def _distinct_rows(cols: np.ndarray, vals: np.ndarray, blank: int) -> list[dict[
     cols = np.take_along_axis(cols, order, axis=1)
     vals = np.take_along_axis(vals, order, axis=1)
     vals *= np.where(vals[:, :1] < 0, -1, 1)
-    keys = np.unique(np.hstack([cols, vals])[vals[:, 0] != 0], axis=0)[::-1]
+    keys = np.hstack([cols, vals])[vals[:, 0] != 0]
+    # descending lexicographic order, then equal neighbours dropped: the rows
+    # of np.unique(keys, axis=0)[::-1], without the numpy.ma import it costs
+    keys = keys[np.lexsort(keys.T[::-1])[::-1]]
+    fresh = np.ones(len(keys), dtype=bool)
+    fresh[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    keys = keys[fresh]
     width = cols.shape[1]
     return [{c: a for c, a in zip(key[:width], key[width:]) if a} for key in keys.tolist()]
 

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -197,6 +198,22 @@ def test_eta_beyond_the_family_kernel_refused(runner):
         assert f"--eta {big}: norm" in result.output, cmd
     result = invoke(runner, "heilbronn", "--d", "11", "--eta", "0", code=2)
     assert "determinant must be nonzero" in result.output
+
+
+def test_eta_past_the_start_limit_refused_at_once(runner):
+    # norm 9,003,003, far inside NORM_LIMIT: its family would start about
+    # 9 million division chains (tens of GB), above heilbronn.START_LIMIT
+    big = "3000+w"
+    assert parse_element(Field.get(11), big).norm() == 9_003_003
+    for args in (("heilbronn", "--d", "11", "--eta", big),
+                 ("hecke", "--d", "11", "--level", "1-2w", "--eta", big),
+                 ("hecke", "--d", "11", "--level", "1-2w", "--eta", "2",
+                  "--commute-with", big),
+                 ("eigen", "--d", "11", "--level", "1-2w", "--eta", big)):
+        t0 = time.perf_counter()
+        result = invoke(runner, *args, code=2)
+        assert time.perf_counter() - t0 < 1.0, args
+        assert "division chains, above the" in result.output, args
 
 
 @pytest.mark.parametrize("d, level, eta", [(7, "2+4w", "1-2w"), (11, "1-2w", "3")],
@@ -591,15 +608,17 @@ BESSEL_DATA = {"derivative_defect": 9.813660994950624e-11, "err_k0": 1.110223024
 
 def scipy_after_each(runs):
     # a fresh interpreter imports bianchi.cli, runs each command through
-    # cli.main and reports whether scipy is loaded: after the import, then
-    # after each command
+    # cli.main and reports whether scipy and numpy.ma are loaded, as one
+    # [scipy, numpy.ma] pair after the import, then one after each command
     script = (
         "import json, sys\n"
         "from bianchi.cli import main\n"
-        "loaded = ['scipy' in sys.modules]\n"
+        "def loaded_now():\n"
+        "    return ['scipy' in sys.modules, 'numpy.ma' in sys.modules]\n"
+        "loaded = [loaded_now()]\n"
         f"for args in {runs!r}:\n"
         "    main(args, standalone_mode=False)\n"
-        "    loaded.append('scipy' in sys.modules)\n"
+        "    loaded.append(loaded_now())\n"
         "sys.stderr.write('\\n' + json.dumps(loaded))\n"
     )
     env = {"PYTHONPATH": str(Path(bianchi.__file__).parents[1]), "PYTHONHASHSEED": "0",
@@ -615,9 +634,14 @@ def test_scipy_loads_only_for_bessel_values(tmp_path):
     eval_out, verify_out = tmp_path / "eval.json", tmp_path / "verify.json"
     runs = SCIPY_FREE_RUNS + [["eval", "--d", "11", "--level", "1-2w", "--z", z, "--t", t,
                                "--out", str(eval_out)]]
-    assert scipy_after_each(runs) == [False] * (1 + len(SCIPY_FREE_RUNS)) + [True]
+    loaded = scipy_after_each(runs)
+    assert [scipy for scipy, _ in loaded] == [False] * (1 + len(SCIPY_FREE_RUNS)) + [True]
+    # numpy.ma (10-14 ms to import) stays unloaded too: np.unique(axis=0)
+    # would load it, symbols._distinct_rows does without
+    assert [ma for _, ma in loaded[:1 + len(SCIPY_FREE_RUNS)]] == \
+        [False] * (1 + len(SCIPY_FREE_RUNS))
     assert hashlib.sha256(eval_out.read_bytes()).hexdigest() == digest
     runs = [["verify", "--check", "bessel", "--out", str(verify_out)]]
-    assert scipy_after_each(runs) == [False, True]
+    assert [scipy for scipy, _ in scipy_after_each(runs)] == [False, True]
     (check,) = json.loads(verify_out.read_text())["checks"]
     assert check["ok"] is True and check["data"] == BESSEL_DATA

@@ -7,8 +7,10 @@ import pytest
 from bianchi.heilbronn import (
     DEFAULT_TIE,
     NORM_LIMIT,
+    START_LIMIT,
     _chains,
     _divide_arrays,
+    _residue_boxes,
     class_path_sums,
     heilbronn_classes,
     heilbronn_families,
@@ -26,11 +28,10 @@ from bianchi.quadints import (
     exact_div,
     is_prime_element,
     parse_element,
-    residues_below,
 )
 from bianchi.symbols import Mat2, normalize_cusp
 
-from test_quadints import euclidean_division_reference
+from test_quadints import euclidean_division_reference, residues_below_reference
 
 
 def small_etas(fld, bound):
@@ -67,7 +68,7 @@ def heilbronn_family_reference(eta, tie=DEFAULT_TIE):
     out = []
     for delta in divisors_up_to_units(eta):
         cof = exact_div(eta, delta)
-        for beta in residues_below(delta, tie):
+        for beta in residues_below_reference(delta, tie):
             for m in _chain_reference(delta, beta, cof, tie):
                 assert m.det() == eta
                 out.append(m)
@@ -94,6 +95,22 @@ def test_family_rows_match_reference_on_expansion_table():
     for alpha in alphas:
         want = tuple(m.row() for m in heilbronn_family_reference(alpha, DEFAULT_TIE))
         assert heilbronn_family(alpha, DEFAULT_TIE) == want, str(alpha)
+
+
+@pytest.mark.parametrize("d", EUCLIDEAN_D)
+def test_residue_boxes_match_scalar_reference(d):
+    # every delta of norm <= 60 in one batch, both tie rules: the same
+    # residues in the same (norm, a, b) order as the scalar oracle
+    fld = Field.get(d)
+    deltas = [e for n in range(1, 61) for e in canonical_elements_of_norm(fld, n)]
+    for tie in ("low", "high"):
+        offsets, ra, rb = _residue_boxes(fld, deltas, tie)
+        assert offsets.tolist() == [0] + np.cumsum([e.norm() for e in deltas]).tolist()
+        for j, delta in enumerate(deltas):
+            got = list(zip(ra[offsets[j]:offsets[j + 1]].tolist(),
+                           rb[offsets[j]:offsets[j + 1]].tolist()))
+            want = [(r.a, r.b) for r in residues_below_reference(delta, tie)]
+            assert got == want, (d, str(delta), tie)
 
 
 def test_chain_invariants_raise():
@@ -235,6 +252,56 @@ def test_norm_beyond_the_kernel_range_is_refused():
         for eta, fam in zip(etas, heilbronn_families(etas)):
             top = int(np.abs(fam).max())
             assert top * top <= 4 * 121 * eta.norm(), (d, str(eta))
+
+
+def test_families_past_the_start_limit_are_refused(monkeypatch):
+    import bianchi.heilbronn as hb
+
+    fld = Field.get(1)
+    five = fld.from_int(5)
+    # 5 = (2+w)(2-w) has divisors of norm 1, 5, 5 and 25: 36 chain starts
+    assert START_LIMIT >= 36
+    want = heilbronn_family(five)
+    monkeypatch.setattr(hb, "START_LIMIT", 36)
+    assert tuple(map(tuple, heilbronn_families([five])[0].tolist())) == want
+    monkeypatch.setattr(hb, "START_LIMIT", 35)
+    with pytest.raises(ValueError, match=r"family of 5 starts 36 division chains, above the 35"):
+        heilbronn_family.__wrapped__(five)
+    with pytest.raises(ValueError, match=r"family of 5 starts 36"):
+        heilbronn_families([fld.one, five])
+    # N(5) + 1 = 26 starts at least, known before 5 is factored
+    monkeypatch.setattr(hb, "START_LIMIT", 25)
+    monkeypatch.setattr(hb, "divisors_up_to_units", None)
+    with pytest.raises(ValueError, match=r"family of 5 starts at least 26 division chains"):
+        heilbronn_families([five])
+
+
+def test_batches_past_the_start_limit_run_in_passes(monkeypatch):
+    # each pass takes the next etas whose starts fit under START_LIMIT; the
+    # families are the same as from one pass
+    import bianchi.heilbronn as hb
+
+    fld = Field.get(7)
+    etas = [e for n in range(1, 41) for e in canonical_elements_of_norm(fld, n)]
+    sizes = [sum(delta.norm() for delta in divisors_up_to_units(e)) for e in etas]
+    whole = heilbronn_families(etas, "high")
+    passes = []
+    real = hb._families_pass
+
+    def counted(etas, divisors, sizes, tie):
+        passes.append(sum(sizes))
+        assert sizes == [sum(delta.norm() for delta in divs) for divs in divisors]
+        return real(etas, divisors, sizes, tie)
+
+    # the largest family just fits
+    limit = max(sizes)
+    monkeypatch.setattr(hb, "_families_pass", counted)
+    monkeypatch.setattr(hb, "START_LIMIT", limit)
+    split = heilbronn_families(etas, "high")
+    assert [f.tolist() for f in split] == [f.tolist() for f in whole]
+    assert sum(passes) == sum(sizes) and max(passes) == limit and len(passes) > 5
+    # a pass is cut only where the next eta would not fit
+    assert all(a + b > limit for a, b in zip(passes, passes[1:]))
 
 
 def test_unit_multiple_family_is_twisted_base():

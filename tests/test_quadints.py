@@ -26,7 +26,6 @@ from bianchi.quadints import (
     is_prime_element,
     parse_element,
     reduce_mod,
-    residues_below,
     residues_mod,
     xgcd,
 )
@@ -166,6 +165,16 @@ def euclidean_division_reference(a, b, tie="low"):
             if best_key is None or key < best_key:
                 best_key, best = key, (q, r)
     return best
+
+
+def residues_below_reference(delta, tie="low"):
+    # one minimal-norm representative per class mod delta, sorted by (norm,
+    # a, b): the remainder of each Hermite-box residue by delta, which
+    # attains the minimal norm over its class (the scalar oracle of
+    # heilbronn._residue_boxes)
+    out = [euclidean_division_reference(r, delta, tie)[1] for r in residues_mod(delta)]
+    assert len(set(out)) == delta.norm(), (str(delta), tie)
+    return tuple(sorted(out, key=lambda r: r.sort_key()))
 
 
 @given(elt_pairs(), st.sampled_from(["low", "high"]))
@@ -380,7 +389,7 @@ def test_minimal_residues_are_class_minimal():
             delta = random_elt(rng, fld, 5)
             if delta.norm() <= 1:
                 continue
-            reps = residues_below(delta)
+            reps = residues_below_reference(delta)
             assert len(reps) == delta.norm()
             bound = fld.euclid_ratio * delta.norm()
             cap = int(bound)
@@ -397,7 +406,7 @@ def test_minimal_residues_are_class_minimal():
 
 def test_minimal_residue_pin():
     g = Field.get(1)
-    assert residues_below(g.elt(1, 1)) == (g.zero, g.elt(0, 1))
+    assert residues_below_reference(g.elt(1, 1)) == (g.zero, g.elt(0, 1))
 
 
 def test_parse_pins():
@@ -420,9 +429,11 @@ def test_format_parse_roundtrip(x):
 
 def test_ring_invariants_fire_under_python_O(run_optimized):
     # a prime above p from a corrupted gcd, a factorization whose primes are
-    # hidden, a modulus that lies about its norm, and remainders that collide
+    # hidden, a modulus that lies about its norm, remainders that collide in
+    # a family's residue box, and box remainders past a Euclidean bound that
+    # a field states too tightly
     out = run_optimized(
-        "from bianchi import quadints\n"
+        "from bianchi import heilbronn, quadints\n"
         "from bianchi.quadints import Field, InvariantError, QuadInt\n"
         "fld = Field.get(1)\n"
         "def attempt(name, fn, *args):\n"
@@ -442,8 +453,15 @@ def test_ring_invariants_fire_under_python_O(run_optimized):
         "    def norm(self):\n"
         "        return super().norm() + 1\n"
         "attempt('hnf', quadints.hnf_module, Off(fld, 3, 0))\n"
-        "euclidean_division = quadints.euclidean_division\n"
-        "quadints.euclidean_division = lambda a, b, tie='low': (a, fld.zero)\n"
-        "attempt('residues', quadints.residues_below, fld.from_int(3))\n"
+        "divide_arrays = heilbronn._divide_arrays\n"
+        "heilbronn._divide_arrays = lambda fld, aa, ab, ba, bb, tie: (0 * aa,) * 5\n"
+        "attempt('residues', heilbronn.heilbronn_families, [fld.from_int(3)])\n"
+        "heilbronn._divide_arrays = divide_arrays\n"
+        "loose = Field(2)\n"
+        "loose.euclid_bound = (0, 1)\n"
+        "attempt('bound', heilbronn._residue_boxes, loose, [loose.from_int(3)], 'low')\n"
     )
-    assert [line.split(":")[0] for line in out] == ["prime", "unit", "hnf", "residues"], out
+    assert [line.split(":")[0] for line in out] == \
+        ["prime", "unit", "hnf", "residues", "bound"], out
+    assert out[3] == "residues: 1 distinct remainders mod 3, not 9 (d=1)", out
+    assert "exceeds the Euclidean bound" in out[4] and out[4].endswith("at delta = 3, d=2"), out

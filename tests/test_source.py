@@ -41,7 +41,6 @@ UNBOUNDED_CACHES_ALLOWED = {
     "quadints.primes_above",
     "quadints.hnf_module",
     "quadints.residues_mod",
-    "quadints.residues_below",
 }
 
 

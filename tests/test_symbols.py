@@ -790,6 +790,47 @@ def test_distinct_rows_merges_signs_and_drops_repeats():
     assert _distinct_rows(empty, empty, 9) == []
 
 
+def _distinct_rows_by_unique(cols, vals, blank):
+    # _distinct_rows as written on np.unique(axis=0)[::-1], which imports
+    # numpy.ma: the order its rows must keep
+    order = np.argsort(cols, axis=1, kind="stable")
+    cols = np.take_along_axis(cols, order, axis=1)
+    vals = np.take_along_axis(vals, order, axis=1)
+    for k in range(1, cols.shape[1]):
+        same = cols[:, k] == cols[:, k - 1]
+        vals[same, k] += vals[same, k - 1]
+        vals[same, k - 1] = 0
+    cols = np.where(vals != 0, cols, blank)
+    order = np.argsort(cols, axis=1, kind="stable")
+    cols = np.take_along_axis(cols, order, axis=1)
+    vals = np.take_along_axis(vals, order, axis=1)
+    vals *= np.where(vals[:, :1] < 0, -1, 1)
+    keys = np.unique(np.hstack([cols, vals])[vals[:, 0] != 0], axis=0)[::-1]
+    width = cols.shape[1]
+    return [{c: a for c, a in zip(key[:width], key[width:]) if a} for key in keys.tolist()]
+
+
+def test_distinct_rows_keeps_the_np_unique_order():
+    # random padded rows with repeats, negated repeats (negative leads),
+    # zero rows and rows whose entries cancel
+    rng = np.random.default_rng(19)
+    blank = 9
+    for trial in range(300):
+        n, width = int(rng.integers(0, 25)), int(rng.integers(1, 6))
+        cols = rng.integers(0, 6, size=(n, width))
+        vals = rng.integers(-3, 4, size=(n, width))
+        pad = rng.random((n, width)) < 0.3
+        cols[pad], vals[pad] = blank, 0
+        again = rng.integers(0, n, size=n // 2) if n else np.zeros(0, dtype=np.int64)
+        sign = rng.choice([-1, 1], size=(len(again), 1))
+        cols = np.vstack([cols, cols[again]])
+        vals = np.vstack([vals, sign * vals[again]])
+        vals[trial % 4::5] = 0
+        want = _distinct_rows_by_unique(cols.copy(), vals.copy(), blank)
+        got = _distinct_rows(cols, vals, blank)
+        assert [list(r.items()) for r in got] == [list(r.items()) for r in want], trial
+
+
 def test_symbol_invariants_fire_under_python_O(run_optimized):
     # a non-unit determinant, a wrong factorization, a cusp left with a
     # common factor, and a space whose point lookups all miss
