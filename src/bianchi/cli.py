@@ -29,13 +29,7 @@ from .fourier import (
     seed_from_vector,
 )
 from .hecke import commute_check, eigensystems, hecke_on_manin, hecke_oracle
-from .heilbronn import (
-    NORM_LIMIT,
-    family_divisors,
-    heilbronn_classes,
-    heilbronn_family,
-    telescoping_ok,
-)
+from .heilbronn import family_divisors, heilbronn_classes, heilbronn_family, telescoping_ok
 from .linalg import rational_eigensystem
 from .quadints import Field, InvariantError, QuadInt, gcd, parse_element
 from .symbols import Mat2, cusp_count, symbol_space
@@ -274,9 +268,6 @@ def _eta_list(fld: Field, nu: QuadInt, texts: tuple[str, ...], count: int) -> li
         for e in etas:
             if e.is_zero() or not gcd(e, nu).is_unit():
                 raise click.UsageError(f"--eta {e}: must be nonzero and coprime to the level")
-            if e.norm() > NORM_LIMIT:
-                raise click.UsageError(f"--eta {e}: norm {e.norm()} is above the "
-                                       f"{NORM_LIMIT} the family kernel admits")
             try:
                 family_divisors([e])
             except ValueError as exc:

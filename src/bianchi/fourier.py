@@ -187,9 +187,8 @@ class FourierTable:
 
 
 # fourier_coefficients asks heilbronn_families for this many canonical
-# families at a time: one lockstep chain pass per batch (more past
-# heilbronn.START_LIMIT chain starts), with the memory of sixteen families
-# at most
+# families at a time: one lockstep chain pass per batch, with the memory of
+# sixteen families at most
 FAMILY_BATCH = 16
 
 

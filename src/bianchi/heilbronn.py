@@ -20,10 +20,9 @@ per divisor, the unit quotients, the decreasing norms and the determinant
 of every row are checked on the arrays; a failed invariant raises
 InvariantError naming delta (and beta, in a chain) and d, which survives
 python -O.  Before any of it, family_divisors refuses an eta whose family
-starts more than START_LIMIT chains, and a batch that starts more runs in
-several passes.  heilbronn_family is the lru-cached batch of one, as a
-tuple of 8-int tuples, and Mat2.from_row turns a row back into a matrix
-where the certificates need one.
+starts more than START_LIMIT chains.  heilbronn_family is the lru-cached
+batch of one, as a tuple of 8-int tuples, and Mat2.from_row turns a row
+back into a matrix where the certificates need one.
 
 Grouped by unimodular equivalence (M ~ M' when adj(M') M / eta lies in
 SL2(O)), the cusp paths of each class chain from oo to 0; that telescoping
@@ -57,7 +56,7 @@ from .symbols import Mat2, normalize_cusp
 # lru_cache keys heilbronn_family(eta) and heilbronn_family(eta, "low") apart.
 DEFAULT_TIE = "low"
 
-# The largest norm of eta whose family the int64 kernel can build.  For a
+# The largest norm of eta whose family the int64 kernel builds exactly.  For a
 # family of eta, a top-row entry x has |x| <= |delta| <= |eta|, a chain
 # quotient |q| <= |eta| + |1| + |omega| < 4 |eta|, and a bottom-row entry is
 # cof times a continuant s_k of the chain with |s_k| |x_{k-1}| <=
@@ -66,18 +65,20 @@ DEFAULT_TIE = "low"
 # products, a bottom-row coordinate times a quotient coordinate times m in
 # the chain step and a top-row coordinate times a bottom-row one times m in
 # the determinant check, are then below 3 * 22 * 8 N(eta), and no sum the
-# kernel forms reaches 1024 N(eta).
+# kernel forms reaches 1024 N(eta).  No refusal needs it: START_LIMIT,
+# which the tests hold below it, refuses every larger norm first.
 NORM_LIMIT = np.iinfo(np.int64).max // 1024
 
-# The most division chains one pass of heilbronn_families starts: the sum
-# of N(delta) over the divisors delta of its etas.  An eta whose family
-# alone starts more is refused.  Memory grows with the starts.  At d = 1,
-# eta = 400+w (norm 160,001, prime), the 160,002 starts make 1,086,142 rows
-# (6.8 a start) in 0.4 s at a peak RSS of 292 MB, 265 MB above the
-# interpreter's: about 1.7 KB a start.  The heilbronn command, which also
+# The most division chains the family of one eta may start: the sum of
+# N(delta) over the divisors delta of eta, at least N(eta) + 1 for a
+# non-unit.  family_divisors refuses an eta whose family starts more.
+# Memory grows with the starts.  At d = 1, eta = 400+w (norm 160,001,
+# prime), the 160,002 starts make 1,086,142 rows (6.8 a start) in 0.4 s at
+# a peak RSS of 292 MB, 265 MB above the interpreter's: about 1.7 KB a
+# start.  The heilbronn command, which also
 # writes every matrix out as JSON, took 60 MB above the interpreter's for
 # the 10,212 starts of 100+w: about 6 KB a start (2 cores, Python 3.11.7,
-# numpy 2.4.6).  So a pass at the limit stays near 340 MB, and the
+# numpy 2.4.6).  So a family at the limit stays near 340 MB, and the
 # heilbronn command near 1.2 GB.
 START_LIMIT = 200_000
 
@@ -211,21 +212,15 @@ def _residue_boxes(fld: Field, deltas: Sequence[QuadInt], tie: str):
 def family_divisors(etas: Sequence[QuadInt]) -> list[list[QuadInt]]:
     """The canonical divisors of each eta, once its family is known to fit.
 
-    Every eta is checked before any work: zero raises ValueError, and so
-    does a norm above NORM_LIMIT, past which the int64 kernel could
-    overflow.  The family of eta starts one chain from each residue below
-    each divisor delta, sum N(delta) starts in all; an eta with more than
-    START_LIMIT raises ValueError before any array is allocated (and, when
-    its norm alone shows it, before it is factored).
+    The family of eta starts one chain from each residue below each divisor
+    delta, sum N(delta) starts in all.  Zero, and an eta with more than
+    START_LIMIT starts, raise ValueError before any array is allocated (and,
+    when the norm alone shows it, before eta is factored).
     """
+    divisors = []
     for eta in etas:
         if eta.is_zero():
             raise ValueError("determinant must be nonzero")
-        if eta.norm() > NORM_LIMIT:
-            raise ValueError(f"determinant {eta} has norm {eta.norm()}, above the "
-                             f"{NORM_LIMIT} the int64 family kernel admits (d={eta.field.d})")
-    divisors = []
-    for eta in etas:
         # a non-unit eta has the divisors 1 and eta: N(eta) + 1 starts at least
         starts = eta.norm() + (not eta.is_unit())
         least = starts > START_LIMIT
@@ -234,7 +229,7 @@ def family_divisors(etas: Sequence[QuadInt]) -> list[list[QuadInt]]:
             starts = sum(delta.norm() for delta in divisors[-1])
         if starts > START_LIMIT:
             raise ValueError(f"the family of {eta} starts {'at least ' * least}{starts} "
-                             f"division chains, above the {START_LIMIT} one pass admits "
+                             f"division chains, above the {START_LIMIT} admitted "
                              f"(d={eta.field.d})")
     return divisors
 
@@ -243,31 +238,16 @@ def heilbronn_families(etas: Sequence[QuadInt], tie: str = DEFAULT_TIE) -> list[
     """The determinant-eta family of every eta, as one (n, 8) int64 array each.
 
     The rows of a family come in (divisor, beta, step) order.  The etas are
-    checked by family_divisors first, then built in passes: each pass takes
-    the next etas whose chains start from at most START_LIMIT residues in
-    all, so one pass's arrays stay bounded however many etas a caller asks
-    for.  In a pass, the residues beta below the distinct divisors come from
-    one _residue_boxes call, the (delta, beta, cof) start of every chain is
-    gathered from them by index, and every chain runs in one _chains call.
+    checked by family_divisors first.  Then the residues beta below the
+    distinct divisors of the batch come from one _residue_boxes call, the
+    (delta, beta, cof) start of every chain is gathered from them by index,
+    and every chain runs in one _chains call.
     """
     divisors = family_divisors(etas)
-    sizes = [sum(delta.norm() for delta in divs) for divs in divisors]
-    cuts, starts = [0], 0
-    for k, n in enumerate(sizes):
-        if starts + n > START_LIMIT:
-            cuts.append(k)
-            starts = 0
-        starts += n
-    cuts.append(len(etas))
-    return [fam for lo, hi in zip(cuts, cuts[1:]) if lo < hi
-            for fam in _families_pass(etas[lo:hi], divisors[lo:hi], sizes[lo:hi], tie)]
-
-
-def _families_pass(etas: Sequence[QuadInt], divisors: list[list[QuadInt]],
-                   sizes: list[int], tie: str) -> list[np.ndarray]:
-    """heilbronn_families for one pass: each eta's divisors and its number
-    of chain starts are given."""
+    if not etas:
+        return []
     fld = etas[0].field
+    sizes = [sum(delta.norm() for delta in divs) for divs in divisors]
     deltas = list(dict.fromkeys(delta for divs in divisors for delta in divs))
     offsets, box_a, box_b = _residue_boxes(fld, deltas, tie)
     # one (eta, delta) pair after another, in family order: the pair's box,

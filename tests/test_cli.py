@@ -186,16 +186,16 @@ def test_hecke_rejects_bad_eta(runner):
 
 
 def test_eta_beyond_the_family_kernel_refused(runner):
-    # a norm past heilbronn.NORM_LIMIT is refused before any work: factorize
-    # alone would spin in trial division on this one
+    # a norm past heilbronn.NORM_LIMIT is refused by its norm alone, before
+    # any work: factorize alone would spin in trial division on this one
     big = "123456789+987654321w"
     for args in (("heilbronn", "--d", "11", "--eta", big),
                  ("hecke", "--d", "11", "--level", "1-2w", "--eta", big)):
         result = invoke(runner, *args, code=2)
-        assert f"determinant {big} has norm" in result.output, args
+        assert f"family of {big} starts at least" in result.output, args
     for cmd in ("eigen", "fourier"):
         result = invoke(runner, cmd, "--d", "11", "--level", "1-2w", "--eta", big, code=2)
-        assert f"--eta {big}: norm" in result.output, cmd
+        assert f"--eta {big}: the family of {big} starts at least" in result.output, cmd
     result = invoke(runner, "heilbronn", "--d", "11", "--eta", "0", code=2)
     assert "determinant must be nonzero" in result.output
 

@@ -242,6 +242,8 @@ def test_norm_beyond_the_kernel_range_is_refused():
     fld = Field.get(11)
     big = parse_element(fld, "123456789+987654321w")
     assert big.norm() > NORM_LIMIT
+    # START_LIMIT refuses it: every admitted eta has N(eta) < START_LIMIT
+    assert START_LIMIT < NORM_LIMIT
     for call in (lambda: heilbronn_family(big), lambda: heilbronn_families([fld.one, big])):
         with pytest.raises(ValueError, match="123456789\\+987654321w"):
             call()
@@ -274,34 +276,6 @@ def test_families_past_the_start_limit_are_refused(monkeypatch):
     monkeypatch.setattr(hb, "divisors_up_to_units", None)
     with pytest.raises(ValueError, match=r"family of 5 starts at least 26 division chains"):
         heilbronn_families([five])
-
-
-def test_batches_past_the_start_limit_run_in_passes(monkeypatch):
-    # each pass takes the next etas whose starts fit under START_LIMIT; the
-    # families are the same as from one pass
-    import bianchi.heilbronn as hb
-
-    fld = Field.get(7)
-    etas = [e for n in range(1, 41) for e in canonical_elements_of_norm(fld, n)]
-    sizes = [sum(delta.norm() for delta in divisors_up_to_units(e)) for e in etas]
-    whole = heilbronn_families(etas, "high")
-    passes = []
-    real = hb._families_pass
-
-    def counted(etas, divisors, sizes, tie):
-        passes.append(sum(sizes))
-        assert sizes == [sum(delta.norm() for delta in divs) for divs in divisors]
-        return real(etas, divisors, sizes, tie)
-
-    # the largest family just fits
-    limit = max(sizes)
-    monkeypatch.setattr(hb, "_families_pass", counted)
-    monkeypatch.setattr(hb, "START_LIMIT", limit)
-    split = heilbronn_families(etas, "high")
-    assert [f.tolist() for f in split] == [f.tolist() for f in whole]
-    assert sum(passes) == sum(sizes) and max(passes) == limit and len(passes) > 5
-    # a pass is cut only where the next eta would not fit
-    assert all(a + b > limit for a, b in zip(passes, passes[1:]))
 
 
 def test_unit_multiple_family_is_twisted_base():
