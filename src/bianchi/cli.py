@@ -165,8 +165,8 @@ def space(d, level, weight, full, out, json_indent):
         "free_generators": gens,
     }
     if full:
-        payload["basis_coordinates"] = {str(g): _vec_json(sp.gen_map[g])
-                                        for g in range(len(sp.gen_map))}
+        payload["basis_coordinates"] = {str(g): _vec_json(sp.qmap.vector(g))
+                                        for g in range(sp.qmap.ngens)}
     _emit(payload, out, json_indent)
 
 
@@ -226,7 +226,7 @@ def hecke(ctx, d, level, eta_text, weight, oracle, others, out, json_indent):
     except ValueError as exc:
         raise click.UsageError(str(exc))
     cusp = cuspidal_subspace(sp)
-    eigs, residual = rational_eigensystem(op.cuspidal_matrix)
+    eigs, residual = rational_eigensystem(op.cuspidal_matrix.sparse())
     payload = {
         "d": fld.d,
         "level": str(nu),

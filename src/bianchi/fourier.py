@@ -90,7 +90,7 @@ class SeedElement:
     def quotient_vector(self) -> dict:
         out: dict = {}
         for g, c in self.coefficients.items():
-            vec_axpy(out, c, self.space.gen_map[g])
+            vec_axpy(out, c, self.space.qmap.vector(g))
         return out
 
 
@@ -106,10 +106,10 @@ def functional_slash(phi: DualFunctional, rows: Sequence[tuple[int, ...]],
 
     rows is a sequence of 8-int rows: a whole Heilbronn family, or
     [Mat2.row()] for one matrix.  One SymbolSpace.act_points call moves the
-    seed's support through every row, and phi(gen_map[pt]) is summed as
-    Fractions over the unimodular images, a loop kept apart from the
-    table's int64 sums and from heilbronn_action so the coefficient
-    identity compares separate computations.
+    seed's support through every row, and phi of each image point's
+    quotient vector is summed as Fractions over the unimodular images, a
+    loop kept apart from the table's int64 sums and from heilbronn_action
+    so the coefficient identity compares separate computations.
     """
     space = phi.space
     if space.weight != 2:
@@ -119,7 +119,7 @@ def functional_slash(phi: DualFunctional, rows: Sequence[tuple[int, ...]],
     for c, line in zip(x.coefficients.values(), images.tolist()):
         for pt in line:
             if pt >= 0:
-                total += c * phi(space.gen_map[pt])
+                total += c * phi(space.qmap.vector(pt))
     return total
 
 
@@ -206,21 +206,38 @@ def _unit_twist(rows: np.ndarray, u: QuadInt) -> np.ndarray:
     return out
 
 
+def _point_weights(phi: DualFunctional) -> tuple[list[int], int]:
+    """phi on every point's quotient vector, as ints over their least
+    common denominator: phi(e_pt) = nums[pt] / den."""
+    qmap = phi.space.qmap
+    p_den = math.lcm(1, *(c.denominator for c in phi.coefficients.values()))
+    p_num = np.zeros(qmap.matrix.shape[1], dtype=object)
+    for i, c in phi.coefficients.items():
+        p_num[i] = c.numerator * (p_den // c.denominator)
+    # Python ints: phi on each class row, then each point's signed class value
+    by_class = qmap.matrix.astype(object).dot(p_num)
+    nums = (qmap.sign[:-1].astype(object) * by_class[qmap.row[:-1]]).tolist()
+    den = qmap.den * p_den
+    g = math.gcd(den, *nums)
+    return [n // g for n in nums], den // g
+
+
 def fourier_coefficients(phi: DualFunctional, x: SeedElement, norm_bound: int) -> FourierTable:
     """Coefficient table a_alpha = sum over the family of determinant alpha.
 
     Associates are listed separately; nothing requires alpha coprime to the
     level, the non-unimodular images just drop out.  Only the seed's support
-    is moved: a_alpha = sum_g c_g sum_M phi(gen_map[g*M]).
+    is moved: a_alpha = sum_g c_g sum_M phi(image of g*M).
 
     The canonical alphas' families come from heilbronn_families,
     FAMILY_BATCH determinants per lockstep chain pass, as (n, 8) int64
     arrays that the table uses once and does not keep; the family of each
     unit multiple u*alpha is that array with c and d multiplied by u.  One
     SymbolSpace.act_points pass per unit multiple moves the whole support,
-    and phi's values, written as int numerators over one common
-    denominator, are gathered and summed in int64 before the exact Fraction
-    is formed.  The int64 ranges are checked and raise InvariantError.
+    and phi's values on the points, read off the quotient map as int
+    numerators over their least common denominator, are gathered and summed
+    in int64 before the exact Fraction is formed.  The int64 ranges are
+    checked and raise InvariantError.
 
     The table takes no tie rule: a_alpha = phi(T_alpha x) is the same for
     every family satisfying Merel's condition, which the telescoping
@@ -233,9 +250,7 @@ def fourier_coefficients(phi: DualFunctional, x: SeedElement, norm_bound: int) -
         raise ValueError("functional and seed live on different spaces")
     fld = space.field
     int64_max = np.iinfo(np.int64).max
-    weights = [phi(image) for image in space.gen_map]
-    w_den = math.lcm(*(w.denominator for w in weights))
-    w_nums = [w.numerator * (w_den // w.denominator) for w in weights]
+    w_nums, w_den = _point_weights(phi)
     w_reach = max(map(abs, w_nums), default=0)
     # index -1, a non-unimodular image, reads the trailing 0; a weight past
     # int64 is never read, the first family's range check refuses it

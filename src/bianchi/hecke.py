@@ -2,12 +2,15 @@
 
 The production action pushes a Heilbronn family of determinant eta through
 the generators: [P, (u, v)] goes to the sum of [P(aX+bY, cX+dY), (u, v)M]
-over family members M with unimodular image pair.  It runs on plain ints:
-one SymbolSpace.act_points call moves every generator's point through the
-whole family, the pass over those images only counts the hits on each image
-generator (weighted by the integer slash coefficients at weight k), and
-each distinct image's gen_map row is then folded in once, on numerators
-over a common denominator.  An oracle recomputes the operator as a sum over
+over family members M with unimodular image pair.  It runs on int64
+arrays: one SymbolSpace.act_points call moves every free generator's point
+through the whole family, and the operator is a gather of the space's
+quotient map (SymbolSpace.qmap) at those images, summed over the family
+(weighted by the integer slash coefficients at weight k).  An operator is
+a linalg.IntMat, an int64 array over the map's denominator; its cuspidal
+restriction, the commutation check and its JSON run on those ints, and
+only the eigen refinement and verify's coefficient identity take SparseMat
+views of them.  An oracle recomputes the operator as a sum over
 Hermite-form coset representatives of the determinant-eta congruence
 matrices, acting on cusp paths; the tests check those cosets against a
 brute-force search.  Agreement of the two matrices is the correctness
@@ -27,19 +30,22 @@ factors instead of splitting them.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd as _igcd
+
+import numpy as np
 
 from .boundary import cuspidal_subspace
 from .heilbronn import DEFAULT_TIE, heilbronn_family
 from .linalg import (
+    INT64_MAX,
+    IntMat,
     SparseMat,
     Subspace,
+    absmax,
     eigenspace,
     full_space,
-    int_multiple,
+    int_product,
     rational_eigensystem,
     vec_axpy,
     vec_dot,
@@ -65,26 +71,7 @@ from .symbols import (
 )
 
 
-def _fold(hits: dict[int, int], gen_map: list[dict]) -> dict[int, Fraction]:
-    # sum of c * gen_map[key] over the hits, on int numerators over a common
-    # denominator that grows only when a row's denominator does not divide it
-    acc: dict[int, int] = {}
-    den = 1
-    for key, c in hits.items():
-        if not c:
-            continue
-        for i, x in gen_map[key].items():
-            xd = x.denominator
-            if den % xd:
-                f = xd // _igcd(den, xd)
-                den *= f
-                for k in acc:
-                    acc[k] *= f
-            acc[i] = acc.get(i, 0) + c * x.numerator * (den // xd)
-    return {i: Fraction(v, den) for i, v in acc.items() if v}
-
-
-def heilbronn_action(space: SymbolSpace, alpha: QuadInt) -> SparseMat:
+def heilbronn_action(space: SymbolSpace, alpha: QuadInt) -> IntMat:
     """Quotient matrix of the family sum of determinant alpha.
 
     For alpha coprime to the level this is the Hecke operator.  With no
@@ -96,44 +83,47 @@ def heilbronn_action(space: SymbolSpace, alpha: QuadInt) -> SparseMat:
     the family of heilbronn.DEFAULT_TIE is used.
 
     One SymbolSpace.act_points call moves every free generator's point
-    through the family's int rows.  Column j is the image of free generator
-    j; its pass over those images only counts hits as ints: at weight 2 the
-    hits per image point, at weight k the integer slash coefficients per
-    (component, point) index.  Each distinct index's gen_map row is then
-    folded in once, with integer numerators over a common denominator, so
-    the entries are the same Fractions a per-member sum of gen_map rows
-    gives.
+    through the family's int rows, and column j, the image of free
+    generator j, is the sum over the family of the quotient map's gather
+    at its images: at weight 2 the point itself, at weight k each component
+    cj of the slash by the member's adjugate, weighted by its integer
+    coefficient, one component at a time.  The sums stay on int64 over the
+    map's denominator; InvariantError when one could leave it.
     """
     fam = heilbronn_family(alpha, DEFAULT_TIE)
+    qmap = space.qmap
     npts = len(space.points)
-    wt2 = space.weight == 2
-    images = space.act_points([g % npts for g in space.free_gens], fam).tolist()
-    # P -> P(aX+bY, cX+dY) is the slash by the adjugate (d, -b, -c, a)
-    sub_rows = None if wt2 else [
-        space.slash_rows((da, db, -ba, -bb, -ca, -cb, aa, ab))
-        for aa, ab, ba, bb, ca, cb, da, db in fam]
-    out = SparseMat(space.dim, space.dim)
-    for j, (g, line) in enumerate(zip(space.free_gens, images)):
-        if wt2:
-            # P = 1: count image points.  Over 448 weight-2 operators (2 cores,
-            # Python 3.11) Counter took 0.12-0.15 s, the loop below 0.16 s
-            hits = Counter(line)
-            hits.pop(-1, None)
-        else:
-            hits = {}
-            comp = g // npts
-            for pt, rows in zip(line, sub_rows):
-                if pt < 0:
-                    continue
-                for cj, cv in rows[comp].items():
-                    key = cj * npts + pt
-                    hits[key] = hits.get(key, 0) + cv
-        for i, c in _fold(hits, space.gen_map).items():
-            out.rows[i][j] = c
-    return out
+    gens = np.asarray(space.free_gens, dtype=np.int64)
+    images = space.act_points(gens % npts, fam)
+    reach = absmax(qmap.matrix) * len(fam)
+    if space.weight == 2:
+        if reach > INT64_MAX:
+            raise InvariantError(f"{len(fam)} family rows overflow int64 on the quotient map "
+                                 f"(d={space.field.d}, eta={alpha})")
+        cols = qmap.gather(images).sum(axis=1)
+    else:
+        # coeffs[m, c, cj]: the coefficient of component cj in the slash of
+        # component c by the adjugate (d, -b, -c, a) of member m, which is
+        # P -> P(aX+bY, cX+dY)
+        ncomp = 2 * (space.weight - 1)
+        coeffs = np.zeros((len(fam), ncomp, ncomp), dtype=np.int64)
+        for m, (aa, ab, ba, bb, ca, cb, da, db) in enumerate(fam):
+            for c, line in enumerate(space.slash_rows((da, db, -ba, -bb, -ca, -cb, aa, ab))):
+                for cj, cv in line.items():
+                    coeffs[m, c, cj] = cv
+        if reach * ncomp * absmax(coeffs) > INT64_MAX:
+            raise InvariantError(f"slash coefficients over {len(fam)} family rows overflow "
+                                 f"int64 on the quotient map (d={space.field.d}, eta={alpha})")
+        comps = gens // npts
+        cols = np.zeros((len(gens), space.dim), dtype=np.int64)
+        for cj in range(ncomp):
+            weights = coeffs[:, comps, cj].T
+            keys = np.where(images >= 0, cj * npts + images, -1)
+            cols += (weights[..., None] * qmap.gather(keys)).sum(axis=1)
+    return IntMat(np.ascontiguousarray(cols.T), qmap.den)
 
 
-def hecke_matrix(space: SymbolSpace, eta: QuadInt) -> SparseMat:
+def hecke_matrix(space: SymbolSpace, eta: QuadInt) -> IntMat:
     if eta.is_zero():
         raise ValueError("eta must be nonzero")
     if not gcd(eta, space.level).is_unit():
@@ -145,8 +135,8 @@ def hecke_matrix(space: SymbolSpace, eta: QuadInt) -> SparseMat:
 class HeckeOperator:
     space: SymbolSpace
     eta: QuadInt
-    matrix: SparseMat
-    cuspidal_matrix: SparseMat
+    matrix: IntMat
+    cuspidal_matrix: IntMat
 
 
 def hecke_on_manin(space: SymbolSpace, eta: QuadInt) -> HeckeOperator:
@@ -157,17 +147,20 @@ def hecke_on_manin(space: SymbolSpace, eta: QuadInt) -> HeckeOperator:
     """
     mat = hecke_matrix(space, eta)
     cusp = cuspidal_subspace(space)
-    return HeckeOperator(space, eta, mat, cusp.restrict(mat))
+    return HeckeOperator(space, eta, mat, cusp.restrict_ints(mat))
 
 
 def commute_check(a: HeckeOperator, b: HeckeOperator) -> bool:
-    """Exact commutation of two operators on the quotient and its cuspidal part."""
+    """Exact commutation of two operators on the quotient and its cuspidal part.
+
+    X / dx and Y / dy commute exactly when X @ Y == Y @ X, two int64
+    products per pair.  int_product refuses X @ Y with InvariantError where
+    it could overflow, and its bound n |X| |Y| covers Y @ X as well.
+    """
     if a.space is not b.space:
         raise ValueError("operators live on different spaces")
-    # integer multiples commute exactly when the operators do
     for x, y in ((a.matrix, b.matrix), (a.cuspidal_matrix, b.cuspidal_matrix)):
-        x, y = int_multiple(x), int_multiple(y)
-        if x * y != y * x:
+        if not np.array_equal(int_product(x.num, y.num), y.num @ x.num):
             return False
     return True
 
@@ -211,9 +204,10 @@ def hecke_oracle(space: SymbolSpace, eta: QuadInt) -> HeckeOperator:
     is lifted to a matrix g, read as the modular symbol from g*0 to g*oo
     times P|g, pushed through each representative, and converted back via
     continued fractions and point_of (slash_poly on QuadInts at every
-    weight), not act_points or slash_rows.  Beyond the symbol space, the
-    two paths share only divisors_up_to_units, which both use to list the
-    divisors of eta, and gen_map.
+    weight), not act_points or slash_rows, and summed as Fractions.  Beyond
+    the symbol space, the two paths share only divisors_up_to_units, which
+    both use to list the divisors of eta, the quotient map, and the
+    cuspidal restriction of the result.
     """
     fld = space.field
     reps = coset_representatives(fld, space.level, eta)
@@ -230,8 +224,8 @@ def hecke_oracle(space: SymbolSpace, eta: QuadInt) -> HeckeOperator:
             vec_axpy(col, 1, modular_symbol_vec(space, alpha, beta, moved))
         for i, c in col.items():
             out.add_to(i, j, c)
-    cusp = cuspidal_subspace(space)
-    return HeckeOperator(space, eta, out, cusp.restrict(out))
+    mat = IntMat.from_sparse(out)
+    return HeckeOperator(space, eta, mat, cuspidal_subspace(space).restrict_ints(mat))
 
 
 @dataclass
@@ -260,12 +254,12 @@ def _label(idx: int) -> str:
     return s
 
 
-def _left_functional(dim: int, mats: dict[QuadInt, SparseMat], vals, vector) -> dict | None:
+def _left_functional(dim: int, mats: dict[QuadInt, IntMat], vals, vector) -> dict | None:
     # simultaneous left eigenvector of the full operators, normalized to pair
     # to 1 with vector
     F = full_space(dim)
     for eta, mat in mats.items():
-        at = mat.transpose()
+        at = mat.sparse().transpose()
         F = eigenspace(F.restrict(at), F, vals[eta])
         if F.dim == 0:
             return None
@@ -298,7 +292,7 @@ def eigensystems(space: SymbolSpace, etas: list[QuadInt]) -> EigenTable:
     mats = {}
     for eta in order:
         mats[eta] = hecke_matrix(space, eta)
-        mat = cusp.restrict(mats[eta])
+        mat = cusp.restrict_ints(mats[eta]).sparse()
         refined = []
         for vals, sub in pieces:
             eigs, residual = rational_eigensystem(mat, sub)

@@ -1,19 +1,32 @@
-"""Sparse exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Vectors are dicts {index: Fraction} holding only the nonzero entries, and
-matrices keep a list of such row dicts.  rref returns the unique reduced
+SparseMat keeps a list of such row dicts.  rref returns the unique reduced
 row echelon form of the row span with monic pivots, built incrementally on
 primitive integer rows, so it does not depend on the order or scaling of
 the input rows; kernels, subspaces and eigenspaces built on it are
 canonical functions of their input.
+
+IntMat is a rational matrix as an int64 array over one denominator, the
+form the Hecke operators take: Subspace.restrict_ints restricts one to an
+invariant subspace, int_product multiplies two, and both refuse with
+InvariantError a product that could leave int64.  The eigen refinement
+works on SparseMat views of them; its characteristic polynomials come from
+charpoly on the integer matrix, whose rational roots integer_roots reads
+off as integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _igcd, lcm as _ilcm
+from functools import cached_property
+from math import gcd as _igcd, isqrt, lcm as _ilcm
 
-from .quadints import InvariantError, rational_prime_factors
+import numpy as np
+
+from .quadints import InvariantError
+
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def vec_clean(v: dict) -> dict:
@@ -60,7 +73,8 @@ def vec_dot(u: dict, v: dict):
 
 
 class SparseMat:
-    """Row-major sparse matrix over Q."""
+    """Row-major sparse matrix over Q: the views of IntMats that the eigen
+    refinement works on."""
 
     def __init__(self, nrows: int, ncols: int, rows: list[dict] | None = None) -> None:
         self.nrows = nrows
@@ -71,13 +85,6 @@ class SparseMat:
     def identity(cls, n: int) -> SparseMat:
         return cls(n, n, [{i: Fraction(1)} for i in range(n)])
 
-    @classmethod
-    def from_entries(cls, nrows: int, ncols: int, entries) -> SparseMat:
-        m = cls(nrows, ncols)
-        for i, j, c in entries:
-            m.add_to(i, j, c)
-        return m
-
     def add_to(self, i: int, j: int, c) -> None:
         row = self.rows[i]
         s = row.get(j, 0) + c
@@ -85,9 +92,6 @@ class SparseMat:
             row[j] = s
         else:
             row.pop(j, None)
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return Fraction(self.rows[i].get(j, 0))
 
     def transpose(self) -> SparseMat:
         rows = [{} for _ in range(self.ncols)]
@@ -104,21 +108,6 @@ class SparseMat:
                 out[i] = s
         return out
 
-    def __mul__(self, other: SparseMat) -> SparseMat:
-        assert self.ncols == other.nrows
-        rows = []
-        for row in self.rows:
-            acc = {}
-            for k, c in row.items():
-                vec_axpy(acc, c, other.rows[k])
-            rows.append(acc)
-        return SparseMat(self.nrows, other.ncols, rows)
-
-    def __add__(self, other: SparseMat) -> SparseMat:
-        assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
-        return SparseMat(self.nrows, self.ncols,
-                         [vec_add(r, s) for r, s in zip(self.rows, other.rows)])
-
     def __sub__(self, other: SparseMat) -> SparseMat:
         assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
         return SparseMat(self.nrows, self.ncols,
@@ -134,41 +123,88 @@ class SparseMat:
             vec_clean(r) == vec_clean(s) for r, s in zip(self.rows, other.rows)
         )
 
-    def is_zero(self) -> bool:
-        return all(not vec_clean(r) for r in self.rows)
 
-    def trace(self) -> Fraction:
-        return sum((Fraction(row.get(i, 0)) for i, row in enumerate(self.rows)), Fraction(0))
+def absmax(a: np.ndarray) -> int:
+    """The largest |entry| of an int64 array, as a Python int; 0 when empty."""
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
 
-    def to_dense(self) -> list[list[Fraction]]:
-        return [[self.entry(i, j) for j in range(self.ncols)] for i in range(self.nrows)]
 
-    def to_json(self) -> dict:
-        entries = [
-            [i, j, str(Fraction(c))]
-            for i, row in enumerate(self.rows)
-            for j, c in sorted(row.items())
-        ]
-        return {"rows": self.nrows, "cols": self.ncols, "entries": entries}
+def int_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b on int64 arrays; InvariantError when a sum could leave int64."""
+    bound = a.shape[1] * absmax(a) * absmax(b)
+    if bound > INT64_MAX:
+        raise InvariantError(f"{a.shape} by {b.shape} int64 product could reach {bound}")
+    return a @ b
+
+
+def check_int64(vals: list[int], den: int, what: str) -> None:
+    """InvariantError unless den and every numerator in vals fit int64."""
+    if den > INT64_MAX or any(abs(v) > INT64_MAX for v in vals):
+        raise InvariantError(f"{what}: numerators or the denominator {den} leave int64")
+
+
+def _int_rows(vectors: list[dict], width: int, what: str) -> tuple[np.ndarray, int]:
+    # (den * vectors as the rows of an int64 array, den), den the lcm of the
+    # denominators of the {index: rational} vectors
+    den = _ilcm(1, *(c.denominator for v in vectors for c in v.values()))
+    at = [(i, k) for i, v in enumerate(vectors) for k in v]
+    vals = [c.numerator * (den // c.denominator) for v in vectors for c in v.values()]
+    check_int64(vals, den, what)
+    out = np.zeros((len(vectors), width), dtype=np.int64)
+    if at:
+        out[tuple(zip(*at))] = vals
+    return out, den
+
+
+def _fraction_texts(num: np.ndarray, den: int) -> list[str]:
+    # str(Fraction(n, den)) for each n of a 1-D int64 array, with numpy gcds
+    g = np.gcd(num, den)
+    return [f"{n}" if d == 1 else f"{n}/{d}"
+            for n, d in zip((num // g).tolist(), (den // g).tolist())]
+
+
+class IntMat:
+    """The rational matrix num / den: num a read-only 2-D int64 array, den a
+    positive int.  Two IntMats are equal when they are the same rational
+    matrix, whatever their denominators."""
+
+    __slots__ = ("num", "den", "__weakref__")
+
+    def __init__(self, num: np.ndarray, den: int) -> None:
+        if not 0 < den <= INT64_MAX:
+            raise InvariantError(f"matrix denominator {den} is outside int64")
+        num.flags.writeable = False
+        self.num, self.den = num, den
 
     @classmethod
-    def from_json(cls, obj: dict) -> SparseMat:
-        m = cls(int(obj["rows"]), int(obj["cols"]))
-        for i, j, s in obj["entries"]:
-            m.add_to(int(i), int(j), Fraction(s))
-        return m
+    def from_sparse(cls, mat: SparseMat) -> IntMat:
+        return cls(*_int_rows(mat.rows, mat.ncols, "matrix"))
 
+    def _reduced(self) -> tuple[np.ndarray, int]:
+        g = int(np.gcd.reduce(self.num, axis=None, initial=self.den))
+        return self.num // g, self.den // g
 
-def int_multiple(mat: SparseMat) -> SparseMat:
-    """A nonzero rational multiple of mat with coprime int entries.
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IntMat):
+            return NotImplemented
+        (a, da), (b, db) = self._reduced(), other._reduced()
+        return da == db and a.shape == b.shape and np.array_equal(a, b)
 
-    For multiples A' = a*A and B' = b*B, A'B' and B'A' are ab*AB and ab*BA,
-    so whether two operators commute can be checked on int arithmetic.
-    """
-    vals = [c for row in mat.rows for c in row.values() if c]
-    ints = iter(_primitive(vals) if vals else ())
-    rows = [{k: next(ints) for k, c in row.items() if c} for row in mat.rows]
-    return SparseMat(mat.nrows, mat.ncols, rows)
+    def sparse(self) -> SparseMat:
+        """The same matrix as a SparseMat of Fractions."""
+        den = self.den
+        nrows, ncols = self.num.shape
+        return SparseMat(nrows, ncols, [{j: Fraction(v, den) for j, v in enumerate(row) if v}
+                                        for row in self.num.tolist()])
+
+    def to_json(self) -> dict:
+        """{"rows", "cols", "entries"}, with [i, j, str(Fraction)] for each
+        nonzero entry in row-major order."""
+        rows, cols = np.nonzero(self.num)
+        texts = _fraction_texts(self.num[rows, cols], self.den)
+        nrows, ncols = self.num.shape
+        return {"rows": nrows, "cols": ncols,
+                "entries": [list(e) for e in zip(rows.tolist(), cols.tolist(), texts)]}
 
 
 def _primitive_row(row: dict) -> dict[int, int]:
@@ -286,6 +322,33 @@ class Subspace:
                 vec_axpy(r, -c, self.basis[ri])
         return None if r else out
 
+    @cached_property
+    def int_basis(self) -> tuple[np.ndarray, int, list[int]]:
+        """(B, bden, cols): column i of the ambient x dim int64 array B is
+        bden times basis[i], and cols lists the pivot columns in basis order."""
+        rows, bden = _int_rows(self.basis, self.ambient, "subspace basis")
+        basis = rows.T.copy()
+        basis.flags.writeable = False
+        return basis, bden, sorted(self.pivots)
+
+    def restrict_ints(self, mat: IntMat) -> IntMat:
+        """restrict on the int form of an operator.
+
+        V = mat.num @ B holds den * bden times the images of the basis, and,
+        the basis being reduced echelon with monic pivots, C = V[pivots]
+        holds their coordinates; the subspace is invariant exactly when
+        V * bden == B @ C.
+        """
+        basis, bden, cols = self.int_basis
+        images = int_product(mat.num, basis)
+        coords = images[cols]
+        reach = absmax(images)
+        if reach * bden > INT64_MAX:
+            raise InvariantError(f"images up to {reach} times {bden} leave int64")
+        if not np.array_equal(images * bden, int_product(basis, coords)):
+            raise ValueError("subspace is not invariant under the operator")
+        return IntMat(coords, mat.den * bden)
+
     def restrict(self, mat: SparseMat) -> SparseMat:
         """Matrix of an invariant operator in the echelon basis (columns = images)."""
         out = SparseMat(self.dim, self.dim)
@@ -298,24 +361,31 @@ class Subspace:
         return out
 
 
-def charpoly(mat: SparseMat) -> list[Fraction]:
-    """Monic characteristic polynomial by trace recursion, constant term first."""
-    n = mat.nrows
-    assert mat.ncols == n
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    m = SparseMat.identity(n)
+def charpoly(num: list[list[int]]) -> list[int]:
+    """det(x - A) for a square matrix A of Python ints, constant term first.
+
+    Faddeev-LeVerrier (Cohen, GTM 138, section 2.2) on a numpy object array
+    of Python ints: with M_1 = A, c_(n-k) = -tr(M_k) / k and M_(k+1) =
+    A (M_k + c_(n-k) I).  Every division is exact, so the polynomial is
+    monic with int coefficients.
+    """
+    n = len(num)
+    a = np.array(num, dtype=object).reshape(n, n)
+    coeffs = [0] * n + [1]
+    diag = np.diag_indices(n)
+    m = np.identity(n, dtype=object)
     for k in range(1, n + 1):
-        m = mat * m
-        ck = -m.trace() / k
-        coeffs[n - k] = ck
-        for i in range(n):
-            m.add_to(i, i, ck)
+        m = a.dot(m)
+        tr = int(m.trace())
+        if tr % k:
+            raise InvariantError(f"Faddeev-LeVerrier trace {tr} is not divisible by {k}")
+        coeffs[n - k] = -tr // k
+        m[diag] += coeffs[n - k]
     return coeffs
 
 
 def poly_eval(coeffs: list, x):
-    acc = Fraction(0)
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
@@ -324,20 +394,13 @@ def poly_eval(coeffs: list, x):
 def _deflate(coeffs: list, r) -> list:
     # divide by (x - r), assuming r is a root; constant-first coefficients
     n = len(coeffs) - 1
-    q = [Fraction(0)] * n
-    q[n - 1] = Fraction(coeffs[n])
+    q = [0] * n
+    q[n - 1] = coeffs[n]
     for i in range(n - 1, 0, -1):
         q[i - 1] = coeffs[i] + r * q[i]
     if coeffs[0] + r * q[0] != 0:
         raise InvariantError(f"{r} is not a root of the polynomial {coeffs}")
     return q
-
-
-def _positive_divisors(n: int) -> list[int]:
-    divs = [1]
-    for p, e in rational_prime_factors(abs(n)).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
 
 
 def _primitive(coeffs: list) -> list[int]:
@@ -354,39 +417,51 @@ def _primitive(coeffs: list) -> list[int]:
     return [c // g for c in ints]
 
 
-def rational_roots(coeffs: list) -> tuple[list[tuple[Fraction, int]], list[int]]:
-    """Rational roots (with multiplicity) and the primitive rootless cofactor.
+def _root_bound(coeffs: list[int]) -> int:
+    # Fujiwara: every root of x^n + c_(n-1) x^(n-1) + ... + c_0 has |z| <=
+    # 2 max |c_(n-k)|^(1/k), and 2^ceil(bits/k) bounds each k-th root
+    n = len(coeffs) - 1
+    return 2 * max(1 << -(-abs(coeffs[n - k]).bit_length() // k) for k in range(1, n + 1))
 
-    Input and output coefficients are constant-first; the residual cofactor
-    comes back as coprime integers with positive leading coefficient.
+
+def integer_roots(coeffs: list[int]) -> tuple[list[tuple[int, int]], list[int]]:
+    """Integer roots (with multiplicity, ascending) of a monic integer
+    polynomial, and its rootless cofactor; coefficients constant first.
+
+    These are all of its rational roots: a rational root of a monic integer
+    polynomial is an integer dividing the constant term.  Such a divisor
+    also lies within the Fujiwara bound B, so the divisors are found by
+    trial division up to min(B, sqrt|c_0|).  For the characteristic
+    polynomial of an integer matrix, B is at most 4 n times its spectral
+    radius, small for Hecke operators whatever the size of c_0.
     """
-    work = [Fraction(c) for c in coeffs]
-    while work and not work[-1]:
-        work.pop()
-    if not work:
-        raise ValueError("zero polynomial")
+    if not coeffs or coeffs[-1] != 1:
+        raise ValueError("expected a monic polynomial")
+    work = list(coeffs)
     roots = []
-    mult0 = 0
+    zeros = 0
     while len(work) > 1 and not work[0]:
         work = work[1:]
-        mult0 += 1
-    if mult0:
-        roots.append((Fraction(0), mult0))
+        zeros += 1
+    if zeros:
+        roots.append((0, zeros))
     if len(work) > 1:
-        ints = _primitive(work)
+        c0, bound = abs(work[0]), _root_bound(work)
+        cands = set()
+        for k in range(1, min(bound, isqrt(c0)) + 1):
+            if not c0 % k:
+                cands.update(x for x in (k, c0 // k) if x <= bound)
         # candidates from the original cofactor stay valid after deflation
-        for p in _positive_divisors(ints[0]):
-            for q in _positive_divisors(ints[-1]):
-                for sgn in (1, -1):
-                    r = Fraction(sgn * p, q)
-                    mult = 0
-                    while len(work) > 1 and poly_eval(work, r) == 0:
-                        work = _deflate(work, r)
-                        mult += 1
-                    if mult:
-                        roots.append((r, mult))
+        for p in sorted(cands):
+            for r in (p, -p):
+                mult = 0
+                while len(work) > 1 and poly_eval(work, r) == 0:
+                    work = _deflate(work, r)
+                    mult += 1
+                if mult:
+                    roots.append((r, mult))
     roots.sort()
-    return roots, _primitive(work)
+    return roots, work
 
 
 def full_space(n: int) -> Subspace:
@@ -408,9 +483,21 @@ def rational_eigensystem(
     Eigenspaces come back in ambient coordinates.  The rootless part of the
     characteristic polynomial is returned as primitive constant-first integer
     coefficients instead of being dropped.
+
+    The restriction r is scaled to the integer matrix D*r, D the common
+    denominator of its entries: the integer roots mu of its characteristic
+    polynomial give the eigenvalues mu / D, and its rootless cofactor q(y)
+    gives the residual as the primitive form of q(D x).
     """
     if sub is None:
         sub = full_space(mat.ncols)
     r = sub.restrict(mat)
-    roots, residual = rational_roots(charpoly(r))
-    return [(val, eigenspace(r, sub, val)) for val, _ in roots], residual
+    den = _ilcm(1, *(c.denominator for row in r.rows for c in row.values()))
+    num = [[0] * r.ncols for _ in range(r.nrows)]
+    for i, row in enumerate(r.rows):
+        for j, c in row.items():
+            num[i][j] = c.numerator * (den // c.denominator)
+    roots, cofactor = integer_roots(charpoly(num))
+    residual = _primitive([c * den**k for k, c in enumerate(cofactor)])
+    return [(val, eigenspace(r, sub, val))
+            for val in (Fraction(mu, den) for mu, _ in roots)], residual

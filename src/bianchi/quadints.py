@@ -338,11 +338,49 @@ def rational_prime_factors(n: int) -> dict[int, int]:
     return out
 
 
+def _sqrt_mod(a: int, p: int) -> int:
+    # a square root of the nonzero square a modulo the odd prime p, by
+    # Tonelli-Shanks (Cohen, GTM 138, Algorithm 1.5.1)
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while not q % 2:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
 @lru_cache(maxsize=None)
 def _omega_roots_mod(d: int, p: int) -> tuple[int, ...]:
-    # roots of x^2 - t*x + m modulo p; p stays small enough for a direct scan
+    """The roots of x^2 - t*x + m modulo the rational prime p, ascending.
+
+    For odd p they are (t +- sqrt(t^2 - 4m)) / 2, with the square root by
+    Tonelli-Shanks after Euler's criterion, so the cost is O(log p) modular
+    products; p = 2 is scanned.
+    """
     fld = Field.get(d)
-    return tuple(s for s in range(p) if (s * s - fld.t * s + fld.m) % p == 0)
+    t, m = fld.t, fld.m
+    if p == 2:
+        return tuple(s for s in range(2) if (s * s - t * s + m) % 2 == 0)
+    disc = (t * t - 4 * m) % p
+    half = (p + 1) // 2  # the inverse of 2
+    if not disc:
+        return (t * half % p,)
+    if pow(disc, (p - 1) // 2, p) != 1:
+        return ()
+    r = _sqrt_mod(disc, p)
+    return tuple(sorted(((t + r) * half % p, (t - r) * half % p)))
 
 
 @lru_cache(maxsize=None)

@@ -7,13 +7,16 @@ the universal triangle relation, and one extra polygon relation per field
 (none for d = 3, a triangle for d = 1, squares for d = 2 and 7, a hexagon
 for d = 11).  Points are moved by matrices, given as 8-int rows (Mat2.row),
 as plain-int Hermite-box codes in one kernel, SymbolSpace.act_points: the
-builds, the cusp-orbit pass, the Hecke operators and the Fourier layer
-move many points through many rows in one call and work on the int arrays
-it returns.  The two-term relations say e_(i*g) = +-e_i for g in the group
-generated by S and J, so their classes are the orbits of that group, found
-with the cusp orbits by one numpy kernel, _orbit_roots; the rest become
-integer rows (at weight 2 with repeats up to sign dropped) for the sparse
-row reduction in linalg.rref.
+builds, the Hecke operators and the Fourier layer move many points through
+many rows in one call and work on the int arrays it returns.  A build
+moves every point once, through the relation words, J and the moves of
+the cusp-orbit pass together.  The two-term relations say e_(i*g) = +-e_i
+for g in the group generated by S and J, so their classes are the orbits
+of that group, found with the cusp orbits by one numpy kernel,
+_orbit_roots; the rest become integer rows (at weight 2 with repeats up to
+sign dropped) for the sparse row reduction in linalg.rref.  The quotient
+map the reduction gives is one int64 matrix over one denominator, a
+QuotientMap, which the Hecke operators read by gathers.
 """
 
 from __future__ import annotations
@@ -21,10 +24,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 
 import numpy as np
 
-from .linalg import rref, vec_axpy, vec_sub
+from .linalg import check_int64, rref, vec_axpy, vec_sub
 from .quadints import (
     Field,
     InvariantError,
@@ -314,14 +318,16 @@ def _orbit_roots(images: np.ndarray, signs: Sequence[int]) -> tuple[np.ndarray, 
     and (i, -) share it.
     """
     npts, nmoves = images.shape
-    flip = np.asarray(signs, dtype=np.int64).reshape(1, 1, nmoves) < 0
-    node = np.arange(2 * npts)
-    moved = 2 * images.reshape(npts, 1, nmoves) + (np.arange(2).reshape(1, 2, 1) ^ flip)
-    # row x of reach: the node x and its images under the moves
-    reach = np.hstack([node.reshape(-1, 1), moved.reshape(2 * npts, nmoves)])
-    label = node
+    # moved[k, x]: the image of node x under move k
+    of_plus = (2 * images + (np.asarray(signs, dtype=np.int64) < 0)).T
+    moved = np.empty((nmoves, 2 * npts), dtype=np.int64)
+    moved[:, 0::2] = of_plus
+    moved[:, 1::2] = of_plus ^ 1
+    label = np.arange(2 * npts)
     while True:
-        new = label[reach].min(axis=1)
+        new = label.copy()
+        for step in moved:
+            np.minimum(new, label[step], out=new)
         new = new[new]
         if np.array_equal(new, label):
             break
@@ -329,6 +335,50 @@ def _orbit_roots(images: np.ndarray, signs: Sequence[int]) -> tuple[np.ndarray, 
     plus, minus = label[0::2], label[1::2]
     sign = np.where(plus == minus, 0, 1 - 2 * (plus & 1))
     return plus >> 1, sign
+
+
+class QuotientMap:
+    """Every generator's quotient image, as ints over one denominator.
+
+    Generator g maps to sign[g] * matrix[row[g]] / den.  matrix has dim
+    columns and one row per class (at weight 2 the live <S, J> class roots
+    in point order, with the sign of each point against its root; at
+    weight k one row per generator, every sign 1) and a trailing zero row,
+    which row -1 reads: a dead generator has row -1.  row and sign end with
+    one more entry, -1 and 0, read by the index -1 that act_points gives a
+    non-unimodular image.  The arrays are read-only, so the points of a
+    class can share their root's row.
+    """
+
+    __slots__ = ("matrix", "den", "row", "sign")
+
+    def __init__(self, matrix: np.ndarray, den: int, row: np.ndarray, sign: np.ndarray) -> None:
+        self.matrix, self.den, self.row, self.sign = matrix, den, row, sign
+
+    @classmethod
+    def build(cls, matrix: np.ndarray, den: int, row: np.ndarray,
+              sign: np.ndarray) -> QuotientMap:
+        """The map of per-generator row and sign arrays, with the -1 entries appended."""
+        row = np.append(row, -1).astype(np.int64)
+        sign = np.append(sign, 0).astype(np.int64)
+        for a in (matrix, row, sign):
+            a.flags.writeable = False
+        return cls(matrix, den, row, sign)
+
+    @property
+    def ngens(self) -> int:
+        return len(self.row) - 1
+
+    def gather(self, gens: np.ndarray) -> np.ndarray:
+        """den times the image of each generator index in gens (-1 reads 0),
+        as an int64 array of shape gens.shape + (dim,)."""
+        return self.sign[gens][..., None] * self.matrix[self.row[gens]]
+
+    def vector(self, g: int) -> dict[int, Fraction]:
+        """The image of generator g as {coordinate: Fraction}, keys ascending."""
+        den = self.den
+        line = (self.matrix[self.row[g]] * self.sign[g]).tolist()
+        return {i: Fraction(c, den) for i, c in enumerate(line) if c}
 
 
 class SymbolSpace:
@@ -340,12 +390,11 @@ class SymbolSpace:
     generator(g) decodes g, and symbol_vector(poly, point) is the quotient
     image of any such symbol.
 
-    gen_map sends each generator index to its coordinate vector on the
-    quotient basis; free_gens lists one generator per basis vector.  At
-    weight 2 the entries are shared: the points of one two-term class that
-    have the same sign hold the same dict object (the class root's image or
-    its negative), so callers must not mutate gen_map entries.  _cuspidal
-    holds boundary.cuspidal_subspace's result once it has been asked for.
+    qmap (a QuotientMap) sends each generator index to its coordinate
+    vector on the quotient basis; free_gens lists one generator per basis
+    vector.  cusp_pass holds each point's cusp orbit and S image (see
+    _set_cusp_pass), filled by the build's one point pass.  _cuspidal holds
+    boundary.cuspidal_subspace's result once it has been asked for.
     """
 
     def __init__(self, fld: Field, nu: QuadInt, weight: int = 2) -> None:
@@ -360,7 +409,6 @@ class SymbolSpace:
         self.level = canonical_associate(nu)[0]
         self.weight = weight
         self.points = enumerate_points(fld, self.level)
-        self.point_index = {pt: i for i, pt in enumerate(self.points)}
         self._build_point_codes()
         self.sum_words, self.J = relation_words(fld)
         self._cuspidal = None
@@ -368,6 +416,12 @@ class SymbolSpace:
             self._build_weight2()
         else:
             self._build_general()
+
+    @cached_property
+    def point_index(self) -> dict[tuple[QuadInt, QuadInt], int]:
+        """Index of each point, for point_of; built on the first lookup, since
+        the builds and the operators move points by act_points instead."""
+        return {pt: i for i, pt in enumerate(self.points)}
 
     def point_of(self, u: QuadInt, v: QuadInt) -> int | None:
         pair = (reduce_mod(u, self.level), reduce_mod(v, self.level))
@@ -426,19 +480,8 @@ class SymbolSpace:
                 + (ya - ky * e11) * e22 + (yb - ky * e12) % e22)
         return codes[code]
 
-    @cached_property
-    def cusp_pass(self) -> tuple[np.ndarray, np.ndarray]:
-        """(orbit, s_image): each point's cusp orbit and its index times S.
-
-        The orbits are those of the stabilizer of oo, generated by unit
-        scalings and the two translations, acting on the right; they are in
-        bijection with the cusps of the symbol quotient, the point of g
-        standing for the cusp g*oo and its S image for g*0.  One act_points
-        call moves every point through the stabilizer's moves and S; the
-        orbits come from _orbit_roots with every sign +1 and are numbered
-        in the order of their least points.  Both arrays are standalone, so
-        the (points x moves) array is freed when the pass ends.
-        """
+    def _cusp_moves(self) -> list[tuple[int, ...]]:
+        """Rows of the stabilizer of oo's generators, then S, for _set_cusp_pass."""
         fld = self.field
         one, zero = fld.one, fld.zero
         moves = []
@@ -448,41 +491,83 @@ class SymbolSpace:
         for mu in (one, -one, fld.omega, -fld.omega):
             moves.append(Mat2(one, mu, zero, one))  # (u, v) -> (u, v + mu*u)
         moves.append(self.sum_words[0][1])  # S: (u, v) -> (v, -u)
-        images = self.act_points(np.arange(len(self.points)), [mv.row() for mv in moves])
-        root, _ = _orbit_roots(images[:, :-1], [1] * (len(moves) - 1))
-        return np.unique(root, return_inverse=True)[1], images[:, -1].copy()
+        return [mv.row() for mv in moves]
+
+    def _set_cusp_pass(self, images: np.ndarray) -> None:
+        """cusp_pass = (orbit, s_image): each point's cusp orbit and its index times S.
+
+        images holds every point's images under _cusp_moves.  The orbits are
+        those of the stabilizer of oo, generated by unit scalings and the
+        two translations, acting on the right; they are in bijection with
+        the cusps of the symbol quotient, the point of g standing for the
+        cusp g*oo and its S image for g*0.  The orbits come from
+        _orbit_roots with every sign +1 and are numbered in the order of
+        their least points.  Both arrays are standalone, so the build's
+        (points x moves) array is freed when it ends.
+        """
+        nmoves = images.shape[1] - 1
+        root, _ = _orbit_roots(images[:, :nmoves], [1] * nmoves)
+        self.cusp_pass = (np.unique(root, return_inverse=True)[1], images[:, -1].copy())
 
     def _build_weight2(self) -> None:
         npts = len(self.points)
         everyone = np.arange(npts)
-        two_term = [self.sum_words[0][1].row(), self.J.row()]
+        words = self.sum_words[1:]
+        # one pass: S and J, the words, the cusp moves
+        rows = [self.sum_words[0][1].row(), self.J.row()]
+        rows += [m.row() for word in words for m in word]
+        images = self.act_points(everyone, rows + self._cusp_moves())
+        self._set_cusp_pass(images[:, len(rows):])
         # x + x*S = 0 and x*J = x
-        root, sign = _orbit_roots(self.act_points(everyone, two_term), [-1, 1])
-        width = max(len(word) for word in self.sum_words[1:])
-        cols, vals = [], []
-        for word in self.sum_words[1:]:
-            img = self.act_points(everyone, [m.row() for m in word])
-            pad = ((0, 0), (0, width - len(word)))
-            cols.append(np.pad(root[img], pad, constant_values=npts))
-            vals.append(np.pad(sign[img], pad))
-        rows = _distinct_rows(np.vstack(cols), np.vstack(vals), npts)
-        live = np.flatnonzero((root == everyone) & (sign != 0)).tolist()
-        # the points of a class share its root's image and that image's negative
-        images = {r: (plus, {k: -a for k, a in plus.items()})
-                  for r, plus in zip(live, self._quotient(rows, live))}
-        self.gen_map = [images[r][s < 0] if s else {}
-                        for r, s in zip(root.tolist(), sign.tolist())]
+        root, sign = _orbit_roots(images[:, :2], [-1, 1])
+        # each word's rows, padded with the blank column npts and value 0
+        width = max(len(word) for word in words)
+        cols = np.full((len(words), npts, width), npts, dtype=np.int64)
+        vals = np.zeros((len(words), npts, width), dtype=np.int64)
+        start = 2
+        for k, word in enumerate(words):
+            img = images[:, start:start + len(word)]
+            start += len(word)
+            cols[k, :, :len(word)] = root[img]
+            vals[k, :, :len(word)] = sign[img]
+        rows = _distinct_rows(cols.reshape(-1, width), vals.reshape(-1, width), npts)
+        live = np.flatnonzero((root == everyone) & (sign != 0))
+        matrix, den = self._quotient(rows, live.tolist())
+        # the points of a class read their root's row, with their sign
+        position = np.full(npts, -1, dtype=np.int64)
+        position[live] = np.arange(len(live))
+        self.qmap = QuotientMap.build(matrix, den, np.where(sign != 0, position[root], -1), sign)
 
-    def _quotient(self, rows: list[dict[int, int]], gens: list[int]) -> list[dict]:
-        """Reduce the relation rows; set free_gens and dim, and return the
-        quotient image of each of gens, the generators the rows are over."""
+    def _quotient(self, rows: list[dict[int, int]], gens: list[int]) -> tuple[np.ndarray, int]:
+        """Reduce the relation rows over gens; set free_gens and dim.
+
+        Returns (matrix, den): den is the lcm of the denominators of the
+        reduced rows, and row t of the int64 matrix is den times the
+        quotient image of gens[t], followed by a zero row.  InvariantError
+        when an entry or den leaves int64.
+        """
         rrows, pivots = rref(rows)
         free = [g for g in gens if g not in pivots]
         self.dim = len(free)
         self.free_gens = free
         qidx = {g: t for t, g in enumerate(free)}
-        return [{qidx[c]: -a for c, a in rrows[pivots[g]].items() if c != g}
-                if g in pivots else {qidx[g]: Fraction(1)} for g in gens]
+        den = lcm(1, *(a.denominator for r in rrows for a in r.values()))
+        at, cols, vals = [], [], []
+        for t, g in enumerate(gens):
+            if g not in pivots:
+                at.append(t)
+                cols.append(qidx[g])
+                vals.append(den)
+                continue
+            for c, a in rrows[pivots[g]].items():
+                if c != g:
+                    at.append(t)
+                    cols.append(qidx[c])
+                    vals.append(-a.numerator * (den // a.denominator))
+        check_int64(vals, den, f"quotient map at level {self.level} (d={self.field.d})")
+        matrix = np.zeros((len(gens) + 1, len(free)), dtype=np.int64)
+        matrix[at, cols] = vals
+        return matrix, den
 
     def slash_rows(self, row: tuple[int, ...]) -> list[dict[int, int]]:
         """Integer matrix of P -> P|_g on the flattened components.
@@ -524,15 +609,20 @@ class SymbolSpace:
         ncomp = 2 * (self.weight - 1)
         rels = [[(w, 1) for w in word] for word in self.sum_words]
         rels.append([(Mat2.identity(fld), 1), (self.J, -1)])
-        everyone = np.arange(npts)
+        # one pass: every relation's matrices, the cusp moves
+        mats = [w for rel in rels for w, _ in rel]
+        images = self.act_points(np.arange(npts), [w.row() for w in mats] + self._cusp_moves())
+        self._set_cusp_pass(images[:, len(mats):])
         rows = []
+        start = 0
         for rel in rels:
-            mats = [self.slash_rows(w.inv_unit().row()) for w, _ in rel]
-            acts = self.act_points(everyone, [w.row() for w, _ in rel]).T.tolist()
+            slashes = [self.slash_rows(w.inv_unit().row()) for w, _ in rel]
+            acts = images[:, start:start + len(rel)].T.tolist()
+            start += len(rel)
             for p in range(npts):
                 for ci in range(ncomp):
                     row: dict[int, int] = {}
-                    for (w, sgn), cm, act in zip(rel, mats, acts):
+                    for (w, sgn), cm, act in zip(rel, slashes, acts):
                         for cj, coeff in cm[ci].items():
                             key = cj * npts + act[p]
                             val = row.get(key, 0) + sgn * coeff
@@ -542,7 +632,9 @@ class SymbolSpace:
                                 row.pop(key, None)
                     if row:
                         rows.append(row)
-        self.gen_map = self._quotient(rows, list(range(ncomp * npts)))
+        ngens = ncomp * npts
+        matrix, den = self._quotient(rows, list(range(ngens)))
+        self.qmap = QuotientMap.build(matrix, den, np.arange(ngens), np.ones(ngens))
 
     def generator(self, g: int) -> tuple[dict[int, QuadInt], int]:
         """The (poly, point) pair generator g stands for, in the class layout."""
@@ -556,9 +648,9 @@ class SymbolSpace:
         out: dict = {}
         for mono, c in poly.items():
             if c.a:
-                vec_axpy(out, Fraction(c.a), self.gen_map[2 * mono * npts + pt])
+                vec_axpy(out, Fraction(c.a), self.qmap.vector(2 * mono * npts + pt))
             if c.b:
-                vec_axpy(out, Fraction(c.b), self.gen_map[(2 * mono + 1) * npts + pt])
+                vec_axpy(out, Fraction(c.b), self.qmap.vector((2 * mono + 1) * npts + pt))
         return out
 
 

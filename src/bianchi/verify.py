@@ -208,7 +208,9 @@ def check_point_counts(norm_bound: int = 50):
     """Unimodular pairs: the prime sieve vs a gcd scan vs the norm formula.
 
     The sieve's list must equal the scan's pair for pair, in order, and its
-    length must equal the formula.
+    length must equal the formula.  The scan keeps (u, v) when gcd(g, v) is
+    a unit for g = gcd(u, nu), which shares nothing with the sieve's prime
+    masks.
     """
     fail = None
     tested = 0
@@ -216,7 +218,12 @@ def check_point_counts(norm_bound: int = 50):
         pts = enumerate_points(fld, nu)
         formula = point_count_formula(fld, nu)
         reps = residues_mod(nu)
-        brute = [(u, v) for u in reps for v in reps if gcd(gcd(u, v), nu).is_unit()]
+        # gcd(gcd(u, v), nu) is a unit exactly when gcd(gcd(u, nu), v) is,
+        # so gcd(u, nu) is taken once per u
+        brute = []
+        for u in reps:
+            g = gcd(u, nu)
+            brute += [(u, v) for v in reps if g.is_unit() or gcd(g, v).is_unit()]
         tested += 1
         if pts != brute or len(pts) != formula:
             i = next((i for i, (p, b) in enumerate(zip(pts, brute)) if p != b),
@@ -455,7 +462,7 @@ def check_coefficient_identity(d: int = REFERENCE_FORM[0], level: str = REFERENC
             lhs = functional_slash(phi, heilbronn_family(eta, DEFAULT_TIE), x)
             # phi(T_alpha v) at every unit multiple, eta's own one included
             ops = {u * eta: vec_dot(phi.coefficients,
-                                    heilbronn_action(space, u * eta).matvec(v))
+                                    heilbronn_action(space, u * eta).sparse().matvec(v))
                    for u in fld.units}
             rhs = ops[eta]
             if lhs != rhs:

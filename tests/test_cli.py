@@ -226,7 +226,7 @@ def test_hecke_oracle_beyond_search_box(runner, d, level, eta):
 
 # sha256 of the hecke JSON for the first three coprime etas (the operator and
 # two commutation checks) at levels survey does not reach: weight 2 at the
-# level-6 spaces whose gen_map has denominator 2, weight 4 at norm 9-10 and
+# level-6 spaces whose quotient map has denominator 2, weight 4 at norm 9-10 and
 # weight 6
 HECKE_PINS = [
     (2, "6", 2, "3-w", "3+w", "3-2w",
@@ -424,25 +424,31 @@ def test_eval_bad_table(runner, tmp_path):
         invoke(runner, "eval", "--table", str(table_file), "--z", "0.3i", "--t", "1.5", code=2)
 
 
-def test_gen_map_readers_leave_the_shared_entries_alone(runner):
-    # at weight 2 the points of a live two-term class share their gen_map
-    # dicts: x*J has x's dict object and x*S its negative; no reader may
-    # write to one
+def test_quotient_map_readers_leave_the_shared_rows_alone(runner):
+    # at weight 2 the points of a live two-term class share their root's row
+    # of the int quotient map: x*J reads x's row with x's sign, x*S the same
+    # row with the opposite sign.  The map's arrays are read-only, so no
+    # reader can write to a shared row, and no command changes them
     d, level = checks.REFERENCE_FORM[:2]
     fld = Field.get(d)
     space = symbol_space(fld, parse_element(fld, level))
     npts = len(space.points)
     S, J = space.sum_words[0][1].row(), space.J.row()
     images = space.act_points(range(npts), [S, J]).tolist()
-    gm = space.gen_map
+    qmap = space.qmap
+    for arr in (qmap.matrix, qmap.row, qmap.sign):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1
     shared = 0
     for i, (s_img, j_img) in enumerate(images):
-        assert gm[s_img] == {k: -a for k, a in gm[i].items()}
-        if gm[i]:
-            assert gm[j_img] is gm[i]
+        assert (qmap.row[s_img], qmap.sign[s_img]) == (qmap.row[i], -qmap.sign[i])
+        assert qmap.vector(s_img) == {k: -a for k, a in qmap.vector(i).items()}
+        assert (qmap.row[j_img], qmap.sign[j_img]) == (qmap.row[i], qmap.sign[i])
+        if qmap.sign[i]:
             shared += j_img != i
     assert shared > 0
-    snapshot = repr([list(g.items()) for g in gm])
+    snapshot = [arr.tobytes() for arr in (qmap.matrix, qmap.row, qmap.sign)] + [qmap.den]
     at = ("--d", str(d), "--level", level)
     invoke(runner, "space", *at, "--full")
     invoke(runner, "hecke", *at, "--eta", "2", "--oracle", "--commute-with", "w")
@@ -450,8 +456,8 @@ def test_gen_map_readers_leave_the_shared_entries_alone(runner):
     invoke(runner, "fourier", *at, "--norm-bound", "5")
     invoke(runner, "eval", *at, "--norm-bound", "5", "--z", "0.1+0.2i", "--t", "1.0")
     assert checks.check_coefficient_identity(norm_bound=6).ok
-    assert symbol_space(fld, parse_element(fld, level)) is space
-    assert repr([list(g.items()) for g in gm]) == snapshot
+    assert symbol_space(fld, parse_element(fld, level)) is space and space.qmap is qmap
+    assert [arr.tobytes() for arr in (qmap.matrix, qmap.row, qmap.sign)] + [qmap.den] == snapshot
 
 
 def test_out_writes_file(runner, tmp_path):

@@ -30,7 +30,7 @@ from bianchi.heilbronn import DEFAULT_TIE, heilbronn_family
 from bianchi.linalg import vec_dot
 from bianchi.quadints import Field, canonical_elements_of_norm, gcd, parse_element
 from bianchi.symbols import Mat2, symbol_space
-from test_symbols import act_point
+from test_symbols import act_point, gen_map
 
 
 def bessel_quadrature(j, t):
@@ -138,7 +138,7 @@ def test_family_slash_sum_matches_matrix_product():
     # termwise slash summed over a family equals the functional applied to
     # the assembled operator, for coprime and non-coprime determinants alike,
     # on the eigenform and on functionals that see every generator; at d = 11
-    # level 5 the last point has a nonzero gen_map row, so a -1 image read
+    # level 5 the last point has a nonzero quotient image, so a -1 image read
     # as a point index would show
     levels = [(d, level) for d, level, _ in OFF_EIGEN_LEVELS] + [(11, "5")]
     forms = [level_form()[2:]] + [off_eigen_form(d, level) for d, level in levels]
@@ -148,7 +148,7 @@ def test_family_slash_sum_matches_matrix_product():
         v = x.quotient_vector()
         for alpha in (fld.from_int(2), fld.omega, space.level, fld.from_int(2) * space.level):
             total = functional_slash(phi, heilbronn_family(alpha), x)
-            assert total == vec_dot(phi.coefficients, heilbronn_action(space, alpha).matvec(v))
+            assert total == vec_dot(phi.coefficients, heilbronn_action(space, alpha).sparse().matvec(v))
 
 
 def fourier_coefficients_reference(phi, x, norm_bound):
@@ -156,7 +156,7 @@ def fourier_coefficients_reference(phi, x, norm_bound):
     # chain for every unit multiple, each seed generator moved through it by
     # the scalar act_point one row at a time, the hits counted per point
     space = phi.space
-    weights = [phi(image) for image in space.gen_map]
+    weights = [phi(image) for image in gen_map(space)]
     entries = {}
     for n in range(1, norm_bound + 1):
         for base in canonical_elements_of_norm(space.field, n):
@@ -201,7 +201,7 @@ def test_table_matches_operator_off_eigenforms(d, level, bound):
     assert len(table.entries) == sum(len(canonical_elements_of_norm(fld, n))
                                      for n in range(1, bound + 1)) * len(fld.units)
     for alpha, a in table.entries.items():
-        assert a == vec_dot(phi.coefficients, heilbronn_action(phi.space, alpha).matvec(v))
+        assert a == vec_dot(phi.coefficients, heilbronn_action(phi.space, alpha).sparse().matvec(v))
     assert any(table.entries.values())
 
 

@@ -4,6 +4,7 @@ import weakref
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bianchi.boundary import cuspidal_subspace
@@ -24,7 +25,17 @@ from bianchi.hecke import (
     hecke_oracle,
     heilbronn_action,
 )
-from bianchi.linalg import SparseMat, vec_axpy, vec_dot, vec_scale
+from bianchi.linalg import (
+    IntMat,
+    SparseMat,
+    Subspace,
+    absmax,
+    charpoly,
+    rational_eigensystem,
+    vec_axpy,
+    vec_dot,
+    vec_scale,
+)
 from bianchi.quadints import (
     Field,
     canonical_elements_of_norm,
@@ -37,7 +48,8 @@ from bianchi.quadints import (
     xgcd,
 )
 from bianchi.symbols import Mat2, lift_to_sl2, symbol_space
-from bianchi.verify import reference_form
+from bianchi.verify import _coprime_etas, reference_form
+from test_linalg import Mat, charpoly_reference, int_rows, rational_eigensystem_reference
 from test_symbols import act_point, slash_rows_reference, spaces
 
 ORACLE_CASES = [
@@ -66,7 +78,7 @@ def test_unit_eta_is_identity():
     for d, nt in [(1, "3"), (11, "w")]:
         fld = Field.get(d)
         sp = symbol_space(fld, parse_element(fld, nt))
-        assert hecke_matrix(sp, fld.one) == SparseMat.identity(sp.dim)
+        assert hecke_matrix(sp, fld.one).sparse() == SparseMat.identity(sp.dim)
 
 
 def test_coprimality_enforced():
@@ -77,7 +89,7 @@ def test_coprimality_enforced():
     with pytest.raises(ValueError):
         hecke_matrix(sp, fld.zero)
     # the bare family action carries no coprimality requirement
-    assert heilbronn_action(sp, fld.from_int(2)).nrows == sp.dim
+    assert heilbronn_action(sp, fld.from_int(2)).num.shape == (sp.dim, sp.dim)
 
 
 def test_production_equals_oracle():
@@ -330,7 +342,7 @@ def test_tie_break_invariance_on_quotient():
             assert heilbronn_family(alpha, "low") != heilbronn_family(alpha, "high")
             coprime += gcd(alpha, sp.level).is_unit()
             want = heilbronn_action_reference(sp, alpha, "high")
-            assert heilbronn_action(sp, alpha) == want, (d, level, weight, text)
+            assert heilbronn_action(sp, alpha).sparse() == want, (d, level, weight, text)
         assert 0 < coprime < len(etas)
     # the reference-level table, entry by entry, from "high" slash sums
     space, systems = reference_form()
@@ -388,7 +400,7 @@ def test_cuspidal_columns_contained():
     fld = Field.get(11)
     sp = symbol_space(fld, parse_element(fld, "1-2w"))
     cusp = cuspidal_subspace(sp)
-    mat = hecke_matrix(sp, parse_element(fld, "2"))
+    mat = hecke_matrix(sp, parse_element(fld, "2")).sparse()
     for b in cusp.basis:
         assert cusp.coords(mat.matvec(b)) is not None
 
@@ -424,7 +436,7 @@ def test_first_rational_eigensystem():
     v, phi = s.vector, s.functional
     assert vec_dot(phi, v) == 1
     for eta, a in s.eigenvalues.items():
-        mat = hecke_matrix(sp, eta)
+        mat = hecke_matrix(sp, eta).sparse()
         assert mat.matvec(v) == vec_scale(v, a)
         assert mat.transpose().matvec(phi) == vec_scale(phi, a)
 
@@ -466,7 +478,8 @@ def test_irrational_residuals_reported():
 
 
 def heilbronn_action_reference(space, alpha, tie="low"):
-    # the per-member Fraction loop the hit-counting heilbronn_action replaced
+    # the per-member Fraction loop the int gather in heilbronn_action
+    # replaced: the scalar act_point, one quotient vector per hit
     fam = heilbronn_family(alpha, tie)
     npts = len(space.points)
     sub_rows = (None if space.weight == 2
@@ -479,7 +492,7 @@ def heilbronn_action_reference(space, alpha, tie="low"):
             for m in fam:
                 pt = act_point(space, g, m)
                 if pt is not None:
-                    vec_axpy(col, Fraction(1), space.gen_map[pt])
+                    vec_axpy(col, Fraction(1), space.qmap.vector(pt))
         else:
             comp, p = divmod(g, npts)
             for m, rows in zip(fam, sub_rows):
@@ -487,13 +500,13 @@ def heilbronn_action_reference(space, alpha, tie="low"):
                 if pt is None:
                     continue
                 for cj, cv in rows[comp].items():
-                    vec_axpy(col, Fraction(cv), space.gen_map[cj * npts + pt])
+                    vec_axpy(col, Fraction(cv), space.qmap.vector(cj * npts + pt))
         for i, c in col.items():
             out.add_to(i, j, c)
     return out
 
 
-# level 6 is the only level up to norm 40 whose gen_map has non-integral
+# level 6 is the only level up to norm 40 whose quotient map has non-integral
 # entries (denominator 2); survey reaches none of them
 ACTION_CASES = [
     (2, "6", 2, ["3-w", "3+2w", "2", "w", "3", "1+w"]),
@@ -518,10 +531,10 @@ def test_heilbronn_action_matches_fraction_loop(d, level, weight, etas):
         alpha = parse_element(fld, text)
         coprime += gcd(alpha, sp.level).is_unit()
         got = heilbronn_action(sp, alpha)
-        assert all(type(c) is Fraction for row in got.rows for c in row.values())
+        assert got.num.dtype == np.int64 and got.den == sp.qmap.den
         for tie in ("low", "high"):
             want = heilbronn_action_reference(sp, alpha, tie)
-            assert got == want, (d, level, weight, text, tie)
+            assert got.sparse() == want, (d, level, weight, text, tie)
     # both the Hecke operators and the bare family sums are covered
     assert 0 < coprime < len(etas)
 
@@ -535,14 +548,14 @@ def test_heilbronn_action_on_a_zero_space(d, level, weight):
     assert sp.dim == 0
     for text in ("1", "2", "1+w"):
         got = heilbronn_action(sp, parse_element(fld, text))
-        assert (got.nrows, got.ncols, got.rows) == (0, 0, [])
-        assert got == heilbronn_action_reference(sp, parse_element(fld, text))
+        assert got.num.shape == (0, 0)
+        assert got.sparse() == heilbronn_action_reference(sp, parse_element(fld, text))
 
 
 def commute_check_reference(a, b):
     # the Fraction product comparison commute_check replaced
-    return (a.matrix * b.matrix == b.matrix * a.matrix
-            and a.cuspidal_matrix * b.cuspidal_matrix == b.cuspidal_matrix * a.cuspidal_matrix)
+    return all(Mat.of(x.sparse()) * y.sparse() == Mat.of(y.sparse()) * x.sparse()
+               for x, y in ((a.matrix, b.matrix), (a.cuspidal_matrix, b.cuspidal_matrix)))
 
 
 def test_commute_check_agrees_with_fraction_products():
@@ -558,9 +571,9 @@ def test_commute_check_agrees_with_fraction_products():
 def perturbed(op, i, j, c, cuspidal=False):
     # the operator with c added to one entry of its full or cuspidal matrix
     mats = [op.matrix, op.cuspidal_matrix]
-    m = mats[cuspidal]
-    mats[cuspidal] = SparseMat(m.nrows, m.ncols, [dict(row) for row in m.rows])
-    mats[cuspidal].add_to(i, j, c)
+    m = mats[cuspidal].sparse()
+    m.add_to(i, j, c)
+    mats[cuspidal] = IntMat.from_sparse(m)
     return HeckeOperator(op.space, op.eta, *mats)
 
 
@@ -569,12 +582,159 @@ def test_commute_check_negative_control():
     fld = Field.get(11)
     sp = symbol_space(fld, parse_element(fld, "6"))
     a, b = (hecke_on_manin(sp, e) for e in first_etas(fld, sp.level, 2))
-    assert any(c.denominator == 2 for row in a.matrix.rows for c in row.values())
+    assert any(c.denominator == 2 for row in a.matrix.sparse().rows for c in row.values())
+    assert a.matrix.den == 2
     # a third of an operator against halves still commutes
-    third = HeckeOperator(sp, a.eta, a.matrix.scale(Fraction(1, 3)),
-                          a.cuspidal_matrix.scale(Fraction(1, 3)))
+    third = HeckeOperator(sp, a.eta, IntMat(a.matrix.num, 3 * a.matrix.den),
+                          IntMat(a.cuspidal_matrix.num, 3 * a.cuspidal_matrix.den))
     assert commute_check(third, b) and commute_check(b, third)
+    # one numerator moved by one, at the full and at the cuspidal level
+    nudged = []
+    for m in (a.matrix, a.cuspidal_matrix):
+        num = m.num.copy()
+        num[0, 1] += 1
+        nudged.append(IntMat(num, m.den))
     for bad in (perturbed(a, 0, 1, Fraction(1, 3)), perturbed(third, 0, 1, 1),
-                perturbed(a, 0, 1, 1, cuspidal=True)):
+                perturbed(a, 0, 1, 1, cuspidal=True),
+                HeckeOperator(sp, a.eta, nudged[0], a.cuspidal_matrix),
+                HeckeOperator(sp, a.eta, a.matrix, nudged[1])):
         assert not commute_check_reference(bad, b)
         assert not commute_check(bad, b) and not commute_check(b, bad)
+
+
+# the levels perfbench's survey builds: weight 2 to norm 25, weight 4 to norm 7
+SURVEY_WEIGHTS = ((2, 25), (4, 7))
+
+
+def survey_spaces(d):
+    fld = Field.get(d)
+    for weight, bound in SURVEY_WEIGHTS:
+        for n in range(2, bound + 1):
+            for nu in canonical_elements_of_norm(fld, n):
+                yield symbol_space(fld, nu, weight)
+
+
+def assert_int_layer_matches(sp, count=4, every_pair=True):
+    # production operators, cuspidal restrictions and commutation checks
+    # against the Fraction references, at count coprime etas; every ordered
+    # pair of them is checked, or only the first two when every_pair is off
+    cusp = cuspidal_subspace(sp)
+    ops = []
+    for eta in first_etas(sp.field, sp.level, count):
+        op = hecke_on_manin(sp, eta)
+        where = (sp.field.d, str(sp.level), sp.weight, str(eta))
+        ref = heilbronn_action_reference(sp, eta)
+        assert op.matrix.sparse() == ref, where
+        assert op.cuspidal_matrix.sparse() == cusp.restrict(ref), where
+        ops.append(op)
+    pairs = [(a, b) for a in ops for b in ops] if every_pair else [ops[:2]]
+    for a, b in pairs:
+        assert commute_check(a, b) == commute_check_reference(a, b)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 11])
+def test_int_layer_matches_fraction_reference_on_survey_levels(d):
+    spaces = list(survey_spaces(d))
+    assert {sp.weight for sp in spaces} == {2, 4}
+    for sp in spaces:
+        assert_int_layer_matches(sp)
+
+
+def test_int_layer_matches_fraction_reference_at_a_large_level():
+    # d = 11 level 9: dimension 103, quotient entries up to 61 in size; the
+    # Fraction products of 103 x 103 matrices take most of a second each, so
+    # one pair is compared there
+    fld = Field.get(11)
+    sp = symbol_space(fld, fld.from_int(9))
+    assert sp.dim == 103 and absmax(sp.qmap.matrix) > 30 * sp.qmap.den
+    assert_int_layer_matches(sp, every_pair=False)
+
+
+def test_int_layer_refuses_a_non_invariant_subspace():
+    # restriction is an invariance certificate on ints as it was on Fractions
+    fld = Field.get(11)
+    sp = symbol_space(fld, parse_element(fld, "1-2w"))
+    mat = hecke_matrix(sp, fld.from_int(2))
+    line = Subspace(sp.dim, [{0: Fraction(1), 1: Fraction(1, 3)}])
+    with pytest.raises(ValueError):
+        line.restrict(mat.sparse())
+    with pytest.raises(ValueError):
+        line.restrict_ints(mat)
+
+
+# perfbench's survey runs eigen at these levels
+SURVEY_EIGEN_LEVELS = [(2, "5"), (7, "5"), (11, "1-2w"), (11, "4"), (11, "5")]
+
+
+def charpoly_parity(sp, etas):
+    # every cuspidal operator's characteristic polynomial and rational
+    # eigensystem against the Fraction charpoly and p/q root search
+    cusp = cuspidal_subspace(sp)
+    assert cusp.dim > 0
+    for eta in etas:
+        restricted = cusp.restrict_ints(hecke_matrix(sp, eta))
+        mat = restricted.sparse()
+        den, num = int_rows(mat)
+        n = cusp.dim
+        assert charpoly(num) == [c * den ** (n - k)
+                                 for k, c in enumerate(charpoly_reference(mat))]
+        eigs, residual = rational_eigensystem(mat)
+        assert ([(val, es.dim) for val, es in eigs], residual) == \
+            rational_eigensystem_reference(mat)
+
+
+@pytest.mark.parametrize("d, level", SURVEY_EIGEN_LEVELS)
+def test_charpoly_matches_fraction_route_on_survey_eigen_levels(d, level):
+    fld = Field.get(d)
+    sp = symbol_space(fld, parse_element(fld, level))
+    charpoly_parity(sp, _coprime_etas(fld, sp.level, 8))
+
+
+def test_charpoly_matches_fraction_route_at_a_large_level():
+    # the eight cuspidal operators of eigen --d 11 --level 9 (dimension 22)
+    fld = Field.get(11)
+    sp = symbol_space(fld, fld.from_int(9))
+    assert cuspidal_subspace(sp).dim == 22
+    charpoly_parity(sp, _coprime_etas(fld, sp.level, 8))
+
+
+def test_int_range_checks_fire_under_python_O(run_optimized):
+    # every int64 range check of the operator layer raises InvariantError
+    out = run_optimized(
+        "from fractions import Fraction\n"
+        "import numpy as np\n"
+        "from bianchi import hecke, linalg, symbols\n"
+        "from bianchi.quadints import Field, InvariantError, parse_element\n"
+        "def attempt(name, fn, *args):\n"
+        "    try:\n"
+        "        fn(*args)\n"
+        "    except InvariantError as exc:\n"
+        "        print(name + ':', exc)\n"
+        "fld = Field.get(11)\n"
+        "fresh = lambda weight: symbols.SymbolSpace(fld, parse_element(fld, '1-2w'), weight)\n"
+        "big = 2**62\n"
+        "attempt('map entry', fresh(2)._quotient, [{0: 1, 1: -2**70}], [0, 1])\n"
+        "attempt('map den', fresh(2)._quotient, [{0: 2**70, 1: 1}], [0, 1])\n"
+        "attempt('from_sparse', linalg.IntMat.from_sparse,\n"
+        "        linalg.SparseMat(1, 1, [{0: Fraction(1, 2**64)}]))\n"
+        "attempt('den', linalg.IntMat, np.zeros((1, 1), dtype=np.int64), 0)\n"
+        "attempt('basis', lambda: linalg.Subspace(2, [{0: 1, 1: Fraction(1, 2**70)}]).int_basis)\n"
+        "full = np.full((2, 2), big, dtype=np.int64)\n"
+        "attempt('product', linalg.int_product, full, full)\n"
+        "line = linalg.Subspace(2, [{0: 1, 1: Fraction(1, 2**40)}])\n"
+        "op = linalg.IntMat(np.array([[2**20, 0], [0, 0]], dtype=np.int64), 1)\n"
+        "attempt('restrict', line.restrict_ints, op)\n"
+        "for weight in (2, 4):\n"
+        "    space = fresh(weight)\n"
+        "    q = space.qmap\n"
+        "    space.qmap = symbols.QuotientMap(np.full_like(q.matrix, big), q.den, q.row, q.sign)\n"
+        "    attempt(f'action {weight}', hecke.heilbronn_action, space, fld.from_int(2))\n"
+        "sp = symbols.symbol_space(fld, parse_element(fld, '1-2w'))\n"
+        "a = hecke.hecke_on_manin(sp, fld.from_int(2))\n"
+        "huge = hecke.HeckeOperator(sp, a.eta, linalg.IntMat(np.full_like(a.matrix.num, big), 1),\n"
+        "                           a.cuspidal_matrix)\n"
+        "attempt('commute', hecke.commute_check, huge, a)\n"
+    )
+    assert [line.split(":")[0] for line in out] == [
+        "map entry", "map den", "from_sparse", "den", "basis", "product", "restrict",
+        "action 2", "action 4", "commute"], out

@@ -3,23 +3,28 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import example, given, strategies as st
 
 import bianchi.symbols
 from bianchi.linalg import (
+    IntMat,
     SparseMat,
     Subspace,
+    _deflate,
+    _primitive,
     charpoly,
     full_space,
+    integer_roots,
     kernel,
     poly_eval,
     rational_eigensystem,
-    rational_roots,
     rref,
     vec_add,
     vec_axpy,
@@ -27,11 +32,65 @@ from bianchi.linalg import (
     vec_dot,
     vec_scale,
 )
-from bianchi.quadints import Field, parse_element
+from bianchi.quadints import Field, parse_element, rational_prime_factors
+
+
+class Mat(SparseMat):
+    """SparseMat with the products, sums and conversions that only the tests
+    and their Fraction references use."""
+
+    @classmethod
+    def of(cls, m):
+        return cls(m.nrows, m.ncols, m.rows)
+
+    @classmethod
+    def from_entries(cls, nrows, ncols, entries):
+        m = cls(nrows, ncols)
+        for i, j, c in entries:
+            m.add_to(i, j, c)
+        return m
+
+    def entry(self, i, j):
+        return Fraction(self.rows[i].get(j, 0))
+
+    def __mul__(self, other):
+        assert self.ncols == other.nrows
+        rows = []
+        for row in self.rows:
+            acc = {}
+            for k, c in row.items():
+                vec_axpy(acc, c, other.rows[k])
+            rows.append(acc)
+        return Mat(self.nrows, other.ncols, rows)
+
+    def __add__(self, other):
+        assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
+        return Mat(self.nrows, self.ncols, [vec_add(r, s) for r, s in zip(self.rows, other.rows)])
+
+    def is_zero(self):
+        return all(not vec_clean(r) for r in self.rows)
+
+    def trace(self):
+        return sum((self.entry(i, i) for i in range(self.nrows)), Fraction(0))
+
+    def to_dense(self):
+        return [[self.entry(i, j) for j in range(self.ncols)] for i in range(self.nrows)]
+
+    def to_json(self):
+        entries = [[i, j, str(Fraction(c))]
+                   for i, row in enumerate(self.rows) for j, c in sorted(row.items())]
+        return {"rows": self.nrows, "cols": self.ncols, "entries": entries}
+
+    @classmethod
+    def from_json(cls, obj):
+        m = cls(int(obj["rows"]), int(obj["cols"]))
+        for i, j, text in obj["entries"]:
+            m.add_to(int(i), int(j), Fraction(text))
+        return m
 
 
 def random_mat(rng, nrows, ncols, density=0.5, lim=6):
-    m = SparseMat(nrows, ncols)
+    m = Mat(nrows, ncols)
     for i in range(nrows):
         for j in range(ncols):
             if rng.random() < density:
@@ -40,7 +99,7 @@ def random_mat(rng, nrows, ncols, density=0.5, lim=6):
 
 
 def to_sympy(m):
-    return sympy.Matrix([[sympy.Rational(c) for c in row] for row in m.to_dense()])
+    return sympy.Matrix([[sympy.Rational(c) for c in row] for row in Mat.of(m).to_dense()])
 
 
 def test_vector_ops():
@@ -76,9 +135,9 @@ def test_transpose_add_scale_trace():
     b = random_mat(rng, 5, 5)
     assert a.transpose().transpose() == a
     assert (a + b) - b == a
-    assert a.scale(Fraction(3)).to_dense() == [[3 * c for c in r] for r in a.to_dense()]
+    assert Mat.of(a.scale(Fraction(3))).to_dense() == [[3 * c for c in r] for r in a.to_dense()]
     assert a.trace() == sum(a.entry(i, i) for i in range(5))
-    assert (a - a).is_zero()
+    assert Mat.of(a - a).is_zero()
 
 
 def test_rref_matches_sympy():
@@ -86,7 +145,7 @@ def test_rref_matches_sympy():
     for _ in range(25):
         m = random_mat(rng, rng.randint(1, 6), rng.randint(1, 7), density=0.45)
         rows, pivots = rref(m.rows)
-        got = SparseMat(len(rows), m.ncols, [dict(r) for r in rows]).to_dense()
+        got = Mat(len(rows), m.ncols, [dict(r) for r in rows]).to_dense()
         ref, piv = to_sympy(m).rref()
         assert sorted(pivots) == list(piv)
         expect = [[Fraction(int(ref[i, j].p), int(ref[i, j].q)) for j in range(m.ncols)]
@@ -232,18 +291,97 @@ def test_kernel_matches_sympy():
             assert space.coords(v) is not None
 
 
+def charpoly_reference(mat):
+    # the Fraction trace recursion charpoly replaced: monic characteristic
+    # polynomial of a SparseMat, constant term first
+    mat = Mat.of(mat)
+    n = mat.nrows
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[n] = Fraction(1)
+    m = Mat.identity(n)
+    for k in range(1, n + 1):
+        m = mat * m
+        ck = -m.trace() / k
+        coeffs[n - k] = ck
+        for i in range(n):
+            m.add_to(i, i, ck)
+    return coeffs
+
+
+def _positive_divisors(n):
+    divs = [1]
+    for p, e in rational_prime_factors(abs(n)).items():
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return sorted(divs)
+
+
+def rational_roots_reference(coeffs):
+    # the p/q candidate search integer_roots replaced: rational roots (with
+    # multiplicity) and the primitive rootless cofactor, constant first
+    work = [Fraction(c) for c in coeffs]
+    while work and not work[-1]:
+        work.pop()
+    if not work:
+        raise ValueError("zero polynomial")
+    roots = []
+    mult0 = 0
+    while len(work) > 1 and not work[0]:
+        work = work[1:]
+        mult0 += 1
+    if mult0:
+        roots.append((Fraction(0), mult0))
+    if len(work) > 1:
+        ints = _primitive(work)
+        for p in _positive_divisors(ints[0]):
+            for q in _positive_divisors(ints[-1]):
+                for sgn in (1, -1):
+                    r = Fraction(sgn * p, q)
+                    mult = 0
+                    while len(work) > 1 and poly_eval(work, r) == 0:
+                        work = _deflate(work, r)
+                        mult += 1
+                    if mult:
+                        roots.append((r, mult))
+    roots.sort()
+    return roots, _primitive(work)
+
+
+def rational_eigensystem_reference(mat, sub=None):
+    # (eigenvalue, eigenspace dim) pairs and the residual, from the Fraction
+    # charpoly and the p/q root search
+    sub = full_space(mat.ncols) if sub is None else sub
+    r = sub.restrict(mat)
+    roots, residual = rational_roots_reference(charpoly_reference(r))
+    return [(val, eigenspace_dim(r, val)) for val, _ in roots], residual
+
+
+def eigenspace_dim(r, val):
+    return len(kernel(r - SparseMat.identity(r.nrows).scale(val)))
+
+
+def int_rows(m):
+    # D and the int matrix D*m, D the least common denominator
+    den = math.lcm(1, *(c.denominator for row in m.rows for c in row.values()))
+    m = Mat.of(m)
+    return den, [[int(m.entry(i, j) * den) for j in range(m.ncols)] for i in range(m.nrows)]
+
+
 def test_charpoly_matches_sympy():
     rng = random.Random(14)
+    lam = sympy.symbols("lam")
     for n in (1, 2, 4, 6):
         for _ in range(6):
             m = random_mat(rng, n, n, density=0.6)
-            mine = charpoly(m)
-            lam = sympy.symbols("lam")
             ref = to_sympy(m).charpoly(lam).all_coeffs()  # highest degree first
             ref = [Fraction(int(sympy.Rational(c).p), int(sympy.Rational(c).q))
                    for c in reversed(ref)]
-            assert mine == ref
-    assert charpoly(SparseMat(0, 0)) == [Fraction(1)]
+            assert charpoly_reference(m) == ref
+            # the integer polynomial of D*m is D^(n-k) times coefficient k
+            den, num = int_rows(m)
+            got = charpoly(num)
+            assert all(type(c) is int for c in got)
+            assert got == [c * den ** (n - k) for k, c in enumerate(ref)]
+    assert charpoly([]) == [1] and charpoly_reference(SparseMat(0, 0)) == [Fraction(1)]
 
 
 def test_subspace_coords_and_restrict():
@@ -254,28 +392,65 @@ def test_subspace_coords_and_restrict():
     co = s.coords(v)
     assert co == {0: Fraction(5), 1: Fraction(-7)}
     assert s.coords({2: Fraction(1)}) is None
-    diag = SparseMat.from_entries(3, 3, [(0, 0, 1), (1, 1, 2), (2, 2, 3)])
+    diag = Mat.from_entries(3, 3, [(0, 0, 1), (1, 1, 2), (2, 2, 3)])
     r = s.restrict(diag)
-    assert r.to_dense() == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]]
-    bad = SparseMat.from_entries(3, 3, [(2, 0, 1)])
+    assert Mat.of(r).to_dense() == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]]
+    bad = Mat.from_entries(3, 3, [(2, 0, 1)])
     with pytest.raises(ValueError):
         s.restrict(bad)
 
 
 def test_rational_roots_pin():
     # (x - 2) * (x + 1/3)^2 * (x^2 + 1), scaled by 9
-    poly = [Fraction(c) for c in (0, 0, 0)]
     x = sympy.symbols("x")
     expr = sympy.expand(9 * (x - 2) * (x + sympy.Rational(1, 3)) ** 2 * (x**2 + 1))
     coeffs = [Fraction(int(c)) for c in reversed(sympy.Poly(expr, x).all_coeffs())]
-    roots, residual = rational_roots(coeffs)
+    roots, residual = rational_roots_reference(coeffs)
     assert roots == [(Fraction(-1, 3), 2), (Fraction(2), 1)]
     assert residual == [1, 0, 1]
-    roots, residual = rational_roots([Fraction(0), Fraction(0), Fraction(1)])  # x^2
+    roots, residual = rational_roots_reference([Fraction(0), Fraction(0), Fraction(1)])  # x^2
     assert roots == [(Fraction(0), 2)]
     assert residual == [1]
     with pytest.raises(ValueError):
-        rational_roots([Fraction(0)])
+        rational_roots_reference([Fraction(0)])
+
+
+def test_integer_roots_pin():
+    # y = 3x above: (y - 6) * (y + 1)^2 * (y^2 + 9), monic with int coefficients
+    y = sympy.symbols("y")
+    expr = sympy.expand((y - 6) * (y + 1) ** 2 * (y**2 + 9))
+    coeffs = [int(c) for c in reversed(sympy.Poly(expr, y).all_coeffs())]
+    roots, cofactor = integer_roots(coeffs)
+    assert roots == [(-1, 2), (6, 1)]
+    assert cofactor == [9, 0, 1]
+    assert integer_roots([0, 0, 1]) == ([(0, 2)], [1])
+    assert integer_roots([1]) == ([], [1])
+    # large roots: x - 10^6, and (x - p)(x + q) for primes whose product
+    # has no other divisors below the root bound
+    assert integer_roots([-(10**6), 1]) == ([(10**6, 1)], [1])
+    p, q = 10007, 9973
+    assert integer_roots([-p * q, q - p, 1]) == ([(-q, 1), (p, 1)], [1])
+    for bad in ([], [0], [1, 2]):
+        with pytest.raises(ValueError):
+            integer_roots(bad)
+
+
+@given(st.lists(st.integers(-30, 30), min_size=0, max_size=5),
+       st.lists(st.integers(-40, 40), min_size=0, max_size=3))
+@example([0, 0, 5], [])
+@example([7, 7, -7], [0, 1])
+def test_integer_roots_on_drawn_products(roots, extra):
+    # prod (x - r) times a monic factor: every integer root of the product
+    # is found with its multiplicity, and the cofactor has none left
+    x = sympy.symbols("x")
+    expr = sympy.Mul(*[(x - r) for r in roots]) * (x ** len(extra) + sum(
+        c * x**k for k, c in enumerate(extra)))
+    coeffs = [int(c) for c in reversed(sympy.Poly(sympy.expand(expr), x).all_coeffs())]
+    got, cofactor = integer_roots(coeffs)
+    ref, residual = rational_roots_reference(coeffs)
+    assert [(Fraction(r), m) for r, m in got] == ref
+    assert _primitive(cofactor) == residual
+    assert cofactor[-1] == 1 and len(cofactor) - 1 + sum(m for _, m in got) == len(coeffs) - 1
 
 
 def test_deflate_refuses_a_non_root_under_python_O(run_optimized):
@@ -298,8 +473,8 @@ def test_rational_roots_match_charpoly_eigenvalues():
     for _ in range(10):
         n = 5
         m = random_mat(rng, n, n, density=0.5)
-        coeffs = charpoly(m)
-        roots, residual = rational_roots(coeffs)
+        coeffs = charpoly_reference(m)
+        roots, residual = rational_roots_reference(coeffs)
         for r, mult in roots:
             assert poly_eval(coeffs, r) == 0
         # degree bookkeeping
@@ -310,17 +485,57 @@ def test_rational_roots_match_charpoly_eigenvalues():
             for v, mult in ref.items() if v.is_rational
         }
         assert dict(roots) == sym_rational
+        # the integer route: the roots of the polynomial of D*m over D
+        den, num = int_rows(m)
+        iroots, cofactor = integer_roots(charpoly(num))
+        assert [(Fraction(mu, den), k) for mu, k in iroots] == roots
+        assert _primitive([c * den**k for k, c in enumerate(cofactor)]) == residual
+
+
+def test_rational_eigensystem_matches_fraction_route():
+    rng = random.Random(22)
+    for n in (1, 3, 5, 7):
+        for _ in range(8):
+            m = random_mat(rng, n, n, density=0.5, lim=4)
+            # rational eigenvalues are common in lower-triangular blocks
+            if rng.random() < 0.5:
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        m.rows[i].pop(j, None)
+            eigs, residual = rational_eigensystem(m)
+            assert ([(val, es.dim) for val, es in eigs], residual) == \
+                rational_eigensystem_reference(m)
 
 
 def test_sparsemat_json_roundtrip():
     rng = random.Random(16)
     m = random_mat(rng, 4, 6)
     blob = json.dumps(m.to_json(), sort_keys=True)
-    assert SparseMat.from_json(json.loads(blob)) == m
+    assert Mat.from_json(json.loads(blob)) == m
+
+
+def test_intmat_views_match_fraction_matrices():
+    # the Fraction view, the JSON text and equality of the int form, against
+    # the Fraction matrix it was made from
+    rng = random.Random(17)
+    for _ in range(40):
+        m = random_mat(rng, rng.randint(0, 5), rng.randint(0, 5), density=0.5)
+        im = IntMat.from_sparse(m)
+        assert im.num.dtype == np.int64 and not im.num.flags.writeable
+        assert im.sparse() == m
+        assert im.to_json() == m.to_json()
+        k = rng.randint(2, 9)
+        scaled = IntMat(im.num * k, im.den * k)
+        assert scaled == im and scaled.to_json() == m.to_json()
+        if im.num.size:
+            num = im.num.copy()
+            num[0, 0] += 1
+            assert IntMat(num, im.den) != im
+    assert IntMat(np.zeros((2, 3), dtype=np.int64), 1) != IntMat(np.zeros((3, 2), dtype=np.int64), 1)
 
 
 def test_rational_eigensystem_rotation_has_no_rational_part():
-    rot = SparseMat.from_entries(2, 2, [(0, 1, Fraction(-1)), (1, 0, Fraction(1))])
+    rot = Mat.from_entries(2, 2, [(0, 1, Fraction(-1)), (1, 0, Fraction(1))])
     eigs, residual = rational_eigensystem(rot)
     assert eigs == []
     assert residual == [1, 0, 1]
@@ -328,7 +543,7 @@ def test_rational_eigensystem_rotation_has_no_rational_part():
 
 def test_rational_eigensystem_defective_block():
     # [[2, 1], [0, 2]]: eigenvalue 2 with a one-dimensional eigenspace
-    m = SparseMat.from_entries(2, 2, [(0, 0, 2), (0, 1, 1), (1, 1, 2)])
+    m = Mat.from_entries(2, 2, [(0, 0, 2), (0, 1, 1), (1, 1, 2)])
     eigs, residual = rational_eigensystem(m)
     assert residual == [1]
     assert len(eigs) == 1
@@ -339,7 +554,7 @@ def test_rational_eigensystem_defective_block():
 
 
 def test_rational_eigensystem_respects_subspace():
-    m = SparseMat.from_entries(3, 3, [(0, 0, 1), (1, 1, 5), (2, 2, 5)])
+    m = Mat.from_entries(3, 3, [(0, 0, 1), (1, 1, 5), (2, 2, 5)])
     sub = Subspace(3, [{1: Fraction(1)}, {2: Fraction(1)}])
     eigs, residual = rational_eigensystem(m, sub)
     assert residual == [1]

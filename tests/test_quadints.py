@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from bianchi.quadints import (
     EUCLIDEAN_D,
     Field,
     InvariantError,
+    _omega_roots_mod,
     canonical_associate,
     divide_ints,
     divides,
@@ -320,6 +322,35 @@ def test_factorize_roundtrip(x):
         assert canonical_associate(p)[0] == p
         y = y * p**e
     assert y == x
+
+
+def omega_roots_scan(d, p):
+    # the scan over all p residues that Tonelli-Shanks replaced
+    fld = Field.get(d)
+    return tuple(s for s in range(p) if (s * s - fld.t * s + fld.m) % p == 0)
+
+
+def test_omega_roots_match_the_scan_below_5000():
+    primes = [p for p in range(2, 5000) if all(p % k for k in range(2, math.isqrt(p) + 1))]
+    counts = set()
+    for d in EUCLIDEAN_D:
+        for p in primes:
+            got = _omega_roots_mod(d, p)
+            assert got == omega_roots_scan(d, p), (d, p)
+            counts.add(len(got))
+    # split, ramified and inert primes all occur
+    assert counts == {0, 1, 2}
+
+
+def test_factoring_past_a_large_split_prime_is_fast():
+    # 3000 + w at d = 11 has norm 9,003,003 = 3 * 3,001,001 with both primes
+    # split; the residue scan took 0.29 s here
+    fld = Field.get(11)
+    _omega_roots_mod.cache_clear()
+    t0 = time.perf_counter()
+    divs = divisors_up_to_units(parse_element(fld, "3000+w"))
+    assert time.perf_counter() - t0 < 0.05
+    assert sorted(d.norm() for d in divs) == [1, 3, 3001001, 9003003]
 
 
 def test_divisors_pin_gaussian_six():

@@ -9,10 +9,7 @@ import bianchi
 # other invariant raises (InvariantError for the load-bearing ones)
 ASSERT_ALLOWED = {
     "boundary.cusp_label",
-    "linalg.SparseMat.__mul__",
-    "linalg.SparseMat.__add__",
     "linalg.SparseMat.__sub__",
-    "linalg.charpoly",
 }
 
 # the generator layout is one formula at every weight (SymbolSpace.generator
@@ -25,7 +22,8 @@ WEIGHT_BRANCH_ALLOWED = {
     "boundary.cusp_label",
     # the orbit boundary where the unit twists are 1, else the labelled one
     "boundary.cuspidal_subspace",
-    # the Counter hit count at weight 2, measured faster than the general loop
+    # one gather per operator at weight 2; above it the slash coefficients
+    # weight the gather one component at a time
     "hecke.heilbronn_action",
     # the expansion is weight 2 only
     "fourier.functional_slash",

@@ -84,6 +84,12 @@ def act_point(space, idx, row):
     return None if pt < 0 else pt
 
 
+def gen_map(space):
+    """Every generator's quotient image as a {coordinate: Fraction} dict,
+    keys ascending, read off the space's int quotient map."""
+    return [space.qmap.vector(g) for g in range(space.qmap.ngens)]
+
+
 def spaces(weight=2):
     for d, texts in LEVELS.items():
         fld = Field.get(d)
@@ -183,12 +189,13 @@ def test_relation_rows_vanish_in_quotient():
             words, J = space.sum_words, space.J
             j_img = moved(space, everyone, [J])
             w_imgs = [moved(space, everyone, word) for word in words]
+            images = gen_map(space)
             for i in range(npts):
-                assert vec_sub(space.gen_map[j_img[i][0]], space.gen_map[i]) == {}
+                assert vec_sub(images[j_img[i][0]], images[i]) == {}
                 for imgs in w_imgs:
                     total = {}
                     for pt in imgs[i]:
-                        vec_axpy(total, Fraction(1), space.gen_map[pt])
+                        vec_axpy(total, Fraction(1), images[pt])
                     assert total == {}, (space.field.d, str(space.level), i)
         else:
             fld = space.field
@@ -213,7 +220,7 @@ def test_roundtrip_generators():
         for idx, (u, v) in enumerate(space.points):
             g = lift_to_sl2(fld, nu, u, v)
             got = modular_symbol_vec(space, (g.b, g.d), (g.a, g.c))
-            assert got == space.gen_map[idx], (fld.d, str(nu), idx)
+            assert got == space.qmap.vector(idx), (fld.d, str(nu), idx)
 
 
 def test_weight4_roundtrip():
@@ -228,7 +235,7 @@ def test_weight4_roundtrip():
                 poly = slash_poly({mono: coeff}, g, 4)
                 got = modular_symbol_vec(space, (g.b, g.d), (g.a, g.c), poly)
                 gen = (2 * mono + part) * npts + idx
-                assert got == space.gen_map[gen]
+                assert got == space.qmap.vector(gen)
 
 
 # one small level per field that does not divide 2, so odd weight lives
@@ -245,14 +252,15 @@ def test_generator_layout_round_trip(d):
         space = symbol_space(fld, parse_element(fld, text), weight)
         npts = len(space.points)
         ncomp = 1 if weight == 2 else 2 * (weight - 1)
-        assert len(space.gen_map) == ncomp * npts
-        for g in range(len(space.gen_map)):
+        images = gen_map(space)
+        assert len(images) == ncomp * npts
+        for g in range(len(images)):
             poly, pt = space.generator(g)
             ((mono, coeff),) = poly.items()
             assert coeff in (fld.one, fld.omega) and 0 <= mono <= weight - 2
             assert g // npts == 2 * mono + (coeff == fld.omega)
             assert pt == g % npts
-            assert space.symbol_vector(poly, pt) == space.gen_map[g], (weight, g)
+            assert space.symbol_vector(poly, pt) == images[g], (weight, g)
         result = CliRunner().invoke(main, ["space", "--d", str(d), "--level", text,
                                            "--weight", str(weight)])
         assert result.exit_code == 0, result.output
@@ -287,8 +295,8 @@ def test_path_pin_zero_to_infinity():
     fld = Field.get(1)
     space = symbol_space(fld, fld.from_int(3))
     vec = modular_symbol_vec(space, (fld.zero, fld.one), (fld.one, fld.zero))
-    assert vec == space.gen_map[space.point_of(fld.zero, fld.one)]
-    neg = {k: -v for k, v in space.gen_map[space.point_of(fld.one, fld.zero)].items()}
+    assert vec == space.qmap.vector(space.point_of(fld.zero, fld.one))
+    neg = {k: -v for k, v in space.qmap.vector(space.point_of(fld.one, fld.zero)).items()}
     assert vec == neg
 
 
@@ -720,7 +728,7 @@ def test_orbit_roots_match_signed_union_find(case):
 def build_weight2_reference(space):
     # the scalar build the batched one replaced: act_point and a union-find
     # lookup per point and move, every relation row (repeats too) to rref;
-    # returns (dim, free_gens, gen_map)
+    # returns (dim, free_gens, every generator's image as a Fraction dict)
     npts = len(space.points)
     uf = _SignedUF(npts)
     S, J = space.sum_words[0][1].row(), space.J.row()
@@ -762,7 +770,7 @@ THOUSAND_POINT_LEVELS = {1: "6", 2: "5+2w", 3: "6-w", 7: "3+3w", 11: "1+3w"}
 
 @pytest.mark.parametrize("d", EUCLIDEAN_D)
 def test_weight2_build_matches_scalar_reference(d):
-    # dim, free_gens, gen_map (values, their types and key order) and the cusp
+    # dim, free_gens, the images (values, their types and key order) and the cusp
     # orbits agree with the scalar build and search on every level of norm
     # <= 25 and on one larger level
     fld = Field.get(d)
@@ -771,11 +779,11 @@ def test_weight2_build_matches_scalar_reference(d):
     big = SymbolSpace(fld, parse_element(fld, THOUSAND_POINT_LEVELS[d]))
     assert 900 < len(big.points) < 1100
     for space in spaces + [big]:
-        dim, free, gen_map = build_weight2_reference(space)
+        dim, free, images = build_weight2_reference(space)
         where = (d, str(space.level))
         assert (space.dim, space.free_gens) == (dim, free), where
-        assert repr([list(g.items()) for g in space.gen_map]) == \
-            repr([list(g.items()) for g in gen_map]), where
+        assert repr([list(g.items()) for g in gen_map(space)]) == \
+            repr([list(g.items()) for g in images]), where
         assert space.cusp_pass[0].tolist() == point_cusp_orbits_reference(space), where
     assert big.dim > 0
 
@@ -860,7 +868,7 @@ def test_symbol_invariants_fire_under_python_O(run_optimized):
     assert [line.split(":")[0] for line in out] == ["inv_unit", "count", "path", "point"], out
 
 
-# sha256 of repr([sorted(g.items()) for g in gen_map]) as the Fraction
+# sha256 of repr([sorted(g.items()) for g in gen_map(space)]) as the Fraction
 # elimination kept in test_linalg.rref_reference gives it, at levels with
 # larger relation systems and other fill patterns than norm <= 25 reaches
 GEN_MAP_PINS = [
@@ -879,5 +887,5 @@ GEN_MAP_PINS = [
 def test_gen_map_pins_beyond_survey(d, level, weight, digest):
     fld = Field.get(d)
     space = SymbolSpace(fld, parse_element(fld, level), weight)
-    blob = repr([sorted(g.items()) for g in space.gen_map]).encode()
+    blob = repr([sorted(g.items()) for g in gen_map(space)]).encode()
     assert hashlib.sha256(blob).hexdigest() == digest
