@@ -533,10 +533,11 @@ class SymbolSpace:
         rows = _distinct_rows(cols.reshape(-1, width), vals.reshape(-1, width), npts)
         live = np.flatnonzero((root == everyone) & (sign != 0))
         matrix, den = self._quotient(rows, live.tolist())
-        # the points of a class read their root's row, with their sign
+        # the points of a class read their root's row, with their sign; a
+        # dead orbit's root is not live, so its points read row -1
         position = np.full(npts, -1, dtype=np.int64)
         position[live] = np.arange(len(live))
-        self.qmap = QuotientMap.build(matrix, den, np.where(sign != 0, position[root], -1), sign)
+        self.qmap = QuotientMap.build(matrix, den, position[root], sign)
 
     def _quotient(self, rows: list[dict[int, int]], gens: list[int]) -> tuple[np.ndarray, int]:
         """Reduce the relation rows over gens; set free_gens and dim.

@@ -531,6 +531,8 @@ def test_intmat_views_match_fraction_matrices():
             num = im.num.copy()
             num[0, 0] += 1
             assert IntMat(num, im.den) != im
+        if im.num.any():
+            assert IntMat(im.num, 2 * im.den) != im
     assert IntMat(np.zeros((2, 3), dtype=np.int64), 1) != IntMat(np.zeros((3, 2), dtype=np.int64), 1)
 
 
