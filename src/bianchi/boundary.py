@@ -17,13 +17,12 @@ result on the space, so it is freed with it.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
-from .linalg import SparseMat, Subspace, kernel, vec_axpy
+from .linalg import Subspace, kernel, vec_axpy
 from .quadints import QuadInt, gcd, inverse_mod, reduce_mod
 from .symbols import SymbolSpace, normalize_cusp
+
 
 def cusp_class(space: SymbolSpace, a: QuadInt, c: QuadInt):
     """Canonical class key for the cusp vector data (a, c), with the unit
@@ -57,8 +56,9 @@ def cusp_class(space: SymbolSpace, a: QuadInt, c: QuadInt):
     # [v] = (lam0 * dlt0)^(k-2) [v0] under the scaling identification
     return (c0, r0), (lam0 * dlt0) ** (k - 2)
 
+
 def boundary_of_gen(space: SymbolSpace, gen: int, classes: dict | None = None) -> dict:
-    """Boundary of one generator, as a vector over (class key, part).
+    """Boundary of one generator, as an int vector over (class key, part).
 
     classes, when given, is the caller's memo of cusp_class on (a, c).
     """
@@ -85,11 +85,11 @@ def boundary_of_gen(space: SymbolSpace, gen: int, classes: dict | None = None) -
         if key is None:
             continue
         total = coeff * tw
-        if total.a:
-            vec_axpy(out, Fraction(sign * total.a), {(key, 0): Fraction(1)})
-        if total.b:
-            vec_axpy(out, Fraction(sign * total.b), {(key, 1): Fraction(1)})
+        for part, c in enumerate((total.a, total.b)):
+            if c:
+                vec_axpy(out, sign * c, {(key, part): 1})
     return out
+
 
 def cusp_label(space: SymbolSpace, p: QuadInt, q: QuadInt):
     """Boundary class key of the cusp (p : q); None when the class is dead.
@@ -102,8 +102,10 @@ def cusp_label(space: SymbolSpace, p: QuadInt, q: QuadInt):
     key, _ = cusp_class(space, p, q)
     return key
 
-def boundary_matrix(space: SymbolSpace) -> tuple[tuple, SparseMat]:
-    """Label list and the boundary matrix on the quotient basis."""
+
+def boundary_matrix(space: SymbolSpace) -> tuple[tuple, list[dict]]:
+    """Label list and the integer rows of the boundary matrix on the
+    quotient basis, one row per label."""
     classes: dict = {}
     cols = [boundary_of_gen(space, g, classes) for g in space.free_gens]
     keys = sorted(
@@ -111,14 +113,16 @@ def boundary_matrix(space: SymbolSpace) -> tuple[tuple, SparseMat]:
         key=lambda k: (k[0][0].sort_key(), k[0][1].sort_key(), k[1]),
     )
     kidx = {k: i for i, k in enumerate(keys)}
-    mat = SparseMat(len(keys), space.dim)
+    rows: list[dict] = [{} for _ in keys]
     for j, col in enumerate(cols):
         for k, val in col.items():
-            mat.add_to(kidx[k], j, val)
-    return tuple(keys), mat
+            rows[kidx[k]][j] = val
+    return tuple(keys), rows
 
-def orbit_boundary_matrix(space: SymbolSpace) -> SparseMat:
-    """Weight-2 boundary on the quotient basis, one row per cusp orbit.
+
+def orbit_boundary_matrix(space: SymbolSpace) -> list[dict]:
+    """Weight-2 boundary on the quotient basis, as integer rows, one per cusp
+    orbit.
 
     Column j is e_orbit(g) - e_orbit(g*S) for the free generator g =
     free_gens[j], read from the space's cusp pass; the column is zero when
@@ -126,13 +130,14 @@ def orbit_boundary_matrix(space: SymbolSpace) -> SparseMat:
     """
     orbit, s_image = space.cusp_pass
     gens = np.asarray(space.free_gens, dtype=np.int64)
-    mat = SparseMat(int(orbit.max()) + 1, space.dim)
+    rows: list[dict] = [{} for _ in range(int(orbit.max()) + 1)]
     for j, (top, bottom) in enumerate(zip(orbit[gens].tolist(),
                                           orbit[s_image[gens]].tolist())):
         if top != bottom:
-            mat.rows[top][j] = 1
-            mat.rows[bottom][j] = -1
-    return mat
+            rows[top][j] = 1
+            rows[bottom][j] = -1
+    return rows
+
 
 def cuspidal_subspace(space: SymbolSpace) -> Subspace:
     """Kernel of the boundary map, inside the quotient space, computed once
@@ -145,8 +150,8 @@ def cuspidal_subspace(space: SymbolSpace) -> Subspace:
     """
     if space._cuspidal is None:
         if space.weight == 2:
-            mat = orbit_boundary_matrix(space)
+            rows = orbit_boundary_matrix(space)
         else:
-            _, mat = boundary_matrix(space)
-        space._cuspidal = Subspace(space.dim, kernel(mat))
+            _, rows = boundary_matrix(space)
+        space._cuspidal = Subspace(space.dim, kernel(rows, space.dim))
     return space._cuspidal

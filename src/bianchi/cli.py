@@ -226,7 +226,7 @@ def hecke(ctx, d, level, eta_text, weight, oracle, others, out, json_indent):
     except ValueError as exc:
         raise click.UsageError(str(exc))
     cusp = cuspidal_subspace(sp)
-    eigs, residual = rational_eigensystem(op.cuspidal_matrix.sparse())
+    eigs, residual = rational_eigensystem(op.cuspidal_matrix)
     payload = {
         "d": fld.d,
         "level": str(nu),

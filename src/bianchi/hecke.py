@@ -8,13 +8,13 @@ through the whole family, and the operator is a gather of the space's
 quotient map (SymbolSpace.qmap) at those images, summed over the family
 (weighted by the integer slash coefficients at weight k).  An operator is
 a linalg.IntMat, an int64 array over the map's denominator; its cuspidal
-restriction, the commutation check and its JSON run on those ints, and
-only the eigen refinement and verify's coefficient identity take SparseMat
-views of them.  An oracle recomputes the operator as a sum over
-Hermite-form coset representatives of the determinant-eta congruence
-matrices, acting on cusp paths; the tests check those cosets against a
-brute-force search.  Agreement of the two matrices is the correctness
-certificate for this layer.
+restriction, the commutation check, its JSON and the eigen refinement
+(eigenvalues, eigenvectors and left functionals) all run on those ints.
+An oracle recomputes the operator as a sum over Hermite-form coset
+representatives of the determinant-eta congruence matrices, acting on cusp
+paths; the tests check those cosets against a brute-force search.
+Agreement of the two matrices is the correctness certificate for this
+layer.
 
 The operators are functions of the space and the determinant only.  Every
 Heilbronn family that satisfies Merel's condition gives the same matrix on
@@ -40,7 +40,6 @@ from .heilbronn import DEFAULT_TIE, heilbronn_family
 from .linalg import (
     INT64_MAX,
     IntMat,
-    SparseMat,
     Subspace,
     absmax,
     eigenspace,
@@ -211,8 +210,8 @@ def hecke_oracle(space: SymbolSpace, eta: QuadInt) -> HeckeOperator:
     """
     fld = space.field
     reps = coset_representatives(fld, space.level, eta)
-    out = SparseMat(space.dim, space.dim)
-    for j, gidx in enumerate(space.free_gens):
+    cols = []
+    for gidx in space.free_gens:
         poly, p = space.generator(gidx)
         g = lift_to_sl2(fld, space.level, *space.points[p])
         base = slash_poly(poly, g, space.weight)
@@ -222,9 +221,8 @@ def hecke_oracle(space: SymbolSpace, eta: QuadInt) -> HeckeOperator:
             beta = r.act_cusp(g.a, g.c)
             moved = slash_poly(base, r, space.weight)
             vec_axpy(col, 1, modular_symbol_vec(space, alpha, beta, moved))
-        for i, c in col.items():
-            out.add_to(i, j, c)
-    mat = IntMat.from_sparse(out)
+        cols.append(col)
+    mat = IntMat.from_columns(cols, space.dim)
     return HeckeOperator(space, eta, mat, cuspidal_subspace(space).restrict_ints(mat))
 
 
@@ -256,11 +254,11 @@ def _label(idx: int) -> str:
 
 def _left_functional(dim: int, mats: dict[QuadInt, IntMat], vals, vector) -> dict | None:
     # simultaneous left eigenvector of the full operators, normalized to pair
-    # to 1 with vector
+    # to 1 with vector; None when their transposes share no eigenvector with
+    # these eigenvalues
     F = full_space(dim)
     for eta, mat in mats.items():
-        at = mat.sparse().transpose()
-        F = eigenspace(F.restrict(at), F, vals[eta])
+        F = eigenspace(F.restrict_ints(IntMat(mat.num.T, mat.den)), F, vals[eta])
         if F.dim == 0:
             return None
     for phi in F.basis:
@@ -292,7 +290,7 @@ def eigensystems(space: SymbolSpace, etas: list[QuadInt]) -> EigenTable:
     mats = {}
     for eta in order:
         mats[eta] = hecke_matrix(space, eta)
-        mat = cusp.restrict_ints(mats[eta]).sparse()
+        mat = cusp.restrict_ints(mats[eta])
         refined = []
         for vals, sub in pieces:
             eigs, residual = rational_eigensystem(mat, sub)

@@ -1,19 +1,20 @@
 """Exact linear algebra over the rationals.
 
-Vectors are dicts {index: Fraction} holding only the nonzero entries, and
-SparseMat keeps a list of such row dicts.  rref returns the unique reduced
-row echelon form of the row span with monic pivots, built incrementally on
+Vectors are dicts {index: Fraction} holding only the nonzero entries.  rref
+returns the unique reduced row echelon form of the span of a list of such
+row dicts (ints or Fractions) with monic pivots, built incrementally on
 primitive integer rows, so it does not depend on the order or scaling of
 the input rows; kernels, subspaces and eigenspaces built on it are
 canonical functions of their input.
 
-IntMat is a rational matrix as an int64 array over one denominator, the
-form the Hecke operators take: Subspace.restrict_ints restricts one to an
-invariant subspace, int_product multiplies two, and both refuse with
-InvariantError a product that could leave int64.  The eigen refinement
-works on SparseMat views of them; its characteristic polynomials come from
-charpoly on the integer matrix, whose rational roots integer_roots reads
-off as integers.
+IntMat is the one matrix type: a rational matrix as an int64 array over
+one denominator, the form the Hecke operators take.  Subspace.restrict_ints
+restricts one to an invariant subspace, int_product multiplies two, and
+both refuse with InvariantError a product that could leave int64.  The
+eigen refinement reduces a restriction to its lowest denominator D: charpoly
+on the integer matrix gives the characteristic polynomial, integer_roots
+reads its rational roots off as integers mu, and each eigenspace is the
+kernel of the integer rows of D times the restriction minus mu I.
 """
 
 from __future__ import annotations
@@ -27,31 +28,6 @@ import numpy as np
 from .quadints import InvariantError
 
 INT64_MAX = int(np.iinfo(np.int64).max)
-
-
-def vec_clean(v: dict) -> dict:
-    return {k: c for k, c in v.items() if c}
-
-
-def vec_add(u: dict, v: dict) -> dict:
-    out = dict(u)
-    for k, c in v.items():
-        s = out.get(k, 0) + c
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def vec_scale(v: dict, c) -> dict:
-    if not c:
-        return {}
-    return {k: x * c for k, x in v.items()}
-
-
-def vec_sub(u: dict, v: dict) -> dict:
-    return vec_add(u, vec_scale(v, -1))
 
 
 def vec_axpy(u: dict, c, v: dict) -> dict:
@@ -70,58 +46,6 @@ def vec_dot(u: dict, v: dict):
     if len(u) > len(v):
         u, v = v, u
     return sum((c * v[k] for k, c in u.items() if k in v), Fraction(0))
-
-
-class SparseMat:
-    """Row-major sparse matrix over Q: the views of IntMats that the eigen
-    refinement works on."""
-
-    def __init__(self, nrows: int, ncols: int, rows: list[dict] | None = None) -> None:
-        self.nrows = nrows
-        self.ncols = ncols
-        self.rows = [{} for _ in range(nrows)] if rows is None else rows
-
-    @classmethod
-    def identity(cls, n: int) -> SparseMat:
-        return cls(n, n, [{i: Fraction(1)} for i in range(n)])
-
-    def add_to(self, i: int, j: int, c) -> None:
-        row = self.rows[i]
-        s = row.get(j, 0) + c
-        if s:
-            row[j] = s
-        else:
-            row.pop(j, None)
-
-    def transpose(self) -> SparseMat:
-        rows = [{} for _ in range(self.ncols)]
-        for i, row in enumerate(self.rows):
-            for j, c in row.items():
-                rows[j][i] = c
-        return SparseMat(self.ncols, self.nrows, rows)
-
-    def matvec(self, v: dict) -> dict:
-        out = {}
-        for i, row in enumerate(self.rows):
-            s = vec_dot(row, v)
-            if s:
-                out[i] = s
-        return out
-
-    def __sub__(self, other: SparseMat) -> SparseMat:
-        assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
-        return SparseMat(self.nrows, self.ncols,
-                         [vec_sub(r, s) for r, s in zip(self.rows, other.rows)])
-
-    def scale(self, c) -> SparseMat:
-        return SparseMat(self.nrows, self.ncols, [vec_scale(r, c) for r in self.rows])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SparseMat):
-            return NotImplemented
-        return (self.nrows, self.ncols) == (other.nrows, other.ncols) and all(
-            vec_clean(r) == vec_clean(s) for r, s in zip(self.rows, other.rows)
-        )
 
 
 def absmax(a: np.ndarray) -> int:
@@ -177,8 +101,11 @@ class IntMat:
         self.num, self.den = num, den
 
     @classmethod
-    def from_sparse(cls, mat: SparseMat) -> IntMat:
-        return cls(*_int_rows(mat.rows, mat.ncols, "matrix"))
+    def from_columns(cls, cols: list[dict], nrows: int) -> IntMat:
+        """The matrix whose column j is the {row: rational} vector cols[j];
+        InvariantError when its numerators or denominator leave int64."""
+        rows, den = _int_rows(cols, nrows, "matrix")
+        return cls(rows.T, den)
 
     def _reduced(self) -> tuple[np.ndarray, int]:
         g = int(np.gcd.reduce(self.num, axis=None, initial=self.den))
@@ -190,12 +117,17 @@ class IntMat:
         (a, da), (b, db) = self._reduced(), other._reduced()
         return da == db and a.shape == b.shape and np.array_equal(a, b)
 
-    def sparse(self) -> SparseMat:
-        """The same matrix as a SparseMat of Fractions."""
+    def matvec(self, v: dict) -> dict:
+        """The product with a {column: rational} vector, as {row: Fraction}
+        holding the nonzero entries."""
         den = self.den
-        nrows, ncols = self.num.shape
-        return SparseMat(nrows, ncols, [{j: Fraction(v, den) for j, v in enumerate(row) if v}
-                                        for row in self.num.tolist()])
+        cols = list(v)
+        out = {}
+        for i, line in enumerate(self.num[:, cols].tolist()):
+            s = sum((a * c for a, c in zip(line, v.values()) if a), Fraction(0)) / den
+            if s:
+                out[i] = s
+        return out
 
     def to_json(self) -> dict:
         """{"rows", "cols", "entries"}, with [i, j, str(Fraction)] for each
@@ -277,11 +209,12 @@ def rref(rows: list[dict]) -> tuple[list[dict], dict[int, int]]:
     return out, {min(r): i for i, r in enumerate(out)}
 
 
-def kernel(mat: SparseMat) -> list[dict]:
-    """Canonical basis of the right kernel, echelonized over the free columns."""
-    rows, pivots = rref(mat.rows)
+def kernel(rows: list[dict], ncols: int) -> list[dict]:
+    """Canonical basis of the right kernel of the matrix with these row
+    dicts and ncols columns, echelonized over the free columns."""
+    rows, pivots = rref(rows)
     basis = []
-    for f in range(mat.ncols):
+    for f in range(ncols):
         if f in pivots:
             continue
         v = {f: Fraction(1)}
@@ -313,7 +246,7 @@ class Subspace:
 
     def coords(self, v: dict) -> dict | None:
         """Coordinates of v in the echelon basis, or None when v lies outside."""
-        r = vec_clean(dict(v))
+        r = {k: c for k, c in v.items() if c}
         out = {}
         for col, ri in self.pivots.items():
             c = r.get(col)
@@ -332,7 +265,8 @@ class Subspace:
         return basis, bden, sorted(self.pivots)
 
     def restrict_ints(self, mat: IntMat) -> IntMat:
-        """restrict on the int form of an operator.
+        """Matrix of an invariant operator in the echelon basis (columns =
+        images), over den * bden.
 
         V = mat.num @ B holds den * bden times the images of the basis, and,
         the basis being reduced echelon with monic pivots, C = V[pivots]
@@ -348,17 +282,6 @@ class Subspace:
         if not np.array_equal(images * bden, int_product(basis, coords)):
             raise ValueError("subspace is not invariant under the operator")
         return IntMat(coords, mat.den * bden)
-
-    def restrict(self, mat: SparseMat) -> SparseMat:
-        """Matrix of an invariant operator in the echelon basis (columns = images)."""
-        out = SparseMat(self.dim, self.dim)
-        for j, b in enumerate(self.basis):
-            co = self.coords(mat.matvec(b))
-            if co is None:
-                raise ValueError("subspace is not invariant under the operator")
-            for i, c in co.items():
-                out.add_to(i, j, c)
-        return out
 
 
 def charpoly(num: list[list[int]]) -> list[int]:
@@ -468,15 +391,26 @@ def full_space(n: int) -> Subspace:
     return Subspace(n, [{i: Fraction(1)} for i in range(n)])
 
 
-def eigenspace(restricted: SparseMat, sub: Subspace, val) -> Subspace:
+def eigenspace(restricted: IntMat, sub: Subspace, val) -> Subspace:
     """Eigenspace of val in ambient coordinates, given the operator already
-    restricted to the invariant subspace sub."""
-    shifted = restricted - SparseMat.identity(sub.dim).scale(val)
-    return Subspace(sub.ambient, [sub.lift(kv) for kv in kernel(shifted)])
+    restricted to the invariant subspace sub.
+
+    It is the kernel of the integer rows of num - mu I, mu = den * val.  When
+    mu is not an integer the space is empty: a rational eigenvalue of the
+    integer matrix num is an integer.
+    """
+    mu = val * restricted.den
+    if mu.denominator != 1:
+        return Subspace(sub.ambient, [])
+    rows = []
+    for i, line in enumerate(restricted.num.tolist()):
+        line[i] -= mu.numerator
+        rows.append({j: c for j, c in enumerate(line) if c})
+    return Subspace(sub.ambient, [sub.lift(kv) for kv in kernel(rows, sub.dim)])
 
 
 def rational_eigensystem(
-    mat: SparseMat, sub: Subspace | None = None
+    mat: IntMat, sub: Subspace | None = None
 ) -> tuple[list[tuple[Fraction, Subspace]], list[int]]:
     """Rational eigenvalues of mat on an invariant subspace, with eigenspaces.
 
@@ -484,20 +418,17 @@ def rational_eigensystem(
     characteristic polynomial is returned as primitive constant-first integer
     coefficients instead of being dropped.
 
-    The restriction r is scaled to the integer matrix D*r, D the common
-    denominator of its entries: the integer roots mu of its characteristic
-    polynomial give the eigenvalues mu / D, and its rootless cofactor q(y)
-    gives the residual as the primitive form of q(D x).
+    The restriction r (Subspace.restrict_ints) is reduced to num / D, D its
+    lowest denominator: the integer roots mu of the characteristic
+    polynomial of num give the eigenvalues mu / D, each eigenspace is the
+    kernel of num - mu I, and the rootless cofactor q(y) gives the residual
+    as the primitive form of q(D x).
     """
     if sub is None:
-        sub = full_space(mat.ncols)
-    r = sub.restrict(mat)
-    den = _ilcm(1, *(c.denominator for row in r.rows for c in row.values()))
-    num = [[0] * r.ncols for _ in range(r.nrows)]
-    for i, row in enumerate(r.rows):
-        for j, c in row.items():
-            num[i][j] = c.numerator * (den // c.denominator)
-    roots, cofactor = integer_roots(charpoly(num))
+        sub = full_space(mat.num.shape[1])
+    num, den = sub.restrict_ints(mat)._reduced()
+    r = IntMat(num, den)
+    roots, cofactor = integer_roots(charpoly(num.tolist()))
     residual = _primitive([c * den**k for k, c in enumerate(cofactor)])
     return [(val, eigenspace(r, sub, val))
             for val in (Fraction(mu, den) for mu, _ in roots)], residual

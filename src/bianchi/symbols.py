@@ -28,7 +28,7 @@ from math import lcm
 
 import numpy as np
 
-from .linalg import check_int64, rref, vec_axpy, vec_sub
+from .linalg import check_int64, rref, vec_axpy
 from .quadints import (
     Field,
     InvariantError,
@@ -712,7 +712,7 @@ def path_vector(space: SymbolSpace, cusp: tuple[QuadInt, QuadInt], poly=None) ->
 
 def modular_symbol_vec(space: SymbolSpace, alpha, beta, poly=None) -> dict:
     """Quotient image of the modular symbol from cusp alpha to cusp beta, times poly."""
-    return vec_sub(path_vector(space, beta, poly), path_vector(space, alpha, poly))
+    return vec_axpy(path_vector(space, beta, poly), -1, path_vector(space, alpha, poly))
 
 
 def cusp_count(space: SymbolSpace) -> int:

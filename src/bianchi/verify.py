@@ -420,7 +420,7 @@ def check_boundary_bridge(norm_bound: int = 13):
                     "labels": len(orbit_of), "cusps": cusp_count(space)}
         if fail is None:
             cusp = cuspidal_subspace(space)
-            labelled = Subspace(space.dim, kernel(boundary_matrix(space)[1]))
+            labelled = Subspace(space.dim, kernel(boundary_matrix(space)[1], space.dim))
             if (cusp.basis, cusp.pivots) != (labelled.basis, labelled.pivots):
                 fail = {"d": fld.d, "level": str(nu), "kernel": "differs"}
         if fail:
@@ -461,8 +461,7 @@ def check_coefficient_identity(d: int = REFERENCE_FORM[0], level: str = REFERENC
         for eta in _canonical_levels(fld, norm_bound):
             lhs = functional_slash(phi, heilbronn_family(eta, DEFAULT_TIE), x)
             # phi(T_alpha v) at every unit multiple, eta's own one included
-            ops = {u * eta: vec_dot(phi.coefficients,
-                                    heilbronn_action(space, u * eta).sparse().matvec(v))
+            ops = {u * eta: vec_dot(phi.coefficients, heilbronn_action(space, u * eta).matvec(v))
                    for u in fld.units}
             rhs = ops[eta]
             if lhs != rhs:

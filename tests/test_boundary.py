@@ -81,9 +81,9 @@ def test_boundary_kills_relations_weight4():
 
 def test_boundary_kernel_equals_cusp_orbit_kernel():
     for space in spaces():
-        _, lab_mat = boundary_matrix(space)
-        klab = Subspace(space.dim, kernel(lab_mat))
-        korbit = Subspace(space.dim, kernel(orbit_boundary_matrix(space)))
+        _, lab_rows = boundary_matrix(space)
+        klab = Subspace(space.dim, kernel(lab_rows, space.dim))
+        korbit = Subspace(space.dim, kernel(orbit_boundary_matrix(space), space.dim))
         assert klab.dim == korbit.dim
         assert all(klab.coords(v) is not None for v in korbit.basis)
         assert all(korbit.coords(v) is not None for v in klab.basis)
@@ -136,11 +136,11 @@ def test_boundary_matrix_memo_changes_nothing():
     # column must equal the column computed without it, at weights 2 and 4
     fld = Field.get(1)
     for space in list(spaces()) + [symbol_space(fld, fld.from_int(2), 4)]:
-        keys, mat = boundary_matrix(space)
+        keys, rows = boundary_matrix(space)
         kidx = {k: i for i, k in enumerate(keys)}
         for j, g in enumerate(space.free_gens):
             col = {kidx[k]: c for k, c in boundary_of_gen(space, g).items()}
-            assert {i: row[j] for i, row in enumerate(mat.rows) if j in row} == col
+            assert {i: row[j] for i, row in enumerate(rows) if j in row} == col
 
 
 @pytest.mark.parametrize("d", EUCLIDEAN_D)
@@ -153,7 +153,7 @@ def test_weight2_cuspidal_subspace_matches_labelled_kernel(d):
     for nu in levels:
         space = symbol_space(fld, nu)
         got = cuspidal_subspace(space)
-        want = Subspace(space.dim, kernel(boundary_matrix(space)[1]))
+        want = Subspace(space.dim, kernel(boundary_matrix(space)[1], space.dim))
         where = (d, str(nu))
         assert repr(got.basis) == repr(want.basis), where
         assert got.pivots == want.pivots, where

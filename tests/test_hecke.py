@@ -17,6 +17,7 @@ from bianchi.fourier import (
 from bianchi.heilbronn import heilbronn_family
 from bianchi.hecke import (
     HeckeOperator,
+    _left_functional,
     commute_check,
     coset_representatives,
     eigensystems,
@@ -27,14 +28,12 @@ from bianchi.hecke import (
 )
 from bianchi.linalg import (
     IntMat,
-    SparseMat,
     Subspace,
     absmax,
     charpoly,
     rational_eigensystem,
     vec_axpy,
     vec_dot,
-    vec_scale,
 )
 from bianchi.quadints import (
     Field,
@@ -48,8 +47,19 @@ from bianchi.quadints import (
     xgcd,
 )
 from bianchi.symbols import Mat2, lift_to_sl2, symbol_space
-from bianchi.verify import _coprime_etas, reference_form
-from test_linalg import Mat, charpoly_reference, int_rows, rational_eigensystem_reference
+from bianchi.verify import DEFAULT_COMMUTE_LEVELS, REFERENCE_FORM, _coprime_etas, reference_form
+from test_linalg import (
+    Mat,
+    RefSpace,
+    charpoly_reference,
+    full_reference,
+    int_rows,
+    kernel_reference,
+    lift_reference,
+    rational_eigensystem_reference,
+    restrict_reference,
+    vec_scale,
+)
 from test_symbols import act_point, slash_rows_reference, spaces
 
 ORACLE_CASES = [
@@ -78,7 +88,7 @@ def test_unit_eta_is_identity():
     for d, nt in [(1, "3"), (11, "w")]:
         fld = Field.get(d)
         sp = symbol_space(fld, parse_element(fld, nt))
-        assert hecke_matrix(sp, fld.one).sparse() == SparseMat.identity(sp.dim)
+        assert Mat.of_int(hecke_matrix(sp, fld.one)) == Mat.identity(sp.dim)
 
 
 def test_coprimality_enforced():
@@ -342,7 +352,7 @@ def test_tie_break_invariance_on_quotient():
             assert heilbronn_family(alpha, "low") != heilbronn_family(alpha, "high")
             coprime += gcd(alpha, sp.level).is_unit()
             want = heilbronn_action_reference(sp, alpha, "high")
-            assert heilbronn_action(sp, alpha).sparse() == want, (d, level, weight, text)
+            assert Mat.of_int(heilbronn_action(sp, alpha)) == want, (d, level, weight, text)
         assert 0 < coprime < len(etas)
     # the reference-level table, entry by entry, from "high" slash sums
     space, systems = reference_form()
@@ -400,7 +410,7 @@ def test_cuspidal_columns_contained():
     fld = Field.get(11)
     sp = symbol_space(fld, parse_element(fld, "1-2w"))
     cusp = cuspidal_subspace(sp)
-    mat = hecke_matrix(sp, parse_element(fld, "2")).sparse()
+    mat = hecke_matrix(sp, parse_element(fld, "2"))
     for b in cusp.basis:
         assert cusp.coords(mat.matvec(b)) is not None
 
@@ -436,7 +446,7 @@ def test_first_rational_eigensystem():
     v, phi = s.vector, s.functional
     assert vec_dot(phi, v) == 1
     for eta, a in s.eigenvalues.items():
-        mat = hecke_matrix(sp, eta).sparse()
+        mat = Mat.of_int(hecke_matrix(sp, eta))
         assert mat.matvec(v) == vec_scale(v, a)
         assert mat.transpose().matvec(phi) == vec_scale(phi, a)
 
@@ -468,6 +478,90 @@ def test_oldform_block_at_composite_level():
     assert s.eigenvalues == t_new.systems[0].eigenvalues
 
 
+def test_left_functional_is_none_off_the_integer_eigenvalues():
+    # T1 = diag(1, 2) and T2 = I / 2: the left eigenspace of T1 for 1 is the
+    # line of e0, where T2 restricts to 1/2 over the denominator 2, so 1/2 is
+    # its eigenvalue and 1/3 (2 * 1/3 not an integer) is none
+    t1 = IntMat(np.array([[1, 0], [0, 2]], dtype=np.int64), 1)
+    t2 = IntMat(np.array([[1, 0], [0, 1]], dtype=np.int64), 2)
+    mats = {"t1": t1, "t2": t2}
+    vector = {0: Fraction(3)}
+    assert _left_functional(2, mats, {"t1": 1, "t2": Fraction(1, 2)}, vector) == \
+        {0: Fraction(1, 3)}
+    assert _left_functional(2, mats, {"t1": 1, "t2": Fraction(1, 3)}, vector) is None
+    # an eigenvalue of neither operator, and one the first operator lacks
+    assert _left_functional(2, mats, {"t1": Fraction(1, 2), "t2": Fraction(1, 2)},
+                            vector) is None
+    assert _left_functional(2, mats, {"t1": 3, "t2": Fraction(1, 2)}, vector) is None
+    # the functional must pair to a nonzero value with the vector
+    assert _left_functional(2, mats, {"t1": 2, "t2": Fraction(1, 2)}, vector) is None
+
+
+def left_functional_reference(dim, mats, vals, vector):
+    # _left_functional on Fraction transposes, restrictions and kernels
+    space = full_reference(dim)
+    for eta, mat in mats.items():
+        r = restrict_reference(space, mat.transpose())
+        null = kernel_reference(r - Mat.identity(space.dim).scale(vals[eta]))
+        space = RefSpace(dim, [lift_reference(space, v) for v in null])
+        if space.dim == 0:
+            return None
+    for phi in space.basis:
+        c = vec_dot(phi, vector)
+        if c:
+            return {key: val / c for key, val in phi.items()}
+    return None
+
+
+def eigensystems_reference(space, etas):
+    # the refinement of eigensystems on the Fraction route: (eigenvalues,
+    # dim, vector, functional) per system in label order, and the residual
+    # factors; the operators and the cuspidal subspace are its inputs
+    order = sorted(set(etas), key=lambda e: e.sort_key())
+    cusp = cuspidal_subspace(space)
+    full = {eta: Mat.of_int(hecke_matrix(space, eta)) for eta in order}
+    pieces = [({}, full_reference(cusp.dim))] if cusp.dim else []
+    residuals = []
+    for eta in order:
+        restricted = restrict_reference(cusp, full[eta])
+        refined = []
+        for vals, sub in pieces:
+            eigs, residual = rational_eigensystem_reference(restricted, sub)
+            if len(residual) > 1:
+                residuals.append((eta, residual))
+            refined += [({**vals, eta: val}, RefSpace(cusp.dim, basis)) for val, basis in eigs]
+        pieces = refined
+    pieces.sort(key=lambda piece: tuple(piece[0][e] for e in order))
+    systems = []
+    for vals, sub in pieces:
+        vector = functional = None
+        if sub.dim == 1:
+            vector = lift_reference(cusp, sub.basis[0])
+            functional = left_functional_reference(space.dim, full, vals, vector)
+        systems.append((vals, sub.dim, vector, functional))
+    return systems, residuals
+
+
+# perfbench's survey runs eigen at these levels
+SURVEY_EIGEN_LEVELS = [(2, "5"), (7, "5"), (11, "1-2w"), (11, "4"), (11, "5")]
+
+
+EIGEN_PARITY_LEVELS = sorted(set(DEFAULT_COMMUTE_LEVELS) | {REFERENCE_FORM[:2]}
+                             | set(SURVEY_EIGEN_LEVELS))
+
+
+@pytest.mark.parametrize("d, level", EIGEN_PARITY_LEVELS)
+def test_eigensystems_match_fraction_route(d, level):
+    fld = Field.get(d)
+    sp = symbol_space(fld, parse_element(fld, level))
+    etas = _coprime_etas(fld, sp.level, REFERENCE_FORM[2])
+    table = eigensystems(sp, etas)
+    got = [(s.eigenvalues, s.dim, s.vector, s.functional) for s in table.systems]
+    assert (got, table.residual_factors) == eigensystems_reference(sp, etas)
+    if (d, level) == REFERENCE_FORM[:2]:
+        assert any(functional is not None for *_, functional in got)
+
+
 def test_irrational_residuals_reported():
     fld = Field.get(7)
     sp = symbol_space(fld, fld.from_int(5))
@@ -485,7 +579,7 @@ def heilbronn_action_reference(space, alpha, tie="low"):
     sub_rows = (None if space.weight == 2
                 else [slash_rows_reference(space, Mat2.from_row(space.field, m).adj())
                       for m in fam])
-    out = SparseMat(space.dim, space.dim)
+    out = Mat(space.dim, space.dim)
     for j, g in enumerate(space.free_gens):
         col: dict = {}
         if space.weight == 2:
@@ -534,7 +628,7 @@ def test_heilbronn_action_matches_fraction_loop(d, level, weight, etas):
         assert got.num.dtype == np.int64 and got.den == sp.qmap.den
         for tie in ("low", "high"):
             want = heilbronn_action_reference(sp, alpha, tie)
-            assert got.sparse() == want, (d, level, weight, text, tie)
+            assert Mat.of_int(got) == want, (d, level, weight, text, tie)
     # both the Hecke operators and the bare family sums are covered
     assert 0 < coprime < len(etas)
 
@@ -549,12 +643,12 @@ def test_heilbronn_action_on_a_zero_space(d, level, weight):
     for text in ("1", "2", "1+w"):
         got = heilbronn_action(sp, parse_element(fld, text))
         assert got.num.shape == (0, 0)
-        assert got.sparse() == heilbronn_action_reference(sp, parse_element(fld, text))
+        assert Mat.of_int(got) == heilbronn_action_reference(sp, parse_element(fld, text))
 
 
 def commute_check_reference(a, b):
     # the Fraction product comparison commute_check replaced
-    return all(Mat.of(x.sparse()) * y.sparse() == Mat.of(y.sparse()) * x.sparse()
+    return all(Mat.of_int(x) * Mat.of_int(y) == Mat.of_int(y) * Mat.of_int(x)
                for x, y in ((a.matrix, b.matrix), (a.cuspidal_matrix, b.cuspidal_matrix)))
 
 
@@ -571,9 +665,9 @@ def test_commute_check_agrees_with_fraction_products():
 def perturbed(op, i, j, c, cuspidal=False):
     # the operator with c added to one entry of its full or cuspidal matrix
     mats = [op.matrix, op.cuspidal_matrix]
-    m = mats[cuspidal].sparse()
+    m = Mat.of_int(mats[cuspidal])
     m.add_to(i, j, c)
-    mats[cuspidal] = IntMat.from_sparse(m)
+    mats[cuspidal] = m.to_int()
     return HeckeOperator(op.space, op.eta, *mats)
 
 
@@ -582,7 +676,7 @@ def test_commute_check_negative_control():
     fld = Field.get(11)
     sp = symbol_space(fld, parse_element(fld, "6"))
     a, b = (hecke_on_manin(sp, e) for e in first_etas(fld, sp.level, 2))
-    assert any(c.denominator == 2 for row in a.matrix.sparse().rows for c in row.values())
+    assert any(c.denominator == 2 for row in Mat.of_int(a.matrix).rows for c in row.values())
     assert a.matrix.den == 2
     # a third of an operator against halves still commutes
     third = HeckeOperator(sp, a.eta, IntMat(a.matrix.num, 3 * a.matrix.den),
@@ -624,8 +718,8 @@ def assert_int_layer_matches(sp, count=4, every_pair=True):
         op = hecke_on_manin(sp, eta)
         where = (sp.field.d, str(sp.level), sp.weight, str(eta))
         ref = heilbronn_action_reference(sp, eta)
-        assert op.matrix.sparse() == ref, where
-        assert op.cuspidal_matrix.sparse() == cusp.restrict(ref), where
+        assert Mat.of_int(op.matrix) == ref, where
+        assert Mat.of_int(op.cuspidal_matrix) == restrict_reference(cusp, ref), where
         ops.append(op)
     pairs = [(a, b) for a in ops for b in ops] if every_pair else [ops[:2]]
     for a, b in pairs:
@@ -657,13 +751,9 @@ def test_int_layer_refuses_a_non_invariant_subspace():
     mat = hecke_matrix(sp, fld.from_int(2))
     line = Subspace(sp.dim, [{0: Fraction(1), 1: Fraction(1, 3)}])
     with pytest.raises(ValueError):
-        line.restrict(mat.sparse())
+        restrict_reference(line, Mat.of_int(mat))
     with pytest.raises(ValueError):
         line.restrict_ints(mat)
-
-
-# perfbench's survey runs eigen at these levels
-SURVEY_EIGEN_LEVELS = [(2, "5"), (7, "5"), (11, "1-2w"), (11, "4"), (11, "5")]
 
 
 def charpoly_parity(sp, etas):
@@ -673,13 +763,13 @@ def charpoly_parity(sp, etas):
     assert cusp.dim > 0
     for eta in etas:
         restricted = cusp.restrict_ints(hecke_matrix(sp, eta))
-        mat = restricted.sparse()
+        mat = Mat.of_int(restricted)
         den, num = int_rows(mat)
         n = cusp.dim
         assert charpoly(num) == [c * den ** (n - k)
                                  for k, c in enumerate(charpoly_reference(mat))]
-        eigs, residual = rational_eigensystem(mat)
-        assert ([(val, es.dim) for val, es in eigs], residual) == \
+        eigs, residual = rational_eigensystem(restricted)
+        assert ([(val, es.basis) for val, es in eigs], residual) == \
             rational_eigensystem_reference(mat)
 
 
@@ -715,8 +805,7 @@ def test_int_range_checks_fire_under_python_O(run_optimized):
         "big = 2**62\n"
         "attempt('map entry', fresh(2)._quotient, [{0: 1, 1: -2**70}], [0, 1])\n"
         "attempt('map den', fresh(2)._quotient, [{0: 2**70, 1: 1}], [0, 1])\n"
-        "attempt('from_sparse', linalg.IntMat.from_sparse,\n"
-        "        linalg.SparseMat(1, 1, [{0: Fraction(1, 2**64)}]))\n"
+        "attempt('from_columns', linalg.IntMat.from_columns, [{0: Fraction(1, 2**64)}], 1)\n"
         "attempt('den', linalg.IntMat, np.zeros((1, 1), dtype=np.int64), 0)\n"
         "attempt('basis', lambda: linalg.Subspace(2, [{0: 1, 1: Fraction(1, 2**70)}]).int_basis)\n"
         "full = np.full((2, 2), big, dtype=np.int64)\n"
@@ -736,5 +825,5 @@ def test_int_range_checks_fire_under_python_O(run_optimized):
         "attempt('commute', hecke.commute_check, huge, a)\n"
     )
     assert [line.split(":")[0] for line in out] == [
-        "map entry", "map den", "from_sparse", "den", "basis", "product", "restrict",
+        "map entry", "map den", "from_columns", "den", "basis", "product", "restrict",
         "action 2", "action 4", "commute"], out

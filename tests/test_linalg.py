@@ -15,7 +15,6 @@ from hypothesis import example, given, strategies as st
 import bianchi.symbols
 from bianchi.linalg import (
     IntMat,
-    SparseMat,
     Subspace,
     _deflate,
     _primitive,
@@ -26,22 +25,57 @@ from bianchi.linalg import (
     poly_eval,
     rational_eigensystem,
     rref,
-    vec_add,
     vec_axpy,
-    vec_clean,
     vec_dot,
-    vec_scale,
 )
 from bianchi.quadints import Field, parse_element, rational_prime_factors
 
 
-class Mat(SparseMat):
-    """SparseMat with the products, sums and conversions that only the tests
-    and their Fraction references use."""
+def vec_clean(v):
+    return {k: c for k, c in v.items() if c}
+
+
+def vec_add(u, v):
+    out = dict(u)
+    for k, c in v.items():
+        s = out.get(k, 0) + c
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
+def vec_scale(v, c):
+    return {k: x * c for k, x in v.items()} if c else {}
+
+
+def vec_sub(u, v):
+    return vec_add(u, vec_scale(v, -1))
+
+
+class Mat:
+    """Row-major sparse matrix of Fractions: the independent form the tests
+    and their references compute with, converted to and from IntMat."""
+
+    def __init__(self, nrows, ncols, rows=None):
+        self.nrows = nrows
+        self.ncols = ncols
+        self.rows = [{} for _ in range(nrows)] if rows is None else rows
 
     @classmethod
-    def of(cls, m):
-        return cls(m.nrows, m.ncols, m.rows)
+    def identity(cls, n):
+        return cls(n, n, [{i: Fraction(1)} for i in range(n)])
+
+    @classmethod
+    def of_int(cls, im):
+        # the same matrix as an IntMat's num / den
+        nrows, ncols = im.num.shape
+        return cls(nrows, ncols, [{j: Fraction(v, im.den) for j, v in enumerate(row) if v}
+                                  for row in im.num.tolist()])
+
+    def to_int(self):
+        return IntMat.from_columns(self.transpose().rows, self.nrows)
 
     @classmethod
     def from_entries(cls, nrows, ncols, entries):
@@ -50,8 +84,31 @@ class Mat(SparseMat):
             m.add_to(i, j, c)
         return m
 
+    def add_to(self, i, j, c):
+        row = self.rows[i]
+        s = row.get(j, 0) + c
+        if s:
+            row[j] = s
+        else:
+            row.pop(j, None)
+
     def entry(self, i, j):
         return Fraction(self.rows[i].get(j, 0))
+
+    def transpose(self):
+        rows = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self.rows):
+            for j, c in row.items():
+                rows[j][i] = c
+        return Mat(self.ncols, self.nrows, rows)
+
+    def matvec(self, v):
+        out = {}
+        for i, row in enumerate(self.rows):
+            s = vec_dot(row, v)
+            if s:
+                out[i] = s
+        return out
 
     def __mul__(self, other):
         assert self.ncols == other.nrows
@@ -66,6 +123,20 @@ class Mat(SparseMat):
     def __add__(self, other):
         assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
         return Mat(self.nrows, self.ncols, [vec_add(r, s) for r, s in zip(self.rows, other.rows)])
+
+    def __sub__(self, other):
+        assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
+        return Mat(self.nrows, self.ncols, [vec_sub(r, s) for r, s in zip(self.rows, other.rows)])
+
+    def scale(self, c):
+        return Mat(self.nrows, self.ncols, [vec_scale(r, c) for r in self.rows])
+
+    def __eq__(self, other):
+        if not isinstance(other, Mat):
+            return NotImplemented
+        return (self.nrows, self.ncols) == (other.nrows, other.ncols) and all(
+            vec_clean(r) == vec_clean(s) for r, s in zip(self.rows, other.rows)
+        )
 
     def is_zero(self):
         return all(not vec_clean(r) for r in self.rows)
@@ -99,7 +170,7 @@ def random_mat(rng, nrows, ncols, density=0.5, lim=6):
 
 
 def to_sympy(m):
-    return sympy.Matrix([[sympy.Rational(c) for c in row] for row in Mat.of(m).to_dense()])
+    return sympy.Matrix([[sympy.Rational(c) for c in row] for row in m.to_dense()])
 
 
 def test_vector_ops():
@@ -135,9 +206,9 @@ def test_transpose_add_scale_trace():
     b = random_mat(rng, 5, 5)
     assert a.transpose().transpose() == a
     assert (a + b) - b == a
-    assert Mat.of(a.scale(Fraction(3))).to_dense() == [[3 * c for c in r] for r in a.to_dense()]
+    assert a.scale(Fraction(3)).to_dense() == [[3 * c for c in r] for r in a.to_dense()]
     assert a.trace() == sum(a.entry(i, i) for i in range(5))
-    assert Mat.of(a - a).is_zero()
+    assert (a - a).is_zero()
 
 
 def test_rref_matches_sympy():
@@ -221,11 +292,10 @@ def test_rref_matches_reference(rows):
 
 def test_rref_leaves_the_input_alone():
     rows = [{2: 1, 0: 2}, {0: Fraction(1, 2), 5: Fraction(3)}, {2: 0, 1: -1}]
-    mat = SparseMat(3, 6, rows)
-    before = snapshot(mat.rows)
-    kernel(mat)
-    Subspace(6, mat.rows)
-    assert snapshot(mat.rows) == before and mat.rows is rows
+    before = snapshot(rows)
+    kernel(rows, 6)
+    Subspace(6, rows)
+    assert snapshot(rows) == before
 
 
 @pytest.mark.parametrize("d, level, weight", [(7, "3+3w", 2), (11, "3-w", 4)])
@@ -279,7 +349,7 @@ def test_kernel_matches_sympy():
     rng = random.Random(13)
     for _ in range(25):
         m = random_mat(rng, rng.randint(1, 6), rng.randint(1, 7), density=0.4)
-        basis = kernel(m)
+        basis = kernel(m.rows, m.ncols)
         for v in basis:
             assert not m.matvec(v)
         null = to_sympy(m).nullspace()
@@ -293,8 +363,7 @@ def test_kernel_matches_sympy():
 
 def charpoly_reference(mat):
     # the Fraction trace recursion charpoly replaced: monic characteristic
-    # polynomial of a SparseMat, constant term first
-    mat = Mat.of(mat)
+    # polynomial of a Mat, constant term first
     n = mat.nrows
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
@@ -346,23 +415,77 @@ def rational_roots_reference(coeffs):
     return roots, _primitive(work)
 
 
+class RefSpace:
+    """A subspace of Q^n as the reduced echelon basis of rref_reference."""
+
+    def __init__(self, ambient, vectors):
+        self.ambient = ambient
+        self.basis, self.pivots = rref_reference(vectors)
+
+    @property
+    def dim(self):
+        return len(self.basis)
+
+
+def full_reference(n):
+    return RefSpace(n, [{i: Fraction(1)} for i in range(n)])
+
+
+def lift_reference(sub, coords):
+    # the ambient vector with these coordinates in the echelon basis of sub
+    out = {}
+    for i, c in coords.items():
+        out = vec_add(out, vec_scale(sub.basis[i], c))
+    return out
+
+
+def restrict_reference(sub, mat):
+    # the Fraction restriction Subspace.restrict_ints replaced: column j
+    # holds the coordinates of mat times basis vector j, read off at the
+    # monic pivots; ValueError when an image leaves the subspace.  sub is a
+    # RefSpace or a Subspace
+    out = Mat(sub.dim, sub.dim)
+    for j, b in enumerate(sub.basis):
+        image = mat.matvec(b)
+        co = {ri: image[col] for col, ri in sub.pivots.items() if col in image}
+        if vec_sub(image, lift_reference(sub, co)):
+            raise ValueError("subspace is not invariant under the operator")
+        for i, c in co.items():
+            out.add_to(i, j, c)
+    return out
+
+
+def kernel_reference(mat):
+    # right kernel of a Mat from rref_reference, one vector per free column
+    rows, pivots = rref_reference(mat.rows)
+    basis = []
+    for f in range(mat.ncols):
+        if f not in pivots:
+            v = {f: Fraction(1)}
+            for col, ri in pivots.items():
+                if f in rows[ri]:
+                    v[col] = -rows[ri][f]
+            basis.append(v)
+    return basis
+
+
 def rational_eigensystem_reference(mat, sub=None):
-    # (eigenvalue, eigenspace dim) pairs and the residual, from the Fraction
-    # charpoly and the p/q root search
-    sub = full_space(mat.ncols) if sub is None else sub
-    r = sub.restrict(mat)
+    # (eigenvalue, eigenspace basis) pairs and the residual, from the
+    # Fraction restriction, charpoly, p/q root search and kernels; each basis
+    # is the reduced echelon basis in ambient coordinates
+    sub = full_reference(mat.ncols) if sub is None else sub
+    r = restrict_reference(sub, mat)
     roots, residual = rational_roots_reference(charpoly_reference(r))
-    return [(val, eigenspace_dim(r, val)) for val, _ in roots], residual
-
-
-def eigenspace_dim(r, val):
-    return len(kernel(r - SparseMat.identity(r.nrows).scale(val)))
+    eigs = []
+    for val, _ in roots:
+        null = kernel_reference(r - Mat.identity(r.nrows).scale(val))
+        eigs.append((val, RefSpace(sub.ambient, [lift_reference(sub, v) for v in null]).basis))
+    return eigs, residual
 
 
 def int_rows(m):
     # D and the int matrix D*m, D the least common denominator
     den = math.lcm(1, *(c.denominator for row in m.rows for c in row.values()))
-    m = Mat.of(m)
     return den, [[int(m.entry(i, j) * den) for j in range(m.ncols)] for i in range(m.nrows)]
 
 
@@ -381,7 +504,7 @@ def test_charpoly_matches_sympy():
             got = charpoly(num)
             assert all(type(c) is int for c in got)
             assert got == [c * den ** (n - k) for k, c in enumerate(ref)]
-    assert charpoly([]) == [1] and charpoly_reference(SparseMat(0, 0)) == [Fraction(1)]
+    assert charpoly([]) == [1] and charpoly_reference(Mat(0, 0)) == [Fraction(1)]
 
 
 def test_subspace_coords_and_restrict():
@@ -393,11 +516,14 @@ def test_subspace_coords_and_restrict():
     assert co == {0: Fraction(5), 1: Fraction(-7)}
     assert s.coords({2: Fraction(1)}) is None
     diag = Mat.from_entries(3, 3, [(0, 0, 1), (1, 1, 2), (2, 2, 3)])
-    r = s.restrict(diag)
-    assert Mat.of(r).to_dense() == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]]
+    r = s.restrict_ints(diag.to_int())
+    assert Mat.of_int(r).to_dense() == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]]
+    assert Mat.of_int(r) == restrict_reference(s, diag)
     bad = Mat.from_entries(3, 3, [(2, 0, 1)])
     with pytest.raises(ValueError):
-        s.restrict(bad)
+        s.restrict_ints(bad.to_int())
+    with pytest.raises(ValueError):
+        restrict_reference(s, bad)
 
 
 def test_rational_roots_pin():
@@ -502,9 +628,15 @@ def test_rational_eigensystem_matches_fraction_route():
                 for i in range(n):
                     for j in range(i + 1, n):
                         m.rows[i].pop(j, None)
-            eigs, residual = rational_eigensystem(m)
-            assert ([(val, es.dim) for val, es in eigs], residual) == \
+            eigs, residual = rational_eigensystem(m.to_int())
+            assert ([(val, es.basis) for val, es in eigs], residual) == \
                 rational_eigensystem_reference(m)
+            # and on the subspace spanned by the first eigenspace
+            if eigs and 0 < eigs[0][1].dim < n:
+                sub = eigs[0][1]
+                got, residual = rational_eigensystem(m.to_int(), sub)
+                assert ([(val, es.basis) for val, es in got], residual) == \
+                    rational_eigensystem_reference(m, sub)
 
 
 def test_sparsemat_json_roundtrip():
@@ -520,10 +652,14 @@ def test_intmat_views_match_fraction_matrices():
     rng = random.Random(17)
     for _ in range(40):
         m = random_mat(rng, rng.randint(0, 5), rng.randint(0, 5), density=0.5)
-        im = IntMat.from_sparse(m)
+        im = m.to_int()
         assert im.num.dtype == np.int64 and not im.num.flags.writeable
-        assert im.sparse() == m
+        assert Mat.of_int(im) == m
         assert im.to_json() == m.to_json()
+        v = {j: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for j in range(m.ncols)
+             if rng.random() < 0.7}
+        got = im.matvec(v)
+        assert got == m.matvec(v) and all(type(c) is Fraction for c in got.values())
         k = rng.randint(2, 9)
         scaled = IntMat(im.num * k, im.den * k)
         assert scaled == im and scaled.to_json() == m.to_json()
@@ -538,7 +674,7 @@ def test_intmat_views_match_fraction_matrices():
 
 def test_rational_eigensystem_rotation_has_no_rational_part():
     rot = Mat.from_entries(2, 2, [(0, 1, Fraction(-1)), (1, 0, Fraction(1))])
-    eigs, residual = rational_eigensystem(rot)
+    eigs, residual = rational_eigensystem(rot.to_int())
     assert eigs == []
     assert residual == [1, 0, 1]
 
@@ -546,7 +682,7 @@ def test_rational_eigensystem_rotation_has_no_rational_part():
 def test_rational_eigensystem_defective_block():
     # [[2, 1], [0, 2]]: eigenvalue 2 with a one-dimensional eigenspace
     m = Mat.from_entries(2, 2, [(0, 0, 2), (0, 1, 1), (1, 1, 2)])
-    eigs, residual = rational_eigensystem(m)
+    eigs, residual = rational_eigensystem(m.to_int())
     assert residual == [1]
     assert len(eigs) == 1
     val, es = eigs[0]
@@ -558,7 +694,7 @@ def test_rational_eigensystem_defective_block():
 def test_rational_eigensystem_respects_subspace():
     m = Mat.from_entries(3, 3, [(0, 0, 1), (1, 1, 5), (2, 2, 5)])
     sub = Subspace(3, [{1: Fraction(1)}, {2: Fraction(1)}])
-    eigs, residual = rational_eigensystem(m, sub)
+    eigs, residual = rational_eigensystem(m.to_int(), sub)
     assert residual == [1]
     assert [(val, es.dim) for val, es in eigs] == [(Fraction(5), 2)]
     _, es = eigs[0]
@@ -570,7 +706,7 @@ def test_rational_eigensystem_random_against_sympy():
     rng = random.Random(21)
     for _ in range(6):
         m = random_mat(rng, 4, 4, density=0.6, lim=3)
-        eigs, _ = rational_eigensystem(m)
+        eigs, _ = rational_eigensystem(m.to_int())
         sym = to_sympy(m).eigenvects()
         expected = {}
         for val, _mult, vects in sym:

@@ -9,7 +9,6 @@ import bianchi
 # other invariant raises (InvariantError for the load-bearing ones)
 ASSERT_ALLOWED = {
     "boundary.cusp_label",
-    "linalg.SparseMat.__sub__",
 }
 
 # the generator layout is one formula at every weight (SymbolSpace.generator

@@ -11,7 +11,7 @@ from hypothesis import example, given, strategies as st
 from bianchi.cli import main
 from bianchi.fourier import _unit_twist
 from bianchi.heilbronn import heilbronn_family
-from bianchi.linalg import rref, vec_add, vec_axpy, vec_sub
+from bianchi.linalg import rref, vec_axpy
 from bianchi.quadints import (
     EUCLIDEAN_D,
     Field,
@@ -39,6 +39,7 @@ from bianchi.symbols import (
     _distinct_rows,
     _orbit_roots,
 )
+from test_linalg import vec_add, vec_sub
 
 FIELDS = [Field.get(d) for d in EUCLIDEAN_D]
 
