@@ -65,7 +65,7 @@ def boundary_of_gen(space: SymbolSpace, gen: int, classes: dict | None = None) -
     fld = space.field
     nu = space.level
     poly, pt = space.generator(gen)
-    u, v = space.points[pt]
+    u, v = space.point(pt)
     # P(1, 0) and P(0, 1): the coefficients of X^(k-2) and of Y^(k-2)
     c_inf = poly.get(space.weight - 2, fld.zero)
     c_zero = poly.get(0, fld.zero)

@@ -28,11 +28,11 @@ from .fourier import (
     fourier_coefficients,
     seed_from_vector,
 )
-from .hecke import commute_check, eigensystems, hecke_on_manin, hecke_oracle
+from .hecke import check_eta, commute_check, eigensystems, hecke_operators, hecke_oracle
 from .heilbronn import family_divisors, heilbronn_classes, heilbronn_family, telescoping_ok
 from .linalg import rational_eigensystem
-from .quadints import Field, InvariantError, QuadInt, gcd, parse_element
-from .symbols import Mat2, cusp_count, symbol_space
+from .quadints import Field, InvariantError, QuadInt, coprime, parse_element
+from .symbols import Mat2, check_point_count, cusp_count, symbol_space
 
 _LEVEL_SPEC = re.compile(r"^d=(\d+),n=(.+)$")
 
@@ -60,6 +60,10 @@ def _field_and_level(d: int | None, level: str) -> tuple[Field, QuadInt]:
         raise click.UsageError(f"--level {level!r}: {exc}")
     if nu.is_zero():
         raise click.UsageError(f"--level {level!r}: must be nonzero")
+    try:
+        check_point_count(fld, nu)
+    except ValueError as exc:
+        raise click.UsageError(f"--level {level!r}: {exc}")
     return fld, nu
 
 
@@ -148,11 +152,11 @@ def space(d, level, weight, full, out, json_indent):
         sp = symbol_space(fld, nu, weight)
     except ValueError as exc:
         raise click.UsageError(f"--weight {weight}: {exc}")
-    npts = len(sp.points)
+    npts = sp.npts
     gens = []
     for g in sp.free_gens:
         comp, pt = divmod(g, npts)
-        u, v = sp.points[pt]
+        u, v = sp.point(pt)
         gens.append({"index": g, "point": [str(u), str(v)], "component": comp})
     payload = {
         "d": fld.d,
@@ -222,9 +226,18 @@ def hecke(ctx, d, level, eta_text, weight, oracle, others, out, json_indent):
     eta = _element(fld, eta_text, "--eta")
     try:
         sp = symbol_space(fld, nu, weight)
-        op = hecke_on_manin(sp, eta)
+        check_eta(sp, eta)
     except ValueError as exc:
         raise click.UsageError(str(exc))
+    etas = [eta]
+    for text in others:
+        other = _element(fld, text, "--commute-with")
+        try:
+            check_eta(sp, other)
+        except ValueError as exc:
+            raise click.UsageError(f"--commute-with {text!r}: {exc}")
+        etas.append(other)
+    op, *rest = hecke_operators(sp, etas)
     cusp = cuspidal_subspace(sp)
     eigs, residual = rational_eigensystem(op.cuspidal_matrix)
     payload = {
@@ -246,14 +259,7 @@ def hecke(ctx, d, level, eta_text, weight, oracle, others, out, json_indent):
         payload["oracle_agrees"] = agrees
         failed = failed or not agrees
     if others:
-        report = {}
-        for text in others:
-            other = _element(fld, text, "--commute-with")
-            try:
-                op2 = hecke_on_manin(sp, other)
-            except ValueError as exc:
-                raise click.UsageError(f"--commute-with {text!r}: {exc}")
-            report[str(other)] = commute_check(op, op2)
+        report = {str(other.eta): commute_check(op, other) for other in rest}
         payload["commutes"] = report
         failed = failed or not all(report.values())
     _emit(payload, out, json_indent)
@@ -266,7 +272,7 @@ def _eta_list(fld: Field, nu: QuadInt, texts: tuple[str, ...], count: int) -> li
     if texts:
         etas = [_element(fld, t, "--eta") for t in texts]
         for e in etas:
-            if e.is_zero() or not gcd(e, nu).is_unit():
+            if e.is_zero() or not coprime(e, nu):
                 raise click.UsageError(f"--eta {e}: must be nonzero and coprime to the level")
             try:
                 family_divisors([e])

@@ -3,16 +3,19 @@
 The production action pushes a Heilbronn family of determinant eta through
 the generators: [P, (u, v)] goes to the sum of [P(aX+bY, cX+dY), (u, v)M]
 over family members M with unimodular image pair.  It runs on int64
-arrays: one SymbolSpace.act_points call moves every free generator's point
-through the whole family, and the operator is a gather of the space's
-quotient map (SymbolSpace.qmap) at those images, summed over the family
-(weighted by the integer slash coefficients at weight k).  An operator is
-a linalg.IntMat, an int64 array over the map's denominator; its cuspidal
-restriction, the commutation check, its JSON and the eigen refinement
-(eigenvalues, eigenvectors and left functionals) all run on those ints.
-An oracle recomputes the operator as a sum over Hermite-form coset
-representatives of the determinant-eta congruence matrices, acting on cusp
-paths; the tests check those cosets against a brute-force search.
+arrays, a batch of operators at a time: heilbronn_actions moves every free
+generator's point through every family of the batch in one
+SymbolSpace.act_points call, and each operator is a gather of the space's
+quotient map (SymbolSpace.qmap) at its family's images, summed over the
+family (weighted by the integer slash coefficients at weight k).  A
+command builds every operator it needs in one batch (hecke_operators,
+eigensystems); heilbronn_action and hecke_on_manin are batches of one.  An
+operator is a linalg.IntMat, an int64 array over the map's denominator; its
+cuspidal restriction, the commutation check, its JSON and the eigen
+refinement (eigenvalues, eigenvectors and left functionals) all run on
+those ints.  An oracle recomputes the operator as a sum over Hermite-form
+coset representatives of the determinant-eta congruence matrices, acting
+on cusp paths; the tests check those cosets against a brute-force search.
 Agreement of the two matrices is the correctness certificate for this
 layer.
 
@@ -21,7 +24,8 @@ Heilbronn family that satisfies Merel's condition gives the same matrix on
 the symbol quotient, and the telescoping certificate checks that condition
 for every family, so the Euclidean tie rule that picks one family belongs
 to the heilbronn module and is no parameter here.  Nothing is memoised: a
-caller that needs an operator twice keeps the matrix it built.
+caller that needs an operator twice keeps the matrix it built, and a
+caller that needs several asks for them in one batch.
 
 Rational eigensystem extraction refines the cuspidal subspace through the
 operators in order of increasing norm, reporting irrational characteristic
@@ -53,6 +57,7 @@ from .quadints import (
     Field,
     InvariantError,
     QuadInt,
+    coprime,
     divides,
     divisors_up_to_units,
     exact_div,
@@ -70,8 +75,8 @@ from .symbols import (
 )
 
 
-def heilbronn_action(space: SymbolSpace, alpha: QuadInt) -> IntMat:
-    """Quotient matrix of the family sum of determinant alpha.
+def heilbronn_actions(space: SymbolSpace, alphas: list[QuadInt]) -> list[IntMat]:
+    """Quotient matrix of the family sum of each determinant in alphas.
 
     For alpha coprime to the level this is the Hecke operator.  With no
     coprimality restriction, phi(M v) is the operator side of the
@@ -82,51 +87,79 @@ def heilbronn_action(space: SymbolSpace, alpha: QuadInt) -> IntMat:
     the family of heilbronn.DEFAULT_TIE is used.
 
     One SymbolSpace.act_points call moves every free generator's point
-    through the family's int rows, and column j, the image of free
-    generator j, is the sum over the family of the quotient map's gather
-    at its images: at weight 2 the point itself, at weight k each component
-    cj of the slash by the member's adjugate, weighted by its integer
-    coefficient, one component at a time.  The sums stay on int64 over the
-    map's denominator; InvariantError when one could leave it.
+    through the int rows of every family of the batch.  Column j of an
+    operator, the image of free generator j, is the sum over its family of
+    the quotient map's gather at the images: at weight 2 the point itself,
+    at weight k each component cj of the slash by the member's adjugate,
+    weighted by its integer coefficient, one component at a time.  The
+    gathers go family by family, so the largest array is one family's, as
+    for a batch of one.  The sums stay on int64 over the map's denominator;
+    InvariantError when one family's could leave it.
     """
-    fam = heilbronn_family(alpha, DEFAULT_TIE)
+    if not alphas:
+        return []
+    fams = [heilbronn_family(alpha, DEFAULT_TIE) for alpha in alphas]
+    sizes = [len(fam) for fam in fams]
+    starts = np.cumsum([0, *sizes[:-1]])
+    members = [row for fam in fams for row in fam]
     qmap = space.qmap
-    npts = len(space.points)
+    npts = space.npts
     gens = np.asarray(space.free_gens, dtype=np.int64)
-    images = space.act_points(gens % npts, fam)
-    reach = absmax(qmap.matrix) * len(fam)
+    images = space.act_points(gens % npts, members)
+    entry = absmax(qmap.matrix)
     if space.weight == 2:
-        if reach > INT64_MAX:
-            raise InvariantError(f"{len(fam)} family rows overflow int64 on the quotient map "
-                                 f"(d={space.field.d}, eta={alpha})")
-        cols = qmap.gather(images).sum(axis=1)
+        for alpha, size in zip(alphas, sizes):
+            if entry * size > INT64_MAX:
+                raise InvariantError(f"{size} family rows overflow int64 on the quotient map "
+                                     f"(d={space.field.d}, eta={alpha})")
+        cols = [qmap.gather(images[:, start:start + size]).sum(axis=1)
+                for start, size in zip(starts, sizes)]
     else:
         # coeffs[m, c, cj]: the coefficient of component cj in the slash of
         # component c by the adjugate (d, -b, -c, a) of member m, which is
         # P -> P(aX+bY, cX+dY)
         ncomp = 2 * (space.weight - 1)
-        coeffs = np.zeros((len(fam), ncomp, ncomp), dtype=np.int64)
-        for m, (aa, ab, ba, bb, ca, cb, da, db) in enumerate(fam):
+        coeffs = np.zeros((len(members), ncomp, ncomp), dtype=np.int64)
+        for m, (aa, ab, ba, bb, ca, cb, da, db) in enumerate(members):
             for c, line in enumerate(space.slash_rows((da, db, -ba, -bb, -ca, -cb, aa, ab))):
                 for cj, cv in line.items():
                     coeffs[m, c, cj] = cv
-        if reach * ncomp * absmax(coeffs) > INT64_MAX:
-            raise InvariantError(f"slash coefficients over {len(fam)} family rows overflow "
-                                 f"int64 on the quotient map (d={space.field.d}, eta={alpha})")
+        for alpha, start, size in zip(alphas, starts, sizes):
+            if entry * size * ncomp * absmax(coeffs[start:start + size]) > INT64_MAX:
+                raise InvariantError(f"slash coefficients over {size} family rows overflow "
+                                     f"int64 on the quotient map (d={space.field.d}, "
+                                     f"eta={alpha})")
         comps = gens // npts
-        cols = np.zeros((len(gens), space.dim), dtype=np.int64)
-        for cj in range(ncomp):
-            weights = coeffs[:, comps, cj].T
-            keys = np.where(images >= 0, cj * npts + images, -1)
-            cols += (weights[..., None] * qmap.gather(keys)).sum(axis=1)
-    return IntMat(np.ascontiguousarray(cols.T), qmap.den)
+        cols = []
+        for start, size in zip(starts, sizes):
+            moved = images[:, start:start + size]
+            col = np.zeros((len(gens), space.dim), dtype=np.int64)
+            for cj in range(ncomp):
+                weights = coeffs[start:start + size, comps, cj].T
+                keys = np.where(moved >= 0, cj * npts + moved, -1)
+                col += (weights[..., None] * qmap.gather(keys)).sum(axis=1)
+            cols.append(col)
+    return [IntMat(np.ascontiguousarray(col.T), qmap.den) for col in cols]
+
+
+def heilbronn_action(space: SymbolSpace, alpha: QuadInt) -> IntMat:
+    """heilbronn_actions for one determinant."""
+    return heilbronn_actions(space, [alpha])[0]
+
+
+def check_eta(space: SymbolSpace, eta: QuadInt) -> None:
+    """ValueError unless eta gives a Hecke operator on the space: eta must be
+    nonzero and coprime to the level, and its family within START_LIMIT
+    (heilbronn_family builds it, and keeps it for the operator)."""
+    if eta.is_zero():
+        raise ValueError("eta must be nonzero")
+    if not coprime(eta, space.level):
+        raise ValueError("eta must be coprime to the level")
+    heilbronn_family(eta, DEFAULT_TIE)
 
 
 def hecke_matrix(space: SymbolSpace, eta: QuadInt) -> IntMat:
-    if eta.is_zero():
-        raise ValueError("eta must be nonzero")
-    if not gcd(eta, space.level).is_unit():
-        raise ValueError("eta must be coprime to the level")
+    check_eta(space, eta)
     return heilbronn_action(space, eta)
 
 
@@ -138,15 +171,23 @@ class HeckeOperator:
     cuspidal_matrix: IntMat
 
 
-def hecke_on_manin(space: SymbolSpace, eta: QuadInt) -> HeckeOperator:
-    """The Hecke operator at eta, with its cuspidal restriction.
+def hecke_operators(space: SymbolSpace, etas: list[QuadInt]) -> list[HeckeOperator]:
+    """The Hecke operator at each eta, with its cuspidal restriction, from
+    one heilbronn_actions batch; every eta is checked first, in order.
 
     The restriction step doubles as an invariance certificate: it raises
     when a column leaves the cuspidal subspace.
     """
-    mat = hecke_matrix(space, eta)
+    for eta in etas:
+        check_eta(space, eta)
     cusp = cuspidal_subspace(space)
-    return HeckeOperator(space, eta, mat, cusp.restrict_ints(mat))
+    return [HeckeOperator(space, eta, mat, cusp.restrict_ints(mat))
+            for eta, mat in zip(etas, heilbronn_actions(space, etas))]
+
+
+def hecke_on_manin(space: SymbolSpace, eta: QuadInt) -> HeckeOperator:
+    """hecke_operators for one eta."""
+    return hecke_operators(space, [eta])[0]
 
 
 def commute_check(a: HeckeOperator, b: HeckeOperator) -> bool:
@@ -213,7 +254,7 @@ def hecke_oracle(space: SymbolSpace, eta: QuadInt) -> HeckeOperator:
     cols = []
     for gidx in space.free_gens:
         poly, p = space.generator(gidx)
-        g = lift_to_sl2(fld, space.level, *space.points[p])
+        g = lift_to_sl2(fld, space.level, *space.point(p))
         base = slash_poly(poly, g, space.weight)
         col: dict = {}
         for r in reps:
@@ -278,7 +319,7 @@ def eigensystems(space: SymbolSpace, etas: list[QuadInt]) -> EigenTable:
     """
     order = []
     for eta in sorted(etas, key=lambda e: e.sort_key()):
-        if eta.is_zero() or not gcd(eta, space.level).is_unit():
+        if eta.is_zero() or not coprime(eta, space.level):
             raise ValueError("eta must be nonzero and coprime to the level")
         if eta not in order:
             order.append(eta)
@@ -287,9 +328,8 @@ def eigensystems(space: SymbolSpace, etas: list[QuadInt]) -> EigenTable:
     if cusp.dim == 0:
         return table
     pieces: list[tuple[dict, Subspace]] = [({}, full_space(cusp.dim))]
-    mats = {}
+    mats = dict(zip(order, heilbronn_actions(space, order)))
     for eta in order:
-        mats[eta] = hecke_matrix(space, eta)
         mat = cusp.restrict_ints(mats[eta])
         refined = []
         for vals, sub in pieces:

@@ -3,9 +3,10 @@
 Vectors are dicts {index: Fraction} holding only the nonzero entries.  rref
 returns the unique reduced row echelon form of the span of a list of such
 row dicts (ints or Fractions) with monic pivots, built incrementally on
-primitive integer rows, so it does not depend on the order or scaling of
-the input rows; kernels, subspaces and eigenspaces built on it are
-canonical functions of their input.
+primitive integer rows by rref_ints (which the symbol builds read
+directly), so it does not depend on the order or scaling of the input rows;
+kernels, subspaces and eigenspaces built on it are canonical functions of
+their input.
 
 IntMat is the one matrix type: a rational matrix as an int64 array over
 one denominator, the form the Hecke operators take.  Subspace.restrict_ints
@@ -163,20 +164,19 @@ def _eliminate(row: dict[int, int], col: int, prow: dict[int, int]) -> dict[int,
     return row if g == 1 else {k: c // g for k, c in row.items()}
 
 
-def rref(rows: list[dict]) -> tuple[list[dict], dict[int, int]]:
-    """Reduced row echelon form of a list of row dicts.
+def rref_ints(rows: list[dict]) -> dict[int, dict[int, int]]:
+    """The reduced echelon form of rref on primitive integer rows.
 
-    Returns (out_rows, pivots): the unique reduced echelon basis of the row
-    span, with monic pivots and Fraction entries, each row's keys ascending,
-    out_rows ordered by pivot column and pivots mapping pivot column -> row
-    index.  The result depends only on the span, not on the order or scale
-    of the input rows, which may hold ints or Fractions and are not modified.
+    Returns {pivot column: row}: each row is a dict of coprime ints with a
+    positive entry at its pivot column and none at the other pivot columns,
+    and rref's row at that pivot is it divided by that entry.  The rows may
+    hold ints or Fractions and are not modified.
 
-    The form is kept incrementally on primitive integer rows.  An incoming
-    row is cleared at the existing pivot columns; one pass suffices because
-    the stored rows are reduced against each other.  A nonzero remainder
-    becomes a new pivot at its leading column, which is then cleared from
-    the stored rows found through a column -> pivot columns index.
+    The form is kept incrementally.  An incoming row is cleared at the
+    existing pivot columns; one pass suffices because the stored rows are
+    reduced against each other.  A nonzero remainder becomes a new pivot at
+    its leading column, which is then cleared from the stored rows found
+    through a column -> pivot columns index.
     """
     piv: dict[int, dict[int, int]] = {}
     # column -> pivot columns whose stored row held it (entries may be stale)
@@ -201,6 +201,20 @@ def rref(rows: list[dict]) -> tuple[list[dict], dict[int, int]]:
         for k in row:
             if k != lead:
                 users.setdefault(k, set()).add(lead)
+    return piv
+
+
+def rref(rows: list[dict]) -> tuple[list[dict], dict[int, int]]:
+    """Reduced row echelon form of a list of row dicts.
+
+    Returns (out_rows, pivots): the unique reduced echelon basis of the row
+    span, with monic pivots and Fraction entries, each row's keys ascending,
+    out_rows ordered by pivot column and pivots mapping pivot column -> row
+    index.  The result depends only on the span, not on the order or scale
+    of the input rows, which may hold ints or Fractions and are not modified.
+    The rows are rref_ints' rows over their pivot entries.
+    """
+    piv = rref_ints(rows)
     out = []
     for col in sorted(piv):
         prow = piv[col]
@@ -271,8 +285,11 @@ class Subspace:
         V = mat.num @ B holds den * bden times the images of the basis, and,
         the basis being reduced echelon with monic pivots, C = V[pivots]
         holds their coordinates; the subspace is invariant exactly when
-        V * bden == B @ C.
+        V * bden == B @ C.  The echelon basis of the whole space is the
+        identity, so there the restriction is mat itself.
         """
+        if self.dim == self.ambient == mat.num.shape[1]:
+            return mat
         basis, bden, cols = self.int_basis
         images = int_product(mat.num, basis)
         coords = images[cols]

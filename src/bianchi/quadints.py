@@ -21,6 +21,7 @@ __all__ = [
     "QuadInt",
     "canonical_associate",
     "canonical_elements_of_norm",
+    "coprime",
     "divide_ints",
     "divides",
     "divisors_up_to_units",
@@ -285,6 +286,12 @@ def xgcd(a: QuadInt, b: QuadInt) -> tuple[QuadInt, QuadInt, QuadInt]:
 
 def gcd(a: QuadInt, b: QuadInt) -> QuadInt:
     return xgcd(a, b)[0]
+
+
+def coprime(a: QuadInt, b: QuadInt) -> bool:
+    """gcd(a, b) is a unit.  A prime dividing both has a norm dividing both
+    norms, so coprime norms decide it without the Euclidean gcd."""
+    return math.gcd(a.norm(), b.norm()) == 1 or gcd(a, b).is_unit()
 
 
 def inverse_mod(x: QuadInt, delta: QuadInt) -> QuadInt:

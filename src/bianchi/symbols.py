@@ -1,22 +1,28 @@
 """Weight-k modular symbol spaces for the Euclidean Bianchi groups.
 
 Generators are unimodular pairs (u, v) mod the level, found by a sieve over
-the primes of the level.  The space is cut out by the edge relations of the
-tessellation of hyperbolic 3-space: the two-term S and J identifications,
-the universal triangle relation, and one extra polygon relation per field
-(none for d = 3, a triangle for d = 1, squares for d = 2 and 7, a hexagon
-for d = 11).  Points are moved by matrices, given as 8-int rows (Mat2.row),
-as plain-int Hermite-box codes in one kernel, SymbolSpace.act_points: the
-builds, the Hecke operators and the Fourier layer move many points through
-many rows in one call and work on the int arrays it returns.  A build
-moves every point once, through the relation words, J and the moves of
-the cusp-orbit pass together.  The two-term relations say e_(i*g) = +-e_i
-for g in the group generated by S and J, so their classes are the orbits
-of that group, found with the cusp orbits by one numpy kernel,
-_orbit_roots; the rest become integer rows (at weight 2 with repeats up to
-sign dropped) for the sparse row reduction in linalg.rref.  The quotient
-map the reduction gives is one int64 matrix over one denominator, a
-QuotientMap, which the Hecke operators read by gathers.
+the primes of the level on int arrays of Hermite-box codes; a space keeps
+its points as those arrays and builds QuadInt pairs only where a caller
+reads them.  A level with more than POINT_LIMIT points is refused from the
+point-count formula before any point work.  The space is cut out by the
+edge relations of the tessellation of hyperbolic 3-space: the two-term S
+and J identifications, the universal triangle relation, and one extra
+polygon relation per field (none for d = 3, a triangle for d = 1, squares
+for d = 2 and 7, a hexagon for d = 11).  Points are moved by matrices,
+given as 8-int rows (Mat2.row), as plain-int Hermite-box codes in one
+kernel, SymbolSpace.act_points, the only point move that does arithmetic:
+the builds, the Hecke operators and the Fourier layer move many points
+through many rows in one call and work on the int arrays it returns.  A
+build moves its points once, through J, the cusp moves and the few steps
+between consecutive word matrices, and composes every word matrix's image
+from those by gathers.  The two-term relations say e_(i*g) = +-e_i for g in
+the group generated by S and J, so their classes are the orbits of that
+group, found with the cusp orbits by one numpy kernel, _orbit_roots; the
+rest become integer rows (at weight 2 with repeats up to sign dropped, and
+a word of powers of one step taken at one point per orbit of the step) for
+the sparse row reduction in linalg.rref_ints.  The quotient map the
+reduction gives is one int64 matrix over one denominator, a QuotientMap,
+which the Hecke operators read by gathers.
 """
 
 from __future__ import annotations
@@ -28,8 +34,9 @@ from math import lcm
 
 import numpy as np
 
-from .linalg import check_int64, rref, vec_axpy
+from .linalg import check_int64, rref_ints, vec_axpy
 from .quadints import (
+    EUCLIDEAN_D,
     Field,
     InvariantError,
     QuadInt,
@@ -119,7 +126,8 @@ def relation_words(fld: Field) -> tuple[list[list[Mat2]], Mat2]:
     """Right-action relation words (each list sums to zero) plus the J twist.
 
     Every word list traces the edges of a closed polygon of unimodular paths,
-    so the corresponding sum of symbols vanishes for every weight.
+    so the corresponding sum of symbols vanishes for every weight.  Each
+    word starts at the identity; the first is [I, S].
     """
     one, zero, w = fld.one, fld.zero, fld.omega
     i2 = fld.from_int(2)
@@ -152,6 +160,14 @@ def relation_words(fld: Field) -> tuple[list[list[Mat2]], Mat2]:
     eps = fld.units[2] if fld.d in (1, 3) else -one
     J = Mat2(eps, zero, zero, one)
     return words, J
+
+
+@lru_cache(maxsize=len(EUCLIDEAN_D))
+def _word_steps(fld: Field) -> tuple[tuple[Mat2, ...], ...]:
+    """The steps w[k-1]^-1 * w[k] between consecutive matrices of each
+    relation word of the field, word by word."""
+    words, _ = relation_words(fld)
+    return tuple(tuple(a.inv_unit() * b for a, b in zip(word, word[1:])) for word in words)
 
 
 def _pmul(u: list[QuadInt], v: list[QuadInt], fld: Field) -> list[QuadInt]:
@@ -205,18 +221,34 @@ def slash_poly(poly: dict[int, QuadInt], g: Mat2, weight: int) -> dict[int, Quad
     return {j: c for j, c in enumerate(out) if not c.is_zero()}
 
 
-def enumerate_points(fld: Field, nu: QuadInt) -> list[tuple[QuadInt, QuadInt]]:
-    """Unimodular pairs mod nu, in transversal order.
+def _point_coords(nu: QuadInt) -> np.ndarray:
+    """The unimodular pairs mod nu in transversal order, as the (n, 4) int64
+    array of their coordinates (u.a, u.b, v.a, v.b).
 
-    A pair is unimodular when no prime dividing nu divides both entries, so
-    each residue gets a bitmask of the primes of nu dividing it (bit k for
-    the k-th prime) and the pairs with disjoint masks are kept.
+    The residues are the Hermite box a + b*omega (residues_mod's order).
+    Each gets a bitmask of the primes of nu dividing it, bit k for the k-th
+    prime pi, set when it lies in pi's Hermite lattice (reduce_mod by pi
+    leaves 0); a pair is unimodular when its masks are disjoint, and
+    np.nonzero lists the pairs u-major.
     """
-    reps = residues_mod(nu)
-    primes = [pi for pi, _ in factorize(nu)[1]]
-    masks = [sum(1 << k for k, pi in enumerate(primes) if divides(pi, r)) for r in reps]
-    return [(u, v) for u, mu in zip(reps, masks) for v, mv in zip(reps, masks)
-            if not mu & mv]
+    e11, _, e22 = hnf_module(nu)
+    a, b = np.divmod(np.arange(e11 * e22), e22)
+    mask = np.zeros(e11 * e22, dtype=np.int64)
+    for k, (pi, _) in enumerate(factorize(nu)[1]):
+        f11, f12, f22 = hnf_module(pi)
+        mask |= ((a % f11 == 0) & ((b - a // f11 * f12) % f22 == 0)).astype(np.int64) << k
+    u, v = np.nonzero((mask[:, None] & mask) == 0)
+    return np.column_stack([a[u], b[u], a[v], b[v]])
+
+
+def _pairs(fld: Field, coords: np.ndarray) -> list[tuple[QuadInt, QuadInt]]:
+    # the (u, v) pairs of (u.a, u.b, v.a, v.b) rows
+    return [(QuadInt(fld, ua, ub), QuadInt(fld, va, vb)) for ua, ub, va, vb in coords.tolist()]
+
+
+def enumerate_points(fld: Field, nu: QuadInt) -> list[tuple[QuadInt, QuadInt]]:
+    """Unimodular pairs mod nu, in transversal order (see _point_coords)."""
+    return _pairs(fld, _point_coords(nu))
 
 
 def point_count_formula(fld: Field, nu: QuadInt) -> int:
@@ -228,6 +260,28 @@ def point_count_formula(fld: Field, nu: QuadInt) -> int:
         raise InvariantError(f"point count {total} at level {nu} is not an integer "
                              f"(d={fld.d})")
     return int(total)
+
+
+# The most points a symbol space may have; check_point_count refuses a level
+# with more from the formula alone, before any point work.  The point arrays
+# grow with the points: d = 1, 14+w (38,808 points) builds in 1.0 s at a peak
+# 23 MB above the interpreter's.  The relation reduction grows faster, and
+# with the field: d = 7, 9+2w (11,448 points) builds in 4.5 s at 15 MB above
+# it (2 cores, Python 3.11.7, numpy 2.4.6), and d = 11, 13 (28,560 points)
+# took 546 s.  So the limit admits those levels and refuses the ones whose
+# builds would run for hours or whose tables would not fit: d = 1, level 100
+# has about 69 million points, and its code table alone N(nu)^2 = 10^8 int64.
+POINT_LIMIT = 50_000
+
+
+def check_point_count(fld: Field, nu: QuadInt) -> int:
+    """The point count of level nu; ValueError, before any point work, when
+    it is above POINT_LIMIT."""
+    count = point_count_formula(fld, nu)
+    if count > POINT_LIMIT:
+        raise ValueError(f"level {nu} has {count} points, above the {POINT_LIMIT} admitted "
+                         f"(d={fld.d})")
+    return count
 
 
 def lift_to_sl2(fld: Field, nu: QuadInt, u: QuadInt, v: QuadInt) -> Mat2:
@@ -384,17 +438,19 @@ class QuotientMap:
 class SymbolSpace:
     """Weight-k Manin symbols at level nu, reduced to a quotient basis.
 
-    Generator g = (2*mono + part) * len(points) + point stands for the symbol
-    [X^mono Y^(k-2-mono) * (1 if part is 0, else omega), points[point]];
+    Generator g = (2*mono + part) * npts + point stands for the symbol
+    [X^mono Y^(k-2-mono) * (1 if part is 0, else omega), point(point)];
     weight 2 keeps only component 0 (P = 1), so there g is the point index.
     generator(g) decodes g, and symbol_vector(poly, point) is the quotient
     image of any such symbol.
 
-    qmap (a QuotientMap) sends each generator index to its coordinate
-    vector on the quotient basis; free_gens lists one generator per basis
-    vector.  cusp_pass holds each point's cusp orbit and S image (see
-    _set_cusp_pass), filled by the build's one point pass.  _cuspidal holds
-    boundary.cuspidal_subspace's result once it has been asked for.
+    The npts points are kept as int arrays; point(i) is the pair of point
+    i, and points, the list of every pair in transversal order, is built on
+    its first read.  qmap (a QuotientMap) sends each generator index to its
+    coordinate vector on the quotient basis; free_gens lists one generator
+    per basis vector.  cusp_pass holds each point's cusp orbit and S image
+    (see _set_cusp_pass), filled by the build's one point pass.  _cuspidal
+    holds boundary.cuspidal_subspace's result once it has been asked for.
     """
 
     def __init__(self, fld: Field, nu: QuadInt, weight: int = 2) -> None:
@@ -408,14 +464,22 @@ class SymbolSpace:
         self.field = fld
         self.level = canonical_associate(nu)[0]
         self.weight = weight
-        self.points = enumerate_points(fld, self.level)
-        self._build_point_codes()
+        self._build_point_codes(check_point_count(fld, self.level))
         self.sum_words, self.J = relation_words(fld)
         self._cuspidal = None
         if weight == 2:
             self._build_weight2()
         else:
             self._build_general()
+
+    @cached_property
+    def points(self) -> list[tuple[QuadInt, QuadInt]]:
+        """Every point's (u, v) pair, in transversal order (enumerate_points)."""
+        return _pairs(self.field, self._coords)
+
+    def point(self, i: int) -> tuple[QuadInt, QuadInt]:
+        """The (u, v) pair of point i."""
+        return _pairs(self.field, self._coords[i:i + 1])[0]
 
     @cached_property
     def point_index(self) -> dict[tuple[QuadInt, QuadInt], int]:
@@ -427,7 +491,7 @@ class SymbolSpace:
         pair = (reduce_mod(u, self.level), reduce_mod(v, self.level))
         return self.point_index.get(pair)
 
-    def _build_point_codes(self) -> None:
+    def _build_point_codes(self, count: int) -> None:
         # a Hermite-box residue r = a + b*omega has code a*e22 + b in [0, N),
         # a pair (u, v) has code(u) * N + code(v); the int64 table maps a code
         # to its point index, -1 for non-unimodular pairs.  The point
@@ -435,12 +499,15 @@ class SymbolSpace:
         # reach bounds them and u.a + t*u.b, v.a + t*v.b
         e11, e12, e22 = self._hnf = hnf_module(self.level)
         n = e11 * e22
-        coords = np.array([(u.a, u.b, v.a, v.b) for u, v in self.points],
-                          dtype=np.int32).reshape(-1, 4)
-        ua, ub, va, vb = coords.astype(np.int64).T
+        coords = _point_coords(self.level)
+        self.npts = len(coords)
+        if self.npts != count:
+            raise InvariantError(f"{self.npts} points at level {self.level}, the formula "
+                                 f"gives {count} (d={self.field.d})")
+        ua, ub, va, vb = coords.T
         codes = np.full(n * n, -1, dtype=np.int64)
-        codes[(ua * e22 + ub) * n + va * e22 + vb] = np.arange(len(self.points))
-        self._codes, self._coords = codes, coords
+        codes[(ua * e22 + ub) * n + va * e22 + vb] = np.arange(self.npts)
+        self._codes, self._coords = codes, coords.astype(np.int32)
         self._reach = (1 + self.field.t) * int(coords.max(initial=0))
 
     def act_points(self, gens: list[int] | np.ndarray,
@@ -480,57 +547,89 @@ class SymbolSpace:
                 + (ya - ky * e11) * e22 + (yb - ky * e12) % e22)
         return codes[code]
 
-    def _cusp_moves(self) -> list[tuple[int, ...]]:
-        """Rows of the stabilizer of oo's generators, then S, for _set_cusp_pass."""
+    def _cusp_moves(self) -> list[Mat2]:
+        """Generators of the stabilizer of oo, for _set_cusp_pass: the unit
+        scalings diag(eps, conj(eps)) and J = diag(eps, 1), eps a generator of
+        the units, and the translations by 1 and by omega."""
         fld = self.field
-        one, zero = fld.one, fld.zero
-        moves = []
-        for lam in fld.units:
-            moves.append(Mat2(lam, zero, zero, lam.conj()))  # (u, v) -> (lam*u, conj(lam)*v)
-            moves.append(Mat2(lam, zero, zero, one))  # (u, v) -> (lam*u, v)
-        for mu in (one, -one, fld.omega, -fld.omega):
-            moves.append(Mat2(one, mu, zero, one))  # (u, v) -> (u, v + mu*u)
-        moves.append(self.sum_words[0][1])  # S: (u, v) -> (v, -u)
-        return [mv.row() for mv in moves]
+        one, zero, eps = fld.one, fld.zero, self.J.a
+        return [Mat2(eps, zero, zero, eps.conj()), self.J,
+                Mat2(one, one, zero, one), Mat2(one, fld.omega, zero, one)]
 
-    def _set_cusp_pass(self, images: np.ndarray) -> None:
+    def _point_pass(self) -> tuple[list[np.ndarray], tuple[tuple[Mat2, ...], ...], np.ndarray,
+                                   np.ndarray]:
+        """Every point's images under the matrices of each word, J and the cusp moves.
+
+        Consecutive matrices of a word differ by a step, w[k] = w[k-1] *
+        step, and on unimodular pairs p*(AB) = (p*A)*B.  So one act_points
+        call moves the points through the distinct rows of J, the cusp moves
+        and the steps only (6 to 9 rows), and the image under w[k] is the
+        step's image gathered at the image under w[k-1], from the identity
+        w[0].  Returns (words, steps, j_image, cusp): words[i] is the
+        (points, len(word)) array of sum_words[i] (its column 1 is the image
+        under S for the word [I, S]), steps[i] that word's steps, and cusp
+        the (points, 4) array of _cusp_moves.
+        """
+        everyone = np.arange(self.npts)
+        steps = _word_steps(self.field)
+        cusp = self._cusp_moves()
+        moves = [self.J, *cusp, *(s for st in steps for s in st)]
+        rows = list(dict.fromkeys(m.row() for m in moves))
+        image = dict(zip(rows, self.act_points(everyone, rows).T))
+        words = []
+        for st in steps:
+            cols = [everyone]
+            for s in st:
+                cols.append(image[s.row()][cols[-1]])
+            words.append(np.column_stack(cols))
+        return words, steps, image[self.J.row()], np.column_stack([image[m.row()] for m in cusp])
+
+    def _set_cusp_pass(self, images: np.ndarray, s_image: np.ndarray) -> None:
         """cusp_pass = (orbit, s_image): each point's cusp orbit and its index times S.
 
         images holds every point's images under _cusp_moves.  The orbits are
-        those of the stabilizer of oo, generated by unit scalings and the
-        two translations, acting on the right; they are in bijection with
-        the cusps of the symbol quotient, the point of g standing for the
-        cusp g*oo and its S image for g*0.  The orbits come from
-        _orbit_roots with every sign +1 and are numbered in the order of
-        their least points.  Both arrays are standalone, so the build's
-        (points x moves) array is freed when it ends.
+        those of the stabilizer of oo, acting on the right, which its
+        generators determine; they are in bijection with the cusps of the
+        symbol quotient, the point of g standing for the cusp g*oo and its S
+        image for g*0.  The orbits come from _orbit_roots with every sign +1
+        and are numbered in the order of their least points.  Both arrays
+        are standalone, so the build's point arrays are freed when it ends.
         """
-        nmoves = images.shape[1] - 1
-        root, _ = _orbit_roots(images[:, :nmoves], [1] * nmoves)
-        self.cusp_pass = (np.unique(root, return_inverse=True)[1], images[:, -1].copy())
+        root, _ = _orbit_roots(images, [1] * images.shape[1])
+        self.cusp_pass = (np.unique(root, return_inverse=True)[1], s_image.copy())
 
     def _build_weight2(self) -> None:
-        npts = len(self.points)
+        npts = self.npts
         everyone = np.arange(npts)
-        words = self.sum_words[1:]
-        # one pass: S and J, the words, the cusp moves
-        rows = [self.sum_words[0][1].row(), self.J.row()]
-        rows += [m.row() for word in words for m in word]
-        images = self.act_points(everyone, rows + self._cusp_moves())
-        self._set_cusp_pass(images[:, len(rows):])
+        words, steps, j_image, cusp = self._point_pass()
+        s_image = words[0][:, 1]
+        self._set_cusp_pass(cusp, s_image)
         # x + x*S = 0 and x*J = x
-        root, sign = _orbit_roots(images[:, :2], [-1, 1])
-        # each word's rows, padded with the blank column npts and value 0
-        width = max(len(word) for word in words)
-        cols = np.full((len(words), npts, width), npts, dtype=np.int64)
-        vals = np.zeros((len(words), npts, width), dtype=np.int64)
-        start = 2
-        for k, word in enumerate(words):
-            img = images[:, start:start + len(word)]
-            start += len(word)
-            cols[k, :, :len(word)] = root[img]
-            vals[k, :, :len(word)] = sign[img]
-        rows = _distinct_rows(cols.reshape(-1, width), vals.reshape(-1, width), npts)
+        root, sign = _orbit_roots(np.column_stack([s_image, j_image]), [-1, 1])
+        blocks = []
+        for img, st in zip(words[1:], steps[1:]):
+            if all(s == st[0] for s in st):
+                # a word [I, X, ..., X^(n-1)]: its row at p*X is its row at p
+                # less e_p plus e_(p*X^n), and X^n is a unit scalar, which
+                # the S and J relations fix; so the rows are constant on the
+                # orbits of X, and only each orbit's least point keeps its row
+                closed = img[:, 1][img[:, -1]]
+                if not (np.array_equal(root[closed], root)
+                        and np.array_equal(sign[closed], sign)):
+                    raise InvariantError(f"a power of the step {st[0]!r} moves a class at "
+                                         f"level {self.level} (d={self.field.d})")
+                img = img[_orbit_roots(img[:, 1:2], [1])[0] == everyone]
+            blocks.append(img)
+        # the word rows, padded with the blank column npts and value 0
+        width = max(img.shape[1] for img in blocks)
+        cols = np.full((sum(len(img) for img in blocks), width), npts, dtype=np.int64)
+        vals = np.zeros(cols.shape, dtype=np.int64)
+        start = 0
+        for img in blocks:
+            cols[start:start + len(img), :img.shape[1]] = root[img]
+            vals[start:start + len(img), :img.shape[1]] = sign[img]
+            start += len(img)
+        rows = _distinct_rows(cols, vals, npts)
         live = np.flatnonzero((root == everyone) & (sign != 0))
         matrix, den = self._quotient(rows, live.tolist())
         # the points of a class read their root's row, with their sign; a
@@ -542,29 +641,33 @@ class SymbolSpace:
     def _quotient(self, rows: list[dict[int, int]], gens: list[int]) -> tuple[np.ndarray, int]:
         """Reduce the relation rows over gens; set free_gens and dim.
 
-        Returns (matrix, den): den is the lcm of the denominators of the
-        reduced rows, and row t of the int64 matrix is den times the
-        quotient image of gens[t], followed by a zero row.  InvariantError
-        when an entry or den leaves int64.
+        Returns (matrix, den): den is the lcm of the pivot entries of
+        rref_ints' primitive rows, which is the lcm of the denominators of
+        rref's, and row t of the int64 matrix is den times the quotient image
+        of gens[t], followed by a zero row.  InvariantError when an entry or
+        den leaves int64.
         """
-        rrows, pivots = rref(rows)
-        free = [g for g in gens if g not in pivots]
+        piv = rref_ints(rows)
+        free = [g for g in gens if g not in piv]
         self.dim = len(free)
         self.free_gens = free
         qidx = {g: t for t, g in enumerate(free)}
-        den = lcm(1, *(a.denominator for r in rrows for a in r.values()))
+        den = lcm(1, *(prow[c] for c, prow in piv.items()))
         at, cols, vals = [], [], []
         for t, g in enumerate(gens):
-            if g not in pivots:
+            prow = piv.get(g)
+            if prow is None:
                 at.append(t)
                 cols.append(qidx[g])
                 vals.append(den)
                 continue
-            for c, a in rrows[pivots[g]].items():
+            # the image of pivot g is -sum(prow[c] / prow[g] * e_c), c free
+            scale = den // prow[g]
+            for c, a in prow.items():
                 if c != g:
                     at.append(t)
                     cols.append(qidx[c])
-                    vals.append(-a.numerator * (den // a.denominator))
+                    vals.append(-a * scale)
         check_int64(vals, den, f"quotient map at level {self.level} (d={self.field.d})")
         matrix = np.zeros((len(gens) + 1, len(free)), dtype=np.int64)
         matrix[at, cols] = vals
@@ -606,20 +709,19 @@ class SymbolSpace:
 
     def _build_general(self) -> None:
         fld = self.field
-        npts = len(self.points)
+        npts = self.npts
         ncomp = 2 * (self.weight - 1)
+        words, _, j_image, cusp = self._point_pass()
+        self._set_cusp_pass(cusp, words[0][:, 1])
+        # the two-term S and J relations ahead of the words: rref's result
+        # does not depend on the order, and its fill-in is far smaller
         rels = [[(w, 1) for w in word] for word in self.sum_words]
-        rels.append([(Mat2.identity(fld), 1), (self.J, -1)])
-        # one pass: every relation's matrices, the cusp moves
-        mats = [w for rel in rels for w, _ in rel]
-        images = self.act_points(np.arange(npts), [w.row() for w in mats] + self._cusp_moves())
-        self._set_cusp_pass(images[:, len(mats):])
+        rels.insert(1, [(Mat2.identity(fld), 1), (self.J, -1)])
+        images = [words[0], np.column_stack([np.arange(npts), j_image]), *words[1:]]
         rows = []
-        start = 0
-        for rel in rels:
+        for rel, img in zip(rels, images):
             slashes = [self.slash_rows(w.inv_unit().row()) for w, _ in rel]
-            acts = images[:, start:start + len(rel)].T.tolist()
-            start += len(rel)
+            acts = img.T.tolist()
             for p in range(npts):
                 for ci in range(ncomp):
                     row: dict[int, int] = {}
@@ -639,13 +741,13 @@ class SymbolSpace:
 
     def generator(self, g: int) -> tuple[dict[int, QuadInt], int]:
         """The (poly, point) pair generator g stands for, in the class layout."""
-        comp, pt = divmod(g, len(self.points))
+        comp, pt = divmod(g, self.npts)
         mono, part = divmod(comp, 2)
         return {mono: self.field.omega if part else self.field.one}, pt
 
     def symbol_vector(self, poly: dict[int, QuadInt], pt: int) -> dict:
         """Quotient image of the symbol [poly, point]."""
-        npts = len(self.points)
+        npts = self.npts
         out: dict = {}
         for mono, c in poly.items():
             if c.a:

@@ -46,8 +46,9 @@ from .hecke import (
     commute_check,
     eigensystems,
     hecke_on_manin,
+    hecke_operators,
     hecke_oracle,
-    heilbronn_action,
+    heilbronn_actions,
 )
 from .heilbronn import (
     DEFAULT_TIE,
@@ -61,6 +62,7 @@ from .quadints import (
     Field,
     QuadInt,
     canonical_elements_of_norm,
+    coprime,
     euclidean_division,
     gcd,
     is_prime_element,
@@ -153,7 +155,7 @@ def _coprime_etas(fld: Field, nu: QuadInt, count: int, bound: int = 60) -> list[
     out: list[QuadInt] = []
     for n in range(2, bound + 1):
         for e in canonical_elements_of_norm(fld, n):
-            if gcd(e, nu).is_unit():
+            if coprime(e, nu):
                 out.append(e)
                 if len(out) == count:
                     return out
@@ -345,7 +347,7 @@ def check_commutativity(levels=DEFAULT_COMMUTE_LEVELS, pairs: int = 10):
         fld = Field.get(d)
         nu = parse_element(fld, level)
         space = symbol_space(fld, nu, 2)
-        ops = [hecke_on_manin(space, e) for e in _coprime_etas(fld, nu, need)]
+        ops = hecke_operators(space, _coprime_etas(fld, nu, need))
         for a, b in islice(combinations(ops, 2), pairs):
             if not commute_check(a, b):
                 fail = {"d": d, "level": level, "etas": [str(a.eta), str(b.eta)]}
@@ -395,8 +397,7 @@ def check_boundary_bridge(norm_bound: int = 13):
         orbit, s_image = (a.tolist() for a in space.cusp_pass)
         label_of: dict = {}
         orbit_of: dict = {}
-        for idx in range(len(space.points)):
-            u, v = space.points[idx]
+        for idx, (u, v) in enumerate(space.points):
             g = lift_to_sl2(fld, nu, u, v)
             lab_inf = cusp_label(space, g.a, g.c)
             lab_zero = cusp_label(space, g.b, g.d)
@@ -461,8 +462,9 @@ def check_coefficient_identity(d: int = REFERENCE_FORM[0], level: str = REFERENC
         for eta in _canonical_levels(fld, norm_bound):
             lhs = functional_slash(phi, heilbronn_family(eta, DEFAULT_TIE), x)
             # phi(T_alpha v) at every unit multiple, eta's own one included
-            ops = {u * eta: vec_dot(phi.coefficients, heilbronn_action(space, u * eta).matvec(v))
-                   for u in fld.units}
+            alphas = [u * eta for u in fld.units]
+            ops = {alpha: vec_dot(phi.coefficients, mat.matvec(v))
+                   for alpha, mat in zip(alphas, heilbronn_actions(space, alphas))}
             rhs = ops[eta]
             if lhs != rhs:
                 fail = {"d": d, "level": level, "eta": str(eta),

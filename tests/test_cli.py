@@ -12,8 +12,10 @@ from click.testing import CliRunner
 import bianchi
 from bianchi import cli, verify as checks
 from bianchi.cli import main
+from bianchi.hecke import eigensystems
+from bianchi.heilbronn import heilbronn_family
 from bianchi.quadints import Field, parse_element
-from bianchi.symbols import symbol_space
+from bianchi.symbols import POINT_LIMIT, SymbolSpace, point_count_formula, symbol_space
 from bianchi.verify import CheckResult
 
 
@@ -214,6 +216,61 @@ def test_eta_past_the_start_limit_refused_at_once(runner):
         result = invoke(runner, *args, code=2)
         assert time.perf_counter() - t0 < 1.0, args
         assert "division chains, above the" in result.output, args
+
+
+def test_level_past_the_point_limit_refused_at_once(runner):
+    # d = 1 level 100 has about 69 million points; without the preflight its
+    # code table alone would hold 10^8 int64 entries
+    count = point_count_formula(Field.get(1), parse_element(Field.get(1), "100"))
+    assert count > POINT_LIMIT
+    for args in (("space", "--d", "1", "--level", "100"),
+                 ("hecke", "--d", "1", "--level", "100", "--eta", "3"),
+                 ("eigen", "--d", "1", "--level", "100")):
+        t0 = time.perf_counter()
+        result = invoke(runner, *args, code=2)
+        assert time.perf_counter() - t0 < 1.0, args
+        assert f"--level '100': level 100 has {count} points, above the {POINT_LIMIT} " \
+            "admitted" in result.output, args
+
+
+def test_bad_commute_with_refused(runner):
+    # the messages and exit code of the per-eta commands this replaced, with
+    # and without --oracle; the --eta value is checked ahead of the others
+    base = ("hecke", "--d", "11", "--level", "1-2w", "--eta", "2")
+    cases = [("1-2w", "--commute-with '1-2w': eta must be coprime to the level"),
+             ("0", "--commute-with '0': eta must be nonzero"),
+             ("xyz", "--commute-with 'xyz': cannot parse element 'xyz'")]
+    for extra in ((), ("--oracle",)):
+        for text, message in cases:
+            result = invoke(runner, *base, *extra, "--commute-with", "3",
+                            "--commute-with", text, code=2)
+            assert result.output.rstrip().endswith(f"Error: {message}"), (extra, text)
+    result = invoke(runner, "hecke", "--d", "11", "--level", "1-2w", "--eta", "1-2w",
+                    "--commute-with", "xyz", code=2)
+    assert result.output.rstrip().endswith("Error: eta must be coprime to the level")
+
+
+def test_one_point_move_per_level_command(runner, monkeypatch):
+    # a hecke command moves its points once for all its operators, and so
+    # does eigensystems for its eight; the space is built before counting
+    fld = Field.get(11)
+    symbol_space(fld, parse_element(fld, "1-3w"))
+    space = symbol_space(fld, parse_element(fld, "1-2w"))
+    rows = []
+    act_points = SymbolSpace.act_points
+
+    def counted(self, gens, moves):
+        rows.append(len(moves))
+        return act_points(self, gens, moves)
+
+    monkeypatch.setattr(SymbolSpace, "act_points", counted)
+    etas = ["2", "w", "1-w", "2+w"]
+    invoke(runner, "hecke", "--d", "11", "--level", "1-3w", "--eta", etas[0],
+           *(a for e in etas[1:] for a in ("--commute-with", e)))
+    assert rows == [sum(len(heilbronn_family(parse_element(fld, e))) for e in etas)]
+    rows.clear()
+    table = eigensystems(space, checks._coprime_etas(fld, space.level, 8))
+    assert len(table.etas) == 8 and table.systems and len(rows) == 1
 
 
 @pytest.mark.parametrize("d, level, eta", [(7, "2+4w", "1-2w"), (11, "1-2w", "3")],
@@ -561,6 +618,8 @@ OPTIMIZED_RUNS = [
     ["hecke", "--d", "11", "--level", "1-2w", "--eta", "2", "--commute-with", "w"],
     ["hecke", "--d", "11", "--level", "6", "--eta", "1+w", "--commute-with", "2-w",
      "--commute-with", "1-2w"],
+    ["hecke", "--d", "11", "--level", "1-3w", "--eta", "2", "--commute-with", "w",
+     "--commute-with", "1-w", "--commute-with", "2+w"],
     ["hecke", "--d", "7", "--level", "2+4w", "--eta", "1-2w", "--oracle"],
     ["eigen", "--d", "11", "--level", "1-2w"],
     ["fourier", "--d", "11", "--level", "1-2w", "--norm-bound", "20"],

@@ -23,8 +23,10 @@ from bianchi.hecke import (
     eigensystems,
     hecke_matrix,
     hecke_on_manin,
+    hecke_operators,
     hecke_oracle,
     heilbronn_action,
+    heilbronn_actions,
 )
 from bianchi.linalg import (
     IntMat,
@@ -379,20 +381,22 @@ def test_eigensystems_builds_each_operator_once(monkeypatch):
     import bianchi.hecke as hecke_mod
 
     calls = Counter()
-    real = hecke_mod.heilbronn_action
+    batches = []
+    real = hecke_mod.heilbronn_actions
 
-    def counted(*args):
-        calls[args[1]] += 1
-        return real(*args)
+    def counted(space, alphas):
+        calls.update(alphas)
+        batches.append(len(alphas))
+        return real(space, alphas)
 
-    monkeypatch.setattr(hecke_mod, "heilbronn_action", counted)
+    monkeypatch.setattr(hecke_mod, "heilbronn_actions", counted)
     fld = Field.get(11)
     sp = symbol_space(fld, parse_element(fld, "1-2w"))
     etas = first_etas(fld, sp.level, 8)
     tab = eigensystems(sp, etas)
     # the one-dimensional system also needs every operator for its functional
     assert tab.systems[0].functional is not None
-    assert calls == Counter(etas)
+    assert calls == Counter(etas) and batches == [len(etas)]
 
 
 def test_associate_etas_give_equal_operators():
@@ -827,3 +831,42 @@ def test_int_range_checks_fire_under_python_O(run_optimized):
     assert [line.split(":")[0] for line in out] == [
         "map entry", "map den", "from_columns", "den", "basis", "product", "restrict",
         "action 2", "action 4", "commute"], out
+
+
+# a batch of one, a repeated eta, families of mixed sizes (etas coprime to
+# the level and not), and weights 4 and 6
+BATCH_CASES = [
+    (11, "1-2w", 2, ["2"]),
+    (7, "6", 2, ["3+2w", "w", "3+2w"]),
+    (2, "6", 2, ["1", "3-w", "2", "3+2w", "w"]),
+    (1, "2+1w", 4, ["1+1w", "3", "1+1w"]),
+    (7, "w", 6, ["1-2w", "w", "2"]),
+]
+
+
+@pytest.mark.parametrize("d, level, weight, etas", BATCH_CASES,
+                         ids=[f"d{d}-{lv}-k{k}" for d, lv, k, _ in BATCH_CASES])
+def test_heilbronn_actions_batch_matches_fraction_loop(d, level, weight, etas):
+    fld = Field.get(d)
+    sp = symbol_space(fld, parse_element(fld, level), weight)
+    alphas = [parse_element(fld, text) for text in etas]
+    got = heilbronn_actions(sp, alphas)
+    assert len(got) == len(alphas)
+    for alpha, mat in zip(alphas, got):
+        assert mat.den == sp.qmap.den
+        assert Mat.of_int(mat) == heilbronn_action_reference(sp, alpha), (d, level, str(alpha))
+    if len(alphas) > 2:
+        assert len({len(heilbronn_family(a)) for a in alphas}) > 1
+    assert heilbronn_actions(sp, []) == []
+
+
+def test_hecke_operators_batch_equals_one_at_a_time():
+    fld = Field.get(11)
+    sp = symbol_space(fld, parse_element(fld, "1-2w"))
+    etas = first_etas(fld, sp.level, 4)
+    for op in hecke_operators(sp, etas + etas[:1]):
+        one = hecke_on_manin(sp, op.eta)
+        assert (op.matrix, op.cuspidal_matrix) == (one.matrix, one.cuspidal_matrix)
+    # every eta is checked before any operator is built
+    with pytest.raises(ValueError, match="coprime"):
+        hecke_operators(sp, etas + [sp.level])

@@ -25,6 +25,7 @@ from bianchi.linalg import (
     poly_eval,
     rational_eigensystem,
     rref,
+    rref_ints,
     vec_axpy,
     vec_dot,
 )
@@ -309,7 +310,7 @@ def test_rref_on_relation_rows(monkeypatch, d, level, weight):
 
     def capture(rows):
         captured.append(rows)
-        return rref(rows)
+        return rref_ints(rows)
 
     def capture_system(cols, vals, blank):
         for cs, vs in zip(cols.tolist(), vals.tolist()):
@@ -320,7 +321,7 @@ def test_rref_on_relation_rows(monkeypatch, d, level, weight):
             system.append(row)
         return distinct_rows(cols, vals, blank)
 
-    monkeypatch.setattr(bianchi.symbols, "rref", capture)
+    monkeypatch.setattr(bianchi.symbols, "rref_ints", capture)
     monkeypatch.setattr(bianchi.symbols, "_distinct_rows", capture_system)
     fld = Field.get(d)
     bianchi.symbols.SymbolSpace(fld, parse_element(fld, level), weight)
@@ -722,3 +723,22 @@ def test_rational_eigensystem_random_against_sympy():
 def test_full_space_helper():
     assert full_space(3).dim == 3
     assert full_space(0).dim == 0
+
+
+@given(st.lists(sparse_rows, max_size=12))
+def test_rref_ints_rows_are_rref_over_their_pivots(rows):
+    out, pivots = rref(rows)
+    piv = rref_ints(rows)
+    assert sorted(piv) == sorted(pivots)
+    for col, row in piv.items():
+        assert row[col] > 0 and math.gcd(*row.values()) == 1
+        assert all(c not in row for c in piv if c != col)
+        assert {k: Fraction(a, row[col]) for k, a in row.items()} == out[pivots[col]]
+
+
+def test_restriction_to_the_whole_space_is_the_matrix():
+    m = IntMat(np.array([[1, 2, 0], [0, -3, 5], [4, 0, 1]], dtype=np.int64), 6)
+    assert full_space(3).restrict_ints(m) is m
+    sub = Subspace(3, [{0: Fraction(1)}, {1: Fraction(1)}])
+    with pytest.raises(ValueError, match="not invariant"):
+        sub.restrict_ints(m)

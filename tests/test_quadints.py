@@ -16,6 +16,7 @@ from bianchi.quadints import (
     InvariantError,
     _omega_roots_mod,
     canonical_associate,
+    coprime,
     divide_ints,
     divides,
     divisors_up_to_units,
@@ -496,3 +497,21 @@ def test_ring_invariants_fire_under_python_O(run_optimized):
         ["prime", "unit", "hnf", "residues", "bound"], out
     assert out[3] == "residues: 1 distinct remainders mod 3, not 9 (d=1)", out
     assert "exceeds the Euclidean bound" in out[4] and out[4].endswith("at delta = 3, d=2"), out
+
+
+def test_coprime_agrees_with_gcd():
+    # coprime norms settle it at once; shared norm factors go to the gcd
+    rng = random.Random(23)
+    for d in EUCLIDEAN_D:
+        fld = Field.get(d)
+        seen = set()
+        for _ in range(300):
+            a = fld.elt(rng.randint(-12, 12), rng.randint(-12, 12))
+            b = fld.elt(rng.randint(-12, 12), rng.randint(-12, 12))
+            if a.is_zero() and b.is_zero():
+                continue
+            want = gcd(a, b).is_unit()
+            assert coprime(a, b) == want, (d, str(a), str(b))
+            seen.add((want, math.gcd(a.norm(), b.norm()) == 1))
+        # both outcomes, and coprime elements whose norms share a factor
+        assert (True, False) in seen and (False, False) in seen and (True, True) in seen

@@ -21,9 +21,9 @@ WEIGHT_BRANCH_ALLOWED = {
     "boundary.cusp_label",
     # the orbit boundary where the unit twists are 1, else the labelled one
     "boundary.cuspidal_subspace",
-    # one gather per operator at weight 2; above it the slash coefficients
+    # one gather per batch at weight 2; above it the slash coefficients
     # weight the gather one component at a time
-    "hecke.heilbronn_action",
+    "hecke.heilbronn_actions",
     # the expansion is weight 2 only
     "fourier.functional_slash",
     "fourier.fourier_coefficients",

@@ -32,6 +32,7 @@ from bianchi.symbols import (
     lift_to_sl2,
     modular_symbol_vec,
     normalize_cusp,
+    POINT_LIMIT,
     point_count_formula,
     relation_words,
     slash_poly,
@@ -880,6 +881,8 @@ GEN_MAP_PINS = [
     (1, "3+2w", 4, "b7e758509f10fab2c0ab5cdfd54f2dc58d1165ab15c809133878e8f52a0f442a"),
     (11, "3+w", 4, "ec29ce7202649c3a76ac9ee480320d0fa0dfd9a11077f67690d28786ee56b836"),
     (7, "3+w", 6, "951f91e6fe79ccde4414fd7592ec1a913aec3fae823cabc85f53013a4769d027"),
+    # taken before the weight-k build put the S and J relations first
+    (3, "5", 4, "8e9474b3e2b3ab3be28f8d7c2a254af6d9098fa5726ceddcdbfd62ea1b48d270"),
 ]
 
 
@@ -890,3 +893,74 @@ def test_gen_map_pins_beyond_survey(d, level, weight, digest):
     space = SymbolSpace(fld, parse_element(fld, level), weight)
     blob = repr([sorted(g.items()) for g in gen_map(space)]).encode()
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+# per field a prime power and a composite level, with the Hermite boxes
+# (2, 2, 4) at d = 1 2+2w and (2, 1, 3) at d = 2 2+w
+POINT_PASS_LEVELS = {1: ["2+2w", "4", "3+3w"], 2: ["2+w", "4", "6"], 3: ["4", "6-w"],
+                     7: ["9", "4"], 11: ["4", "9"]}
+
+
+@pytest.mark.parametrize("d", EUCLIDEAN_D)
+def test_point_pass_composes_the_direct_moves(d):
+    # the images a build composes from its step moves are act_points' own
+    # images under every word matrix, J and the cusp moves
+    fld = Field.get(d)
+    if d in (1, 2):
+        assert hnf_module(parse_element(fld, POINT_PASS_LEVELS[d][0])) == \
+            {1: (2, 2, 4), 2: (2, 1, 3)}[d]
+    for text in POINT_PASS_LEVELS[d]:
+        space = SymbolSpace(fld, parse_element(fld, text))
+        everyone = list(range(space.npts))
+        words, steps, j_image, cusp = space._point_pass()
+        assert len(words) == len(steps) == len(space.sum_words)
+        for word, img in zip(space.sum_words, words):
+            assert img.tolist() == moved(space, everyone, word), (d, text)
+        assert j_image.tolist() == [line[0] for line in moved(space, everyone, [space.J])]
+        assert cusp.tolist() == moved(space, everyone, space._cusp_moves())
+
+
+@pytest.mark.parametrize("d, level", [(1, "2+2w"), (2, "2+w"), (11, "9"), (7, "3"), (3, "7")])
+def test_step_orbit_rows_keep_the_quotient(monkeypatch, d, level):
+    # a word of powers of one step hands _distinct_rows a row only at the
+    # least point of each orbit of the step; the quotient is the scalar
+    # build's, which forms every row at every point
+    import bianchi.symbols
+
+    handed = []
+    distinct_rows = bianchi.symbols._distinct_rows
+
+    def capture(cols, vals, blank):
+        handed.append(len(cols))
+        return distinct_rows(cols, vals, blank)
+
+    monkeypatch.setattr(bianchi.symbols, "_distinct_rows", capture)
+    fld = Field.get(d)
+    space = SymbolSpace(fld, parse_element(fld, level))
+    dim, free, images = build_weight2_reference(space)
+    assert (space.dim, space.free_gens) == (dim, free)
+    assert repr([list(g.items()) for g in gen_map(space)]) == \
+        repr([list(g.items()) for g in images])
+    assert handed[0] < space.npts * (len(space.sum_words) - 1)
+
+
+def test_points_built_on_read_match_enumerate_points():
+    for d, texts in POINT_PASS_LEVELS.items():
+        fld = Field.get(d)
+        for text in texts:
+            nu = parse_element(fld, text)
+            space = SymbolSpace(fld, nu)
+            assert "points" not in vars(space)
+            pts = enumerate_points(fld, space.level)
+            assert [space.point(i) for i in range(space.npts)] == pts
+            assert space.points == pts and space.npts == point_count_formula(fld, nu)
+
+
+def test_level_past_the_point_limit_refused():
+    # d = 1 level 100: about 69 million points, a code table of 10^8 entries
+    fld = Field.get(1)
+    nu = parse_element(fld, "100")
+    count = point_count_formula(fld, nu)
+    assert count > POINT_LIMIT
+    with pytest.raises(ValueError, match=f"{count} points, above the {POINT_LIMIT}"):
+        SymbolSpace(fld, nu)
