@@ -175,8 +175,21 @@ class FourierTable:
                    default=1.0)
 
     def to_json(self) -> dict:
+        """The table as eval --table reads it back.
+
+        Each a_alpha is written as the float float(a) and read back through
+        Fraction, which returns a_alpha exactly when it is an integer of
+        absolute value at most 2^53, below which every integer is a float.
+        The tables of a_1 = 1 eigenforms have integer entries far below
+        that; InvariantError names an entry that breaks it.
+        """
         fld = self.space.field
         alphas = sorted(self.entries, key=lambda a: a.sort_key())
+        for alpha in alphas:
+            a = self.entries[alpha]
+            if a.denominator != 1 or abs(a) > 2**53:
+                raise InvariantError(f"a_{alpha} = {a} does not survive the float round trip "
+                                     f"of the table at level {self.space.level} (d={fld.d})")
         return {
             "d": fld.d,
             "level": str(self.space.level),

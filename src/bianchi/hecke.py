@@ -72,6 +72,7 @@ from .symbols import (
     lift_to_sl2,
     modular_symbol_vec,
     slash_poly,
+    slash_tensor,
 )
 
 
@@ -119,11 +120,9 @@ def heilbronn_actions(space: SymbolSpace, alphas: list[QuadInt]) -> list[IntMat]
         # component c by the adjugate (d, -b, -c, a) of member m, which is
         # P -> P(aX+bY, cX+dY)
         ncomp = 2 * (space.weight - 1)
-        coeffs = np.zeros((len(members), ncomp, ncomp), dtype=np.int64)
-        for m, (aa, ab, ba, bb, ca, cb, da, db) in enumerate(members):
-            for c, line in enumerate(space.slash_rows((da, db, -ba, -bb, -ca, -cb, aa, ab))):
-                for cj, cv in line.items():
-                    coeffs[m, c, cj] = cv
+        rows = np.asarray(members, dtype=np.int64).reshape(-1, 8)
+        coeffs = slash_tensor(space.field, space.weight,
+                              rows[:, [6, 7, 2, 3, 4, 5, 0, 1]] * [1, 1, -1, -1, -1, -1, 1, 1])
         for alpha, start, size in zip(alphas, starts, sizes):
             if entry * size * ncomp * absmax(coeffs[start:start + size]) > INT64_MAX:
                 raise InvariantError(f"slash coefficients over {size} family rows overflow "
@@ -244,7 +243,7 @@ def hecke_oracle(space: SymbolSpace, eta: QuadInt) -> HeckeOperator:
     is lifted to a matrix g, read as the modular symbol from g*0 to g*oo
     times P|g, pushed through each representative, and converted back via
     continued fractions and point_of (slash_poly on QuadInts at every
-    weight), not act_points or slash_rows, and summed as Fractions.  Beyond
+    weight), not act_points or slash_tensor, and summed as Fractions.  Beyond
     the symbol space, the two paths share only divisors_up_to_units, which
     both use to list the divisors of eta, the quotient map, and the
     cuspidal restriction of the result.

@@ -345,16 +345,15 @@ def _deflate(coeffs: list, r) -> list:
 
 def _primitive(coeffs: list) -> list[int]:
     # coprime integers proportional to the rational (int or Fraction)
-    # coeffs, last one positive
-    den = _ilcm(*[c.denominator for c in coeffs])
-    if den == 1:
-        ints = [c.numerator for c in coeffs]
-    else:
-        ints = [c.numerator * (den // c.denominator) for c in coeffs]
-    g = _igcd(*ints)
-    if ints[-1] < 0:
+    # coeffs, last one positive; int rows, the symbol builds' relations,
+    # skip the common denominator
+    if not all(type(c) is int for c in coeffs):
+        den = _ilcm(*[c.denominator for c in coeffs])
+        coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = _igcd(*coeffs)
+    if coeffs[-1] < 0:
         g = -g
-    return [c // g for c in ints]
+    return [c // g for c in coeffs]
 
 
 def _root_bound(coeffs: list[int]) -> int:

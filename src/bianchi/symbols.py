@@ -15,14 +15,18 @@ the builds, the Hecke operators and the Fourier layer move many points
 through many rows in one call and work on the int arrays it returns.  A
 build moves its points once, through J, the cusp moves and the few steps
 between consecutive word matrices, and composes every word matrix's image
-from those by gathers.  The two-term relations say e_(i*g) = +-e_i for g in
-the group generated by S and J, so their classes are the orbits of that
-group, found with the cusp orbits by one numpy kernel, _orbit_roots; the
-rest become integer rows (at weight 2 with repeats up to sign dropped, and
-a word of powers of one step taken at one point per orbit of the step) for
-the sparse row reduction in linalg.rref_ints.  The quotient map the
-reduction gives is one int64 matrix over one denominator, a QuotientMap,
-which the Hecke operators read by gathers.
+from those by gathers.  The two-term relations say that a symbol at i*g is
+a unit times one at i for g in the group generated by S and J (+-1 at
+weight 2; at weight k the symbol's coefficient is multiplied by a unit and
+its monomial moved), so their classes are the orbits of that group, found
+with the cusp orbits by one numpy kernel, _orbit_roots, with no rows; the
+rest become integer rows on the classes' free columns (at weight 2 with
+repeats up to sign dropped, and a word of powers of one step taken at one
+point per orbit of the step) for the sparse row reduction in
+linalg.rref_ints.  slash_tensor gives the weight-k slash coefficients of
+many matrices in one numpy pass.  The quotient map the reduction gives is
+one int64 matrix over one denominator, a QuotientMap, which the Hecke
+operators read by gathers.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from math import lcm
 
 import numpy as np
 
-from .linalg import check_int64, rref_ints, vec_axpy
+from .linalg import INT64_MAX, absmax, check_int64, rref_ints, vec_axpy
 from .quadints import (
     EUCLIDEAN_D,
     Field,
@@ -73,7 +77,7 @@ class Mat2:
                    QuadInt(fld, ca, cb), QuadInt(fld, da, db))
 
     def row(self) -> tuple[int, ...]:
-        """The 8-int row that act_points, slash_rows and the Heilbronn families use."""
+        """The 8-int row that act_points, slash_tensor and the Heilbronn families use."""
         a, b, c, d = self.a, self.b, self.c, self.d
         return (a.a, a.b, b.a, b.b, c.a, c.b, d.a, d.b)
 
@@ -195,6 +199,35 @@ def _pmul_ints(u: list[tuple[int, int]], v: list[tuple[int, int]],
     return list(zip(out_a, out_b))
 
 
+def _pmul_arrays(u: tuple[np.ndarray, np.ndarray], v: tuple[np.ndarray, np.ndarray],
+                 t: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    # _pmul_ints on many polynomials at once: (1-parts, omega-parts), each a
+    # (polynomials, degree + 1) int64 array
+    (ua, ub), (va, vb) = u, v
+    width = va.shape[1]
+    out_a = np.zeros((len(ua), ua.shape[1] + width - 1), dtype=np.int64)
+    out_b = np.zeros_like(out_a)
+    for i in range(ua.shape[1]):
+        p, q = ua[:, i, None], ub[:, i, None]
+        qs = q * vb
+        out_a[:, i:i + width] += p * va - m * qs
+        out_b[:, i:i + width] += p * vb + q * va + t * qs
+    return out_a, out_b
+
+
+def _slash_reach(entry: int, deg: int, t: int, m: int) -> int:
+    """A bound on every value slash_tensor forms from rows whose entries are
+    at most entry in absolute value: its recurrence on magnitudes, with every
+    term counted positive (_pmul_ints with -m).  Both linear forms then have
+    the magnitudes (entry, entry) of lin, the powers only grow, and the
+    omega multiple of a + b*omega grows a part by at most 1 + t + m."""
+    lin = [(entry, entry)] * 2
+    power = [(1, 0)]
+    for _ in range(deg):
+        power = _pmul_ints(power, lin, t, -m)
+    return (1 + t + m) * max(max(pair) for pair in power)
+
+
 def slash_poly(poly: dict[int, QuadInt], g: Mat2, weight: int) -> dict[int, QuadInt]:
     """P|_g = P(d*X - b*Y, -c*X + a*Y) on homogeneous degree weight-2 dicts.
 
@@ -219,6 +252,54 @@ def slash_poly(poly: dict[int, QuadInt], g: Mat2, weight: int) -> dict[int, Quad
         for j, pc in enumerate(prod):
             out[j] = out[j] + c * pc
     return {j: c for j, c in enumerate(out) if not c.is_zero()}
+
+
+def slash_tensor(fld: Field, weight: int,
+                 rows: Sequence[tuple[int, ...]] | np.ndarray) -> np.ndarray:
+    """SymbolSpace.slash_rows of many 8-int rows at once, as one int64 array.
+
+    Entry [r, c, cj] is the coefficient of component cj in the slash of
+    component c by row r, at the weight and over the field.  The powers of the
+    two linear forms are built on (rows, degree + 1) arrays of their 1- and
+    omega-parts, one numpy pass per power for every row.  InvariantError when
+    a coefficient could leave int64: _slash_reach bounds them from the largest
+    row entry.
+    """
+    t, m = fld.t, fld.m
+    deg = weight - 2
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, 8)
+    entry = absmax(rows)
+    if _slash_reach(entry, deg, t, m) > INT64_MAX:
+        raise InvariantError(f"weight-{weight} slash coefficients of row entries up to {entry} "
+                             f"overflow int64 (d={fld.d})")
+    aa, ab, ba, bb, ca, cb, da, db = (rows[:, k, None] for k in range(8))
+    # images of X and Y, indexed by the X-exponent
+    l1 = (np.hstack([-ba, da]), np.hstack([-bb, db]))
+    l2 = (np.hstack([aa, -ca]), np.hstack([ab, -cb]))
+    one = (np.ones((len(rows), 1), dtype=np.int64), np.zeros((len(rows), 1), dtype=np.int64))
+    pows1, pows2 = [one], [one]
+    for _ in range(deg):
+        pows1.append(_pmul_arrays(pows1[-1], l1, t, m))
+        pows2.append(_pmul_arrays(pows2[-1], l2, t, m))
+    out = np.empty((len(rows), 2 * deg + 2, 2 * deg + 2), dtype=np.int64)
+    for i in range(deg + 1):
+        pa, pb = _pmul_arrays(pows1[i], pows2[deg - i], t, m)
+        # (a + b*omega) * omega = -m*b + (a + t*b)*omega
+        out[:, 2 * i, 0::2], out[:, 2 * i, 1::2] = pa, pb
+        out[:, 2 * i + 1, 0::2], out[:, 2 * i + 1, 1::2] = -m * pb, pa + t * pb
+    return out
+
+
+@lru_cache(maxsize=32)
+def _relation_slashes(fld: Field, weight: int) -> tuple[np.ndarray, ...]:
+    """The slash_tensors a weight-k build reads, read-only: of S^-1 and J^-1,
+    then of the inverses of each later relation word's matrices."""
+    words, J = relation_words(fld)
+    out = (slash_tensor(fld, weight, [words[0][1].inv_unit().row(), J.inv_unit().row()]),
+           *(slash_tensor(fld, weight, [w.inv_unit().row() for w in word]) for word in words[1:]))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def _point_coords(nu: QuadInt) -> np.ndarray:
@@ -322,6 +403,31 @@ def normalize_cusp(p: QuadInt, q: QuadInt) -> tuple[QuadInt, QuadInt]:
     return p * u.conj(), q0
 
 
+def _padded(blocks: list[tuple[np.ndarray, np.ndarray]],
+            blank: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (cols, vals) blocks of rows stacked, each padded to the widest
+    with the blank column and value 0, for _distinct_rows."""
+    width = max(c.shape[1] for c, _ in blocks)
+    cols = np.full((sum(len(c) for c, _ in blocks), width), blank, dtype=np.int64)
+    vals = np.zeros(cols.shape, dtype=np.int64)
+    start = 0
+    for c, v in blocks:
+        cols[start:start + len(c), :c.shape[1]] = c
+        vals[start:start + len(c), :c.shape[1]] = v
+        start += len(c)
+    return cols, vals
+
+
+def _nonzero_first(cols: np.ndarray, vals: np.ndarray,
+                   blank: int) -> tuple[np.ndarray, np.ndarray]:
+    # each row's nonzero entries ascending by column, then blanks, which are
+    # dropped where every row has one
+    cols = np.where(vals != 0, cols, blank)
+    order = np.argsort(cols, axis=1, kind="stable")
+    order = order[:, :np.count_nonzero(vals, axis=1).max(initial=1)]
+    return np.take_along_axis(cols, order, axis=1), np.take_along_axis(vals, order, axis=1)
+
+
 def _distinct_rows(cols: np.ndarray, vals: np.ndarray, blank: int) -> list[dict[int, int]]:
     """Row i is the sum of vals[i, k] * e_cols[i, k]; the distinct nonzero rows.
 
@@ -332,18 +438,14 @@ def _distinct_rows(cols: np.ndarray, vals: np.ndarray, blank: int) -> list[dict[
     their columns: rref's result does not depend on the order, and on the
     weight-2 systems measured this one gives it the least fill-in.
     """
-    order = np.argsort(cols, axis=1, kind="stable")
-    cols = np.take_along_axis(cols, order, axis=1)
-    vals = np.take_along_axis(vals, order, axis=1)
-    for k in range(1, cols.shape[1]):
-        same = cols[:, k] == cols[:, k - 1]
-        vals[same, k] += vals[same, k - 1]
-        vals[same, k - 1] = 0
-    # nonzero entries first, ascending by column, then blanks
-    cols = np.where(vals != 0, cols, blank)
-    order = np.argsort(cols, axis=1, kind="stable")
-    cols = np.take_along_axis(cols, order, axis=1)
-    vals = np.take_along_axis(vals, order, axis=1)
+    cols, vals = _nonzero_first(cols, vals, blank)
+    # each run of equal columns sums into its first entry
+    start = np.ones(cols.shape, dtype=bool)
+    start[:, 1:] = cols[:, 1:] != cols[:, :-1]
+    (first,) = np.nonzero(start.ravel())
+    merged = np.zeros(vals.size, dtype=vals.dtype)
+    merged[first] = np.add.reduceat(vals.ravel(), first)
+    cols, vals = _nonzero_first(cols, merged.reshape(cols.shape), blank)
     vals *= np.where(vals[:, :1] < 0, -1, 1)
     keys = np.hstack([cols, vals])[vals[:, 0] != 0]
     # descending lexicographic order, then equal neighbours dropped: the rows
@@ -356,28 +458,30 @@ def _distinct_rows(cols: np.ndarray, vals: np.ndarray, blank: int) -> list[dict[
     return [{c: a for c, a in zip(key[:width], key[width:]) if a} for key in keys.tolist()]
 
 
-def _orbit_roots(images: np.ndarray, signs: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Orbits of the moves on the points, under e_i = signs[j] * e_images[i, j].
+def _orbit_roots(images: np.ndarray, labels, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Classes of the nodes under x_i = zeta^labels[i, j] * x_images[i, j].
 
-    images is the (points, moves) array of act_points, every column a
-    permutation of the points; signs holds +1 or -1 per move.  Returns
-    (root, sign): root[i] is the least point of i's orbit and e_i =
-    sign[i] * e_root[i], with sign 0 on the dead orbits, where the moves force
-    e_i = -e_i.  The signed point (i, s) is node 2*i + (s < 0); each node
-    takes the least label of itself and its images under the moves, then its
-    label's label, until nothing changes.  Labels only fall along a move, and
-    a move is a permutation, so at that point they are constant on each
-    cycle, hence on each component: every node is labelled by the least node
-    of its component, 2*root or 2*root + 1, and an orbit is dead when (i, +)
-    and (i, -) share it.
+    images is the (nodes, moves) array of the moves, every column a
+    permutation of the nodes; labels, of its shape or broadcast to it, holds
+    exponents of zeta, a generator of a cyclic group of order n: n = 1 for
+    plain orbits, n = 2 for zeta = -1, n = #units at weight k, where x_i is
+    the coordinate xi -> [xi * monomial, point] and zeta * x_i is xi ->
+    x_i(zeta * xi).  Returns (root, unit): root[i] is the least node of i's
+    class and x_i = zeta^unit[i] * x_root[i], with unit -1 on the dead classes,
+    those with x_root = zeta^s * x_root for some s != 0.  The twisted node
+    zeta^s * x_i is n*i + s; each takes the least label of itself and its
+    images under the moves, then its label's label, until nothing changes.
+    Labels only fall along a move, and a move is a permutation, so at that
+    point they are constant on each cycle, hence on each component: every
+    twisted node is labelled by the least one of its component, and a class
+    is dead when two twists of one node share it.
     """
-    npts, nmoves = images.shape
-    # moved[k, x]: the image of node x under move k
-    of_plus = (2 * images + (np.asarray(signs, dtype=np.int64) < 0)).T
-    moved = np.empty((nmoves, 2 * npts), dtype=np.int64)
-    moved[:, 0::2] = of_plus
-    moved[:, 1::2] = of_plus ^ 1
-    label = np.arange(2 * npts)
+    nnodes, nmoves = images.shape
+    # moved[k, n*i + s]: the image n*j + (l + s) % n of twisted node (i, s)
+    # under move k, for i's image j and label l
+    twist = (np.asarray(labels)[..., None] + np.arange(n)) % n
+    moved = (n * images[:, :, None] + twist).transpose(1, 0, 2).reshape(nmoves, n * nnodes)
+    label = np.arange(n * nnodes)
     while True:
         new = label.copy()
         for step in moved:
@@ -386,9 +490,9 @@ def _orbit_roots(images: np.ndarray, signs: Sequence[int]) -> tuple[np.ndarray, 
         if np.array_equal(new, label):
             break
         label = new
-    plus, minus = label[0::2], label[1::2]
-    sign = np.where(plus == minus, 0, 1 - 2 * (plus & 1))
-    return plus >> 1, sign
+    twists = label.reshape(nnodes, n)
+    dead = (twists[:, 1:] == twists[:, :1]).any(axis=1)
+    return twists[:, 0] // n, np.where(dead, -1, twists[:, 0] % n)
 
 
 class QuotientMap:
@@ -591,11 +695,11 @@ class SymbolSpace:
         those of the stabilizer of oo, acting on the right, which its
         generators determine; they are in bijection with the cusps of the
         symbol quotient, the point of g standing for the cusp g*oo and its S
-        image for g*0.  The orbits come from _orbit_roots with every sign +1
+        image for g*0.  The orbits come from _orbit_roots with every label 0
         and are numbered in the order of their least points.  Both arrays
         are standalone, so the build's point arrays are freed when it ends.
         """
-        root, _ = _orbit_roots(images, [1] * images.shape[1])
+        root, _ = _orbit_roots(images, 0, 1)
         self.cusp_pass = (np.unique(root, return_inverse=True)[1], s_image.copy())
 
     def _build_weight2(self) -> None:
@@ -605,7 +709,8 @@ class SymbolSpace:
         s_image = words[0][:, 1]
         self._set_cusp_pass(cusp, s_image)
         # x + x*S = 0 and x*J = x
-        root, sign = _orbit_roots(np.column_stack([s_image, j_image]), [-1, 1])
+        root, unit = _orbit_roots(np.column_stack([s_image, j_image]), [1, 0], 2)
+        sign = np.where(unit < 0, 0, 1 - 2 * unit)
         blocks = []
         for img, st in zip(words[1:], steps[1:]):
             if all(s == st[0] for s in st):
@@ -618,18 +723,9 @@ class SymbolSpace:
                         and np.array_equal(sign[closed], sign)):
                     raise InvariantError(f"a power of the step {st[0]!r} moves a class at "
                                          f"level {self.level} (d={self.field.d})")
-                img = img[_orbit_roots(img[:, 1:2], [1])[0] == everyone]
-            blocks.append(img)
-        # the word rows, padded with the blank column npts and value 0
-        width = max(img.shape[1] for img in blocks)
-        cols = np.full((sum(len(img) for img in blocks), width), npts, dtype=np.int64)
-        vals = np.zeros(cols.shape, dtype=np.int64)
-        start = 0
-        for img in blocks:
-            cols[start:start + len(img), :img.shape[1]] = root[img]
-            vals[start:start + len(img), :img.shape[1]] = sign[img]
-            start += len(img)
-        rows = _distinct_rows(cols, vals, npts)
+                img = img[_orbit_roots(img[:, 1:2], 0, 1)[0] == everyone]
+            blocks.append((root[img], sign[img]))
+        rows = _distinct_rows(*_padded(blocks, npts), npts)
         live = np.flatnonzero((root == everyone) & (sign != 0))
         matrix, den = self._quotient(rows, live.tolist())
         # the points of a class read their root's row, with their sign; a
@@ -681,7 +777,9 @@ class SymbolSpace:
         (part 1), keyed by the same flattening.  Relation words slash by
         w^-1, Heilbronn matrices by their adjugate.  The powers of the two
         linear forms slash_poly substitutes are built once per matrix, on
-        (a, b) int pairs standing for a + b*omega.
+        (a, b) int pairs standing for a + b*omega.  The builds and the Hecke
+        operators read slash_tensor, its batch on int64 arrays; this one
+        row in Python ints is the reference the tests hold it to.
         """
         t, m = self.field.t, self.field.m
         deg = self.weight - 2
@@ -707,36 +805,137 @@ class SymbolSpace:
                 out.append(row)
         return out
 
+    def _two_term_classes(self, s_image: np.ndarray,
+                          j_image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every generator's image modulo the S and J relations alone.
+
+        Returns (cols, vals), each of shape (generators, 2): generator g is
+        vals[g, 0] * e_cols[g, 0] + vals[g, 1] * e_cols[g, 1] modulo those
+        relations, on the free columns that rref of their rows would keep; a
+        dead generator has vals 0 and the blank column ngens.
+
+        The slash of X^i Y^(k-2-i) by S^-1 or J^-1 is a unit times one
+        monomial X^j Y^(k-2-j), so each relation says x_(i, p) = u * x_(j, p')
+        for the coordinate x_(i, p): xi -> [xi * X^i Y^(k-2-i), p] on O and
+        the unit u = zeta^s, zeta = J's corner, a generator of the units.
+        _orbit_roots settles them on the (monomial, point) nodes.  A class
+        where a unit other than 1 fixes its root is dead; a live one spans
+        the two columns of its root, and every generator g of it is the
+        root's coordinate at zeta^s * (1 or omega), an integer vector v_g on
+        them.  Column j is a pivot of rref exactly when e_j lies in the span
+        of the later columns, so a class keeps its highest generator f1 and
+        the highest f2 with v_f2 independent of v_f1, and every generator is
+        an integer combination of those two: v_f1, v_f2 are unit multiples of
+        1 and omega, with determinant +-1.  InvariantError names the level
+        when either premise fails.
+        """
+        fld, npts = self.field, self.npts
+        deg = self.weight - 2
+        ngens = 2 * (deg + 1) * npts
+        where = f"at level {self.level} (d={fld.d})"
+        powers = [fld.one]
+        while len(powers) < len(fld.units):
+            powers.append(powers[-1] * self.J.a)
+        # mul[s, part]: zeta^s times 1 (part 0) or omega (part 1), on 1, omega
+        mul = np.array([[(u.a, u.b), ((u * fld.omega).a, (u * fld.omega).b)] for u in powers])
+        exponent = {tuple(block): s for s, block in enumerate(mul.reshape(-1, 4).tolist())}
+        # x_(i, p) = -[P|S^-1, pS] and = [P|J^-1, pJ] for P = xi * X^i Y^(k-2-i)
+        slash = _relation_slashes(fld, self.weight)[0]
+        target = np.zeros((2, deg + 1), dtype=np.int64)
+        label = np.zeros((2, deg + 1), dtype=np.int64)
+        for k, sgn in ((0, -1), (1, 1)):
+            for i in range(deg + 1):
+                # block[j]: the images of (1, omega) * X^i Y^(k-2-i) on monomial j
+                block = sgn * slash[k, 2 * i:2 * i + 2].reshape(2, deg + 1, 2).swapaxes(0, 1)
+                (hit,) = np.nonzero(block.any(axis=(1, 2)))
+                s = exponent.get(tuple(block[hit].ravel().tolist()))
+                if s is None:
+                    raise InvariantError(f"the slash of X^{i} Y^{deg - i} by {'SJ'[k]} is not "
+                                         f"a unit times one monomial {where}")
+                target[k, i], label[k, i] = hit[0], s
+        nodes = np.column_stack([(target[0, :, None] * npts + s_image).ravel(),
+                                 (target[1, :, None] * npts + j_image).ravel()])
+        root, unit = _orbit_roots(nodes, np.repeat(label, npts, axis=1).T, len(powers))
+        # generator g = (2*i + part) * npts + p sits on node i * npts + p
+        comp, pt = np.divmod(np.arange(ngens), npts)
+        node = comp // 2 * npts + pt
+        gens = np.flatnonzero(unit[node] >= 0)
+        vec = mul[unit[node[gens]], comp[gens] % 2]
+        # class by class, highest generator first
+        order = np.lexsort((-gens, root[node[gens]]))
+        gens, vec, cls = gens[order], vec[order], root[node[gens[order]]]
+        head = np.ones(len(gens), dtype=bool)
+        head[1:] = cls[1:] != cls[:-1]
+        run = np.cumsum(head) - 1
+        v1 = vec[head][run]
+        second = np.flatnonzero(vec[:, 0] * v1[:, 1] - vec[:, 1] * v1[:, 0])
+        second = second[np.diff(run[second], prepend=-1) != 0]
+        if len(second) != head.sum():
+            raise InvariantError(f"a live S, J class spans one column {where}")
+        v2 = vec[second][run]
+        det = v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0]
+        if np.any(np.abs(det) != 1):
+            raise InvariantError(f"an S, J class has free columns of determinant "
+                                 f"{int(det[np.abs(det) != 1][0])} {where}")
+        cols = np.full((ngens, 2), ngens, dtype=np.int64)
+        vals = np.zeros((ngens, 2), dtype=np.int64)
+        cols[gens, 0], cols[gens, 1] = gens[head][run], gens[second][run]
+        vals[gens, 0] = (vec[:, 0] * v2[:, 1] - vec[:, 1] * v2[:, 0]) * det
+        vals[gens, 1] = (v1[:, 0] * vec[:, 1] - v1[:, 1] * vec[:, 0]) * det
+        return cols, vals
+
     def _build_general(self) -> None:
-        fld = self.field
+        """The weight-k quotient in two stages.
+
+        Stage 1 (_two_term_classes) settles the S and J relations with no
+        rows.  Stage 2 writes each word relation's rows, the slash
+        coefficients of its matrices' inverses (slash_tensor) at their
+        images, on stage 1's free columns and reduces them by rref_ints.  The
+        S and J rows are block-diagonal over the classes, and reducing a
+        subset of the rows first only moves pivots onto later columns, so the
+        pivots are the union of the two stages' and a generator's image is
+        its stage-1 image pushed through stage 2: the quotient one rref of
+        every row gives.  Its denominator is stage 2's, the lcm of the
+        denominators of the free stage-1 columns' images, and each of those
+        columns is a generator whose stage-1 image is itself; so it is the
+        lcm of the map's entry denominators, as one rref's is.
+        """
         npts = self.npts
         ncomp = 2 * (self.weight - 1)
+        ngens = ncomp * npts
         words, _, j_image, cusp = self._point_pass()
         self._set_cusp_pass(cusp, words[0][:, 1])
-        # the two-term S and J relations ahead of the words: rref's result
-        # does not depend on the order, and its fill-in is far smaller
-        rels = [[(w, 1) for w in word] for word in self.sum_words]
-        rels.insert(1, [(Mat2.identity(fld), 1), (self.J, -1)])
-        images = [words[0], np.column_stack([np.arange(npts), j_image]), *words[1:]]
-        rows = []
-        for rel, img in zip(rels, images):
-            slashes = [self.slash_rows(w.inv_unit().row()) for w, _ in rel]
-            acts = img.T.tolist()
-            for p in range(npts):
-                for ci in range(ncomp):
-                    row: dict[int, int] = {}
-                    for (w, sgn), cm, act in zip(rel, slashes, acts):
-                        for cj, coeff in cm[ci].items():
-                            key = cj * npts + act[p]
-                            val = row.get(key, 0) + sgn * coeff
-                            if val:
-                                row[key] = val
-                            else:
-                                row.pop(key, None)
-                    if row:
-                        rows.append(row)
-        ngens = ncomp * npts
-        matrix, den = self._quotient(rows, list(range(ngens)))
+        cols1, vals1 = self._two_term_classes(words[0][:, 1], j_image)
+        blocks = []
+        for coef, img in zip(_relation_slashes(self.field, self.weight)[1:], words[1:]):
+            # per component c of the row, the (matrix, component) pairs with a
+            # nonzero coefficient, padded with zero coefficients
+            coef = coef.swapaxes(0, 1).reshape(ncomp, -1)
+            pick = np.argsort(coef == 0, axis=1, kind="stable")
+            pick = pick[:, :int(np.count_nonzero(coef, axis=1).max())]
+            at, cj = np.divmod(pick, ncomp)
+            gens = cj * npts + img[:, at]
+            scale = np.take_along_axis(coef, pick, axis=1)[..., None]
+            # about half the entries are 0 (dead generators, or one parallel
+            # to its class's first free column), so each block keeps only
+            # as many entries a row as its fullest row has
+            blocks.append(_nonzero_first(cols1[gens].reshape(npts * ncomp, -1),
+                                         (scale * vals1[gens]).reshape(npts * ncomp, -1), ngens))
+        # the free columns, ascending, without np.unique, which imports numpy.ma
+        free = np.zeros(ngens + 1, dtype=bool)
+        free[cols1] = True
+        free1 = np.flatnonzero(free[:ngens])
+        stage2, den = self._quotient(_distinct_rows(*_padded(blocks, ngens), ngens),
+                                     free1.tolist())
+        # compose: position -1 (the blank column of a dead generator) reads
+        # stage 2's trailing zero row
+        position = np.full(ngens + 1, -1, dtype=np.int64)
+        position[free1] = np.arange(len(free1))
+        if 2 * absmax(vals1) * absmax(stage2) > INT64_MAX:
+            raise InvariantError(f"the two quotient stages overflow int64 at level {self.level} "
+                                 f"(d={self.field.d})")
+        matrix = np.vstack([vals1[:, :1] * stage2[position[cols1[:, 0]]]
+                            + vals1[:, 1:] * stage2[position[cols1[:, 1]]], stage2[-1:]])
         self.qmap = QuotientMap.build(matrix, den, np.arange(ngens), np.ones(ngens))
 
     def generator(self, g: int) -> tuple[dict[int, QuadInt], int]:

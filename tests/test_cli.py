@@ -610,9 +610,12 @@ def test_point_counts_names_the_first_differing_pair(monkeypatch, damage):
         assert diff["enumerated"] is None and len(diff["brute"]) == 2
 
 
-# one d = 7 and one d = 11 level, each with a cusp form
+# one d = 7 and one d = 11 level, each with a cusp form, and one weight-4
+# level, whose build settles its S and J classes in stage 1
 OPTIMIZED_RUNS = [
     ["space", "--d", "7", "--level", "2+4w", "--full"],
+    ["hecke", "--d", "11", "--level", "2+w", "--weight", "4", "--eta", "w",
+     "--commute-with", "2", "--commute-with", "1+w"],
     ["hecke", "--d", "7", "--level", "2+4w", "--eta", "1-2w", "--commute-with", "3"],
     ["space", "--d", "11", "--level", "1-2w", "--full"],
     ["hecke", "--d", "11", "--level", "1-2w", "--eta", "2", "--commute-with", "w"],
@@ -661,6 +664,8 @@ def test_same_output_under_python_O():
 SCIPY_FREE_RUNS = [
     ["space", "--d", "11", "--level", "1-2w"],
     ["hecke", "--d", "11", "--level", "1-2w", "--eta", "2", "--commute-with", "w"],
+    ["hecke", "--d", "7", "--level", "1-2w", "--weight", "4", "--eta", "w",
+     "--commute-with", "2"],
     ["eigen", "--d", "11", "--level", "1-2w"],
     ["heilbronn", "--d", "11", "--eta", "1+w", "--verify"],
     ["fourier", "--d", "11", "--level", "1-2w", "--norm-bound", "20"],

@@ -28,7 +28,13 @@ from bianchi.boundary import cuspidal_subspace
 from bianchi.hecke import eigensystems, hecke_matrix, heilbronn_action
 from bianchi.heilbronn import DEFAULT_TIE, heilbronn_family
 from bianchi.linalg import vec_dot
-from bianchi.quadints import Field, canonical_elements_of_norm, gcd, parse_element
+from bianchi.quadints import (
+    Field,
+    InvariantError,
+    canonical_elements_of_norm,
+    gcd,
+    parse_element,
+)
 from bianchi.symbols import Mat2, symbol_space
 from test_symbols import act_point, gen_map
 
@@ -303,6 +309,24 @@ def test_table_json_shape():
     assert obj["d"] == 11 and obj["level"] == "1-2w" and obj["norm_bound"] == 5
     norms = [parse_element(Field.get(11), e["alpha"]).norm() for e in obj["a"]]
     assert norms == sorted(norms)
+
+
+def test_table_json_entries_survive_the_float_round_trip():
+    # eval --table reads each written float back through Fraction
+    table = form_table(5)
+    back = [Fraction(e["re"]) for e in table.to_json()["a"]]
+    assert back == [table.entries[a] for a in sorted(table.entries, key=lambda a: a.sort_key())]
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(-(2**53) - 1)])
+def test_table_json_refuses_an_entry_the_float_would_change(monkeypatch, bad):
+    table = form_table(5)
+    alpha = max(table.entries, key=lambda a: a.sort_key())
+    monkeypatch.setitem(table.entries, alpha, Fraction(2**53))
+    assert Fraction(table.to_json()["a"][-1]["re"]) == 2**53
+    monkeypatch.setitem(table.entries, alpha, bad)
+    with pytest.raises(InvariantError, match=f"a_{alpha} = {bad} does not survive"):
+        table.to_json()
 
 
 def tail_estimate_reference(table, w):

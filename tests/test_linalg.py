@@ -291,6 +291,33 @@ def test_rref_matches_reference(rows):
     assert_rref_matches_reference(rows)
 
 
+int_rows = st.dictionaries(st.integers(0, 11), st.integers(-6, 6), max_size=6)
+
+
+@given(st.lists(int_rows, max_size=12), st.data())
+@example([{0: 2, 1: 4}, {1: -3, 4: 6}], None)
+def test_rref_on_int_rows_and_on_them_mixed_with_fractions(rows, data):
+    # rows of ints alone, the symbol builds' relations, skip the common
+    # denominator in _primitive; the same rows with some entries turned into
+    # Fractions of the same value, and beside rows with proper Fractions,
+    # reduce as rref_reference does
+    assert_rref_matches_reference(rows)
+    flip = [True, False] * 6 if data is None else \
+        data.draw(st.lists(st.booleans(), min_size=12, max_size=12))
+    mixed = [{k: Fraction(c) if f else c for k, c in r.items()} for r, f in zip(rows, flip)]
+    assert rref(mixed) == rref(rows)
+    extra = [{k: Fraction(c, 3) for k, c in r.items()} for r in rows[:2]] + [{5: Fraction(1, 2)}]
+    assert_rref_matches_reference(mixed + extra)
+
+
+def test_primitive_on_int_fraction_and_mixed_coefficients():
+    assert _primitive([2, 4, -6]) == [-1, -2, 3]
+    assert _primitive([Fraction(1, 2), 1]) == [1, 2]
+    assert _primitive([2, Fraction(2, 3)]) == [3, 1]
+    assert _primitive([Fraction(4), -2]) == [-2, 1]
+    assert all(type(c) is int for c in _primitive([Fraction(6, 4), 3]))
+
+
 def test_rref_leaves_the_input_alone():
     rows = [{2: 1, 0: 2}, {0: Fraction(1, 2), 5: Fraction(3)}, {2: 0, 1: -1}]
     before = snapshot(rows)
@@ -301,9 +328,10 @@ def test_rref_leaves_the_input_alone():
 
 @pytest.mark.parametrize("d, level, weight", [(7, "3+3w", 2), (11, "3-w", 4)])
 def test_rref_on_relation_rows(monkeypatch, d, level, weight):
-    # the weight-2 build keeps one row per class up to sign, so its whole
-    # relation system is read off what it hands _distinct_rows, merged here
-    # column by column; both systems must reduce to the same form
+    # a build hands _distinct_rows its word rows (at weight 2 one per class
+    # up to sign, at weight k on the free columns of the S and J classes), so
+    # its relation system is read off them, merged here column by column;
+    # both systems must reduce to the same form
     captured = []
     system = []
     distinct_rows = bianchi.symbols._distinct_rows
@@ -326,11 +354,12 @@ def test_rref_on_relation_rows(monkeypatch, d, level, weight):
     fld = Field.get(d)
     bianchi.symbols.SymbolSpace(fld, parse_element(fld, level), weight)
     (rows,) = captured
-    assert bool(system) == (weight == 2)
-    if system:
-        assert len(rows) < len(system) and rref(rows) == rref(system)
-        rows = system
-    assert len(rows) > 1000 and all(type(c) is int for r in rows for c in r.values())
+    assert all(type(c) is int for r in rows for c in r.values())
+    assert len(rows) < len(system) and rref(rows) == rref(system)
+    rows = system
+    # 864 word rows at d = 11, 3-w, weight 4, where the S and J rows no
+    # longer reach rref
+    assert len(rows) > 800 and all(type(c) is int for r in rows for c in r.values())
     assert_rref_matches_reference(rows)
 
 

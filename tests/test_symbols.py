@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import example, given, strategies as st
 from bianchi.cli import main
 from bianchi.fourier import _unit_twist
 from bianchi.heilbronn import heilbronn_family
-from bianchi.linalg import rref, vec_axpy
+from bianchi.linalg import rref, rref_ints, vec_axpy
 from bianchi.quadints import (
     EUCLIDEAN_D,
     Field,
@@ -36,6 +37,7 @@ from bianchi.symbols import (
     point_count_formula,
     relation_words,
     slash_poly,
+    slash_tensor,
     symbol_space,
     _distinct_rows,
     _orbit_roots,
@@ -350,15 +352,27 @@ def unit_level_space(d, weight):
     return SymbolSpace(fld, fld.one, weight)
 
 
+def tensor_rows(block):
+    # one matrix's slash_tensor block as slash_rows' list of {component: coefficient}
+    return [{cj: c for cj, c in enumerate(line) if c} for line in block.tolist()]
+
+
 @given(st.sampled_from(EUCLIDEAN_D), st.sampled_from([4, 6, 8]),
        st.lists(st.integers(-50, 50), min_size=8, max_size=8))
 @example(1, 4, [0] * 8)
 @example(11, 8, [1, 0, 0, 1, 0, 1, 1, 1])
 def test_slash_rows_on_drawn_matrices(d, weight, coords):
+    # slash_rows and slash_tensor, on g in a batch with its adjugate and
+    # itself again, against the slash_poly route
     space = unit_level_space(d, weight)
     fld = space.field
     g = Mat2(*(fld.elt(a, b) for a, b in zip(coords[::2], coords[1::2])))
     assert space.slash_rows(g.row()) == slash_rows_reference(space, g)
+    batch = [g, g.adj(), g]
+    tensor = slash_tensor(fld, weight, [m.row() for m in batch])
+    assert tensor.shape == (3, 2 * weight - 2, 2 * weight - 2) and tensor.dtype == np.int64
+    assert [tensor_rows(block) for block in tensor] == \
+        [slash_rows_reference(space, m) for m in batch]
 
 
 def test_slash_rows_on_family_adjugates_and_word_inverses():
@@ -371,8 +385,11 @@ def test_slash_rows_on_family_adjugates_and_word_inverses():
                      for m in heilbronn_family(eta)]
         for weight in (4, 6, 8):
             space = unit_level_space(d, weight)
-            for g in inverses + adjugates:
-                assert space.slash_rows(g.row()) == slash_rows_reference(space, g), (d, weight, g)
+            tensor = slash_tensor(fld, weight, [g.row() for g in inverses + adjugates])
+            for g, block in zip(inverses + adjugates, tensor):
+                want = slash_rows_reference(space, g)
+                assert space.slash_rows(g.row()) == want, (d, weight, g)
+                assert tensor_rows(block) == want, (d, weight, g)
 
 
 def test_odd_weight_rejection():
@@ -694,9 +711,9 @@ def orbit_roots_reference(images, signs):
     return [(r, s, uf.dead[r]) for r, s in found]
 
 
-@st.composite
-def signed_permutations(draw):
-    # n <= 30 points, each move a permutation built from cycles of length 1-6
+def draw_moves(draw):
+    # the (points, moves) images of up to 4 moves on n <= 30 points, each a
+    # permutation built from cycles of length 1-6
     n = draw(st.integers(1, 30))
     moves = []
     for _ in range(draw(st.integers(0, 4))):
@@ -710,8 +727,14 @@ def signed_permutations(draw):
                 perm[a] = b
             start = stop
         moves.append(perm)
-    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=len(moves), max_size=len(moves)))
-    return [list(line) for line in zip(*moves)] if moves else [[] for _ in range(n)], signs
+    return [list(line) for line in zip(*moves)] if moves else [[] for _ in range(n)]
+
+
+@st.composite
+def signed_permutations(draw):
+    images = draw_moves(draw)
+    nmoves = len(images[0])
+    return images, draw(st.lists(st.sampled_from([-1, 1]), min_size=nmoves, max_size=nmoves))
 
 
 @given(signed_permutations())
@@ -720,11 +743,66 @@ def signed_permutations(draw):
 @example(([[], [], []], []))  # no moves: every point is its own orbit
 @example(([[1], [0], [2]], [-1]))  # the fixed point 2 is dead, 0 and 1 are not
 def test_orbit_roots_match_signed_union_find(case):
+    # signs are labels in the group of order 2, -1 = zeta
     images, signs = case
-    root, sign = _orbit_roots(np.array(images, dtype=np.int64), signs)
-    got = [(r, s, s == 0) for r, s in zip(root.tolist(), sign.tolist())]
+    labels = [int(s < 0) for s in signs]
+    root, unit = _orbit_roots(np.array(images, dtype=np.int64), labels, 2)
+    got = [(r, 0 if u < 0 else 1 - 2 * u, u < 0) for r, u in zip(root.tolist(), unit.tolist())]
     want = [(r, 0 if dead else s, dead) for r, s, dead in orbit_roots_reference(images, signs)]
     assert got == want
+
+
+def orbit_units_reference(images, labels, n):
+    # (root, unit) per node from a union-find over Z/n: x_i = zeta^shift[i] *
+    # x_parent[i], one union x_i = zeta^l * x_j per entry; a union closing a
+    # loop with a shift other than 0 kills the class
+    parent, shift = list(range(len(images))), [0] * len(images)
+    dead = set()
+
+    def find(i):
+        s = 0
+        while parent[i] != i:
+            s += shift[i]
+            i = parent[i]
+        return i, s % n
+
+    for i, (line, marks) in enumerate(zip(images, labels)):
+        for j, l in zip(line, marks):
+            (ri, si), (rj, sj) = find(i), find(j)
+            t = (l + sj - si) % n  # x_ri = zeta^t * x_rj
+            if ri == rj:
+                if t:
+                    dead.add(ri)
+                continue
+            if ri < rj:
+                ri, rj, t = rj, ri, -t % n
+            parent[ri], shift[ri] = rj, t
+            if ri in dead:
+                dead.add(rj)
+    found = [find(i) for i in range(len(images))]
+    return [(r, -1 if r in dead else s) for r, s in found]
+
+
+@st.composite
+def unit_labelled_permutations(draw):
+    n = draw(st.sampled_from([1, 2, 4, 6]))
+    images = draw_moves(draw)
+    labels = [draw(st.lists(st.integers(0, n - 1), min_size=len(line), max_size=len(line)))
+              for line in images]
+    return images, labels, n
+
+
+@given(unit_labelled_permutations())
+@example(([[0]], [[2]], 4))  # -1 fixes the one point: dead
+@example(([[1], [0]], [[1], [3]], 4))  # a 2-cycle whose labels cancel: live
+@example(([[1], [0]], [[1], [1]], 6))  # a 2-cycle closing on zeta^2: dead
+@example(([[0, 1], [1, 0]], [[0, 5], [0, 1]], 6))
+def test_orbit_roots_match_unit_union_find(case):
+    # labels per entry, in the unit groups of orders 1, 2, 4 and 6
+    images, labels, n = case
+    root, unit = _orbit_roots(np.array(images, dtype=np.int64).reshape(len(images), -1),
+                              np.array(labels, dtype=np.int64).reshape(len(images), -1), n)
+    assert list(zip(root.tolist(), unit.tolist())) == orbit_units_reference(images, labels, n)
 
 
 def build_weight2_reference(space):
@@ -870,6 +948,30 @@ def test_symbol_invariants_fire_under_python_O(run_optimized):
     assert [line.split(":")[0] for line in out] == ["inv_unit", "count", "path", "point"], out
 
 
+def test_weight_k_invariants_fire_under_python_O(run_optimized):
+    # a slash coefficient past int64, and a J whose slash is no unit times
+    # one monomial, which stage 1 refuses naming the field and the level
+    out = run_optimized(
+        "from bianchi import symbols\n"
+        "from bianchi.quadints import Field, InvariantError, parse_element\n"
+        "fld = Field.get(1)\n"
+        "def attempt(name, fn, *args):\n"
+        "    try:\n"
+        "        fn(*args)\n"
+        "    except InvariantError as exc:\n"
+        "        print(name + ':', exc)\n"
+        "attempt('tensor', symbols.slash_tensor, fld, 4, [(2**40, 0, 0, 0, 0, 0, 1, 0)])\n"
+        "words = symbols.relation_words\n"
+        "def bent(f):\n"
+        "    ws, J = words(f)\n"
+        "    return ws, symbols.Mat2(J.a, f.one, f.zero, J.d)\n"
+        "symbols.relation_words = bent\n"
+        "attempt('stage one', symbols.SymbolSpace, fld, parse_element(fld, '3'), 4)\n"
+    )
+    assert [line.split(":")[0] for line in out] == ["tensor", "stage one"], out
+    assert "not a unit times one monomial at level 3 (d=1)" in out[1]
+
+
 # sha256 of repr([sorted(g.items()) for g in gen_map(space)]) as the Fraction
 # elimination kept in test_linalg.rref_reference gives it, at levels with
 # larger relation systems and other fill patterns than norm <= 25 reaches
@@ -964,3 +1066,109 @@ def test_level_past_the_point_limit_refused():
     assert count > POINT_LIMIT
     with pytest.raises(ValueError, match=f"{count} points, above the {POINT_LIMIT}"):
         SymbolSpace(fld, nu)
+
+
+def build_general_reference(space):
+    # the one-shot weight-k build the staged one replaced: every S, J and
+    # word relation row at every point and component, from slash_rows in a
+    # dict loop, and one rref_ints over every generator; returns (free_gens,
+    # den, matrix) as its quotient gave them
+    fld = space.field
+    npts = space.npts
+    ncomp = 2 * (space.weight - 1)
+    words, _, j_image, _ = space._point_pass()
+    rels = [[(w, 1) for w in word] for word in space.sum_words]
+    rels.insert(1, [(Mat2.identity(fld), 1), (space.J, -1)])
+    images = [words[0], np.column_stack([np.arange(npts), j_image]), *words[1:]]
+    rows = []
+    for rel, img in zip(rels, images):
+        slashes = [space.slash_rows(w.inv_unit().row()) for w, _ in rel]
+        acts = img.T.tolist()
+        for p in range(npts):
+            for ci in range(ncomp):
+                row = {}
+                for (w, sgn), cm, act in zip(rel, slashes, acts):
+                    for cj, coeff in cm[ci].items():
+                        key = cj * npts + act[p]
+                        val = row.get(key, 0) + sgn * coeff
+                        if val:
+                            row[key] = val
+                        else:
+                            row.pop(key, None)
+                if row:
+                    rows.append(row)
+    ngens = ncomp * npts
+    piv = rref_ints(rows)
+    free = [g for g in range(ngens) if g not in piv]
+    qidx = {g: t for t, g in enumerate(free)}
+    den = lcm(1, *(prow[c] for c, prow in piv.items()))
+    matrix = np.zeros((ngens + 1, len(free)), dtype=np.int64)
+    for g in range(ngens):
+        prow = piv.get(g)
+        if prow is None:
+            matrix[g, qidx[g]] = den
+            continue
+        for c, a in prow.items():
+            if c != g:
+                matrix[g, qidx[c]] = -a * (den // prow[g])
+    return free, den, matrix
+
+
+def assert_matches_general_reference(space):
+    free, den, matrix = build_general_reference(space)
+    q = space.qmap
+    where = (space.field.d, str(space.level), space.weight)
+    assert (space.free_gens, space.dim, q.den) == (free, len(free), den), where
+    assert q.matrix.dtype == np.int64 and np.array_equal(q.matrix, matrix), where
+    ngens = len(matrix) - 1
+    assert np.array_equal(q.row, np.append(np.arange(ngens), -1)), where
+    assert np.array_equal(q.sign, np.append(np.ones(ngens, dtype=np.int64), 0)), where
+
+
+# beyond survey's weight-4 levels: the levels the staged build was timed at,
+# and one weight-3 level per field, where S^2 = -I kills classes
+STAGED_LEVELS = [(3, "5", 4), (7, "3+w", 6), (1, "3", 6), (2, "3", 4),
+                 *((d, text, 3) for d, text in LAYOUT_LEVELS.items())]
+
+
+@pytest.mark.parametrize("d", EUCLIDEAN_D)
+def test_staged_weight_k_build_matches_one_shot_reference(d):
+    # free_gens, den and the int map of every survey weight-4 level (norm
+    # 2..7) and of the larger levels above are the one-shot build's
+    fld = Field.get(d)
+    spaces = [SymbolSpace(fld, nu, 4) for n in range(2, 8)
+              for nu in canonical_elements_of_norm(fld, n)]
+    spaces += [SymbolSpace(fld, parse_element(fld, text), k)
+               for dd, text, k in STAGED_LEVELS if dd == d]
+    for space in spaces:
+        assert_matches_general_reference(space)
+    assert any(space.dim for space in spaces)
+
+
+# the word rows of survey's weight-4 levels are redundant one by one, but
+# for d = 2, level w: its two rows are both needed
+@pytest.mark.parametrize("corrupt, d, level", [("unit label", 11, "3+w"), ("word row", 2, "w")])
+def test_staged_parity_catches_a_corrupted_stage(monkeypatch, corrupt, d, level):
+    # negative controls: one wrong unit label in stage 1, or one word row
+    # dropped before stage 2, and the comparison with the one-shot build fails
+    import bianchi.symbols
+
+    orbit_roots, distinct_rows = bianchi.symbols._orbit_roots, bianchi.symbols._distinct_rows
+
+    def wrong_label(images, labels, n):
+        labels = np.array(np.broadcast_to(labels, images.shape))
+        labels[0, 1] = (labels[0, 1] + 1) % n
+        return orbit_roots(images, labels, n)
+
+    def drop_row(cols, vals, blank):
+        return distinct_rows(cols, vals, blank)[:-1]
+
+    fld = Field.get(d)
+    nu = parse_element(fld, level)
+    assert_matches_general_reference(SymbolSpace(fld, nu, 4))
+    if corrupt == "unit label":
+        monkeypatch.setattr(bianchi.symbols, "_orbit_roots", wrong_label)
+    else:
+        monkeypatch.setattr(bianchi.symbols, "_distinct_rows", drop_row)
+    with pytest.raises(AssertionError):
+        assert_matches_general_reference(SymbolSpace(fld, nu, 4))
