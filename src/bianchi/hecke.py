@@ -95,7 +95,8 @@ def heilbronn_actions(space: SymbolSpace, alphas: list[QuadInt]) -> list[IntMat]
     weighted by its integer coefficient, one component at a time.  The
     gathers go family by family, so the largest array is one family's, as
     for a batch of one.  The sums stay on int64 over the map's denominator;
-    InvariantError when one family's could leave it.
+    InvariantError when a slash coefficient or one family's sums could
+    leave it.
     """
     if not alphas:
         return []
@@ -123,6 +124,9 @@ def heilbronn_actions(space: SymbolSpace, alphas: list[QuadInt]) -> list[IntMat]
         rows = np.asarray(members, dtype=np.int64).reshape(-1, 8)
         coeffs = slash_tensor(space.field, space.weight,
                               rows[:, [6, 7, 2, 3, 4, 5, 0, 1]] * [1, 1, -1, -1, -1, -1, 1, 1])
+        if coeffs.dtype == object:
+            raise InvariantError(f"weight-{space.weight} slash coefficients of the families "
+                                 f"leave int64 (d={space.field.d})")
         for alpha, start, size in zip(alphas, starts, sizes):
             if entry * size * ncomp * absmax(coeffs[start:start + size]) > INT64_MAX:
                 raise InvariantError(f"slash coefficients over {size} family rows overflow "

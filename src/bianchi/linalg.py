@@ -50,7 +50,8 @@ def vec_dot(u: dict, v: dict):
 
 
 def absmax(a: np.ndarray) -> int:
-    """The largest |entry| of an int64 array, as a Python int; 0 when empty."""
+    """The largest |entry| of an int64 or object (Python int) array, as a
+    Python int; 0 when empty."""
     return max(int(a.max(initial=0)), -int(a.min(initial=0)))
 
 

@@ -202,10 +202,10 @@ def _pmul_ints(u: list[tuple[int, int]], v: list[tuple[int, int]],
 def _pmul_arrays(u: tuple[np.ndarray, np.ndarray], v: tuple[np.ndarray, np.ndarray],
                  t: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     # _pmul_ints on many polynomials at once: (1-parts, omega-parts), each a
-    # (polynomials, degree + 1) int64 array
+    # (polynomials, degree + 1) array of u's dtype, int64 or object
     (ua, ub), (va, vb) = u, v
     width = va.shape[1]
-    out_a = np.zeros((len(ua), ua.shape[1] + width - 1), dtype=np.int64)
+    out_a = np.zeros((len(ua), ua.shape[1] + width - 1), dtype=ua.dtype)
     out_b = np.zeros_like(out_a)
     for i in range(ua.shape[1]):
         p, q = ua[:, i, None], ub[:, i, None]
@@ -256,37 +256,42 @@ def slash_poly(poly: dict[int, QuadInt], g: Mat2, weight: int) -> dict[int, Quad
 
 def slash_tensor(fld: Field, weight: int,
                  rows: Sequence[tuple[int, ...]] | np.ndarray) -> np.ndarray:
-    """SymbolSpace.slash_rows of many 8-int rows at once, as one int64 array.
+    """Integer matrices of P -> P|_g for many 8-int rows g (see Mat2.row).
 
     Entry [r, c, cj] is the coefficient of component cj in the slash of
-    component c by row r, at the weight and over the field.  The powers of the
-    two linear forms are built on (rows, degree + 1) arrays of their 1- and
-    omega-parts, one numpy pass per power for every row.  InvariantError when
-    a coefficient could leave int64: _slash_reach bounds them from the largest
-    row entry.
+    component c by row r, at the weight and over the field: component
+    2*i + part is X^i Y^(k-2-i) times 1 (part 0) or omega (part 1).
+    Relation words slash by w^-1, Heilbronn matrices by their adjugate.  The
+    powers of the two linear forms slash_poly substitutes are built on
+    (rows, degree + 1) arrays of their 1- and omega-parts, one numpy pass
+    per power for every row.  The pass runs on int64 when _slash_reach,
+    from the largest row entry, keeps every value it forms there, and on
+    Python ints (an object array) otherwise; the result is int64 when every
+    coefficient fits, and the object array when one does not, as the word
+    matrices' do from weight 38 at d = 11.
     """
     t, m = fld.t, fld.m
     deg = weight - 2
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, 8)
-    entry = absmax(rows)
-    if _slash_reach(entry, deg, t, m) > INT64_MAX:
-        raise InvariantError(f"weight-{weight} slash coefficients of row entries up to {entry} "
-                             f"overflow int64 (d={fld.d})")
+    if _slash_reach(absmax(rows), deg, t, m) > INT64_MAX:
+        rows = rows.astype(object)
     aa, ab, ba, bb, ca, cb, da, db = (rows[:, k, None] for k in range(8))
     # images of X and Y, indexed by the X-exponent
     l1 = (np.hstack([-ba, da]), np.hstack([-bb, db]))
     l2 = (np.hstack([aa, -ca]), np.hstack([ab, -cb]))
-    one = (np.ones((len(rows), 1), dtype=np.int64), np.zeros((len(rows), 1), dtype=np.int64))
+    one = (np.ones((len(rows), 1), dtype=rows.dtype), np.zeros((len(rows), 1), dtype=rows.dtype))
     pows1, pows2 = [one], [one]
     for _ in range(deg):
         pows1.append(_pmul_arrays(pows1[-1], l1, t, m))
         pows2.append(_pmul_arrays(pows2[-1], l2, t, m))
-    out = np.empty((len(rows), 2 * deg + 2, 2 * deg + 2), dtype=np.int64)
+    out = np.empty((len(rows), 2 * deg + 2, 2 * deg + 2), dtype=rows.dtype)
     for i in range(deg + 1):
         pa, pb = _pmul_arrays(pows1[i], pows2[deg - i], t, m)
         # (a + b*omega) * omega = -m*b + (a + t*b)*omega
         out[:, 2 * i, 0::2], out[:, 2 * i, 1::2] = pa, pb
         out[:, 2 * i + 1, 0::2], out[:, 2 * i + 1, 1::2] = -m * pb, pa + t * pb
+    if out.dtype == object and absmax(out) <= INT64_MAX:
+        out = out.astype(np.int64)
     return out
 
 
@@ -406,10 +411,11 @@ def normalize_cusp(p: QuadInt, q: QuadInt) -> tuple[QuadInt, QuadInt]:
 def _padded(blocks: list[tuple[np.ndarray, np.ndarray]],
             blank: int) -> tuple[np.ndarray, np.ndarray]:
     """The (cols, vals) blocks of rows stacked, each padded to the widest
-    with the blank column and value 0, for _distinct_rows."""
+    with the blank column and value 0, for _distinct_rows; vals are object
+    (Python ints) when a block's are, int64 otherwise."""
     width = max(c.shape[1] for c, _ in blocks)
     cols = np.full((sum(len(c) for c, _ in blocks), width), blank, dtype=np.int64)
-    vals = np.zeros(cols.shape, dtype=np.int64)
+    vals = np.zeros(cols.shape, dtype=np.result_type(*(v for _, v in blocks)))
     start = 0
     for c, v in blocks:
         cols[start:start + len(c), :c.shape[1]] = c
@@ -769,42 +775,6 @@ class SymbolSpace:
         matrix[at, cols] = vals
         return matrix, den
 
-    def slash_rows(self, row: tuple[int, ...]) -> list[dict[int, int]]:
-        """Integer matrix of P -> P|_g on the flattened components.
-
-        g is given as its 8-int row (see Mat2.row).  Row 2*i + part of the
-        result is the image of X^i Y^(k-2-i) times 1 (part 0) or omega
-        (part 1), keyed by the same flattening.  Relation words slash by
-        w^-1, Heilbronn matrices by their adjugate.  The powers of the two
-        linear forms slash_poly substitutes are built once per matrix, on
-        (a, b) int pairs standing for a + b*omega.  The builds and the Hecke
-        operators read slash_tensor, its batch on int64 arrays; this one
-        row in Python ints is the reference the tests hold it to.
-        """
-        t, m = self.field.t, self.field.m
-        deg = self.weight - 2
-        aa, ab, ba, bb, ca, cb, da, db = row
-        # images of X and Y, as [Y-part, X-part]
-        l1 = [(-ba, -bb), (da, db)]
-        l2 = [(aa, ab), (-ca, -cb)]
-        pows1, pows2 = [[(1, 0)]], [[(1, 0)]]
-        for _ in range(deg):
-            pows1.append(_pmul_ints(pows1[-1], l1, t, m))
-            pows2.append(_pmul_ints(pows2[-1], l2, t, m))
-        out = []
-        for i in range(deg + 1):
-            prod = _pmul_ints(pows1[i], pows2[deg - i], t, m)
-            # (a + b*omega) * omega = -m*b + (a + t*b)*omega
-            for coeffs in (prod, [(-m * b, a + t * b) for a, b in prod]):
-                row: dict[int, int] = {}
-                for j, (a, b) in enumerate(coeffs):
-                    if a:
-                        row[2 * j] = a
-                    if b:
-                        row[2 * j + 1] = b
-                out.append(row)
-        return out
-
     def _two_term_classes(self, s_image: np.ndarray,
                           j_image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every generator's image modulo the S and J relations alone.
@@ -909,8 +879,12 @@ class SymbolSpace:
         blocks = []
         for coef, img in zip(_relation_slashes(self.field, self.weight)[1:], words[1:]):
             # per component c of the row, the (matrix, component) pairs with a
-            # nonzero coefficient, padded with zero coefficients
+            # nonzero coefficient, padded with zero coefficients; on Python
+            # ints (object) where a row value could leave int64, as at high
+            # weight, which _distinct_rows and rref_ints take as they are
             coef = coef.swapaxes(0, 1).reshape(ncomp, -1)
+            if absmax(coef) * absmax(vals1) > INT64_MAX:
+                coef = coef.astype(object)
             pick = np.argsort(coef == 0, axis=1, kind="stable")
             pick = pick[:, :int(np.count_nonzero(coef, axis=1).max())]
             at, cj = np.divmod(pick, ncomp)

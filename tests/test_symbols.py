@@ -330,7 +330,9 @@ def test_slash_composition():
 
 
 def slash_rows_reference(space, g):
-    # the per-monomial slash_poly route the int slash_rows replaced
+    # the integer matrix of P -> P|_g on the flattened components, one
+    # {component: coefficient} row per component, by the per-monomial
+    # slash_poly route on QuadInts that slash_tensor is held to
     fld = space.field
     out = []
     for i in range(space.weight - 1):
@@ -347,13 +349,14 @@ def slash_rows_reference(space, g):
 
 
 def unit_level_space(d, weight):
-    # slash_rows depends on the field and the weight only
+    # the slash coefficients depend on the field and the weight only
     fld = Field.get(d)
     return SymbolSpace(fld, fld.one, weight)
 
 
 def tensor_rows(block):
-    # one matrix's slash_tensor block as slash_rows' list of {component: coefficient}
+    # one matrix's slash_tensor block as slash_rows_reference's list of
+    # {component: coefficient}
     return [{cj: c for cj, c in enumerate(line) if c} for line in block.tolist()]
 
 
@@ -362,12 +365,11 @@ def tensor_rows(block):
 @example(1, 4, [0] * 8)
 @example(11, 8, [1, 0, 0, 1, 0, 1, 1, 1])
 def test_slash_rows_on_drawn_matrices(d, weight, coords):
-    # slash_rows and slash_tensor, on g in a batch with its adjugate and
-    # itself again, against the slash_poly route
+    # slash_tensor, on g in a batch with its adjugate and itself again,
+    # against the slash_poly route
     space = unit_level_space(d, weight)
     fld = space.field
     g = Mat2(*(fld.elt(a, b) for a, b in zip(coords[::2], coords[1::2])))
-    assert space.slash_rows(g.row()) == slash_rows_reference(space, g)
     batch = [g, g.adj(), g]
     tensor = slash_tensor(fld, weight, [m.row() for m in batch])
     assert tensor.shape == (3, 2 * weight - 2, 2 * weight - 2) and tensor.dtype == np.int64
@@ -387,9 +389,27 @@ def test_slash_rows_on_family_adjugates_and_word_inverses():
             space = unit_level_space(d, weight)
             tensor = slash_tensor(fld, weight, [g.row() for g in inverses + adjugates])
             for g, block in zip(inverses + adjugates, tensor):
-                want = slash_rows_reference(space, g)
-                assert space.slash_rows(g.row()) == want, (d, weight, g)
-                assert tensor_rows(block) == want, (d, weight, g)
+                assert tensor_rows(block) == slash_rows_reference(space, g), (d, weight, g)
+
+
+@pytest.mark.parametrize("d, weight", [(1, 4), (11, 40), (7, 56), (3, 60)])
+def test_slash_tensor_is_exact_past_int64(d, weight):
+    # coefficients past int64 (a row entry of 2^40, or the word matrices'
+    # powers of omega at high weight) come out as Python ints in an object
+    # array; S^-1 and J^-1 only move monomials and scale them by units, so
+    # theirs come out int64 at every weight, though the pass runs on
+    # Python ints once the bound on its values passes int64
+    space = unit_level_space(d, weight)
+    fld = space.field
+    words, J = relation_words(fld)
+    two_term = [words[0][1].inv_unit(), J.inv_unit()]
+    inverses = [w.inv_unit() for word in words[1:] for w in word]
+    big = [Mat2(fld.from_int(2**40), fld.zero, fld.zero, fld.one)]
+    for mats, dtype in ((two_term, np.int64), (inverses + big, object)):
+        tensor = slash_tensor(fld, weight, [g.row() for g in mats])
+        assert tensor.dtype == dtype, (d, weight, dtype)
+        for g, block in zip(mats, tensor):
+            assert tensor_rows(block) == slash_rows_reference(space, g), (d, weight, g)
 
 
 def test_odd_weight_rejection():
@@ -949,18 +969,21 @@ def test_symbol_invariants_fire_under_python_O(run_optimized):
 
 
 def test_weight_k_invariants_fire_under_python_O(run_optimized):
-    # a slash coefficient past int64, and a J whose slash is no unit times
-    # one monomial, which stage 1 refuses naming the field and the level
+    # a Hecke family's slash coefficient past int64, which the operators
+    # refuse, and a J whose slash is no unit times one monomial, which
+    # stage 1 refuses naming the field and the level
     out = run_optimized(
-        "from bianchi import symbols\n"
+        "from bianchi import hecke, symbols\n"
         "from bianchi.quadints import Field, InvariantError, parse_element\n"
-        "fld = Field.get(1)\n"
         "def attempt(name, fn, *args):\n"
         "    try:\n"
         "        fn(*args)\n"
         "    except InvariantError as exc:\n"
         "        print(name + ':', exc)\n"
-        "attempt('tensor', symbols.slash_tensor, fld, 4, [(2**40, 0, 0, 0, 0, 0, 1, 0)])\n"
+        "fld = Field.get(11)\n"
+        "space = symbols.SymbolSpace(fld, fld.one, 40)\n"
+        "attempt('hecke', hecke.heilbronn_actions, space, [fld.from_int(3)])\n"
+        "fld = Field.get(1)\n"
         "words = symbols.relation_words\n"
         "def bent(f):\n"
         "    ws, J = words(f)\n"
@@ -968,7 +991,8 @@ def test_weight_k_invariants_fire_under_python_O(run_optimized):
         "symbols.relation_words = bent\n"
         "attempt('stage one', symbols.SymbolSpace, fld, parse_element(fld, '3'), 4)\n"
     )
-    assert [line.split(":")[0] for line in out] == ["tensor", "stage one"], out
+    assert [line.split(":")[0] for line in out] == ["hecke", "stage one"], out
+    assert "slash coefficients of the families leave int64 (d=11)" in out[0]
     assert "not a unit times one monomial at level 3 (d=1)" in out[1]
 
 
@@ -1068,11 +1092,10 @@ def test_level_past_the_point_limit_refused():
         SymbolSpace(fld, nu)
 
 
-def build_general_reference(space):
-    # the one-shot weight-k build the staged one replaced: every S, J and
-    # word relation row at every point and component, from slash_rows in a
-    # dict loop, and one rref_ints over every generator; returns (free_gens,
-    # den, matrix) as its quotient gave them
+def general_relation_rows(space):
+    # the relation system of the one-shot weight-k build the staged one
+    # replaced: every S, J and word relation row at every point and
+    # component, from the slash_poly route in a dict loop
     fld = space.field
     npts = space.npts
     ncomp = 2 * (space.weight - 1)
@@ -1082,7 +1105,7 @@ def build_general_reference(space):
     images = [words[0], np.column_stack([np.arange(npts), j_image]), *words[1:]]
     rows = []
     for rel, img in zip(rels, images):
-        slashes = [space.slash_rows(w.inv_unit().row()) for w, _ in rel]
+        slashes = [slash_rows_reference(space, w.inv_unit()) for w, _ in rel]
         acts = img.T.tolist()
         for p in range(npts):
             for ci in range(ncomp):
@@ -1097,8 +1120,14 @@ def build_general_reference(space):
                             row.pop(key, None)
                 if row:
                     rows.append(row)
-    ngens = ncomp * npts
-    piv = rref_ints(rows)
+    return rows
+
+
+def build_general_reference(space):
+    # the one-shot build: one rref_ints of general_relation_rows over every
+    # generator; returns (free_gens, den, matrix) as its quotient gave them
+    ngens = 2 * (space.weight - 1) * space.npts
+    piv = rref_ints(general_relation_rows(space))
     free = [g for g in range(ngens) if g not in piv]
     qidx = {g: t for t, g in enumerate(free)}
     den = lcm(1, *(prow[c] for c, prow in piv.items()))
@@ -1126,8 +1155,10 @@ def assert_matches_general_reference(space):
 
 
 # beyond survey's weight-4 levels: the levels the staged build was timed at,
-# and one weight-3 level per field, where S^2 = -I kills classes
-STAGED_LEVELS = [(3, "5", 4), (7, "3+w", 6), (1, "3", 6), (2, "3", 4),
+# one at weight 40, where the word rows' coefficients pass int64 and stage 2
+# runs on Python ints, and one weight-3 level per field, where S^2 = -I
+# kills classes
+STAGED_LEVELS = [(3, "5", 4), (7, "3+w", 6), (1, "3", 6), (2, "3", 4), (11, "w", 40),
                  *((d, text, 3) for d, text in LAYOUT_LEVELS.items())]
 
 
