@@ -8,10 +8,15 @@ a mod gcd(c, nu)) with both entries identified under unit scalings, which
 twist weight-k coefficients by lambda^(2-k); a class fixed by a scaling
 with nontrivial twist vanishes.
 
-boundary_matrix labels the classes with cusp_class on ring elements.  Where
-every twist is 1, orbit_boundary_matrix has the same kernel from the
-space's cusp-orbit pass (SymbolSpace.cusp_pass): the symbol of g has
-boundary g*oo - g*0, two array lookups.  cuspidal_subspace keeps its
+orbit_boundary is the boundary the package computes, at every weight, from
+the space's cusp-orbit pass (SymbolSpace.cusp_pass): the point p of g
+stands for the cusp g*oo and its S image for g*0, whose data is the oo data
+of p*S, and the pass numbers the classes by orbits and carries each point's
+unit twist.  cusp_class, boundary_of_gen and boundary_matrix label the
+classes on ring elements instead; they are the oracle verify's
+boundary-bridge and the tests hold the pass to.  The labelled boundary is
+the orbit boundary with its classes renamed and each class's pair of rows
+multiplied by a unit, so both have one kernel.  cuspidal_subspace keeps its
 result on the space, so it is freed with it.
 """
 
@@ -21,7 +26,7 @@ import numpy as np
 
 from .linalg import Subspace, kernel, vec_axpy
 from .quadints import QuadInt, gcd, inverse_mod, reduce_mod
-from .symbols import SymbolSpace, normalize_cusp
+from .symbols import SymbolSpace, cusp_count, unit_multiples
 
 
 def cusp_class(space: SymbolSpace, a: QuadInt, c: QuadInt):
@@ -91,18 +96,6 @@ def boundary_of_gen(space: SymbolSpace, gen: int, classes: dict | None = None) -
     return out
 
 
-def cusp_label(space: SymbolSpace, p: QuadInt, q: QuadInt):
-    """Boundary class key of the cusp (p : q); None when the class is dead.
-
-    Weight 2 only: for higher weights the projective label is defined only
-    up to a unit twist.
-    """
-    assert space.weight == 2
-    p, q = normalize_cusp(p, q)
-    key, _ = cusp_class(space, p, q)
-    return key
-
-
 def boundary_matrix(space: SymbolSpace) -> tuple[tuple, list[dict]]:
     """Label list and the integer rows of the boundary matrix on the
     quotient basis, one row per label."""
@@ -120,38 +113,51 @@ def boundary_matrix(space: SymbolSpace) -> tuple[tuple, list[dict]]:
     return tuple(keys), rows
 
 
-def orbit_boundary_matrix(space: SymbolSpace) -> list[dict]:
-    """Weight-2 boundary on the quotient basis, as integer rows, one per cusp
-    orbit.
+def orbit_boundary(space: SymbolSpace, gens) -> list[dict[int, int]]:
+    """Boundary of the generators gens, as the nonzero integer rows on the
+    cusp orbits.
 
-    Column j is e_orbit(g) - e_orbit(g*S) for the free generator g =
-    free_gens[j], read from the space's cusp pass; the column is zero when
-    both cusps lie in one orbit.
+    Row (orbit, part), in that order, holds the 1- (part 0) or omega-part
+    (part 1) of the coefficient at the orbit, column j that of generator
+    gens[j].  From the cusp pass (orbit, s_image, twist): generator g =
+    (2*mono + part) * npts + p adds (1 or omega) * tau^twist[p] at
+    orbit[p] when mono = k-2, and subtracts (1 or omega) * tau^twist[pS]
+    at orbit[pS], pS = s_image[p], when mono = 0, where tau = zeta^(k-2)
+    (see SymbolSpace._set_cusp_pass); a dead orbit takes nothing.  At
+    weight 2 both terms are 1 and cancel when p and pS share an orbit.
     """
-    orbit, s_image = space.cusp_pass
-    gens = np.asarray(space.free_gens, dtype=np.int64)
-    rows: list[dict] = [{} for _ in range(int(orbit.max()) + 1)]
-    for j, (top, bottom) in enumerate(zip(orbit[gens].tolist(),
-                                          orbit[s_image[gens]].tolist())):
-        if top != bottom:
-            rows[top][j] = 1
-            rows[bottom][j] = -1
-    return rows
+    orbit, s_image, twist = space.cusp_pass
+    deg = space.weight - 2
+    value = unit_multiples(space.J.a, deg).tolist()
+    comp, pt = np.divmod(np.asarray(gens, dtype=np.int64), space.npts)
+    ends = np.stack([pt, s_image[pt]])
+    (r_inf, r_zero), (e_inf, e_zero) = (2 * orbit[ends]).tolist(), twist[ends].tolist()
+    rows: list[dict[int, int]] = [{} for _ in range(2 * cusp_count(space))]
+    for c, (cm, ri, rz, ei, ez) in enumerate(zip(comp.tolist(), r_inf, r_zero, e_inf, e_zero)):
+        mono, part = divmod(cm, 2)
+        if mono == deg and ei >= 0:
+            a, b = value[ei][part]
+            if a:
+                rows[ri][c] = a
+            if b:
+                rows[ri + 1][c] = b
+        if mono == 0 and ez >= 0:
+            # at weight 2 this term may meet the first one and cancel it
+            for row, x in zip(rows[rz:rz + 2], value[ez][part]):
+                if x:
+                    y = row.get(c, 0) - x
+                    if y:
+                        row[c] = y
+                    else:
+                        del row[c]
+    return [row for row in rows if row]
 
 
 def cuspidal_subspace(space: SymbolSpace) -> Subspace:
     """Kernel of the boundary map, inside the quotient space, computed once
-    per space and kept on it.
-
-    Weight 2 takes orbit_boundary_matrix; above it the unit twists are not
-    +-1 and the labelled boundary_matrix is used.  Both give the same
-    kernel at weight 2, and Subspace's reduced echelon basis depends only
-    on the kernel.
+    per space and kept on it, from orbit_boundary on the free generators.
     """
     if space._cuspidal is None:
-        if space.weight == 2:
-            rows = orbit_boundary_matrix(space)
-        else:
-            _, rows = boundary_matrix(space)
-        space._cuspidal = Subspace(space.dim, kernel(rows, space.dim))
+        space._cuspidal = Subspace(space.dim,
+                                   kernel(orbit_boundary(space, space.free_gens), space.dim))
     return space._cuspidal

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .boundary import boundary_of_gen
+from .boundary import orbit_boundary
 from .heilbronn import DEFAULT_TIE, heilbronn_families
 from .linalg import vec_axpy, vec_dot
 from .quadints import InvariantError, QuadInt, canonical_elements_of_norm, divides
@@ -81,10 +81,9 @@ class SeedElement:
     coefficients: dict
 
     def __post_init__(self):
-        total: dict = {}
-        for g, c in self.coefficients.items():
-            vec_axpy(total, c, boundary_of_gen(self.space, g))
-        if any(total.values()):
+        coeffs = list(self.coefficients.values())
+        if any(sum(a * coeffs[j] for j, a in row.items())
+               for row in orbit_boundary(self.space, list(self.coefficients))):
             raise ValueError("seed has nonzero boundary")
 
     def quotient_vector(self) -> dict:

@@ -184,24 +184,10 @@ def _pmul(u: list[QuadInt], v: list[QuadInt], fld: Field) -> list[QuadInt]:
     return out
 
 
-def _pmul_ints(u: list[tuple[int, int]], v: list[tuple[int, int]],
-               t: int, m: int) -> list[tuple[int, int]]:
-    # _pmul on (a, b) pairs standing for a + b*omega, omega^2 = t*omega - m
-    out_a = [0] * (len(u) + len(v) - 1)
-    out_b = out_a[:]
-    for i, (p, q) in enumerate(u):
-        if not (p or q):
-            continue
-        for j, (r, s) in enumerate(v):
-            qs = q * s
-            out_a[i + j] += p * r - m * qs
-            out_b[i + j] += p * s + q * r + t * qs
-    return list(zip(out_a, out_b))
-
-
 def _pmul_arrays(u: tuple[np.ndarray, np.ndarray], v: tuple[np.ndarray, np.ndarray],
                  t: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    # _pmul_ints on many polynomials at once: (1-parts, omega-parts), each a
+    # _pmul on many polynomials at once, on (a, b) pairs standing for
+    # a + b*omega, omega^2 = t*omega - m: (1-parts, omega-parts), each a
     # (polynomials, degree + 1) array of u's dtype, int64 or object
     (ua, ub), (va, vb) = u, v
     width = va.shape[1]
@@ -218,14 +204,15 @@ def _pmul_arrays(u: tuple[np.ndarray, np.ndarray], v: tuple[np.ndarray, np.ndarr
 def _slash_reach(entry: int, deg: int, t: int, m: int) -> int:
     """A bound on every value slash_tensor forms from rows whose entries are
     at most entry in absolute value: its recurrence on magnitudes, with every
-    term counted positive (_pmul_ints with -m).  Both linear forms then have
-    the magnitudes (entry, entry) of lin, the powers only grow, and the
-    omega multiple of a + b*omega grows a part by at most 1 + t + m."""
-    lin = [(entry, entry)] * 2
-    power = [(1, 0)]
+    term counted positive (_pmul_arrays with -m, on one row of Python ints).
+    Both linear forms then have the magnitudes (entry, entry) of lin, the
+    powers only grow, and the omega multiple of a + b*omega grows a part by
+    at most 1 + t + m."""
+    lin = (np.full((1, 2), entry, dtype=object),) * 2
+    power = (np.ones((1, 1), dtype=object), np.zeros((1, 1), dtype=object))
     for _ in range(deg):
-        power = _pmul_ints(power, lin, t, -m)
-    return (1 + t + m) * max(max(pair) for pair in power)
+        power = _pmul_arrays(power, lin, t, -m)
+    return (1 + t + m) * max(power[0].max(), power[1].max())
 
 
 def slash_poly(poly: dict[int, QuadInt], g: Mat2, weight: int) -> dict[int, QuadInt]:
@@ -305,6 +292,20 @@ def _relation_slashes(fld: Field, weight: int) -> tuple[np.ndarray, ...]:
     for a in out:
         a.flags.writeable = False
     return out
+
+
+@lru_cache(maxsize=32)
+def unit_multiples(zeta: QuadInt, step: int) -> np.ndarray:
+    """mul[s, part]: zeta^(step*s) times 1 (part 0) or omega (part 1), as its
+    (1-part, omega-part), for s below the number of units; read-only."""
+    fld = zeta.field
+    tau = zeta ** step
+    powers = [fld.one]
+    while len(powers) < len(fld.units):
+        powers.append(powers[-1] * tau)
+    mul = np.array([[(u.a, u.b), ((u * fld.omega).a, (u * fld.omega).b)] for u in powers])
+    mul.flags.writeable = False
+    return mul
 
 
 def _point_coords(nu: QuadInt) -> np.ndarray:
@@ -472,8 +473,9 @@ def _orbit_roots(images: np.ndarray, labels, n: int) -> tuple[np.ndarray, np.nda
     exponents of zeta, a generator of a cyclic group of order n: n = 1 for
     plain orbits, n = 2 for zeta = -1, n = #units at weight k, where x_i is
     the coordinate xi -> [xi * monomial, point] and zeta * x_i is xi ->
-    x_i(zeta * xi).  Returns (root, unit): root[i] is the least node of i's
-    class and x_i = zeta^unit[i] * x_root[i], with unit -1 on the dead classes,
+    x_i(zeta * xi), and the order of the cusp twist in _set_cusp_pass.
+    Returns (root, unit): root[i] is the least node of i's class and
+    x_i = zeta^unit[i] * x_root[i], with unit -1 on the dead classes,
     those with x_root = zeta^s * x_root for some s != 0.  The twisted node
     zeta^s * x_i is n*i + s; each takes the least label of itself and its
     images under the moves, then its label's label, until nothing changes.
@@ -558,8 +560,9 @@ class SymbolSpace:
     i, and points, the list of every pair in transversal order, is built on
     its first read.  qmap (a QuotientMap) sends each generator index to its
     coordinate vector on the quotient basis; free_gens lists one generator
-    per basis vector.  cusp_pass holds each point's cusp orbit and S image
-    (see _set_cusp_pass), filled by the build's one point pass.  _cuspidal
+    per basis vector.  cusp_pass holds each point's cusp orbit, S image and
+    unit twist exponent (see _set_cusp_pass), filled by the build's one
+    point pass; boundary.orbit_boundary reads it at every weight.  _cuspidal
     holds boundary.cuspidal_subspace's result once it has been asked for.
     """
 
@@ -695,18 +698,32 @@ class SymbolSpace:
         return words, steps, image[self.J.row()], np.column_stack([image[m.row()] for m in cusp])
 
     def _set_cusp_pass(self, images: np.ndarray, s_image: np.ndarray) -> None:
-        """cusp_pass = (orbit, s_image): each point's cusp orbit and its index times S.
+        """cusp_pass = (orbit, s_image, twist): each point's cusp orbit, its
+        index times S and its twist exponent.
 
         images holds every point's images under _cusp_moves.  The orbits are
         those of the stabilizer of oo, acting on the right, which its
         generators determine; they are in bijection with the cusps of the
         symbol quotient, the point of g standing for the cusp g*oo and its S
-        image for g*0.  The orbits come from _orbit_roots with every label 0
-        and are numbered in the order of their least points.  Both arrays
-        are standalone, so the build's point arrays are freed when it ends.
+        image for g*0.  A boundary coefficient at the cusp of point p is
+        twisted by a power of tau = zeta^(k-2), zeta = J's corner, of order n
+        = #units / gcd(#units, k-2): the scaling diag(eps, conj(eps)) moves
+        the cusp data (a, c) of p to (eps*a, eps*c), which twists it by
+        tau, and J and the translations keep the twist.  So _orbit_roots
+        settles the orbits with label 1 on the scaling and 0 on the other
+        moves: the coefficient at p is tau^twist[p] times the one at its
+        orbit's least point, and twist is -1 on a dead orbit, one a scaling
+        maps to a nontrivial twist of itself.  At weight 2, n = 1, every
+        twist is 0 and no orbit is dead.  The orbits are numbered in the
+        order of their least points.  The arrays are standalone, so the
+        build's point arrays are freed when it ends.
         """
-        root, _ = _orbit_roots(images, 0, 1)
-        self.cusp_pass = (np.unique(root, return_inverse=True)[1], s_image.copy())
+        units = len(self.field.units)
+        root, twist = _orbit_roots(images, [1, 0, 0, 0],
+                                   units // int(np.gcd(units, self.weight - 2)))
+        # the exponents lie in -1..5, so int8 keeps the pass of a cached space small
+        self.cusp_pass = (np.unique(root, return_inverse=True)[1], s_image.copy(),
+                          twist.astype(np.int8))
 
     def _build_weight2(self) -> None:
         npts = self.npts
@@ -803,11 +820,8 @@ class SymbolSpace:
         deg = self.weight - 2
         ngens = 2 * (deg + 1) * npts
         where = f"at level {self.level} (d={fld.d})"
-        powers = [fld.one]
-        while len(powers) < len(fld.units):
-            powers.append(powers[-1] * self.J.a)
         # mul[s, part]: zeta^s times 1 (part 0) or omega (part 1), on 1, omega
-        mul = np.array([[(u.a, u.b), ((u * fld.omega).a, (u * fld.omega).b)] for u in powers])
+        mul = unit_multiples(self.J.a, 1)
         exponent = {tuple(block): s for s, block in enumerate(mul.reshape(-1, 4).tolist())}
         # x_(i, p) = -[P|S^-1, pS] and = [P|J^-1, pJ] for P = xi * X^i Y^(k-2-i)
         slash = _relation_slashes(fld, self.weight)[0]
@@ -825,7 +839,7 @@ class SymbolSpace:
                 target[k, i], label[k, i] = hit[0], s
         nodes = np.column_stack([(target[0, :, None] * npts + s_image).ravel(),
                                  (target[1, :, None] * npts + j_image).ravel()])
-        root, unit = _orbit_roots(nodes, np.repeat(label, npts, axis=1).T, len(powers))
+        root, unit = _orbit_roots(nodes, np.repeat(label, npts, axis=1).T, len(mul))
         # generator g = (2*i + part) * npts + p sits on node i * npts + p
         comp, pt = np.divmod(np.arange(ngens), npts)
         node = comp // 2 * npts + pt

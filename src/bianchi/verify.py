@@ -27,7 +27,7 @@ from itertools import combinations, islice
 from .boundary import (
     boundary_matrix,
     boundary_of_gen,
-    cusp_label,
+    cusp_class,
     cuspidal_subspace,
 )
 from .fourier import (
@@ -63,6 +63,7 @@ from .quadints import (
     QuadInt,
     canonical_elements_of_norm,
     coprime,
+    divides,
     euclidean_division,
     gcd,
     is_prime_element,
@@ -379,56 +380,88 @@ def check_dimension_identity(norm_bound: int = 13):
 
 
 @_check("boundary-bridge")
-def check_boundary_bridge(norm_bound: int = 13):
-    """Pair formula equals the lifted-cusp boundary on every generator, the
-    cusp-orbit pass partitions the cusps as their labels do, and the
-    cuspidal subspace equals the kernel of the labelled boundary_matrix.
+def check_boundary_bridge(norm_bound: int = 13, weight_k=((3, 8), (4, 8))):
+    """The cusp-orbit pass against cusp_class on ring elements, the pair
+    formula against lifted cusps, and the cuspidal subspace against the
+    kernel of the labelled boundary_matrix, at weight 2 to norm_bound and
+    at each (weight, norm bound) of weight_k.
 
-    The point of g stands for the cusp g*oo and its S image for g*0, so the
-    pairs (orbit, label) read off every point must form a bijection between
-    the cusp_count orbits and the labels.  The labels come from cusp_class
-    on ring elements, not from the cusp-orbit pass that cuspidal_subspace
-    reads at weight 2.
+    Each point is lifted to g, and cusp_class gives g*oo and g*0 their
+    (key, twist).  The point stands for g*oo and its S image for g*0, each
+    with the pass's (orbit, exponent e), and over all of them: a cusp is
+    dead (key None) exactly where e is -1; the live (orbit, key) pairs are
+    a bijection between the live orbits and the keys; and twist / tau^e,
+    tau = zeta^(k-2) (SymbolSpace._set_cusp_pass), is one unit on each
+    orbit.  None of this reads the pass's moves, so the orbits, the dead set
+    and the twists orbit_boundary reads are each checked.  boundary_of_gen
+    must give the lifted boundary on the generators 1 * X^(k-2) and
+    1 * Y^(k-2) at the point, one generator at weight 2.
     """
     fail = None
-    gens = 0
-    for fld, nu in _levels(norm_bound):
-        space = symbol_space(fld, nu, 2)
-        orbit, s_image = (a.tolist() for a in space.cusp_pass)
-        label_of: dict = {}
-        orbit_of: dict = {}
-        for idx, (u, v) in enumerate(space.points):
-            g = lift_to_sl2(fld, nu, u, v)
-            lab_inf = cusp_label(space, g.a, g.c)
-            lab_zero = cusp_label(space, g.b, g.d)
-            expected: dict = {}
-            if lab_inf is None or lab_zero is None:
-                fail = {"d": fld.d, "level": str(nu), "point": idx}
+    points = 0
+    for weight, bound in ((2, norm_bound), *weight_k):
+        for fld, nu in _levels(bound):
+            if weight % 2 and divides(nu, fld.from_int(2)):
+                # odd weights vanish at such levels
+                continue
+            space = symbol_space(fld, nu, weight)
+            fault = _bridge_fault(space)
+            if fault is None:
+                cusp = cuspidal_subspace(space)
+                labelled = Subspace(space.dim, kernel(boundary_matrix(space)[1], space.dim))
+                if (cusp.basis, cusp.pivots) != (labelled.basis, labelled.pivots):
+                    fault = {"kernel": "differs"}
+            if fault is not None:
+                fail = {"d": fld.d, "level": str(nu), "weight": weight, **fault}
                 break
-            vec_axpy(expected, Fraction(1), {(lab_inf, 0): Fraction(1)})
-            vec_axpy(expected, Fraction(-1), {(lab_zero, 0): Fraction(1)})
-            if boundary_of_gen(space, idx) != expected:
-                fail = {"d": fld.d, "level": str(nu), "point": idx}
-                break
-            pairs = ((orbit[idx], lab_inf), (orbit[s_image[idx]], lab_zero))
-            if any(label_of.setdefault(o, lab) != lab or orbit_of.setdefault(lab, o) != o
-                   for o, lab in pairs):
-                fail = {"d": fld.d, "level": str(nu), "point": idx, "partition": "differs"}
-                break
-            gens += 1
-        if fail is None and len(orbit_of) != cusp_count(space):
-            fail = {"d": fld.d, "level": str(nu), "partition": "differs",
-                    "labels": len(orbit_of), "cusps": cusp_count(space)}
-        if fail is None:
-            cusp = cuspidal_subspace(space)
-            labelled = Subspace(space.dim, kernel(boundary_matrix(space)[1], space.dim))
-            if (cusp.basis, cusp.pivots) != (labelled.basis, labelled.pivots):
-                fail = {"d": fld.d, "level": str(nu), "kernel": "differs"}
+            points += space.npts
         if fail:
             break
+    bounds = ", ".join(f"weight {w} to norm {b}" for w, b in ((2, norm_bound), *weight_k))
     return (fail is None,
-            f"{gens} generators bridged up to norm {norm_bound}",
-            {"fail": fail} if fail else {"generators": gens})
+            f"{points} points bridged: {bounds}",
+            {"fail": fail} if fail else {"points": points})
+
+
+def _bridge_fault(space) -> dict | None:
+    # check_boundary_bridge's per-point comparisons at one space: None, or
+    # what differs and at which point
+    fld, nu, npts = space.field, space.level, space.npts
+    orbit, s_image, twist = (a.tolist() for a in space.cusp_pass)
+    deg = space.weight - 2
+    tau = space.J.a ** deg
+    classes: dict = {}
+    key_of: dict = {}
+    orbit_of: dict = {}
+    unit_of: dict = {}
+    for idx, (u, v) in enumerate(space.points):
+        g = lift_to_sl2(fld, nu, u, v)
+        inf, zero = cusp_class(space, g.a, g.c), cusp_class(space, g.b, g.d)
+        # generator (1 * X^(k-2), point) carries g*oo, (1 * Y^(k-2), point)
+        # -g*0; they are one generator at weight 2
+        top = 2 * deg * npts + idx
+        want: dict = {top: {}, idx: {}}
+        for gen, sign, (key, tw) in ((top, 1, inf), (idx, -1, zero)):
+            if key is not None:
+                vec_axpy(want[gen], sign, {(key, 0): tw.a, (key, 1): tw.b})
+        if any(boundary_of_gen(space, gen, classes) != b for gen, b in want.items()):
+            return {"point": idx, "boundary": "differs"}
+        for pt, (key, tw) in ((idx, inf), (s_image[idx], zero)):
+            o, e = orbit[pt], twist[pt]
+            if (key is None) != (e < 0):
+                return {"point": idx, "dead": "differs"}
+            if key is None:
+                continue
+            if key_of.setdefault(o, key) != key or orbit_of.setdefault(key, o) != o:
+                return {"point": idx, "partition": "differs"}
+            # tau^e is a unit, so its inverse is its conjugate
+            unit = tw * (tau ** e).conj()
+            if unit_of.setdefault(o, unit) != unit:
+                return {"point": idx, "twist": "differs"}
+    live = len({o for o, e in zip(orbit, twist) if e >= 0})
+    if len(orbit_of) != live:
+        return {"partition": "differs", "labels": len(orbit_of), "cusps": live}
+    return None
 
 
 def reference_form(d: int = REFERENCE_FORM[0], level: str = REFERENCE_FORM[1],
@@ -545,7 +578,7 @@ QUICK = {
     "hecke-oracle": {"cases": DEFAULT_ORACLE_CASES[:3]},
     "commutativity": {"pairs": 3},
     "dimension-identity": {"norm_bound": 9},
-    "boundary-bridge": {"norm_bound": 9},
+    "boundary-bridge": {"norm_bound": 9, "weight_k": ((3, 5), (4, 5))},
     "coefficient-identity": {"norm_bound": 12},
     "automorphy": {"norm_bound": 40, "generic": False},
 }

@@ -9,20 +9,33 @@ from bianchi import verify
 from bianchi.boundary import (
     boundary_matrix,
     boundary_of_gen,
-    cusp_label,
+    cusp_class,
     cuspidal_subspace,
-    orbit_boundary_matrix,
+    orbit_boundary,
 )
+from bianchi.fourier import SeedElement
 from bianchi.linalg import Subspace, kernel, vec_axpy
-from bianchi.quadints import EUCLIDEAN_D, Field, canonical_elements_of_norm, parse_element
+from bianchi.quadints import (
+    EUCLIDEAN_D,
+    Field,
+    canonical_elements_of_norm,
+    divides,
+    parse_element,
+)
 from bianchi.symbols import (
     Mat2,
     SymbolSpace,
     cusp_count,
     lift_to_sl2,
+    normalize_cusp,
     symbol_space,
 )
 from test_symbols import moved, point_cusp_orbits_reference, slash_rows_reference, spaces
+
+
+def label(space, p, q):
+    # the class key of the cusp (p : q), None when the class is dead
+    return cusp_class(space, *normalize_cusp(p, q))[0]
 
 
 def test_boundary_matches_lifted_cusps():
@@ -32,8 +45,8 @@ def test_boundary_matches_lifted_cusps():
         for idx, (u, v) in enumerate(space.points):
             g = lift_to_sl2(fld, nu, u, v)
             expected = {}
-            lab_inf = cusp_label(space, g.a, g.c)
-            lab_zero = cusp_label(space, g.b, g.d)
+            lab_inf = label(space, g.a, g.c)
+            lab_zero = label(space, g.b, g.d)
             assert lab_inf is not None and lab_zero is not None
             vec_axpy(expected, Fraction(1), {(lab_inf, 0): Fraction(1)})
             vec_axpy(expected, Fraction(-1), {(lab_zero, 0): Fraction(1)})
@@ -83,7 +96,7 @@ def test_boundary_kernel_equals_cusp_orbit_kernel():
     for space in spaces():
         _, lab_rows = boundary_matrix(space)
         klab = Subspace(space.dim, kernel(lab_rows, space.dim))
-        korbit = Subspace(space.dim, kernel(orbit_boundary_matrix(space), space.dim))
+        korbit = Subspace(space.dim, kernel(orbit_boundary(space, space.free_gens), space.dim))
         assert klab.dim == korbit.dim
         assert all(klab.coords(v) is not None for v in korbit.basis)
         assert all(korbit.coords(v) is not None for v in klab.basis)
@@ -97,8 +110,8 @@ def test_label_count_matches_orbit_count():
         labels = set()
         for u, v in space.points:
             g = lift_to_sl2(fld, nu, u, v)
-            labels.add(cusp_label(space, g.a, g.c))
-            labels.add(cusp_label(space, g.b, g.d))
+            labels.add(label(space, g.a, g.c))
+            labels.add(label(space, g.b, g.d))
         assert len(labels) == cusp_count(space)
 
 
@@ -143,21 +156,79 @@ def test_boundary_matrix_memo_changes_nothing():
             assert {i: row[j] for i, row in enumerate(rows) if j in row} == col
 
 
+def assert_orbit_kernel_is_labelled_kernel(space):
+    # the cusp-orbit boundary gives the subspace of the labelled one: basis
+    # (key order, entry types) and pivots
+    got = cuspidal_subspace(space)
+    want = Subspace(space.dim, kernel(boundary_matrix(space)[1], space.dim))
+    where = (space.field.d, str(space.level), space.weight)
+    assert repr(got.basis) == repr(want.basis), where
+    assert got.pivots == want.pivots, where
+
+
 @pytest.mark.parametrize("d", EUCLIDEAN_D)
 def test_weight2_cuspidal_subspace_matches_labelled_kernel(d):
-    # the cusp-orbit boundary gives the subspace of the labelled one (basis,
-    # key order, entry types, pivots) at level one and every level of norm
-    # 2..40, and cusp_count the orbit count of the scalar search
+    # at level one and every level of norm 2..40, with cusp_count the orbit
+    # count of the scalar search
     fld = Field.get(d)
     levels = [fld.one] + [nu for n in range(2, 41) for nu in canonical_elements_of_norm(fld, n)]
     for nu in levels:
         space = symbol_space(fld, nu)
-        got = cuspidal_subspace(space)
-        want = Subspace(space.dim, kernel(boundary_matrix(space)[1], space.dim))
-        where = (d, str(nu))
-        assert repr(got.basis) == repr(want.basis), where
-        assert got.pivots == want.pivots, where
-        assert cusp_count(space) == max(point_cusp_orbits_reference(space)) + 1, where
+        assert_orbit_kernel_is_labelled_kernel(space)
+        assert cusp_count(space) == max(point_cusp_orbits_reference(space)) + 1, (d, str(nu))
+
+
+@pytest.mark.parametrize("weight, bound", [(3, 12), (4, 10), (6, 6)])
+@pytest.mark.parametrize("d", EUCLIDEAN_D)
+def test_weightk_cuspidal_subspace_matches_labelled_kernel(d, weight, bound):
+    # the unit twists of the cusp pass: every level of norm up to bound where
+    # the weight does not vanish
+    fld = Field.get(d)
+    two = fld.from_int(2)
+    for n in range(1, bound + 1):
+        for nu in canonical_elements_of_norm(fld, n):
+            if weight % 2 == 0 or not divides(nu, two):
+                assert_orbit_kernel_is_labelled_kernel(symbol_space(fld, nu, weight))
+
+
+@pytest.mark.parametrize("d, level, weight", [(3, "5", 4), (7, "3+w", 6)])
+def test_weightk_cuspidal_subspace_matches_labelled_kernel_at_a_larger_level(d, level, weight):
+    fld = Field.get(d)
+    assert_orbit_kernel_is_labelled_kernel(symbol_space(fld, parse_element(fld, level), weight))
+
+
+def test_twisted_cusp_pass_keeps_the_orbits():
+    # the twists change no orbit and no orbit number; at weight 2 every
+    # twist is 0, and above it some orbit is dead
+    dead = 0
+    for fld, nu in ((Field.get(1), "3"), (Field.get(3), "2"), (Field.get(7), "2+w")):
+        nu = parse_element(fld, nu)
+        orbit, _, twist = symbol_space(fld, nu).cusp_pass
+        assert not twist.any()
+        for weight in (4, 6):
+            korbit, _, ktwist = symbol_space(fld, nu, weight).cusp_pass
+            assert korbit.tolist() == orbit.tolist()
+            dead += int((ktwist < 0).any())
+    assert dead
+
+
+@pytest.mark.parametrize("d, level", [(1, "2"), (3, "2"), (7, "w")])
+def test_seed_check_reads_the_labelled_boundary(d, level):
+    # at weight 4, a single generator is refused as a seed exactly when its
+    # labelled boundary is nonzero: the dead orbits take nothing, the live
+    # ones something
+    fld = Field.get(d)
+    space = symbol_space(fld, parse_element(fld, level), 4)
+    seen = set()
+    for g in range(space.qmap.ngens):
+        zero = boundary_of_gen(space, g) == {}
+        seen.add(zero)
+        if zero:
+            SeedElement(space, {g: Fraction(1)})
+        else:
+            with pytest.raises(ValueError):
+                SeedElement(space, {g: Fraction(1)})
+    assert seen == {True, False}
 
 
 def test_boundary_bridge_catches_a_wrong_cuspidal_kernel(monkeypatch):
@@ -182,18 +253,48 @@ def test_boundary_bridge_catches_a_wrong_cusp_pass(monkeypatch, fault):
     # the space the check reads: symbol_space keys its cache on the canonical
     # level and the weight, so this is the same object
     space = symbol_space(fld, parse_element(fld, "1+1w"))
-    orbit, s_image = space.cusp_pass
+    orbit, s_image, twist = space.cusp_pass
     assert orbit.max() == 1
     if fault == "merged":
         orbit = np.zeros_like(orbit)
     else:
         s_image = s_image.copy()
         s_image[0] = np.flatnonzero(orbit != orbit[s_image[0]])[0]
-    monkeypatch.setattr(space, "cusp_pass", (orbit, s_image))
+    monkeypatch.setattr(space, "cusp_pass", (orbit, s_image, twist))
     result = verify.check_boundary_bridge(norm_bound=4)
     assert not result.ok
     assert result.data["fail"]["partition"] == "differs"
     assert result.data["fail"]["level"] == str(space.level)
+
+
+def changed_live_twists(space, change):
+    # the cusp pass of d = 3, level 2, weight 4 with each live twist exponent
+    # e replaced by change(e) mod 3, the order of zeta^2
+    orbit, s_image, twist = space.cusp_pass
+    assert set(twist.tolist()) == {-1, 0, 1, 2}
+    return orbit, s_image, np.where(twist >= 0, change(twist) % 3, -1)
+
+
+def test_boundary_bridge_catches_negated_twists(monkeypatch):
+    # the twist exponents of the opposite sign, -(k-2) for +(k-2): the twist
+    # of some orbit is no longer one unit
+    fld = Field.get(3)
+    space = symbol_space(fld, fld.from_int(2), 4)
+    monkeypatch.setattr(space, "cusp_pass", changed_live_twists(space, np.negative))
+    result = verify.check_boundary_bridge(norm_bound=1, weight_k=((4, 4),))
+    assert not result.ok
+    fail = result.data["fail"]
+    assert (fail["d"], fail["level"], fail["weight"], fail["twist"]) == (3, "2", 4, "differs")
+
+
+def test_zeroed_twists_change_the_cuspidal_dimension():
+    # every live twist exponent 0, the dead set kept: a boundary that ignores
+    # the scalings' twist has a smaller image here
+    fld = Field.get(3)
+    assert cuspidal_subspace(symbol_space(fld, fld.from_int(2), 4)).dim == 0
+    space = SymbolSpace(fld, fld.from_int(2), 4)
+    space.cusp_pass = changed_live_twists(space, np.zeros_like)
+    assert cuspidal_subspace(space).dim == 1
 
 
 @pytest.mark.parametrize("weight", [2, 4])

@@ -542,7 +542,7 @@ def test_verify_single_check(runner):
 
 # sha256 of the quick report with each check's seconds dropped: pins every
 # check's detail and data
-QUICK_REPORT_SHA256 = "20f810c7012e109b367b003946f4b675e23367282bc9a14eb733f7125102ecc2"
+QUICK_REPORT_SHA256 = "a8324e1768e7cde3945cb4c489f33f7b91669f494c6a43f649a2b6f6f2bbdf5d"
 
 
 def test_verify_quick_suite(runner):

@@ -7,9 +7,7 @@ import bianchi
 
 # argument preconditions a caller can break; python -O may strip these, every
 # other invariant raises (InvariantError for the load-bearing ones)
-ASSERT_ALLOWED = {
-    "boundary.cusp_label",
-}
+ASSERT_ALLOWED: set[str] = set()
 
 # the generator layout is one formula at every weight (SymbolSpace.generator
 # and symbol_vector), so a comparison on the weight is a decision about the
@@ -17,10 +15,6 @@ ASSERT_ALLOWED = {
 WEIGHT_BRANCH_ALLOWED = {
     # argument checks and the choice of build
     "symbols.SymbolSpace.__init__",
-    # a precondition: the projective label is up to a unit twist above weight 2
-    "boundary.cusp_label",
-    # the orbit boundary where the unit twists are 1, else the labelled one
-    "boundary.cuspidal_subspace",
     # one gather per batch at weight 2; above it the slash coefficients
     # weight the gather one component at a time
     "hecke.heilbronn_actions",
