@@ -41,7 +41,7 @@ import numpy as np
 
 from .boundary import orbit_boundary
 from .heilbronn import DEFAULT_TIE, heilbronn_families
-from .linalg import vec_axpy, vec_dot
+from .linalg import INT64_MAX, absmax, vec_axpy, vec_dot
 from .quadints import InvariantError, QuadInt, canonical_elements_of_norm, divides
 from .symbols import Mat2, SymbolSpace
 
@@ -226,9 +226,10 @@ def _point_weights(phi: DualFunctional) -> tuple[list[int], int]:
     p_num = np.zeros(qmap.matrix.shape[1], dtype=object)
     for i, c in phi.coefficients.items():
         p_num[i] = c.numerator * (p_den // c.denominator)
-    # Python ints: phi on each class row, then each point's signed class value
-    by_class = qmap.matrix.astype(object).dot(p_num)
-    nums = (qmap.sign[:-1].astype(object) * by_class[qmap.row[:-1]]).tolist()
+    # Python ints: phi on each row of the map's matrix, then on each point's
+    # terms
+    by_row = qmap.matrix.astype(object).dot(p_num)
+    nums = (qmap.coef[:-1].astype(object) * by_row[qmap.row[:-1]]).sum(axis=1).tolist()
     den = qmap.den * p_den
     g = math.gcd(den, *nums)
     return [n // g for n in nums], den // g
@@ -261,12 +262,11 @@ def fourier_coefficients(phi: DualFunctional, x: SeedElement, norm_bound: int) -
     if x.space is not space:
         raise ValueError("functional and seed live on different spaces")
     fld = space.field
-    int64_max = np.iinfo(np.int64).max
     w_nums, w_den = _point_weights(phi)
     w_reach = max(map(abs, w_nums), default=0)
     # index -1, a non-unimodular image, reads the trailing 0; a weight past
     # int64 is never read, the first family's range check refuses it
-    w_table = np.array([n if abs(n) <= int64_max else 0 for n in w_nums] + [0], dtype=np.int64)
+    w_table = np.array([n if abs(n) <= INT64_MAX else 0 for n in w_nums] + [0], dtype=np.int64)
     gens = list(x.coefficients)
     coeffs = x.coefficients.values()
     c_den = math.lcm(*(c.denominator for c in coeffs))
@@ -277,10 +277,10 @@ def fourier_coefficients(phi: DualFunctional, x: SeedElement, norm_bound: int) -
     for start in range(0, len(bases), FAMILY_BATCH):
         batch = bases[start:start + FAMILY_BATCH]
         for base, rows in zip(batch, heilbronn_families(batch, DEFAULT_TIE)):
-            if w_reach * len(rows) > int64_max:
+            if w_reach * len(rows) > INT64_MAX:
                 raise InvariantError(f"weights up to {w_reach} over {len(rows)} family rows "
                                      f"overflow int64 (d={fld.d}, eta={base})")
-            if max(int(rows.max()), -int(rows.min())) * (1 + fld.m + fld.t) > int64_max:
+            if absmax(rows) * (1 + fld.m + fld.t) > INT64_MAX:
                 raise InvariantError(f"family rows of {base} overflow int64 under a unit "
                                      f"twist (d={fld.d})")
             for u in fld.units:

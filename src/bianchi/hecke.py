@@ -2,12 +2,12 @@
 
 The production action pushes a Heilbronn family of determinant eta through
 the generators: [P, (u, v)] goes to the sum of [P(aX+bY, cX+dY), (u, v)M]
-over family members M with unimodular image pair.  It runs on int64
-arrays, a batch of operators at a time: heilbronn_actions moves every free
-generator's point through every family of the batch in one
-SymbolSpace.act_points call, and each operator is a gather of the space's
-quotient map (SymbolSpace.qmap) at its family's images, summed over the
-family (weighted by the integer slash coefficients at weight k).  A
+over family members M with unimodular image pair, at every weight.  It
+runs on int64 arrays, a batch of operators at a time: heilbronn_actions
+moves every free generator's point through every family of the batch in
+one SymbolSpace.act_points call, and each operator is the space's quotient
+map (SymbolSpace.qmap) at its family's images, weighted by the members'
+integer slash coefficients (slash_tensor) and summed over the family.  A
 command builds every operator it needs in one batch (hecke_operators,
 eigensystems); heilbronn_action and hecke_on_manin are batches of one.  An
 operator is a linalg.IntMat, an int64 array over the map's denominator; its
@@ -88,60 +88,47 @@ def heilbronn_actions(space: SymbolSpace, alphas: list[QuadInt]) -> list[IntMat]
     the family of heilbronn.DEFAULT_TIE is used.
 
     One SymbolSpace.act_points call moves every free generator's point
-    through the int rows of every family of the batch.  Column j of an
-    operator, the image of free generator j, is the sum over its family of
-    the quotient map's gather at the images: at weight 2 the point itself,
-    at weight k each component cj of the slash by the member's adjugate,
-    weighted by its integer coefficient, one component at a time.  The
-    gathers go family by family, so the largest array is one family's, as
-    for a batch of one.  The sums stay on int64 over the map's denominator;
-    InvariantError when a slash coefficient or one family's sums could
-    leave it.
+    through every family of the batch, and one slash_tensor call gives
+    every member's slash coefficients (at weight 2, the one coefficient 1).
+    Column j of an operator, the image of free generator j, sums over its
+    family and the components cj of the slash of j's component by the
+    member's adjugate the coefficient of cj times the quotient map's terms
+    at generator cj at the moved point, on int64 over the map's
+    denominator: one batched matmul per family.  InvariantError when a
+    slash coefficient, or a sum under the batch's one bound, could leave it.
     """
     if not alphas:
         return []
     fams = [heilbronn_family(alpha, DEFAULT_TIE) for alpha in alphas]
     sizes = [len(fam) for fam in fams]
-    starts = np.cumsum([0, *sizes[:-1]])
-    members = [row for fam in fams for row in fam]
-    qmap = space.qmap
-    npts = space.npts
-    gens = np.asarray(space.free_gens, dtype=np.int64)
-    images = space.act_points(gens % npts, members)
-    entry = absmax(qmap.matrix)
-    if space.weight == 2:
-        for alpha, size in zip(alphas, sizes):
-            if entry * size > INT64_MAX:
-                raise InvariantError(f"{size} family rows overflow int64 on the quotient map "
-                                     f"(d={space.field.d}, eta={alpha})")
-        cols = [qmap.gather(images[:, start:start + size]).sum(axis=1)
-                for start, size in zip(starts, sizes)]
-    else:
-        # coeffs[m, c, cj]: the coefficient of component cj in the slash of
-        # component c by the adjugate (d, -b, -c, a) of member m, which is
-        # P -> P(aX+bY, cX+dY)
-        ncomp = 2 * (space.weight - 1)
-        rows = np.asarray(members, dtype=np.int64).reshape(-1, 8)
-        coeffs = slash_tensor(space.field, space.weight,
-                              rows[:, [6, 7, 2, 3, 4, 5, 0, 1]] * [1, 1, -1, -1, -1, -1, 1, 1])
-        if coeffs.dtype == object:
-            raise InvariantError(f"weight-{space.weight} slash coefficients of the families "
-                                 f"leave int64 (d={space.field.d})")
-        for alpha, start, size in zip(alphas, starts, sizes):
-            if entry * size * ncomp * absmax(coeffs[start:start + size]) > INT64_MAX:
-                raise InvariantError(f"slash coefficients over {size} family rows overflow "
-                                     f"int64 on the quotient map (d={space.field.d}, "
-                                     f"eta={alpha})")
-        comps = gens // npts
-        cols = []
-        for start, size in zip(starts, sizes):
-            moved = images[:, start:start + size]
-            col = np.zeros((len(gens), space.dim), dtype=np.int64)
-            for cj in range(ncomp):
-                weights = coeffs[start:start + size, comps, cj].T
-                keys = np.where(moved >= 0, cj * npts + moved, -1)
-                col += (weights[..., None] * qmap.gather(keys)).sum(axis=1)
-            cols.append(col)
+    members = np.asarray([row for fam in fams for row in fam], dtype=np.int64).reshape(-1, 8)
+    qmap, npts = space.qmap, space.npts
+    comps, pts = np.divmod(np.asarray(space.free_gens, dtype=np.int64), npts)
+    ncomp, r = qmap.ngens // npts, qmap.row.shape[1]
+    # weights[m, j, cj]: the coefficient of component cj in the slash of free
+    # generator j's component by the adjugate (d, -b, -c, a) of member m,
+    # which is P -> P(aX+bY, cX+dY)
+    weights = slash_tensor(space.field, space.weight,
+                           members[:, [6, 7, 2, 3, 4, 5, 0, 1]] * [1, 1, -1, -1, -1, -1, 1, 1])
+    if weights.dtype == object:
+        raise InvariantError(f"weight-{space.weight} slash coefficients of the families "
+                             f"leave int64 (d={space.field.d})")
+    weights = weights[:, comps, :ncomp]
+    # one bound on every family's sums: largest family * weight * map reach
+    if max(sizes) * absmax(weights) * ncomp * qmap.reach > INT64_MAX:
+        raise InvariantError(f"slash coefficients over {max(sizes)} family rows overflow int64 "
+                             f"on the quotient map (d={space.field.d}, etas "
+                             f"{', '.join(map(str, alphas))})")
+    starts = np.cumsum([0, *sizes]) * ncomp * r
+    images = space.act_points(pts, members)[..., None]
+    keys = np.where(images >= 0, images + npts * np.arange(ncomp), -1)
+    # terms[j, (m, cj, t)]: weight times coefficient of the map's term t at
+    # generator cj * npts + (image of j's point by m); rows, its row
+    terms = (weights.transpose(1, 0, 2)[..., None]
+             * qmap.coef[keys]).reshape(len(comps), len(members) * ncomp * r)
+    rows = qmap.row[keys].reshape(terms.shape)
+    cols = [np.matmul(terms[:, None, a:b], qmap.matrix[rows[:, a:b]])[:, 0]
+            for a, b in zip(starts, starts[1:])]
     return [IntMat(np.ascontiguousarray(col.T), qmap.den) for col in cols]
 
 
@@ -315,16 +302,16 @@ def _left_functional(dim: int, mats: dict[QuadInt, IntMat], vals, vector) -> dic
 def eigensystems(space: SymbolSpace, etas: list[QuadInt]) -> EigenTable:
     """Simultaneous rational eigensystems of the cuspidal Hecke action.
 
-    Refines through the given etas in order of increasing norm.  Systems are
-    labelled a, b, ... after sorting by eigenvalue tuple; one-dimensional
-    systems carry an eigenvector (quotient coordinates) and a left
-    functional scaled so functional(vector) = 1.
+    Every distinct eta is checked by check_eta before any operator is
+    built.  Refines through the given etas in order of increasing norm.
+    Systems are labelled a, b, ... after sorting by eigenvalue tuple;
+    one-dimensional systems carry an eigenvector (quotient coordinates) and
+    a left functional scaled so functional(vector) = 1.
     """
     order = []
     for eta in sorted(etas, key=lambda e: e.sort_key()):
-        if eta.is_zero() or not coprime(eta, space.level):
-            raise ValueError("eta must be nonzero and coprime to the level")
         if eta not in order:
+            check_eta(space, eta)
             order.append(eta)
     cusp = cuspidal_subspace(space)
     table = EigenTable(space, order)

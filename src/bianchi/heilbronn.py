@@ -296,7 +296,7 @@ def heilbronn_family(eta: QuadInt, tie: str = DEFAULT_TIE) -> tuple[tuple[int, .
     return tuple(map(tuple, heilbronn_families([eta], tie)[0].tolist()))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def heilbronn_classes(eta: QuadInt, tie: str = DEFAULT_TIE) -> tuple[tuple[int, ...], ...]:
     """Partition of the family into unimodular classes (index tuples).
 

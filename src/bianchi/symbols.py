@@ -24,9 +24,11 @@ rest become integer rows on the classes' free columns (at weight 2 with
 repeats up to sign dropped, and a word of powers of one step taken at one
 point per orbit of the step) for the sparse row reduction in
 linalg.rref_ints.  slash_tensor gives the weight-k slash coefficients of
-many matrices in one numpy pass.  The quotient map the reduction gives is
-one int64 matrix over one denominator, a QuotientMap, which the Hecke
-operators read by gathers.
+many matrices in one numpy pass.  Both builds end in one tail: the
+distinct word rows, their reduction, and the quotient map, a QuotientMap
+of one form at every weight: each generator's stage-1 terms on the
+classes' free columns, and stage 2's int64 matrix over one denominator,
+which the Hecke operators read by gathers.
 """
 
 from __future__ import annotations
@@ -201,14 +203,15 @@ def _pmul_arrays(u: tuple[np.ndarray, np.ndarray], v: tuple[np.ndarray, np.ndarr
     return out_a, out_b
 
 
-def _slash_reach(entry: int, deg: int, t: int, m: int) -> int:
-    """A bound on every value slash_tensor forms from rows whose entries are
-    at most entry in absolute value: its recurrence on magnitudes, with every
-    term counted positive (_pmul_arrays with -m, on one row of Python ints).
-    Both linear forms then have the magnitudes (entry, entry) of lin, the
-    powers only grow, and the omega multiple of a + b*omega grows a part by
-    at most 1 + t + m."""
-    lin = (np.full((1, 2), entry, dtype=object),) * 2
+@lru_cache(maxsize=64)
+def _slash_reach(deg: int, t: int, m: int) -> int:
+    """A bound on every value slash_tensor forms from rows of entries up to 1
+    in absolute value (times e**deg up to e: the values are homogeneous of
+    degree deg): its recurrence on magnitudes, every term counted positive
+    (_pmul_arrays with -m on Python ints), where the linear forms have the
+    magnitudes (1, 1), the powers only grow, and the omega multiple of
+    a + b*omega grows a part by at most 1 + t + m."""
+    lin = (np.ones((1, 2), dtype=object),) * 2
     power = (np.ones((1, 1), dtype=object), np.zeros((1, 1), dtype=object))
     for _ in range(deg):
         power = _pmul_arrays(power, lin, t, -m)
@@ -252,20 +255,23 @@ def slash_tensor(fld: Field, weight: int,
     powers of the two linear forms slash_poly substitutes are built on
     (rows, degree + 1) arrays of their 1- and omega-parts, one numpy pass
     per power for every row.  The pass runs on int64 when _slash_reach,
-    from the largest row entry, keeps every value it forms there, and on
-    Python ints (an object array) otherwise; the result is int64 when every
-    coefficient fits, and the object array when one does not, as the word
-    matrices' do from weight 38 at d = 11.
+    scaled to the largest row entry, keeps every value it forms there, and
+    on Python ints (an object array) otherwise; the result is int64 when
+    every coefficient fits, and the object array when one does not, as the
+    word matrices' do from weight 38 at d = 11.  At weight 2 every block is
+    the identity: the slash of a constant is itself, as in slash_poly.
     """
     t, m = fld.t, fld.m
     deg = weight - 2
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, 8)
-    if _slash_reach(absmax(rows), deg, t, m) > INT64_MAX:
+    if deg == 0:
+        return np.tile(np.eye(2, dtype=np.int64), (len(rows), 1, 1))
+    if _slash_reach(deg, t, m) * absmax(rows) ** deg > INT64_MAX:
         rows = rows.astype(object)
-    aa, ab, ba, bb, ca, cb, da, db = (rows[:, k, None] for k in range(8))
-    # images of X and Y, indexed by the X-exponent
-    l1 = (np.hstack([-ba, da]), np.hstack([-bb, db]))
-    l2 = (np.hstack([aa, -ca]), np.hstack([ab, -cb]))
+    # images of X and Y, indexed by the X-exponent: X -> (-b, d), Y -> (a, -c),
+    # as their 1-parts and omega-parts
+    lin = rows[:, [2, 6, 3, 7, 0, 4, 1, 5]] * np.array([-1, 1] * 2 + [1, -1] * 2)
+    l1, l2 = (lin[:, 0:2], lin[:, 2:4]), (lin[:, 4:6], lin[:, 6:8])
     one = (np.ones((len(rows), 1), dtype=rows.dtype), np.zeros((len(rows), 1), dtype=rows.dtype))
     pows1, pows2 = [one], [one]
     for _ in range(deg):
@@ -506,30 +512,38 @@ def _orbit_roots(images: np.ndarray, labels, n: int) -> tuple[np.ndarray, np.nda
 class QuotientMap:
     """Every generator's quotient image, as ints over one denominator.
 
-    Generator g maps to sign[g] * matrix[row[g]] / den.  matrix has dim
-    columns and one row per class (at weight 2 the live <S, J> class roots
-    in point order, with the sign of each point against its root; at
-    weight k one row per generator, every sign 1) and a trailing zero row,
-    which row -1 reads: a dead generator has row -1.  row and sign end with
-    one more entry, -1 and 0, read by the index -1 that act_points gives a
-    non-unimodular image.  The arrays are read-only, so the points of a
-    class can share their root's row.
+    Generator g maps to sum_j coef[g, j] * matrix[row[g, j]] / den: its
+    stage-1 image, on r free columns of the two-term classes (at weight 2,
+    r = 1: its <S, J> class root with its sign; above it, r = 2), pushed
+    through stage 2's matrix: dim columns, a row per free column in column
+    order, and a zero row, which row -1 reads.  A dead generator has rows -1
+    and coefficients 0, and so does the line that row and coef end with,
+    read by the index -1 that act_points gives a non-unimodular image.  The
+    arrays are read-only, so the generators of a class can share its rows.
+    reach, r * |coef| * |matrix|, bounds every entry of an image.
     """
 
-    __slots__ = ("matrix", "den", "row", "sign")
+    __slots__ = ("matrix", "den", "row", "coef", "reach")
 
-    def __init__(self, matrix: np.ndarray, den: int, row: np.ndarray, sign: np.ndarray) -> None:
-        self.matrix, self.den, self.row, self.sign = matrix, den, row, sign
+    def __init__(self, matrix: np.ndarray, den: int, row: np.ndarray, coef: np.ndarray) -> None:
+        self.matrix, self.den, self.row, self.coef = matrix, den, row, coef
+        self.reach = row.shape[1] * absmax(coef) * absmax(matrix)
 
-    @classmethod
-    def build(cls, matrix: np.ndarray, den: int, row: np.ndarray,
-              sign: np.ndarray) -> QuotientMap:
-        """The map of per-generator row and sign arrays, with the -1 entries appended."""
-        row = np.append(row, -1).astype(np.int64)
-        sign = np.append(sign, 0).astype(np.int64)
-        for a in (matrix, row, sign):
+    @staticmethod
+    def build(matrix: np.ndarray, den: int, row: np.ndarray, coef: np.ndarray,
+              where: str) -> QuotientMap:
+        """The map of (generators, r) row and coef arrays, with the -1 line
+        appended; InvariantError, naming where, when its reach leaves int64,
+        the map's one range check."""
+        row, coef = (np.vstack([a, np.full(a.shape[1], end)]).astype(np.int64)
+                     for a, end in ((row, -1), (coef, 0)))
+        for a in (matrix, row, coef):
             a.flags.writeable = False
-        return cls(matrix, den, row, sign)
+        qmap = QuotientMap(matrix, den, row, coef)
+        if qmap.reach > INT64_MAX:
+            raise InvariantError(f"quotient map terms up to {absmax(coef)} over entries up to "
+                                 f"{absmax(matrix)} overflow int64 {where}")
+        return qmap
 
     @property
     def ngens(self) -> int:
@@ -538,13 +552,12 @@ class QuotientMap:
     def gather(self, gens: np.ndarray) -> np.ndarray:
         """den times the image of each generator index in gens (-1 reads 0),
         as an int64 array of shape gens.shape + (dim,)."""
-        return self.sign[gens][..., None] * self.matrix[self.row[gens]]
+        return (self.coef[gens][..., None] * self.matrix[self.row[gens]]).sum(axis=-2)
 
     def vector(self, g: int) -> dict[int, Fraction]:
         """The image of generator g as {coordinate: Fraction}, keys ascending."""
         den = self.den
-        line = (self.matrix[self.row[g]] * self.sign[g]).tolist()
-        return {i: Fraction(c, den) for i, c in enumerate(line) if c}
+        return {i: Fraction(c, den) for i, c in enumerate(self.gather(g).tolist()) if c}
 
 
 class SymbolSpace:
@@ -642,8 +655,8 @@ class SymbolSpace:
         t, m = self.field.t, self.field.m
         # |xa|, |xb|, |ya|, |yb| <= (2 + 2m) * entry * coordinate, and the
         # Hermite reduction grows that by at most a factor 1 + e12
-        entry = max(int(rows.max(initial=0)), -int(rows.min(initial=0)))
-        if ((2 + 2 * m) * entry * reach + 1) * (1 + e12) > np.iinfo(np.int64).max:
+        entry = absmax(rows)
+        if ((2 + 2 * m) * entry * reach + 1) * (1 + e12) > INT64_MAX:
             raise InvariantError(f"row entries up to {entry} overflow int64 at level "
                                  f"{self.level} (d={self.field.d})")
         p = coords[gens].astype(np.int64)
@@ -721,19 +734,19 @@ class SymbolSpace:
         units = len(self.field.units)
         root, twist = _orbit_roots(images, [1, 0, 0, 0],
                                    units // int(np.gcd(units, self.weight - 2)))
-        # the exponents lie in -1..5, so int8 keeps the pass of a cached space small
-        self.cusp_pass = (np.unique(root, return_inverse=True)[1], s_image.copy(),
-                          twist.astype(np.int8))
+        # points stay below POINT_LIMIT and the exponents lie in -1..5, so
+        # int32 and int8 keep the pass of a cached space small
+        self.cusp_pass = (np.unique(root, return_inverse=True)[1].astype(np.int32),
+                          s_image.astype(np.int32), twist.astype(np.int8))
 
     def _build_weight2(self) -> None:
-        npts = self.npts
-        everyone = np.arange(npts)
+        """The weight-2 quotient in two stages (see _build_general): stage 1
+        is _two_term_roots, and a word row sums its images' stage-1 terms."""
         words, steps, j_image, cusp = self._point_pass()
         s_image = words[0][:, 1]
         self._set_cusp_pass(cusp, s_image)
-        # x + x*S = 0 and x*J = x
-        root, unit = _orbit_roots(np.column_stack([s_image, j_image]), [1, 0], 2)
-        sign = np.where(unit < 0, 0, 1 - 2 * unit)
+        cols1, vals1 = self._two_term_roots(s_image, j_image)
+        root, sign = cols1[:, 0], vals1[:, 0]
         blocks = []
         for img, st in zip(words[1:], steps[1:]):
             if all(s == st[0] for s in st):
@@ -746,16 +759,36 @@ class SymbolSpace:
                         and np.array_equal(sign[closed], sign)):
                     raise InvariantError(f"a power of the step {st[0]!r} moves a class at "
                                          f"level {self.level} (d={self.field.d})")
-                img = img[_orbit_roots(img[:, 1:2], 0, 1)[0] == everyone]
+                img = img[_orbit_roots(img[:, 1:2], 0, 1)[0] == np.arange(self.npts)]
             blocks.append((root[img], sign[img]))
-        rows = _distinct_rows(*_padded(blocks, npts), npts)
-        live = np.flatnonzero((root == everyone) & (sign != 0))
-        matrix, den = self._quotient(rows, live.tolist())
-        # the points of a class read their root's row, with their sign; a
-        # dead orbit's root is not live, so its points read row -1
-        position = np.full(npts, -1, dtype=np.int64)
-        position[live] = np.arange(len(live))
-        self.qmap = QuotientMap.build(matrix, den, position[root], sign)
+        self._settle(cols1, vals1, blocks)
+
+    def _two_term_roots(self, s_image: np.ndarray,
+                        j_image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every point's image modulo x + x*S = 0 and x*J = x alone, as (cols,
+        vals) of shape (points, 1): its class's least point and its sign
+        against it, or the blank column npts and 0 on a dead class."""
+        root, unit = _orbit_roots(np.column_stack([s_image, j_image]), [1, 0], 2)
+        sign = np.where(unit < 0, 0, 1 - 2 * unit)
+        return np.where(sign != 0, root, self.npts)[:, None], sign[:, None]
+
+    def _settle(self, cols1: np.ndarray, vals1: np.ndarray,
+                blocks: list[tuple[np.ndarray, np.ndarray]]) -> None:
+        """The tail of both builds: the distinct word rows of blocks, on the
+        stage-1 images' (cols1, vals1) free columns, reduced by _quotient,
+        and qmap with those images as its terms."""
+        ngens = len(cols1)
+        # the free columns, ascending, without np.unique (it imports numpy.ma);
+        # a dead generator's blank column ngens reads stage 2's zero row
+        free = np.zeros(ngens + 1, dtype=bool)
+        free[cols1] = True
+        free1 = np.flatnonzero(free[:ngens])
+        matrix, den = self._quotient(_distinct_rows(*_padded(blocks, ngens), ngens),
+                                     free1.tolist())
+        position = np.full(ngens + 1, -1, dtype=np.int64)
+        position[free1] = np.arange(len(free1))
+        self.qmap = QuotientMap.build(matrix, den, position[cols1], vals1,
+                                      f"at level {self.level} (d={self.field.d})")
 
     def _quotient(self, rows: list[dict[int, int]], gens: list[int]) -> tuple[np.ndarray, int]:
         """Reduce the relation rows over gens; set free_gens and dim.
@@ -774,19 +807,14 @@ class SymbolSpace:
         den = lcm(1, *(prow[c] for c, prow in piv.items()))
         at, cols, vals = [], [], []
         for t, g in enumerate(gens):
+            # a free g is e_g, a pivot g is -sum(prow[c] / prow[g] * e_c), c free
             prow = piv.get(g)
-            if prow is None:
+            terms = ([(g, den)] if prow is None else
+                     [(c, -a * (den // prow[g])) for c, a in prow.items() if c != g])
+            for c, v in terms:
                 at.append(t)
-                cols.append(qidx[g])
-                vals.append(den)
-                continue
-            # the image of pivot g is -sum(prow[c] / prow[g] * e_c), c free
-            scale = den // prow[g]
-            for c, a in prow.items():
-                if c != g:
-                    at.append(t)
-                    cols.append(qidx[c])
-                    vals.append(-a * scale)
+                cols.append(qidx[c])
+                vals.append(v)
         check_int64(vals, den, f"quotient map at level {self.level} (d={self.field.d})")
         matrix = np.zeros((len(gens) + 1, len(free)), dtype=np.int64)
         matrix[at, cols] = vals
@@ -879,10 +907,11 @@ class SymbolSpace:
         subset of the rows first only moves pivots onto later columns, so the
         pivots are the union of the two stages' and a generator's image is
         its stage-1 image pushed through stage 2: the quotient one rref of
-        every row gives.  Its denominator is stage 2's, the lcm of the
-        denominators of the free stage-1 columns' images, and each of those
-        columns is a generator whose stage-1 image is itself; so it is the
-        lcm of the map's entry denominators, as one rref's is.
+        every row gives, which qmap keeps as those two factors.  Its
+        denominator is stage 2's, the lcm of the denominators of the free
+        stage-1 columns' images, and each of those columns is a generator
+        whose stage-1 image is itself; so it is the lcm of the map's entry
+        denominators, as one rref's is.
         """
         npts = self.npts
         ncomp = 2 * (self.weight - 1)
@@ -909,22 +938,7 @@ class SymbolSpace:
             # as many entries a row as its fullest row has
             blocks.append(_nonzero_first(cols1[gens].reshape(npts * ncomp, -1),
                                          (scale * vals1[gens]).reshape(npts * ncomp, -1), ngens))
-        # the free columns, ascending, without np.unique, which imports numpy.ma
-        free = np.zeros(ngens + 1, dtype=bool)
-        free[cols1] = True
-        free1 = np.flatnonzero(free[:ngens])
-        stage2, den = self._quotient(_distinct_rows(*_padded(blocks, ngens), ngens),
-                                     free1.tolist())
-        # compose: position -1 (the blank column of a dead generator) reads
-        # stage 2's trailing zero row
-        position = np.full(ngens + 1, -1, dtype=np.int64)
-        position[free1] = np.arange(len(free1))
-        if 2 * absmax(vals1) * absmax(stage2) > INT64_MAX:
-            raise InvariantError(f"the two quotient stages overflow int64 at level {self.level} "
-                                 f"(d={self.field.d})")
-        matrix = np.vstack([vals1[:, :1] * stage2[position[cols1[:, 0]]]
-                            + vals1[:, 1:] * stage2[position[cols1[:, 1]]], stage2[-1:]])
-        self.qmap = QuotientMap.build(matrix, den, np.arange(ngens), np.ones(ngens))
+        self._settle(cols1, vals1, blocks)
 
     def generator(self, g: int) -> tuple[dict[int, QuadInt], int]:
         """The (poly, point) pair generator g stands for, in the class layout."""

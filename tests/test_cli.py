@@ -483,9 +483,10 @@ def test_eval_bad_table(runner, tmp_path):
 
 def test_quotient_map_readers_leave_the_shared_rows_alone(runner):
     # at weight 2 the points of a live two-term class share their root's row
-    # of the int quotient map: x*J reads x's row with x's sign, x*S the same
-    # row with the opposite sign.  The map's arrays are read-only, so no
-    # reader can write to a shared row, and no command changes them
+    # of the int quotient map: each point has one term, x*J reads x's row
+    # with x's coefficient, x*S the same row with the opposite coefficient.
+    # The map's arrays are read-only, so no reader can write to a shared
+    # row, and no command changes them
     d, level = checks.REFERENCE_FORM[:2]
     fld = Field.get(d)
     space = symbol_space(fld, parse_element(fld, level))
@@ -493,19 +494,21 @@ def test_quotient_map_readers_leave_the_shared_rows_alone(runner):
     S, J = space.sum_words[0][1].row(), space.J.row()
     images = space.act_points(range(npts), [S, J]).tolist()
     qmap = space.qmap
-    for arr in (qmap.matrix, qmap.row, qmap.sign):
+    assert qmap.row.shape == qmap.coef.shape == (npts + 1, 1)
+    for arr in (qmap.matrix, qmap.row, qmap.coef):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1
+    row, coef = qmap.row[:, 0].tolist(), qmap.coef[:, 0].tolist()
     shared = 0
     for i, (s_img, j_img) in enumerate(images):
-        assert (qmap.row[s_img], qmap.sign[s_img]) == (qmap.row[i], -qmap.sign[i])
+        assert (row[s_img], coef[s_img]) == (row[i], -coef[i])
         assert qmap.vector(s_img) == {k: -a for k, a in qmap.vector(i).items()}
-        assert (qmap.row[j_img], qmap.sign[j_img]) == (qmap.row[i], qmap.sign[i])
-        if qmap.sign[i]:
+        assert (row[j_img], coef[j_img]) == (row[i], coef[i])
+        if coef[i]:
             shared += j_img != i
     assert shared > 0
-    snapshot = [arr.tobytes() for arr in (qmap.matrix, qmap.row, qmap.sign)] + [qmap.den]
+    snapshot = [arr.tobytes() for arr in (qmap.matrix, qmap.row, qmap.coef)] + [qmap.den]
     at = ("--d", str(d), "--level", level)
     invoke(runner, "space", *at, "--full")
     invoke(runner, "hecke", *at, "--eta", "2", "--oracle", "--commute-with", "w")
@@ -514,7 +517,7 @@ def test_quotient_map_readers_leave_the_shared_rows_alone(runner):
     invoke(runner, "eval", *at, "--norm-bound", "5", "--z", "0.1+0.2i", "--t", "1.0")
     assert checks.check_coefficient_identity(norm_bound=6).ok
     assert symbol_space(fld, parse_element(fld, level)) is space and space.qmap is qmap
-    assert [arr.tobytes() for arr in (qmap.matrix, qmap.row, qmap.sign)] + [qmap.den] == snapshot
+    assert [arr.tobytes() for arr in (qmap.matrix, qmap.row, qmap.coef)] + [qmap.den] == snapshot
 
 
 def test_out_writes_file(runner, tmp_path):

@@ -433,6 +433,29 @@ def test_eigensystems_rejects_bad_eta():
         eigensystems(sp, [sp.level])
 
 
+@pytest.mark.parametrize("bad, match", [
+    ("0", "eta must be nonzero"),
+    ("1-2w", "eta must be coprime to the level"),
+    # norm 9,003,003: its family would start about 9 million chains
+    ("3000+w", "starts at least 9003004 division chains, above the"),
+], ids=["zero", "not-coprime", "past-start-limit"])
+def test_eigensystems_checks_every_eta_before_any_operator(monkeypatch, bad, match):
+    # check_eta refuses each bad eta, beside good ones, before the cuspidal
+    # subspace or any operator is built
+    import bianchi.hecke as hecke_mod
+
+    def never(*args):
+        raise AssertionError("built before every eta was checked")
+
+    monkeypatch.setattr(hecke_mod, "heilbronn_actions", never)
+    monkeypatch.setattr(hecke_mod, "cuspidal_subspace", never)
+    fld = Field.get(11)
+    sp = symbol_space(fld, parse_element(fld, "1-2w"))
+    etas = first_etas(fld, sp.level, 2)
+    with pytest.raises(ValueError, match=match):
+        eigensystems(sp, [etas[0], parse_element(fld, bad), etas[1]])
+
+
 def test_first_rational_eigensystem():
     # smallest level in any of the five fields with a cuspidal class: d = 11,
     # nu = 1 - 2w of norm 11, one-dimensional cuspidal space
@@ -809,6 +832,9 @@ def test_int_range_checks_fire_under_python_O(run_optimized):
         "big = 2**62\n"
         "attempt('map entry', fresh(2)._quotient, [{0: 1, 1: -2**70}], [0, 1])\n"
         "attempt('map den', fresh(2)._quotient, [{0: 2**70, 1: 1}], [0, 1])\n"
+        "one = np.ones((2, 2), dtype=np.int64)\n"
+        "attempt('terms', symbols.QuotientMap.build, np.full((2, 2), 2**61, dtype=np.int64), 1,\n"
+        "        np.zeros((2, 2), dtype=np.int64), 2 * one, 'at a test map')\n"
         "attempt('from_columns', linalg.IntMat.from_columns, [{0: Fraction(1, 2**64)}], 1)\n"
         "attempt('den', linalg.IntMat, np.zeros((1, 1), dtype=np.int64), 0)\n"
         "attempt('basis', lambda: linalg.Subspace(2, [{0: 1, 1: Fraction(1, 2**70)}]).int_basis)\n"
@@ -817,10 +843,10 @@ def test_int_range_checks_fire_under_python_O(run_optimized):
         "line = linalg.Subspace(2, [{0: 1, 1: Fraction(1, 2**40)}])\n"
         "op = linalg.IntMat(np.array([[2**20, 0], [0, 0]], dtype=np.int64), 1)\n"
         "attempt('restrict', line.restrict_ints, op)\n"
-        "for weight in (2, 4):\n"
+        "for weight in (2, 4, 6):\n"
         "    space = fresh(weight)\n"
         "    q = space.qmap\n"
-        "    space.qmap = symbols.QuotientMap(np.full_like(q.matrix, big), q.den, q.row, q.sign)\n"
+        "    space.qmap = symbols.QuotientMap(np.full_like(q.matrix, big), q.den, q.row, q.coef)\n"
         "    attempt(f'action {weight}', hecke.heilbronn_action, space, fld.from_int(2))\n"
         "sp = symbols.symbol_space(fld, parse_element(fld, '1-2w'))\n"
         "a = hecke.hecke_on_manin(sp, fld.from_int(2))\n"
@@ -829,8 +855,8 @@ def test_int_range_checks_fire_under_python_O(run_optimized):
         "attempt('commute', hecke.commute_check, huge, a)\n"
     )
     assert [line.split(":")[0] for line in out] == [
-        "map entry", "map den", "from_columns", "den", "basis", "product", "restrict",
-        "action 2", "action 4", "commute"], out
+        "map entry", "map den", "terms", "from_columns", "den", "basis", "product", "restrict",
+        "action 2", "action 4", "action 6", "commute"], out
 
 
 # a batch of one, a repeated eta, families of mixed sizes (etas coprime to

@@ -13,11 +13,10 @@ ASSERT_ALLOWED: set[str] = set()
 # and symbol_vector), so a comparison on the weight is a decision about the
 # space, named here with its reason
 WEIGHT_BRANCH_ALLOWED = {
-    # argument checks and the choice of build
+    # argument checks and the choice of build (the two differ in stage 1 and
+    # in how they write word rows; the quotient map and the Hecke action
+    # read one form at every weight)
     "symbols.SymbolSpace.__init__",
-    # one gather per batch at weight 2; above it the slash coefficients
-    # weight the gather one component at a time
-    "hecke.heilbronn_actions",
     # the expansion is weight 2 only
     "fourier.functional_slash",
     "fourier.fourier_coefficients",
@@ -27,7 +26,6 @@ WEIGHT_BRANCH_ALLOWED = {
 # a new one must be named here
 UNBOUNDED_CACHES_ALLOWED = {
     "symbols._symbol_space",
-    "heilbronn.heilbronn_classes",
     "quadints._omega_roots_mod",
     "quadints.primes_above",
     "quadints.hnf_module",
@@ -94,6 +92,24 @@ def unbounded_caches(tree, prefix):
                                               if k.arg == "maxsize"]
                     if any(isinstance(a, ast.Constant) and a.value is None for a in sizes):
                         out.append(scope)
+                walk(child, scope)
+
+    walk(tree, prefix)
+    return out
+
+
+def calls_by_scope(tree, prefix, name):
+    # (qualified name of the innermost enclosing def, line) per call of the
+    # bare name or of a module.name attribute
+    out = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, f"{scope}.{child.name}")
+            else:
+                if isinstance(child, ast.Call) and _named(child.func, name):
+                    out.append((scope, child.lineno))
                 walk(child, scope)
 
     walk(tree, prefix)
@@ -189,6 +205,25 @@ def test_weight_branch_scan_sees_every_form():
         "        return weight % 2 and (lambda: 4 > max(weight, 2))()\n")
     assert weight_compares(tree, "m") == [("m", 1), ("m.f", 3), ("m.f", 4), ("m.f", 5),
                                           ("m.K.g", 10)]
+
+
+def test_quotient_map_built_only_through_its_range_check():
+    # QuotientMap.build checks that no image can leave int64; a map made any
+    # other way would skip that check
+    found = [call for stem, tree in package_trees()
+             for call in calls_by_scope(tree, stem, "QuotientMap")]
+    assert {scope for scope, _ in found} == {"symbols.QuotientMap.build"}, found
+
+
+def test_call_scan_sees_every_form():
+    tree = ast.parse(
+        "QuotientMap(1)\n"
+        "def f():\n"
+        "    return symbols.QuotientMap(2), [QuotientMap.build(3)]\n"
+        "class K:\n"
+        "    def g(self):\n"
+        "        return (lambda: QuotientMapX(4) or QuotientMap(5))()\n")
+    assert calls_by_scope(tree, "m", "QuotientMap") == [("m", 1), ("m.f", 3), ("m.K.g", 6)]
 
 
 def test_no_module_scope_scipy_import():

@@ -385,7 +385,7 @@ def test_slash_rows_on_family_adjugates_and_word_inverses():
         adjugates = [Mat2.from_row(fld, m).adj() for n in range(2, 8)
                      for eta in canonical_elements_of_norm(fld, n)
                      for m in heilbronn_family(eta)]
-        for weight in (4, 6, 8):
+        for weight in (2, 4, 6, 8):
             space = unit_level_space(d, weight)
             tensor = slash_tensor(fld, weight, [g.row() for g in inverses + adjugates])
             for g, block in zip(inverses + adjugates, tensor):
@@ -1092,10 +1092,11 @@ def test_level_past_the_point_limit_refused():
         SymbolSpace(fld, nu)
 
 
-def general_relation_rows(space):
+def general_relation_rows(space, two_term=False):
     # the relation system of the one-shot weight-k build the staged one
     # replaced: every S, J and word relation row at every point and
-    # component, from the slash_poly route in a dict loop
+    # component, from the slash_poly route in a dict loop; with two_term,
+    # the S and J rows only
     fld = space.field
     npts = space.npts
     ncomp = 2 * (space.weight - 1)
@@ -1103,6 +1104,8 @@ def general_relation_rows(space):
     rels = [[(w, 1) for w in word] for word in space.sum_words]
     rels.insert(1, [(Mat2.identity(fld), 1), (space.J, -1)])
     images = [words[0], np.column_stack([np.arange(npts), j_image]), *words[1:]]
+    if two_term:
+        rels, images = rels[:2], images[:2]
     rows = []
     for rel, img in zip(rels, images):
         slashes = [slash_rows_reference(space, w.inv_unit()) for w, _ in rel]
@@ -1144,14 +1147,18 @@ def build_general_reference(space):
 
 
 def assert_matches_general_reference(space):
+    # every generator's image, stage 1's terms pushed through stage 2, is the
+    # one-shot build's row byte for byte, and so is the trailing zero row
     free, den, matrix = build_general_reference(space)
     q = space.qmap
     where = (space.field.d, str(space.level), space.weight)
     assert (space.free_gens, space.dim, q.den) == (free, len(free), den), where
-    assert q.matrix.dtype == np.int64 and np.array_equal(q.matrix, matrix), where
     ngens = len(matrix) - 1
-    assert np.array_equal(q.row, np.append(np.arange(ngens), -1)), where
-    assert np.array_equal(q.sign, np.append(np.ones(ngens, dtype=np.int64), 0)), where
+    assert q.ngens == ngens and q.row.shape == q.coef.shape == (ngens + 1, 2), where
+    images = q.gather(np.arange(ngens + 1))
+    assert images.dtype == np.int64 and images.shape == matrix.shape, where
+    assert images.tobytes() == matrix.tobytes(), where
+    assert q.gather(-1).tolist() == [0] * len(free), where
 
 
 # beyond survey's weight-4 levels: the levels the staged build was timed at,
@@ -1174,6 +1181,24 @@ def test_staged_weight_k_build_matches_one_shot_reference(d):
     for space in spaces:
         assert_matches_general_reference(space)
     assert any(space.dim for space in spaces)
+
+
+@pytest.mark.parametrize("d, level, weight", [(3, "5", 4), (7, "3+w", 6), (2, "3", 4),
+                                             (11, "w", 3), (1, "2+1w", 3)])
+def test_weight_k_map_keeps_one_row_per_free_stage_one_column(d, level, weight):
+    # the map's matrix is stage 2's: one row per column that rref of the S
+    # and J rows alone leaves free, in column order, then the zero row; such
+    # a column's stage-1 image is itself, one term of coefficient 1 on its row
+    fld = Field.get(d)
+    space = SymbolSpace(fld, parse_element(fld, level), weight)
+    piv = rref_ints(general_relation_rows(space, two_term=True))
+    free1 = [g for g in range(space.qmap.ngens) if g not in piv]
+    q = space.qmap
+    assert q.matrix.shape == (len(free1) + 1, space.dim) and not q.matrix[-1].any()
+    # far fewer rows than the generators, one each, a composed map would have
+    assert len(free1) < q.ngens // 2
+    for t, g in enumerate(free1):
+        assert [(r, c) for r, c in zip(q.row[g].tolist(), q.coef[g].tolist()) if c] == [(t, 1)]
 
 
 # the word rows of survey's weight-4 levels are redundant one by one, but
